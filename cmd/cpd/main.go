@@ -118,8 +118,8 @@ func main() {
 	}
 
 	if *procs > 1 {
-		// The distributed solver is plain CP-ALS over shards; modes that
-		// change the update rule or need single-node loop hooks don't apply.
+		// DistOptions carries only the plain CP-ALS knobs, and a sharded run
+		// has no APR, completion or checkpoint path.
 		for _, bad := range []struct {
 			set  bool
 			flag string

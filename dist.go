@@ -4,21 +4,24 @@ import (
 	"fmt"
 
 	"adatm/internal/audit"
+	"adatm/internal/cpd"
 	"adatm/internal/dist"
 	"adatm/internal/model"
 	"adatm/internal/tensor"
 )
 
 // Distributed (sharded) decomposition: the public surface over
-// internal/dist. The solver runs one SPMD worker per simulated process,
-// exchanging fold/expand row messages over a pluggable transport, and is
-// numerically identical to the single-node solver (see DESIGN.md §2j).
+// cpd.RunDist and internal/dist. The solver runs the single-node ALS loop
+// once per simulated process, exchanging fold/expand row messages over a
+// pluggable transport, and is numerically identical to the single-node
+// solver (see DESIGN.md §2j).
 
 // Re-exported distributed-layer types.
 type (
-	// DistResult is a distributed decomposition plus its communication
-	// accounting (messages sent, transport retries, predicted volume).
-	DistResult = dist.Result
+	// DistResult is a distributed decomposition: the embedded Result plus
+	// its communication accounting (messages sent, transport retries,
+	// predicted volume).
+	DistResult = cpd.DistResult
 	// DistFault injects transport faults (drop/duplicate/delay) into the
 	// TCP transport for resilience testing.
 	DistFault = dist.FaultConfig
@@ -81,7 +84,9 @@ type DistOptions struct {
 	Init []*Matrix
 	// Fault, when non-nil, enables fault injection on the TCP transport.
 	Fault *DistFault
-	// Metrics, when non-nil, receives the adatm_dist_* series.
+	// Metrics, when non-nil, receives the adatm_dist_* series and, from
+	// process 0's loop, the same adatm_cpd_* series a single-node run
+	// exports.
 	Metrics *Metrics
 	// Audit, when non-nil, records the partition decision in the ledger
 	// (a "dist.partition" event with the scored candidates).
@@ -141,7 +146,7 @@ func DecomposeDist(x *Tensor, opt DistOptions) (*DistResult, error) {
 	}
 	defer tr.Close()
 
-	return dist.Run(x, cluster, tr, dist.RunOptions{
+	return cpd.RunDist(x, cluster, tr, cpd.Options{
 		Rank: opt.Rank, MaxIters: opt.MaxIters, Tol: opt.Tol,
 		Seed: opt.Seed, Workers: opt.Workers,
 		Init: opt.Init, TrackFit: opt.TrackFit, Metrics: opt.Metrics,
@@ -208,21 +213,12 @@ func buildTransport(opt *DistOptions) (dist.Transport, error) {
 	}
 }
 
-// DistResultToResult converts a distributed result to the single-node
-// Result shape so Result-based reporting (model save, reconstruction,
-// CLI summaries) applies unchanged.
+// DistResultToResult returns the solver Result embedded in a distributed
+// result, so Result-based reporting (model save, reconstruction, CLI
+// summaries) applies unchanged.
 func DistResultToResult(r *DistResult) *Result {
 	if r == nil {
 		return nil
 	}
-	return &Result{
-		Lambda:     r.Lambda,
-		Factors:    r.Factors,
-		Iters:      r.Iters,
-		Fit:        r.Fit,
-		Converged:  r.Converged,
-		FitTrace:   r.FitTrace,
-		MTTKRPTime: r.MTTKRPTime,
-		TotalTime:  r.TotalTime,
-	}
+	return &r.Result
 }

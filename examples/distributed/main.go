@@ -1,7 +1,6 @@
-// Distributed simulation: partition a tensor across simulated processes,
-// compare the partitioners' communication footprints, and verify that the
-// simulated distributed CP-ALS reaches exactly the same solution as the
-// shared-memory solver (extension beyond the shared-memory target paper).
+// Sharded decomposition: score the partitioners' communication footprints
+// with the cost model, then run the sharded CP-ALS over simulated processes
+// and check that it reaches the shared-memory solver's solution.
 //
 //	go run ./examples/distributed
 package main
@@ -11,10 +10,6 @@ import (
 	"log"
 
 	"adatm"
-	"adatm/internal/coo"
-	"adatm/internal/dist"
-	"adatm/internal/engine"
-	"adatm/internal/tensor"
 )
 
 func main() {
@@ -23,39 +18,30 @@ func main() {
 		Skew: []float64{0.6, 0.6, 0.8, 0.1}, Seed: 31,
 	})
 	fmt.Println("tensor:", x)
-	const procs = 16
-	rank := 16
+	const procs, rank = 8, 16
 
-	fmt.Printf("\n%-14s %12s %12s %10s %10s\n", "partitioner", "volume/iter", "messages", "imbalance", "pred iter")
-	cm := dist.CostModel{NsPerOp: 1, AlphaNs: 1000, BetaNsByte: 0.1}
-	parts := []*dist.Partition{
-		dist.RandomPartition(x, procs, 1),
-		dist.MediumGrainPartition(x, procs),
-		dist.FineGrainGreedyPartition(x, procs, 2),
+	plan, err := adatm.PartitionPlanFor(x, procs, rank, 7)
+	if err != nil {
+		log.Fatal(err)
 	}
-	factory := func(s *tensor.COO) engine.Engine { return coo.New(s, 1) }
-	var best *dist.Cluster
-	for _, p := range parts {
-		c := dist.NewCluster(x, p, factory)
-		fmt.Printf("%-14s %12s %12d %10.2f %10v\n", p.Name,
-			fmt.Sprintf("%.1fMiB", float64(c.Comm.VolumeBytes(rank))/(1<<20)),
-			c.Comm.Messages, p.Imbalance(), c.PredictIteration(rank, cm).Round(1000))
-		if p.Name == "fine-greedy" {
-			best = c
-		}
-	}
+	fmt.Print("\n", plan.String())
 
-	// The simulated cluster is a drop-in engine: run the same decomposition
-	// distributed and shared, same seed, and compare.
+	// Same seed on both paths: the sharded run is the single-node ALS loop
+	// per process plus a row exchange, so only float reassociation of the
+	// distributed sums separates the two fits.
 	shared, err := adatm.Decompose(x, adatm.Options{Rank: rank, MaxIters: 6, Tol: 1e-12, Seed: 7, Engine: adatm.EngineCSF})
 	if err != nil {
 		log.Fatal(err)
 	}
-	distributed, err := adatm.DecomposeWith(x, best, adatm.Options{Rank: rank, MaxIters: 6, Tol: 1e-12, Seed: 7})
+	distributed, err := adatm.DecomposeDist(x, adatm.DistOptions{
+		Rank: rank, MaxIters: 6, Tol: 1e-12, Seed: 7, Procs: procs,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nshared-memory fit:  %.10f\n", shared.Fit)
 	fmt.Printf("distributed fit:    %.10f   (difference %.2e — FP reassociation only)\n",
 		distributed.Fit, shared.Fit-distributed.Fit)
+	fmt.Printf("distributed run:    %d messages over %s partitioning, %.1f MiB/iter predicted\n",
+		distributed.Messages, plan.Chosen.Name, float64(distributed.Comm.VolumeBytes(rank))/(1<<20))
 }

@@ -181,7 +181,7 @@ func Resume(x *tensor.COO, eng engine.Engine, c *ckpt.Checkpoint, opt Options) (
 		prevFit:   c.Fit,
 		lambda:    c.Lambda,
 		fitTrace:  c.FitTrace,
-	})
+	}, local{})
 }
 
 // resumeState carries a checkpoint's loop state into run.

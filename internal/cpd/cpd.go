@@ -17,6 +17,7 @@ import (
 
 	"adatm/internal/audit"
 	"adatm/internal/dense"
+	"adatm/internal/dist"
 	"adatm/internal/engine"
 	"adatm/internal/health"
 	"adatm/internal/obs"
@@ -121,22 +122,57 @@ type Result struct {
 
 // Run decomposes x at the configured rank using the given MTTKRP engine.
 func Run(x *tensor.COO, eng engine.Engine, opt Options) (*Result, error) {
-	return run(x, eng, opt, nil)
+	return run(x, eng, opt, nil, local{})
 }
 
-// run is the ALS loop shared by Run (rs == nil) and Resume (rs carries the
-// checkpointed loop state; opt.Init holds the checkpointed factors).
-func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState) (*Result, error) {
+// exchange is the seam between the ALS loop and the other processes of a
+// sharded run (RunDist). Each process owns a subset of every mode's rows and
+// solves, normalizes and takes the Gram of only those; the three operations
+// move rows and partial sums between processes:
+//   - Reduce sums the processes' MTTKRP rows m into the rows this process
+//     owns and returns them with this process's owned rows of the factor u,
+//     both compact;
+//   - Expand writes the updated owned rows back into u and brings u's other
+//     touched rows up to date from their owners;
+//   - AllReduce sums a short vector (column sums of squares, partial Gram,
+//     fit inner product) across processes, in a fixed order.
+type exchange interface {
+	Reduce(mode, iter int, m, u *dense.Matrix) (mOwn, uOwn *dense.Matrix, err error)
+	Expand(mode, iter int, uOwn, u *dense.Matrix) error
+	AllReduce(v []float64, tag uint8, mode, iter int) error
+}
+
+// local is the single-node exchange: the one process owns every row, so
+// each operation is the identity and no matrix is copied.
+type local struct{}
+
+func (local) Reduce(_, _ int, m, u *dense.Matrix) (*dense.Matrix, *dense.Matrix, error) {
+	return m, u, nil
+}
+func (local) Expand(int, int, *dense.Matrix, *dense.Matrix) error { return nil }
+func (local) AllReduce([]float64, uint8, int, int) error          { return nil }
+
+// checkInputs validates the run arguments every entry point shares.
+func checkInputs(x *tensor.COO, opt Options) error {
+	switch {
+	case opt.Rank <= 0:
+		return errors.New("cpd: Rank must be positive")
+	case x.Order() < 2:
+		return errors.New("cpd: tensor order must be at least 2")
+	case x.NNZ() == 0:
+		return errors.New("cpd: empty tensor")
+	}
+	return nil
+}
+
+// run is the ALS loop shared by Run and RunDist (ex is the process's row
+// exchange) and by Resume (rs carries the checkpointed loop state; opt.Init
+// holds the checkpointed factors).
+func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState, ex exchange) (*Result, error) {
+	if err := checkInputs(x, opt); err != nil {
+		return nil, err
+	}
 	n := x.Order()
-	if opt.Rank <= 0 {
-		return nil, errors.New("cpd: Rank must be positive")
-	}
-	if n < 2 {
-		return nil, errors.New("cpd: tensor order must be at least 2")
-	}
-	if x.NNZ() == 0 {
-		return nil, errors.New("cpd: empty tensor")
-	}
 	maxIters := opt.MaxIters
 	if maxIters <= 0 {
 		maxIters = 50
@@ -196,7 +232,8 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState) (*Resul
 
 	start := time.Now()
 
-	// Precompute the Gram matrices W⁽ⁿ⁾ = U⁽ⁿ⁾ᵀU⁽ⁿ⁾.
+	// Precompute the Gram matrices W⁽ⁿ⁾ = U⁽ⁿ⁾ᵀU⁽ⁿ⁾. The initial factors are
+	// replicated, so every process computes the same Grams locally.
 	clock.start()
 	grams := make([]*dense.Matrix, n)
 	for m := 0; m < n; m++ {
@@ -208,6 +245,9 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState) (*Resul
 	clock.tick(PhaseFit)
 	m := dense.New(maxDim(x.Dims), r) // MTTKRP output, reused across modes
 	h := dense.New(r, r)
+	had := dense.New(r, r)    // ∘ₙ W⁽ⁿ⁾ scratch of the fit
+	inv := make([]float64, r) // reciprocal column norms
+	inner := make([]float64, 1)
 
 	// auditBase snapshots the engine counters before the first iteration so
 	// reconciliation works on this run's deltas even when the caller reuses
@@ -254,7 +294,9 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState) (*Resul
 			runtime.ReadMemStats(&memBase)
 			memBased = true
 		}
-		var lastM *dense.Matrix
+		// The last mode's MTTKRP rows and normalized factor rows, for the
+		// fit's inner product ⟨X, X̂⟩.
+		var lastM, lastU *dense.Matrix
 		for _, mode := range sweep {
 			if opt.Ctx != nil {
 				select {
@@ -284,6 +326,12 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState) (*Resul
 				clock.mttkrp(mode, d, ops-prevOps)
 				prevOps = ops
 			}
+			// From here on the update touches only the rows this process
+			// owns: M's summed rows and U's rows (all of them on one node).
+			mOwn, u, err := ex.Reduce(mode, iter, mm, factors[mode])
+			if err != nil {
+				return nil, err
+			}
 
 			// H = ∘_{i≠mode} W⁽ⁱ⁾.
 			clock.start()
@@ -296,37 +344,72 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState) (*Resul
 			clock.tick(PhaseGram)
 			if opt.NonNegative {
 				// Multiplicative rule: U ← U ∘ M ⁄ (U·H + ridge·U + ε).
-				denom := dense.MatMul(factors[mode], h, nil, opt.Workers)
-				u := factors[mode]
+				denom := dense.MatMul(u, h, nil, opt.Workers)
 				for i := range u.Data {
 					d := denom.Data[i] + opt.Ridge*u.Data[i] + epsMU
-					u.Data[i] *= mm.Data[i] / d
+					u.Data[i] *= mOwn.Data[i] / d
 				}
 			} else {
-				// Least squares: U⁽ᵐᵒᵈᵉ⁾ = M·(H + ridge·I)⁺.
+				// Least squares: U⁽ᵐᵒᵈᵉ⁾ = M·(H + ridge·I)⁺. Rows are
+				// independent given the Cholesky of H, so a process solving
+				// only its rows matches the full solve row for row.
 				if opt.Ridge > 0 {
 					for i := 0; i < r; i++ {
 						h.Set(i, i, h.At(i, i)+opt.Ridge)
 					}
 				}
-				factors[mode].CopyFrom(mm)
-				dense.SolveSPDInPlace(h, factors[mode], opt.Workers)
+				u.CopyFrom(mOwn)
+				dense.SolveSPDInPlace(h, u, opt.Workers)
 			}
 			clock.tick(PhaseSolve)
 
-			norms := dense.NormalizeColumns(factors[mode])
-			copy(lambda, norms)
+			// dense.NormalizeColumns, split around the all-reduce of the
+			// column sums of squares.
+			clear(lambda)
+			for i := 0; i < u.Rows; i++ {
+				for j, v := range u.Row(i) {
+					lambda[j] += v * v
+				}
+			}
+			if err := ex.AllReduce(lambda, dist.TagNorm, mode, iter); err != nil {
+				return nil, err
+			}
+			for j := range lambda {
+				lambda[j] = math.Sqrt(lambda[j])
+				inv[j] = 1 // leave zero columns as-is
+				if lambda[j] > 0 {
+					inv[j] = 1 / lambda[j]
+				}
+			}
+			for i := 0; i < u.Rows; i++ {
+				row := u.Row(i)
+				for j := range row {
+					row[j] *= inv[j]
+				}
+			}
 			clock.tick(PhaseNormalize)
-			dense.Gram(factors[mode], grams[mode], opt.Workers)
+			if err := ex.Expand(mode, iter, u, factors[mode]); err != nil {
+				return nil, err
+			}
+			// Unowned rows are empty rows, zero after their first update, so
+			// the partial Grams over owned rows sum to the full Gram.
+			dense.Gram(u, grams[mode], opt.Workers)
+			if err := ex.AllReduce(grams[mode].Data, dist.TagGram, mode, iter); err != nil {
+				return nil, err
+			}
 			eng.FactorUpdated(mode)
 			clock.tick(PhaseGram)
 			if mode == lastMode {
-				lastM = mm
+				lastM, lastU = mOwn, u
 			}
 		}
 
 		clock.start()
-		fit := computeFit(normX, lambda, factors[lastMode], lastM, grams)
+		inner[0] = innerProduct(lambda, lastM, lastU)
+		if err := ex.AllReduce(inner, dist.TagFit, -1, iter); err != nil {
+			return nil, err
+		}
+		fit := computeFit(normX, lambda, grams, had, inner[0])
 		clock.tick(PhaseFit)
 		if opt.TrackFit {
 			res.FitTrace = append(res.FitTrace, fit)
@@ -344,6 +427,8 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState) (*Resul
 				return res, cerr
 			}
 		}
+		// Every process computes the identical fit from replicated state,
+		// so a sharded run takes this branch unanimously, with no vote.
 		if math.Abs(fit-prevFit) < tol {
 			res.Converged = true
 			break
@@ -442,26 +527,34 @@ func initFactors(x *tensor.COO, opt Options) ([]*dense.Matrix, error) {
 	return factors, nil
 }
 
-// computeFit evaluates fit = 1 − ‖X − X̂‖/‖X‖ without touching the tensor:
-// ‖X̂‖² = λᵀ(∘ₙ W⁽ⁿ⁾)λ and ⟨X, X̂⟩ = Σᵣ λᵣ Σᵢ M⁽ᴺ⁾(i,r)·U⁽ᴺ⁾(i,r), where M⁽ᴺ⁾
-// is the final mode's MTTKRP result and U⁽ᴺ⁾ the freshly normalized factor.
-func computeFit(normX float64, lambda []float64, lastFactor, lastM *dense.Matrix, grams []*dense.Matrix) float64 {
-	r := len(lambda)
-	// ‖X̂‖².
-	hadAll := dense.HadamardAll(grams)
-	normEst2 := 0.0
-	for i := 0; i < r; i++ {
-		for j := 0; j < r; j++ {
-			normEst2 += lambda[i] * lambda[j] * hadAll.At(i, j)
-		}
-	}
-	// ⟨X, X̂⟩.
+// innerProduct is ⟨X, X̂⟩ = Σᵣ λᵣ Σᵢ M⁽ᴺ⁾(i,r)·U⁽ᴺ⁾(i,r) over the given
+// rows, where M⁽ᴺ⁾ is the final mode's MTTKRP result and U⁽ᴺ⁾ the freshly
+// normalized factor.
+func innerProduct(lambda []float64, lastM, lastFactor *dense.Matrix) float64 {
 	inner := 0.0
 	for i := 0; i < lastM.Rows; i++ {
 		mrow := lastM.Row(i)
 		frow := lastFactor.Row(i)
-		for j := 0; j < r; j++ {
+		for j := range lambda {
 			inner += lambda[j] * mrow[j] * frow[j]
+		}
+	}
+	return inner
+}
+
+// computeFit evaluates fit = 1 − ‖X − X̂‖/‖X‖ without touching the tensor,
+// from ‖X̂‖² = λᵀ(∘ₙ W⁽ⁿ⁾)λ and the inner product ⟨X, X̂⟩. had is R×R
+// scratch for ∘ₙ W⁽ⁿ⁾.
+func computeFit(normX float64, lambda []float64, grams []*dense.Matrix, had *dense.Matrix, inner float64) float64 {
+	r := len(lambda)
+	had.CopyFrom(grams[0])
+	for _, g := range grams[1:] {
+		dense.Hadamard(had, g, had)
+	}
+	normEst2 := 0.0
+	for i := 0; i < r; i++ {
+		for j := 0; j < r; j++ {
+			normEst2 += lambda[i] * lambda[j] * had.At(i, j)
 		}
 	}
 	res2 := normX*normX + normEst2 - 2*inner

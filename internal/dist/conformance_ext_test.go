@@ -1,20 +1,25 @@
 package dist_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
+	"adatm/internal/audit"
 	"adatm/internal/coo"
 	"adatm/internal/cpd"
 	"adatm/internal/csf"
 	"adatm/internal/dense"
 	"adatm/internal/dist"
 	"adatm/internal/engine"
+	"adatm/internal/health"
 	"adatm/internal/memo"
+	"adatm/internal/obs"
 	"adatm/internal/tensor"
 )
 
@@ -109,7 +114,7 @@ func shardEngines(t *testing.T, kind string, order int) func(*tensor.COO) engine
 // checkConformance runs cpd.Run once per fixture (memoized by the caller)
 // and asserts the distributed result matches fit, λ, and every factor
 // entry within conformanceTol.
-func checkConformance(t *testing.T, label string, want *cpd.Result, got *dist.Result) {
+func checkConformance(t *testing.T, label string, want *cpd.Result, got *cpd.DistResult) {
 	t.Helper()
 	if math.Abs(got.Fit-want.Fit) > conformanceTol {
 		t.Errorf("%s: fit %.15f vs single-node %.15f", label, got.Fit, want.Fit)
@@ -130,7 +135,7 @@ func checkConformance(t *testing.T, label string, want *cpd.Result, got *dist.Re
 	}
 }
 
-func conformanceFixture(t *testing.T) (*tensor.COO, cpd.Options, dist.RunOptions) {
+func conformanceFixture(t *testing.T) (*tensor.COO, cpd.Options) {
 	t.Helper()
 	x := tensor.RandomClustered(3, 16, 700, 0.6, 701)
 	// Zero-mean initial factors keep the Gram-Hadamard system well away
@@ -145,33 +150,31 @@ func conformanceFixture(t *testing.T) (*tensor.COO, cpd.Options, dist.RunOptions
 			init[m].Data[i] = rng.NormFloat64()
 		}
 	}
-	copt := cpd.Options{Rank: 4, MaxIters: 6, Tol: 1e-14, Init: init, TrackFit: true}
-	dopt := dist.RunOptions{Rank: 4, MaxIters: 6, Tol: 1e-14, Init: init, TrackFit: true}
-	return x, copt, dopt
+	return x, cpd.Options{Rank: 4, MaxIters: 6, Tol: 1e-14, Init: init, TrackFit: true}
 }
 
 // singleNodeBaseline runs the shared-memory cpd.Run over the *same* shard
 // summation (the Cluster engine folds per-shard partials in process order,
-// which is what dist.Run's owners do) so the comparison isolates the
+// which is what cpd.RunDist's owners do) so the comparison isolates the
 // distributed protocol — fold routing, owner-side solves, reduce trees —
 // from engine-level MTTKRP summation order.
-func singleNodeBaseline(t *testing.T, x *tensor.COO, part *dist.Partition, kind string, copt cpd.Options) *cpd.Result {
+func singleNodeBaseline(t *testing.T, x *tensor.COO, part *dist.Partition, kind string, opt cpd.Options) *cpd.Result {
 	t.Helper()
 	c := dist.NewCluster(x, part, shardEngines(t, kind, x.Order()))
-	want, err := cpd.Run(x, c, copt)
+	want, err := cpd.Run(x, c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return want
 }
 
-// TestDistRunConformance: dist.Run over 1/2/4/7 processes × {coo,csf,memo}
+// TestDistRunConformance: cpd.RunDist over 1/2/4/7 processes × {coo,csf,memo}
 // shard engines on the in-process transport reproduces the single-node
 // cpd.Run trajectory within 1e-12, for every partitioner. The fit is also
 // checked against a single-node run with an independent full-tensor engine.
 func TestDistRunConformance(t *testing.T) {
-	x, copt, dopt := conformanceFixture(t)
-	indep, err := cpd.Run(x, coo.New(x, 1), copt)
+	x, opt := conformanceFixture(t)
+	indep, err := cpd.Run(x, coo.New(x, 1), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +182,10 @@ func TestDistRunConformance(t *testing.T) {
 		parts := partitioners(x, procs)
 		for ki, kind := range []string{"coo", "csf", "memo"} {
 			part := parts[ki%len(parts)]
-			want := singleNodeBaseline(t, x, part, kind, copt)
+			want := singleNodeBaseline(t, x, part, kind, opt)
 			c := dist.NewCluster(x, part, shardEngines(t, kind, x.Order()))
 			tr := dist.NewChanTransport(procs)
-			got, err := dist.Run(x, c, tr, dopt)
+			got, err := cpd.RunDist(x, c, tr, opt)
 			tr.Close()
 			if err != nil {
 				t.Fatalf("P=%d %s %s: %v", procs, kind, part.Name, err)
@@ -203,18 +206,18 @@ func TestDistRunConformance(t *testing.T) {
 // fixed reduction trees, so the trajectory stays within 1e-12 of the
 // single-node run for P∈{2,4,7}.
 func TestDistRunConformanceTCP(t *testing.T) {
-	x, copt, dopt := conformanceFixture(t)
+	x, opt := conformanceFixture(t)
 	kinds := []string{"coo", "csf", "memo"}
 	for pi, procs := range []int{2, 4, 7} {
 		kind := kinds[pi]
 		part := dist.FineGrainGreedyPartition(x, procs, 2)
-		want := singleNodeBaseline(t, x, part, kind, copt)
+		want := singleNodeBaseline(t, x, part, kind, opt)
 		c := dist.NewCluster(x, part, shardEngines(t, kind, x.Order()))
 		tr, err := dist.NewTCPTransport(procs, dist.TCPConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := dist.Run(x, c, tr, dopt)
+		got, err := cpd.RunDist(x, c, tr, opt)
 		tr.Close()
 		if err != nil {
 			t.Fatalf("P=%d %s: %v", procs, kind, err)
@@ -227,12 +230,12 @@ func TestDistRunConformanceTCP(t *testing.T) {
 // bit-identical results — the reduction order is fixed by the protocol,
 // not by message arrival.
 func TestDistRunTransportsAgree(t *testing.T) {
-	x, _, dopt := conformanceFixture(t)
+	x, opt := conformanceFixture(t)
 	part := dist.MediumGrainPartition(x, 4)
-	run := func(tr dist.Transport) *dist.Result {
+	run := func(tr dist.Transport) *cpd.DistResult {
 		t.Helper()
 		c := dist.NewCluster(x, part, shardEngines(t, "coo", x.Order()))
-		got, err := dist.Run(x, c, tr, dopt)
+		got, err := cpd.RunDist(x, c, tr, opt)
 		tr.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -258,13 +261,13 @@ func TestDistRunTransportsAgree(t *testing.T) {
 // TestDistRunFitTraceMatches: with TrackFit the whole per-iteration fit
 // trajectory must match the single-node trace, not only the endpoint.
 func TestDistRunFitTraceMatches(t *testing.T) {
-	x, copt, dopt := conformanceFixture(t)
+	x, opt := conformanceFixture(t)
 	part := dist.RandomPartition(x, 4, 1)
-	want := singleNodeBaseline(t, x, part, "coo", copt)
+	want := singleNodeBaseline(t, x, part, "coo", opt)
 	c := dist.NewCluster(x, part, shardEngines(t, "coo", x.Order()))
 	tr := dist.NewChanTransport(4)
 	defer tr.Close()
-	got, err := dist.Run(x, c, tr, dopt)
+	got, err := cpd.RunDist(x, c, tr, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,12 +288,12 @@ func TestDistRunValidation(t *testing.T) {
 	c := dist.NewCluster(x, dist.RandomPartition(x, 2, 1), cooFactory)
 	tr := dist.NewChanTransport(3)
 	defer tr.Close()
-	if _, err := dist.Run(x, c, tr, dist.RunOptions{Rank: 4}); err == nil {
+	if _, err := cpd.RunDist(x, c, tr, cpd.Options{Rank: 4}); err == nil {
 		t.Error("P mismatch not rejected")
 	}
 	tr2 := dist.NewChanTransport(2)
 	defer tr2.Close()
-	if _, err := dist.Run(x, c, tr2, dist.RunOptions{Rank: 0}); err == nil {
+	if _, err := cpd.RunDist(x, c, tr2, cpd.Options{Rank: 0}); err == nil {
 		t.Error("zero rank not rejected")
 	}
 }
@@ -300,9 +303,9 @@ func TestDistRunValidation(t *testing.T) {
 // dedup, so the run still reproduces the single-node trajectory exactly —
 // faults cost retries, never numerics.
 func TestDistFaultRecoveryConverges(t *testing.T) {
-	x, copt, dopt := conformanceFixture(t)
+	x, opt := conformanceFixture(t)
 	part := dist.FineGrainGreedyPartition(x, 2, 2)
-	want := singleNodeBaseline(t, x, part, "coo", copt)
+	want := singleNodeBaseline(t, x, part, "coo", opt)
 	c := dist.NewCluster(x, part, shardEngines(t, "coo", x.Order()))
 	tr, err := dist.NewTCPTransport(2, dist.TCPConfig{
 		AckTimeout: 25 * time.Millisecond,
@@ -318,7 +321,7 @@ func TestDistFaultRecoveryConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dist.Run(x, c, tr, dopt)
+	got, err := cpd.RunDist(x, c, tr, opt)
 	tr.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +348,7 @@ func TestDistFaultRetryExhausted(t *testing.T) {
 	}
 	defer tr.Close()
 	start := time.Now()
-	_, err = dist.Run(x, c, tr, dist.RunOptions{Rank: 3, MaxIters: 3, Seed: 1})
+	_, err = cpd.RunDist(x, c, tr, cpd.Options{Rank: 3, MaxIters: 3, Seed: 1})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("total message loss did not fail the run")
@@ -424,5 +427,201 @@ func TestTransportCloseUnblocksRecv(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Recv did not unblock on Close")
+	}
+}
+
+// TestDistRunConformanceOptions: the loop options a sharded run shares with
+// cpd.Run (Ridge, NonNegative, a non-natural ModeOrder) reproduce the
+// single-node trajectory over the same shard summation within 1e-12.
+func TestDistRunConformanceOptions(t *testing.T) {
+	x, opt := conformanceFixture(t)
+	nonNegInit := make([]*dense.Matrix, len(opt.Init))
+	for m, f := range opt.Init {
+		nonNegInit[m] = f.Clone()
+		for i, v := range f.Data {
+			nonNegInit[m].Data[i] = math.Abs(v)
+		}
+	}
+	variants := []struct {
+		name string
+		set  func(*cpd.Options)
+	}{
+		{"ridge", func(o *cpd.Options) { o.Ridge = 0.1 }},
+		{"nonneg", func(o *cpd.Options) { o.NonNegative, o.Init = true, nonNegInit }},
+		{"mode-order", func(o *cpd.Options) { o.ModeOrder = []int{2, 0, 1} }},
+	}
+	for _, procs := range []int{1, 4} {
+		part := dist.RandomPartition(x, procs, 1)
+		for _, v := range variants {
+			o := opt
+			v.set(&o)
+			want := singleNodeBaseline(t, x, part, "coo", o)
+			c := dist.NewCluster(x, part, cooFactory)
+			tr := dist.NewChanTransport(procs)
+			got, err := cpd.RunDist(x, c, tr, o)
+			tr.Close()
+			if err != nil {
+				t.Fatalf("P=%d %s: %v", procs, v.name, err)
+			}
+			checkConformance(t, fmt.Sprintf("P=%d %s", procs, v.name), want, got)
+		}
+	}
+}
+
+// TestDistRunMessages pins the protocol: on the conformance fixture every
+// partition sends exactly the message count of the dedicated distributed
+// loop this driver replaced (per mode: fold, norm reduce, expand, Gram
+// reduce; per iteration: the fit reduce).
+func TestDistRunMessages(t *testing.T) {
+	x, opt := conformanceFixture(t)
+	want := map[int]map[string]int64{
+		1: {"random": 0, "medium-grain": 0, "fine-greedy": 0},
+		2: {"random": 120, "medium-grain": 108, "fine-greedy": 120},
+		4: {"random": 360, "medium-grain": 336, "fine-greedy": 444},
+		7: {"random": 780, "medium-grain": 648, "fine-greedy": 996},
+	}
+	for procs, byPart := range want {
+		for _, part := range partitioners(x, procs) {
+			c := dist.NewCluster(x, part, cooFactory)
+			tr := dist.NewChanTransport(procs)
+			got, err := cpd.RunDist(x, c, tr, opt)
+			tr.Close()
+			if err != nil {
+				t.Fatalf("P=%d %s: %v", procs, part.Name, err)
+			}
+			if got.Messages != byPart[part.Name] || got.Iters != 6 {
+				t.Errorf("P=%d %s: %d messages in %d iterations, want %d in 6",
+					procs, part.Name, got.Messages, got.Iters, byPart[part.Name])
+			}
+		}
+	}
+}
+
+// cancelAfter wraps an engine so that its n-th MTTKRP call cancels the run:
+// a deterministic mid-run cancellation point.
+type cancelAfter struct {
+	engine.Engine
+	n      int
+	cancel context.CancelFunc
+}
+
+func (e *cancelAfter) MTTKRP(mode int, factors []*dense.Matrix, out *dense.Matrix) error {
+	if e.n--; e.n == 0 {
+		e.cancel()
+	}
+	return e.Engine.MTTKRP(mode, factors, out)
+}
+
+// TestDistRunCtxCancel: cancelling mid-run at P=4 stops every process on
+// both transports with context.Canceled as the returned error, promptly,
+// and leaves no goroutine behind once the transport is closed.
+func TestDistRunCtxCancel(t *testing.T) {
+	x, opt := conformanceFixture(t)
+	part := dist.RandomPartition(x, 4, 1)
+	for _, name := range []string{"chan", "tcp"} {
+		before := runtime.NumGoroutine()
+		var tr dist.Transport = dist.NewChanTransport(4)
+		if name == "tcp" {
+			tcp, err := dist.NewTCPTransport(4, dist.TCPConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr = tcp
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		var cancelled time.Time
+		c := dist.NewCluster(x, part, func(s *tensor.COO) engine.Engine {
+			return &cancelAfter{Engine: coo.New(s, 1), n: 3*x.Order() + 2, cancel: func() {
+				cancelled = time.Now()
+				cancel()
+			}}
+		})
+		// Only process 0's engine cancels; the others must stop too.
+		for p := 1; p < len(c.Engines); p++ {
+			c.Engines[p].(*cancelAfter).n = -1
+		}
+		o := opt
+		o.Ctx, o.MaxIters = ctx, 1000
+		_, err := cpd.RunDist(x, c, tr, o)
+		returned := time.Now()
+		tr.Close()
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: want context.Canceled, got %v", name, err)
+		}
+		if d := returned.Sub(cancelled); d > 2*time.Second {
+			t.Errorf("%s: run returned %v after cancellation", name, d)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("%s: %d goroutines after close, %d before the run", name, n, before)
+		}
+	}
+}
+
+// TestDistRunObserversBitIdentical: process 0 carries the caller's Health,
+// CollectStats and Tracer; attaching them at P=4 leaves λ, the fit and
+// every factor bit-identical, and the observers see the run.
+func TestDistRunObserversBitIdentical(t *testing.T) {
+	x, opt := conformanceFixture(t)
+	part := dist.MediumGrainPartition(x, 4)
+	run := func(o cpd.Options) *cpd.DistResult {
+		t.Helper()
+		c := dist.NewCluster(x, part, cooFactory)
+		tr := dist.NewChanTransport(4)
+		defer tr.Close()
+		res, err := cpd.RunDist(x, c, tr, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain := run(opt)
+	o := opt
+	probe := health.New(health.Config{})
+	tracer := obs.NewTracer(1 << 12)
+	o.Health, o.CollectStats, o.Tracer = probe, true, tracer
+	observed := run(o)
+	if plain.Fit != observed.Fit {
+		t.Errorf("fit %.17g with observers, %.17g without", observed.Fit, plain.Fit)
+	}
+	for j := range plain.Lambda {
+		if plain.Lambda[j] != observed.Lambda[j] {
+			t.Errorf("lambda[%d] differs with observers", j)
+		}
+	}
+	for m := range plain.Factors {
+		if d := plain.Factors[m].MaxAbsDiff(observed.Factors[m]); d != 0 {
+			t.Errorf("factor %d differs with observers by %g", m, d)
+		}
+	}
+	if observed.Stats == nil || observed.Stats.Phases[cpd.PhaseSolve].Count == 0 {
+		t.Error("CollectStats produced no per-phase breakdown")
+	}
+	if probe.Summary().Iters != observed.Iters {
+		t.Errorf("health probe observed %d iterations, run completed %d", probe.Summary().Iters, observed.Iters)
+	}
+}
+
+// TestDistRunRejectsUnsupported: Checkpoint, Audit and Progress need
+// cross-process gathers or votes a sharded run does not have yet.
+func TestDistRunRejectsUnsupported(t *testing.T) {
+	x, opt := conformanceFixture(t)
+	c := dist.NewCluster(x, dist.RandomPartition(x, 2, 1), cooFactory)
+	tr := dist.NewChanTransport(2)
+	defer tr.Close()
+	for name, set := range map[string]func(*cpd.Options){
+		"checkpoint": func(o *cpd.Options) { o.Checkpoint = &cpd.CheckpointConfig{Dir: t.TempDir()} },
+		"audit":      func(o *cpd.Options) { o.Audit = audit.NewRecorder(audit.Config{}) },
+		"progress":   func(o *cpd.Options) { o.Progress = func(cpd.IterStats) bool { return true } },
+	} {
+		o := opt
+		set(&o)
+		if _, err := cpd.RunDist(x, c, tr, o); err == nil {
+			t.Errorf("%s accepted by a sharded run", name)
+		}
 	}
 }

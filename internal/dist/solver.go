@@ -131,32 +131,35 @@ func (c *Cluster) ResetStats() {
 
 var _ engine.Engine = (*Cluster)(nil)
 
-// CostModel is the α–β machine model used to predict one iteration of the
-// simulated cluster.
+// CostModel is the α–β machine model used to predict one CP-ALS iteration
+// under a partition. Cluster.PredictIteration, the model's partition
+// selector and the E22 scaling table all score with Iteration.
 type CostModel struct {
 	NsPerOp    float64 // per Hadamard op unit on a process
 	AlphaNs    float64 // per message latency
 	BetaNsByte float64 // per byte of communication
 }
 
+// Iteration predicts one iteration of an order-n CP-ALS at the given rank
+// under the partition: computeNS is the most loaded process's n²·R op
+// units per nonzero, and commNS is α per fold and expand message plus β
+// per byte of fold+expand volume.
+func (m CostModel) Iteration(p *Partition, comm CommStats, n, rank int) (computeNS, commNS float64) {
+	maxLoad := 0
+	for _, l := range p.Loads() {
+		maxLoad = max(maxLoad, l)
+	}
+	computeNS = float64(maxLoad) * float64(n*n*rank) * m.NsPerOp
+	commNS = m.AlphaNs*float64(2*comm.Messages) + m.BetaNsByte*float64(comm.VolumeBytes(rank))
+	return computeNS, commNS
+}
+
 // PredictIteration estimates one CP-ALS iteration's time under the cost
 // model: the slowest process's compute plus the fold+expand communication
 // of every mode.
 func (c *Cluster) PredictIteration(rank int, m CostModel) time.Duration {
-	// Compute: the per-process op counts are proportional to shard nnz for
-	// the baseline engines; use the exact counters if available by probing
-	// loads.
-	loads := c.Part.Loads()
-	maxLoad := 0
-	for _, l := range loads {
-		if l > maxLoad {
-			maxLoad = l
-		}
-	}
-	n := c.X.Order()
-	computeNs := float64(maxLoad) * float64(n*n*rank) * m.NsPerOp
-	commNs := m.AlphaNs*float64(2*c.Comm.Messages) + m.BetaNsByte*float64(c.Comm.VolumeBytes(rank))
-	return time.Duration(computeNs + commNs)
+	computeNS, commNS := m.Iteration(c.Part, c.Comm, c.X.Order(), rank)
+	return time.Duration(computeNS + commNS)
 }
 
 func maxDim(dims []int) int {

@@ -6,8 +6,8 @@ import (
 	"sync"
 )
 
-// MsgKind labels the protocol phase a Message belongs to. The distributed
-// ALS loop (see run.go) exchanges four kinds of traffic: fold partials
+// MsgKind labels the protocol phase a Message belongs to. A sharded run's
+// endpoints (see exchange.go) exchange four kinds of traffic: fold partials
 // (touching process → row owner), expand updates (row owner → touching
 // process), reduce partials (every process → process 0), and broadcast
 // results (process 0 → every process).

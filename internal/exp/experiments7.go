@@ -69,7 +69,7 @@ func E22SimulatedScaling(cfg Config) *Table {
 		for _, p := range parts {
 			c := dist.NewCluster(x, p, factory)
 			pred := c.PredictIteration(cfg.rank(), cm)
-			commNs := cm.AlphaNs*float64(2*c.Comm.Messages) + cm.BetaNsByte*float64(c.Comm.VolumeBytes(cfg.rank()))
+			_, commNs := cm.Iteration(p, c.Comm, x.Order(), cfg.rank())
 			t.Add(procs, p.Name, pred.Round(1000).String(),
 				fmt.Sprintf("%.1fx", float64(baseTime)/float64(pred)),
 				fmt.Sprintf("%.0f%%", 100*commNs/float64(pred)))

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Distributed-solver smoke test: run cpd with -procs 2 over the TCP loopback
-# transport, scrape the adatm_dist_* series from the held debug server, and
-# require the partition decision in the audit ledger. Exercises the partition
-# model, the real wire transport, and the dist metrics wiring end to end.
+# transport, scrape the adatm_dist_* series and process 0's adatm_cpd_* loop
+# series from the held debug server, and require the partition decision in
+# the audit ledger. Exercises the partition model, the real wire transport,
+# and the dist metrics wiring end to end.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -52,6 +53,12 @@ for series in adatm_dist_volume_bytes adatm_dist_messages_total \
     adatm_dist_fold_seconds_total adatm_dist_retries_total; do
     grep -q "$series" "$tmp/metrics" || { echo "dist-smoke: /metrics missing $series"; cat "$tmp/metrics"; exit 1; }
 done
+# A sharded run is the single-node loop per process: process 0 exports the
+# same iteration, fit and phase series a single-node run does.
+grep -q '^adatm_cpd_iterations_total [1-9]' "$tmp/metrics" \
+    || { echo "dist-smoke: /metrics missing adatm_cpd_iterations_total"; grep adatm_cpd "$tmp/metrics"; exit 1; }
+grep -q 'adatm_cpd_phase_seconds_count{phase="solve"}' "$tmp/metrics" \
+    || { echo "dist-smoke: /metrics missing the solve phase histogram"; grep adatm_cpd "$tmp/metrics"; exit 1; }
 # The series must carry the partition/transport labels the run resolved to.
 grep -q 'adatm_dist_messages_total{partition="[a-z-]*",transport="tcp"}' "$tmp/metrics" \
     || { echo "dist-smoke: dist series missing partition/transport labels"; grep adatm_dist "$tmp/metrics"; exit 1; }
