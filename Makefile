@@ -71,6 +71,7 @@ ci:
 
 fuzz:
 	$(GO) test -fuzz FuzzReadTNS -fuzztime 30s ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 30s ./internal/dist/
 
 experiments:
 	$(GO) run ./cmd/adabench

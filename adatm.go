@@ -252,7 +252,8 @@ type Options struct {
 	// Engine selects the MTTKRP kernel (default EngineAdaptive).
 	Engine EngineKind
 	// MemoryBudget caps the adaptive engine's predicted auxiliary bytes
-	// (<= 0: unbounded). Ignored by non-adaptive engines.
+	// (<= 0: unbounded). See EngineConfig.MemoryBudget for its effect on
+	// the other engines.
 	MemoryBudget int64
 	// Accum selects the MTTKRP output-accumulation backend (default
 	// AccumAuto: the cost model decides per mode).
@@ -449,14 +450,14 @@ type EngineConfig struct {
 	Rank int
 	// Workers is the engine's parallel width (<= 0: GOMAXPROCS).
 	Workers int
-	// MemoryBudget caps the adaptive choice (<= 0: unbounded).
+	// MemoryBudget caps the adaptive choice (<= 0: unbounded). It also
+	// decides whether the memo engines keep their intermediates allocated
+	// across sweeps: the adaptive model retains when the retained bytes fit;
+	// memo engines built without the model retain only when unbounded.
 	MemoryBudget int64
 	// Strategy overrides the memoization tree for the memo engines; nil
 	// uses the kind's default shape.
 	Strategy *Strategy
-	// RetainBuffers keeps memoized value storage allocated across ALS
-	// iterations (steady memory at peak, zero per-iteration allocation).
-	RetainBuffers bool
 	// Accum selects the output-accumulation backend (default AccumAuto:
 	// per-mode model-driven choice; the adaptive kind takes its per-mode
 	// table from the plan).
@@ -464,6 +465,10 @@ type EngineConfig struct {
 	// accumPerMode carries the adaptive plan's resolved per-mode table to
 	// the engine constructor (internal plumbing, set by NewEnginePlanned).
 	accumPerMode []accum.Strategy
+	// retain carries the memo engines' buffer-retention decision (internal
+	// plumbing, set by NewEnginePlanned): the plan's when the model runs,
+	// otherwise retention exactly when the budget is unbounded.
+	retain bool
 }
 
 // NewEngine constructs the MTTKRP kernel of the given kind for x. The
@@ -489,6 +494,7 @@ func NewEnginePlanned(x *Tensor, kind EngineKind, cfg EngineConfig) (Engine, *Pl
 	}
 	n := x.Order()
 	acfg := accum.Config{Strategy: cfg.Accum, Workers: cfg.Workers, Budget: cfg.MemoryBudget}
+	cfg.retain = cfg.MemoryBudget <= 0
 	switch kind {
 	case EngineCOO:
 		return coo.NewWithAccum(x, cfg.Workers, acfg), nil, nil
@@ -520,10 +526,11 @@ func NewEnginePlanned(x *Tensor, kind EngineKind, cfg EngineConfig) (Engine, *Pl
 			Workers: cfg.Workers, Accum: cfg.Accum,
 		})
 		// The plan resolved the accumulation backend per mode (budget slack
-		// already accounted for); hand the table to the engine so kernel
-		// entries don't re-derive it.
+		// already accounted for) and whether to retain the intermediates;
+		// hand both to the engine so kernel entries don't re-derive them.
 		cfgP := cfg
 		cfgP.accumPerMode = plan.AccumPerMode()
+		cfgP.retain = plan.Retain
 		eng, err := memoEngine(x, cfgP, plan.Chosen.Strategy, fmt.Sprintf("adaptive[%s]", plan.Chosen.Name))
 		if err != nil {
 			return nil, nil, err
@@ -539,7 +546,7 @@ func memoEngine(x *Tensor, cfg EngineConfig, s *Strategy, name string) (Engine, 
 		s = cfg.Strategy
 	}
 	return memo.NewWithConfig(x, s, memo.Config{
-		Workers: cfg.Workers, Name: name, RetainBuffers: cfg.RetainBuffers,
+		Workers: cfg.Workers, Name: name, RetainBuffers: cfg.retain,
 		Accum: accum.Config{
 			Strategy: cfg.Accum,
 			PerMode:  cfg.accumPerMode,

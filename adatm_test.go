@@ -215,22 +215,43 @@ func TestNVecsInitFacade(t *testing.T) {
 	}
 }
 
+// TestRetainBuffersFacade: buffer retention follows the memory budget and
+// never changes the numbers. A memo engine built without the model retains
+// its intermediates only when the budget is unbounded; an order-6 balanced
+// tree's retained sum exceeds its two-path peak, so the retaining engine
+// reports the larger peak, and both runs agree bit for bit.
 func TestRetainBuffersFacade(t *testing.T) {
-	x := testTensor(t)
-	eng, err := adatm.NewEngine(x, adatm.EngineMemoBalanced, adatm.EngineConfig{Rank: 4, RetainBuffers: true})
-	if err != nil {
-		t.Fatal(err)
+	x := adatm.Generate(adatm.GenSpec{
+		Name: "facade6", Dims: []int{12, 11, 10, 9, 8, 7}, NNZ: 3000,
+		Skew: []float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5}, Rank: 3, Noise: 0.05, Seed: 6,
+	})
+	run := func(budget int64) (*adatm.Result, adatm.EngineStats) {
+		t.Helper()
+		eng, err := adatm.NewEngine(x, adatm.EngineMemoBalanced, adatm.EngineConfig{Rank: 4, MemoryBudget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := adatm.DecomposeWith(x, eng, adatm.Options{Rank: 4, MaxIters: 4, Tol: 1e-12, Seed: 21})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, eng.Stats()
 	}
-	res, err := adatm.DecomposeWith(x, eng, adatm.Options{Rank: 4, MaxIters: 4, Tol: 1e-12, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
+	kept, keptStats := run(0)
+	freed, freedStats := run(1)
+	if keptStats.PeakValueBytes <= freedStats.PeakValueBytes {
+		t.Errorf("retaining peak %d not above the freeing peak %d: retention did not follow the budget",
+			keptStats.PeakValueBytes, freedStats.PeakValueBytes)
 	}
-	ref, err := adatm.Decompose(x, adatm.Options{Rank: 4, MaxIters: 4, Tol: 1e-12, Seed: 21, Engine: adatm.EngineMemoBalanced})
-	if err != nil {
-		t.Fatal(err)
+	if math.Float64bits(kept.Fit) != math.Float64bits(freed.Fit) {
+		t.Errorf("retaining fit %.17g differs from freeing fit %.17g", kept.Fit, freed.Fit)
 	}
-	if math.Abs(res.Fit-ref.Fit) > 1e-10 {
-		t.Errorf("retain-buffers fit %.12f differs from default %.12f", res.Fit, ref.Fit)
+	for m := range kept.Factors {
+		for i, v := range kept.Factors[m].Data {
+			if math.Float64bits(v) != math.Float64bits(freed.Factors[m].Data[i]) {
+				t.Fatalf("factor %d entry %d: %v retained, %v freed", m, i, v, freed.Factors[m].Data[i])
+			}
+		}
 	}
 }
 

@@ -1,0 +1,53 @@
+package adatm_test
+
+import (
+	"math"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"adatm"
+)
+
+// TestDecomposeSteadyZeroAlloc pins the steady ALS iteration at zero
+// allocations through the public API. The adaptive engine retains its
+// intermediates under an unbounded budget, so a run of 2k iterations must
+// allocate exactly as often as a run of k: the k extra iterations allocate
+// nothing. Tol is the smallest positive float, so both runs go the full
+// distance.
+func TestDecomposeSteadyZeroAlloc(t *testing.T) {
+	x := testTensor(t)
+	const rank = 8
+	eng, plan, err := adatm.NewEnginePlanned(x, adatm.EngineAdaptive, adatm.EngineConfig{Rank: rank, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plan.Retain {
+		t.Fatal("unbounded plan does not retain its intermediates")
+	}
+	// Measure with the collector off: a GC cycle overlapping one run makes
+	// the runtime allocate (mark-worker goroutines, new threads), which the
+	// process-wide Mallocs counter would charge to that run.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	mallocs := func(iters int) uint64 {
+		opt := adatm.Options{Rank: rank, MaxIters: iters, Tol: math.SmallestNonzeroFloat64, Seed: 3, Workers: 1}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := adatm.DecomposeWith(x, eng, opt)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iters != iters {
+			t.Fatalf("run stopped after %d of %d iterations", res.Iters, iters)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	mallocs(2) // the first run allocates the engine's retained buffers
+	const k = 5
+	short, long := mallocs(k), mallocs(2*k)
+	if short != long {
+		t.Errorf("%d iterations made %d allocations, %d made %d: the steady iteration allocates",
+			k, short, 2*k, long)
+	}
+}

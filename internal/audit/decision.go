@@ -38,6 +38,9 @@ type CandidateRecord struct {
 	PredOps            int64  `json:"pred_ops"`
 	PredIndexBytes     int64  `json:"pred_index_bytes"`
 	PredPeakValueBytes int64  `json:"pred_peak_value_bytes"`
+	// PredRetainedValueBytes is the value storage an engine keeping every
+	// intermediate allocated across sweeps would hold.
+	PredRetainedValueBytes int64 `json:"pred_retained_value_bytes,omitempty"`
 	// PredTimeNS is the roofline time-model forecast; zero unless the
 	// selection ranked by predicted time.
 	PredTimeNS int64 `json:"pred_time_ns,omitempty"`
@@ -99,6 +102,10 @@ type Decision struct {
 	// unless Exact), recorded so estimate drift is diagnosable after the
 	// fact.
 	Ranges []RangeCount `json:"distinct_ranges,omitempty"`
+	// Retain reports that the engine keeps every intermediate allocated
+	// across sweeps (the plan's retention decision), so its measured peak
+	// value bytes are the retained sum, not the two-path peak.
+	Retain bool `json:"retain"`
 	// Workers is the parallel width the accumulation table assumed.
 	Workers int `json:"workers,omitempty"`
 	// Accum is the per-mode output-accumulation decision table.
@@ -118,17 +125,19 @@ func NewDecision(p *model.Plan) *Decision {
 		ByTime: p.ByTime,
 		Chosen: p.Chosen.Name,
 		Reason: p.Reason(),
+		Retain: p.Retain,
 	}
 	d.Candidates = make([]CandidateRecord, len(p.Candidates))
 	for i, c := range p.Candidates {
 		d.Candidates[i] = CandidateRecord{
-			Name:               c.Name,
-			Tree:               c.Strategy.String(),
-			PredOps:            c.Pred.Ops,
-			PredIndexBytes:     c.Pred.IndexBytes,
-			PredPeakValueBytes: c.Pred.PeakValueBytes,
-			PredTimeNS:         c.PredTime.Nanoseconds(),
-			Feasible:           c.Feasible,
+			Name:                   c.Name,
+			Tree:                   c.Strategy.String(),
+			PredOps:                c.Pred.Ops,
+			PredIndexBytes:         c.Pred.IndexBytes,
+			PredPeakValueBytes:     c.Pred.PeakValueBytes,
+			PredRetainedValueBytes: c.Pred.RetainedValueBytes,
+			PredTimeNS:             c.PredTime.Nanoseconds(),
+			Feasible:               c.Feasible,
 		}
 	}
 	d.Ranges = make([]RangeCount, len(p.Ranges))

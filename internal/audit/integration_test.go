@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"strings"
 	"testing"
 
 	"adatm"
@@ -168,6 +169,48 @@ func TestRunSnapshotWithReportConcurrentScrape(t *testing.T) {
 		}
 		if snap.Audit.Report.Candidate != latest.Report.Candidate {
 			t.Fatalf("scrape %d: candidate %q != %q", i, snap.Audit.Report.Candidate, latest.Report.Candidate)
+		}
+	}
+}
+
+// A retaining engine holds every intermediate, so reconciliation compares
+// its measured peak against the retained prediction. On memo-zipf4's shape
+// and on an order-8 tree whose retained sum exceeds its two-path peak, the
+// peak_value_bytes quantity must reconcile without a warning.
+func TestAuditRetainedPeak(t *testing.T) {
+	for _, spec := range []adatm.GenSpec{
+		{Name: "memo-zipf4", Dims: []int{1024, 1024, 1024, 1024}, NNZ: 60000, Skew: []float64{0.8, 0.8, 0.8, 0.8}, Seed: 1},
+		{Name: "order8", Dims: []int{10, 10, 10, 10, 10, 10, 10, 10}, NNZ: 3000, Skew: []float64{0.6, 0.6, 0.6, 0.6, 0.6, 0.6, 0.6, 0.6}, Seed: 2},
+	} {
+		x := adatm.Generate(spec)
+		rec := adatm.NewAuditRecorder(adatm.AuditConfig{})
+		if _, err := adatm.Decompose(x, adatm.Options{
+			Rank: 16, MaxIters: 2, Tol: 1e-15, Seed: 1, Workers: 1,
+			Engine: adatm.EngineAdaptive, Audit: rec,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		latest := rec.Latest()
+		d, rep := latest.Decision, latest.Report
+		if d == nil || rep == nil {
+			t.Fatalf("%s: decision or report missing", spec.Name)
+		}
+		if !d.Retain {
+			t.Fatalf("%s: unbounded decision does not retain", spec.Name)
+		}
+		cand := d.Candidate(d.Chosen)
+		q, ok := rep.Quantity(audit.QPeakValueBytes)
+		if !ok {
+			t.Fatalf("%s: no peak_value_bytes quantity", spec.Name)
+		}
+		if q.Predicted != float64(cand.PredRetainedValueBytes) {
+			t.Errorf("%s: peak compared against %g, want the retained prediction %d",
+				spec.Name, q.Predicted, cand.PredRetainedValueBytes)
+		}
+		for _, w := range rep.Warnings {
+			if strings.HasPrefix(w, audit.QPeakValueBytes) {
+				t.Errorf("%s: %s", spec.Name, w)
+			}
 		}
 	}
 }

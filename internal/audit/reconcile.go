@@ -145,7 +145,13 @@ func ReconcileCandidate(d *Decision, name string, m Measured, warnThreshold floa
 		})
 	}
 	add(QOpsPerIter, float64(cand.PredOps), m.OpsPerIter)
-	add(QPeakValueBytes, float64(cand.PredPeakValueBytes), float64(m.PeakValueBytes))
+	// A retaining engine holds every intermediate at once, so its measured
+	// peak is the retained sum rather than the two-path peak.
+	predPeak := cand.PredPeakValueBytes
+	if d.Retain {
+		predPeak = cand.PredRetainedValueBytes
+	}
+	add(QPeakValueBytes, float64(predPeak), float64(m.PeakValueBytes))
 	if m.IndexBytes > 0 {
 		add(QIndexBytes, float64(cand.PredIndexBytes), float64(m.IndexBytes))
 	}

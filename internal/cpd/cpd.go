@@ -235,19 +235,23 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState, ex exch
 	// Precompute the Gram matrices W⁽ⁿ⁾ = U⁽ⁿ⁾ᵀU⁽ⁿ⁾. The initial factors are
 	// replicated, so every process computes the same Grams locally.
 	clock.start()
+	var gs dense.GramScratch // per-worker Gram accumulators, reused every mode
 	grams := make([]*dense.Matrix, n)
 	for m := 0; m < n; m++ {
-		grams[m] = dense.Gram(factors[m], nil, opt.Workers)
+		grams[m] = gs.Gram(factors[m], nil, opt.Workers)
 	}
 	clock.tick(PhaseGram)
 
 	normX := x.Norm()
 	clock.tick(PhaseFit)
 	m := dense.New(maxDim(x.Dims), r) // MTTKRP output, reused across modes
+	mm := &dense.Matrix{Cols: r}      // m's header at the current mode's height
 	h := dense.New(r, r)
 	had := dense.New(r, r)    // ∘ₙ W⁽ⁿ⁾ scratch of the fit
 	inv := make([]float64, r) // reciprocal column norms
 	inner := make([]float64, 1)
+	// The solver keeps h's Cholesky factor between modes.
+	var solver dense.SPDSolver
 
 	// auditBase snapshots the engine counters before the first iteration so
 	// reconciliation works on this run's deltas even when the caller reuses
@@ -314,7 +318,7 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState, ex exch
 				default:
 				}
 			}
-			mm := &dense.Matrix{Rows: x.Dims[mode], Cols: r, Data: m.Data[:x.Dims[mode]*r]}
+			mm.Rows, mm.Data = x.Dims[mode], m.Data[:x.Dims[mode]*r]
 			t0 := time.Now()
 			if err := eng.MTTKRP(mode, factors, mm); err != nil {
 				return nil, err
@@ -359,7 +363,7 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState, ex exch
 					}
 				}
 				u.CopyFrom(mOwn)
-				dense.SolveSPDInPlace(h, u, opt.Workers)
+				solver.Solve(h, u, opt.Workers)
 			}
 			clock.tick(PhaseSolve)
 
@@ -388,12 +392,18 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState, ex exch
 				}
 			}
 			clock.tick(PhaseNormalize)
+			// λ is replicated after the all-reduce, so every process of a
+			// sharded run stops here together.
+			if !allFinite(lambda) {
+				finish()
+				return res, &NonFiniteError{Iter: iter, Mode: mode}
+			}
 			if err := ex.Expand(mode, iter, u, factors[mode]); err != nil {
 				return nil, err
 			}
 			// Unowned rows are empty rows, zero after their first update, so
 			// the partial Grams over owned rows sum to the full Gram.
-			dense.Gram(u, grams[mode], opt.Workers)
+			gs.Gram(u, grams[mode], opt.Workers)
 			if err := ex.AllReduce(grams[mode].Data, dist.TagGram, mode, iter); err != nil {
 				return nil, err
 			}
@@ -411,6 +421,10 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState, ex exch
 		}
 		fit := computeFit(normX, lambda, grams, had, inner[0])
 		clock.tick(PhaseFit)
+		if math.IsNaN(fit) || math.IsInf(fit, 0) {
+			finish()
+			return res, &NonFiniteError{Iter: iter, Mode: -1}
+		}
 		if opt.TrackFit {
 			res.FitTrace = append(res.FitTrace, fit)
 		}
@@ -453,6 +467,32 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState, ex exch
 		return res, werr
 	}
 	return res, nil
+}
+
+// NonFiniteError reports that the numerics of a run went NaN or Inf: λ after
+// normalizing mode Mode in iteration Iter, or, with Mode −1, that
+// iteration's fit. The run stops before the iteration's checkpoint
+// boundary, so the last checkpoint written holds the last finite state.
+type NonFiniteError struct {
+	Iter int
+	Mode int
+}
+
+func (e *NonFiniteError) Error() string {
+	if e.Mode < 0 {
+		return fmt.Sprintf("cpd: non-finite fit at iteration %d", e.Iter)
+	}
+	return fmt.Sprintf("cpd: non-finite lambda at iteration %d, mode %d", e.Iter, e.Mode)
+}
+
+// allFinite reports whether no entry of v is NaN or ±Inf.
+func allFinite(v []float64) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // measuredFrom converts the run's engine-counter deltas and per-phase

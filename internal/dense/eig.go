@@ -2,6 +2,8 @@ package dense
 
 import (
 	"math"
+
+	"adatm/internal/par"
 )
 
 // SymEig computes the eigendecomposition of a symmetric matrix a = V·diag(w)·Vᵀ
@@ -120,18 +122,28 @@ func PseudoInverseSym(a *Matrix, tol float64) *Matrix {
 // symmetric positive-definite matrix. Returns ok=false if a pivot is not
 // positive (matrix not SPD within floating-point tolerance).
 func Cholesky(a *Matrix) (l *Matrix, ok bool) {
-	n := a.Rows
-	if a.Cols != n {
+	if a.Cols != a.Rows {
 		panic("dense: Cholesky of non-square matrix")
 	}
-	l = New(n, n)
+	l = New(a.Rows, a.Rows)
+	if !choleskyInto(a, l) {
+		return nil, false
+	}
+	return l, true
+}
+
+// choleskyInto writes the lower triangle of a's Cholesky factor into l
+// (n×n), reading only entries it has written in this call, so l may hold
+// an earlier factor. Reports false on a non-positive pivot.
+func choleskyInto(a, l *Matrix) bool {
+	n := a.Rows
 	for j := 0; j < n; j++ {
 		d := a.At(j, j)
 		for k := 0; k < j; k++ {
 			d -= l.At(j, k) * l.At(j, k)
 		}
 		if d <= 0 {
-			return nil, false
+			return false
 		}
 		ljj := math.Sqrt(d)
 		l.Set(j, j, ljj)
@@ -143,7 +155,7 @@ func Cholesky(a *Matrix) (l *Matrix, ok bool) {
 			l.Set(i, j, s/ljj)
 		}
 	}
-	return l, true
+	return true
 }
 
 // SolveSPDInPlace solves x·a = b for every row of b, overwriting b with the
@@ -152,37 +164,68 @@ func Cholesky(a *Matrix) (l *Matrix, ok bool) {
 // factorization fails, it falls back to the pseudoinverse. workers controls
 // row-level parallelism.
 func SolveSPDInPlace(a *Matrix, b *Matrix, workers int) {
+	var s SPDSolver
+	s.Solve(a, b, workers)
+}
+
+// SPDSolver keeps SolveSPDInPlace's Cholesky factor and row kernel between
+// calls, so a loop of same-size solves allocates nothing (the
+// pseudoinverse fallback for a rank-deficient a still allocates). The zero
+// value is ready to use; a solver serves one call at a time.
+type SPDSolver struct {
+	l    *Matrix
+	b    *Matrix
+	body func(lo, hi int)
+}
+
+// Solve is SolveSPDInPlace computed in the solver's buffers.
+func (s *SPDSolver) Solve(a *Matrix, b *Matrix, workers int) {
 	n := a.Rows
-	if b.Cols != n {
+	if b.Cols != n || a.Cols != n {
 		panic("dense: SolveSPDInPlace shape mismatch")
 	}
-	l, ok := Cholesky(a)
-	if !ok {
+	if s.l == nil || s.l.Rows != n {
+		s.l = New(n, n)
+	}
+	if !choleskyInto(a, s.l) {
 		// Rank-deficient H: fall back to the pseudoinverse product.
 		pinv := PseudoInverseSym(a, 0)
 		tmp := MatMul(b, pinv, nil, workers)
 		b.CopyFrom(tmp)
 		return
 	}
-	// Row-wise: solve aᵀ x = bᵀ i.e. (L Lᵀ) x = rowᵀ per row (a symmetric).
-	solveRow := func(row []float64) {
+	if s.body == nil {
+		s.body = s.solveRows
+	}
+	s.b = b
+	par.ForRange(b.Rows, workers, s.body)
+	s.b = nil
+}
+
+// solveRows solves rows [lo, hi) of the current right-hand side: per row,
+// (L Lᵀ) x = rowᵀ (a is symmetric) by a forward then a backward
+// substitution.
+func (s *SPDSolver) solveRows(lo, hi int) {
+	l := s.l
+	n := l.Rows
+	for r := lo; r < hi; r++ {
+		row := s.b.Row(r)
 		// Forward solve L y = row.
 		for i := 0; i < n; i++ {
-			s := row[i]
+			v := row[i]
 			li := l.Row(i)
 			for k := 0; k < i; k++ {
-				s -= li[k] * row[k]
+				v -= li[k] * row[k]
 			}
-			row[i] = s / li[i]
+			row[i] = v / li[i]
 		}
 		// Backward solve Lᵀ x = y.
 		for i := n - 1; i >= 0; i-- {
-			s := row[i]
+			v := row[i]
 			for k := i + 1; k < n; k++ {
-				s -= l.At(k, i) * row[k]
+				v -= l.At(k, i) * row[k]
 			}
-			row[i] = s / l.At(i, i)
+			row[i] = v / l.At(i, i)
 		}
 	}
-	rowsParallel(b, workers, solveRow)
 }

@@ -153,9 +153,24 @@ func (m *Matrix) Transpose() *Matrix {
 }
 
 // Gram computes AᵀA into out (Cols×Cols), parallelizing over the rows of A
-// with per-worker accumulators. out may be nil, in which case a fresh matrix
-// is allocated. Returns out.
+// with per-worker accumulators summed in worker order. out may be nil, in
+// which case a fresh matrix is allocated. Returns out.
 func Gram(a *Matrix, out *Matrix, workers int) *Matrix {
+	var s GramScratch
+	return s.Gram(a, out, workers)
+}
+
+// GramScratch keeps Gram's per-worker accumulators and row kernel between
+// calls, so a loop taking many Grams of one width allocates them once. The
+// zero value is ready to use; a scratch serves one call at a time.
+type GramScratch struct {
+	a    *Matrix
+	acc  [][]float64
+	body func(worker, lo, hi int)
+}
+
+// Gram is the package-level Gram computed in the scratch's buffers.
+func (s *GramScratch) Gram(a *Matrix, out *Matrix, workers int) *Matrix {
 	c := a.Cols
 	if out == nil {
 		out = New(c, c)
@@ -168,33 +183,50 @@ func Gram(a *Matrix, out *Matrix, workers int) *Matrix {
 	if w <= 0 {
 		w = par.MaxWorkers()
 	}
-	partial := make([][]float64, w)
-	par.ForWorker(a.Rows, w, func(worker, lo, hi int) {
-		acc := make([]float64, c*c)
-		for i := lo; i < hi; i++ {
-			row := a.Row(i)
-			for p := 0; p < c; p++ {
-				rp := row[p]
-				if rp == 0 {
-					continue
-				}
-				accRow := acc[p*c : (p+1)*c]
-				for q := 0; q < c; q++ {
-					accRow[q] += rp * row[q]
-				}
-			}
+	// ForWorker runs one block on each of min(w, rows) workers.
+	used := min(w, a.Rows)
+	for len(s.acc) < used {
+		s.acc = append(s.acc, nil)
+	}
+	for i, acc := range s.acc[:used] {
+		if len(acc) != c*c {
+			s.acc[i] = make([]float64, c*c)
+		} else {
+			clear(acc)
 		}
-		partial[worker] = acc
-	})
-	for _, acc := range partial {
-		if acc == nil {
-			continue
-		}
+	}
+	if s.body == nil {
+		s.body = s.accumulate
+	}
+	s.a = a
+	par.ForWorker(a.Rows, w, s.body)
+	s.a = nil
+	for _, acc := range s.acc[:used] {
 		for i, v := range acc {
 			out.Data[i] += v
 		}
 	}
 	return out
+}
+
+// accumulate adds rows [lo, hi) of the current matrix's AᵀA into the
+// worker's accumulator.
+func (s *GramScratch) accumulate(worker, lo, hi int) {
+	a, acc := s.a, s.acc[worker]
+	c := a.Cols
+	for i := lo; i < hi; i++ {
+		row := a.Row(i)
+		for p := 0; p < c; p++ {
+			rp := row[p]
+			if rp == 0 {
+				continue
+			}
+			accRow := acc[p*c : (p+1)*c]
+			for q := 0; q < c; q++ {
+				accRow[q] += rp * row[q]
+			}
+		}
+	}
 }
 
 // Hadamard computes the element-wise product a .* b into out (all same
@@ -262,15 +294,6 @@ func MatMul(a, b, out *Matrix, workers int) *Matrix {
 		}
 	})
 	return out
-}
-
-// rowsParallel applies f to every row of m, parallelizing over rows.
-func rowsParallel(m *Matrix, workers int, f func(row []float64)) {
-	par.ForRange(m.Rows, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			f(m.Row(i))
-		}
-	})
 }
 
 // ColumnNorms returns the Euclidean norm of every column.

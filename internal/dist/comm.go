@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math/bits"
 	"sort"
 
 	"adatm/internal/tensor"
@@ -56,25 +57,22 @@ func AnalyzeComm(x *tensor.COO, p *Partition) (*RowOwners, CommStats) {
 		for i := range owners.Owner[m] {
 			owners.Owner[m][i] = -1
 		}
-		// touch[i] = bitmapless process set per row, stored sparsely.
-		touch := make(map[tensor.Index]map[int32]struct{})
+		touch := newProcSets(x.Dims[m], p.P)
 		for k := 0; k < x.NNZ(); k++ {
-			i := x.Inds[m][k]
-			set, ok := touch[i]
-			if !ok {
-				set = make(map[int32]struct{}, 2)
-				touch[i] = set
-			}
-			set[p.Owner[k]] = struct{}{}
+			touch.add(int(x.Inds[m][k]), p.Owner[k])
 		}
 		// Sort rows by connectivity ascending (cheap rows first, as the
 		// mode-partitioning heuristic prescribes) and assign greedily to
 		// the least-loaded touching process.
-		rows := make([]rowInfo, 0, len(touch))
-		for i, set := range touch {
-			rows = append(rows, rowInfo{i, len(set)})
-			if len(set) > stats.MaxRowConnectivity {
-				stats.MaxRowConnectivity = len(set)
+		var rows []rowInfo
+		for i := 0; i < x.Dims[m]; i++ {
+			conn := touch.count(i)
+			if conn == 0 {
+				continue
+			}
+			rows = append(rows, rowInfo{tensor.Index(i), conn})
+			if conn > stats.MaxRowConnectivity {
+				stats.MaxRowConnectivity = conn
 			}
 		}
 		sort.Slice(rows, func(a, b int) bool {
@@ -83,26 +81,32 @@ func AnalyzeComm(x *tensor.COO, p *Partition) (*RowOwners, CommStats) {
 			}
 			return rows[a].idx < rows[b].idx
 		})
-		msgs := make(map[int64]struct{})
+		msgs := make([]bool, p.P*p.P) // sender·P + owner pairs seen in this mode
+		nmsgs := 0
 		for _, ri := range rows {
-			set := touch[ri.idx]
+			i := int(ri.idx)
+			// Processes come in ascending order, so the first least-loaded
+			// one is the lowest-numbered.
 			var best int32 = -1
-			for proc := range set {
-				if best < 0 || procLoad[proc] < procLoad[best] ||
-					(procLoad[proc] == procLoad[best] && proc < best) {
+			touch.each(i, func(proc int32) {
+				if best < 0 || procLoad[proc] < procLoad[best] {
 					best = proc
 				}
-			}
-			owners.Owner[m][ri.idx] = best
+			})
+			owners.Owner[m][i] = best
 			stats.TotalRows += int64(ri.conn - 1)
-			for proc := range set {
-				if proc != best {
-					procLoad[proc]++
-					msgs[int64(proc)*int64(p.P)+int64(best)] = struct{}{}
+			touch.each(i, func(proc int32) {
+				if proc == best {
+					return
 				}
-			}
+				procLoad[proc]++
+				if k := int(proc)*p.P + int(best); !msgs[k] {
+					msgs[k] = true
+					nmsgs++
+				}
+			})
 		}
-		stats.Messages += int64(len(msgs))
+		stats.Messages += int64(nmsgs)
 	}
 	for _, l := range procLoad {
 		if l > stats.MaxProcRows {
@@ -116,4 +120,39 @@ func AnalyzeComm(x *tensor.COO, p *Partition) (*RowOwners, CommStats) {
 type rowInfo struct {
 	idx  tensor.Index
 	conn int
+}
+
+// procSets holds one mode's per-row process sets densely, indexed by row:
+// row i's set is the bitmask words[i·w : (i+1)·w] over processes 0..P-1.
+type procSets struct {
+	w     int
+	words []uint64
+}
+
+func newProcSets(rows, procs int) procSets {
+	w := (procs + 63) / 64
+	return procSets{w: w, words: make([]uint64, rows*w)}
+}
+
+// add puts proc into row i's set.
+func (s procSets) add(i int, proc int32) {
+	s.words[i*s.w+int(proc)/64] |= 1 << (uint(proc) % 64)
+}
+
+// count returns the size of row i's set: the row's connectivity.
+func (s procSets) count(i int) int {
+	n := 0
+	for _, w := range s.words[i*s.w : (i+1)*s.w] {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// each calls f on every process in row i's set, in ascending order.
+func (s procSets) each(i int, f func(proc int32)) {
+	for wi, w := range s.words[i*s.w : (i+1)*s.w] {
+		for ; w != 0; w &= w - 1 {
+			f(int32(wi*64 + bits.TrailingZeros64(w)))
+		}
+	}
 }

@@ -3,7 +3,6 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -122,12 +121,9 @@ func buildExchangePlan(x *tensor.COO, part *Partition, owners *RowOwners) *excha
 		self: make([][][]int32, n),
 	}
 	for m := 0; m < n; m++ {
-		touched := make([]map[int32]struct{}, P)
-		for p := range touched {
-			touched[p] = make(map[int32]struct{})
-		}
+		touched := newProcSets(x.Dims[m], P)
 		for k := 0; k < x.NNZ(); k++ {
-			touched[part.Owner[k]][int32(x.Inds[m][k])] = struct{}{}
+			touched.add(int(x.Inds[m][k]), part.Owner[k])
 		}
 		plan.own[m] = make([][]int32, P)
 		for i, q := range owners.Owner[m] {
@@ -137,21 +133,18 @@ func buildExchangePlan(x *tensor.COO, part *Partition, owners *RowOwners) *excha
 		}
 		plan.fold[m] = make([][][]int32, P)
 		plan.self[m] = make([][]int32, P)
-		for p := 0; p < P; p++ {
+		for p := range plan.fold[m] {
 			plan.fold[m][p] = make([][]int32, P)
-			rows := make([]int32, 0, len(touched[p]))
-			for i := range touched[p] {
-				rows = append(rows, i)
-			}
-			sort.Slice(rows, func(a, b int) bool { return rows[a] < rows[b] })
-			for _, i := range rows {
-				q := owners.Owner[m][i]
-				if int(q) == p {
-					plan.self[m][p] = append(plan.self[m][p], i)
+		}
+		// Rows are visited in ascending order, so every list ascends.
+		for i, q := range owners.Owner[m] {
+			touched.each(i, func(p int32) {
+				if p == q {
+					plan.self[m][p] = append(plan.self[m][p], int32(i))
 				} else {
-					plan.fold[m][p][q] = append(plan.fold[m][p][q], i)
+					plan.fold[m][p][q] = append(plan.fold[m][p][q], int32(i))
 				}
-			}
+			})
 		}
 	}
 	return plan

@@ -166,9 +166,9 @@ func FineGrainGreedyPartition(x *tensor.COO, procs int, seed int64) *Partition {
 	nnz := x.NNZ()
 	p := &Partition{P: procs, Owner: make([]int32, nnz), Name: "fine-greedy"}
 	// rowProcs[m][i] = bitmask of processes already touching row i of mode m.
-	rowProcs := make([]map[tensor.Index]uint64, n)
+	rowProcs := make([][]uint64, n)
 	for m := range rowProcs {
-		rowProcs[m] = make(map[tensor.Index]uint64)
+		rowProcs[m] = make([]uint64, x.Dims[m])
 	}
 	loads := make([]int, procs)
 	cap := (nnz + procs - 1) / procs

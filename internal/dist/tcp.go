@@ -424,7 +424,9 @@ func appendDataFrame(buf []byte, m *Message, seq uint64) []byte {
 	return buf
 }
 
-// readFrame decodes one frame. For ack frames msg is nil.
+// readFrame decodes one frame. For ack frames msg is nil. Anything but a
+// 9-byte ack or a well-formed data frame with non-negative processes and
+// iteration and a mode of at least −1 (the fit's all-reduce) is an error.
 func readFrame(br *bufio.Reader) (ftype byte, seq uint64, msg *Message, err error) {
 	var lenBuf [4]byte
 	if _, err = io.ReadFull(br, lenBuf[:]); err != nil {
@@ -440,8 +442,11 @@ func readFrame(br *bufio.Reader) (ftype byte, seq uint64, msg *Message, err erro
 	}
 	ftype = payload[0]
 	seq = binary.LittleEndian.Uint64(payload[1:9])
-	if ftype == frameAck {
+	switch {
+	case ftype == frameAck && n == 9:
 		return ftype, seq, nil, nil
+	case ftype != frameData:
+		return 0, 0, nil, fmt.Errorf("dist: tcp frame type %d with %d-byte payload", ftype, n)
 	}
 	if len(payload) < 31 {
 		return 0, 0, nil, fmt.Errorf("dist: tcp data frame truncated (%d bytes)", len(payload))
@@ -453,6 +458,10 @@ func readFrame(br *bufio.Reader) (ftype byte, seq uint64, msg *Message, err erro
 		Tag:  payload[18],
 		Mode: int(int32(binary.LittleEndian.Uint32(payload[19:23]))),
 		Iter: int(int32(binary.LittleEndian.Uint32(payload[23:27]))),
+	}
+	if m.From < 0 || m.To < 0 || m.Mode < -1 || m.Iter < 0 {
+		return 0, 0, nil, fmt.Errorf("dist: tcp data frame header out of range (from %d, to %d, mode %d, iter %d)",
+			m.From, m.To, m.Mode, m.Iter)
 	}
 	nrows := binary.LittleEndian.Uint32(payload[27:31])
 	off := 31

@@ -56,7 +56,9 @@ func E7ModelAccuracy(cfg Config) *Table {
 		var names []string
 		maxRelErr := 0.0
 		for _, c := range plan.Candidates {
-			eng, err := memo.New(x, c.Strategy, cfg.Workers, c.Name)
+			// Every candidate runs with the plan's retention, so its
+			// measured peak matches the prediction Reconcile compares.
+			eng, err := memo.NewWithConfig(x, c.Strategy, memo.Config{Workers: cfg.Workers, Name: c.Name, RetainBuffers: plan.Retain})
 			if err != nil {
 				panic(err)
 			}

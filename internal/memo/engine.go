@@ -93,7 +93,8 @@ type Config struct {
 	// RetainBuffers keeps each node's value storage allocated across
 	// invalidations, trading steady peak memory (every node's buffer lives
 	// simultaneously after the first iteration) for zero per-iteration
-	// allocation.
+	// allocation. It carries the cost model's retention decision
+	// (model.Plan.Retain) rather than a user option.
 	RetainBuffers bool
 	// Accum is the output-accumulation policy for the leaf contraction
 	// (LockFree is forced on — the scatter baseline here takes no locks).

@@ -31,11 +31,16 @@ func (c Coeffs) AccumCosts() accum.Costs {
 // <= 0 leaves the table with the default parallel width of 1 worker — the
 // privatized path never wins there, which is the correct degenerate answer.
 // The privatized footprint is budgeted against what the chosen candidate
-// leaves free: Budget − (index + peak value bytes).
+// leaves free: Budget − (index + value bytes), where the value bytes are
+// the retained sum when the plan retains and the two-path peak otherwise.
 func fillAccum(p *Plan, workers int, c accum.Costs) {
 	slack := int64(0)
 	if p.Budget > 0 {
-		slack = p.Budget - (p.Chosen.Pred.IndexBytes + p.Chosen.Pred.PeakValueBytes)
+		vals := p.Chosen.Pred.PeakValueBytes
+		if p.Retain {
+			vals = p.Chosen.Pred.RetainedValueBytes
+		}
+		slack = p.Budget - (p.Chosen.Pred.IndexBytes + vals)
 		if slack < 1 {
 			slack = 1 // spent budget: any footprint is infeasible
 		}

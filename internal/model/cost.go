@@ -23,6 +23,10 @@ type Prediction struct {
 	// nodes are excluded — the engine fuses their contraction with the
 	// output scatter and never materializes them.
 	PeakValueBytes int64
+	// RetainedValueBytes is the value storage of an engine that keeps every
+	// non-leaf node allocated across sweeps: the sum of all their value
+	// matrices. It is at least PeakValueBytes.
+	RetainedValueBytes int64
 }
 
 // Predict evaluates the cost model for a strategy at the given rank, using
@@ -47,7 +51,9 @@ func Predict(est *Estimator, s *memo.Strategy, rank int) Prediction {
 			p.Ops += parentElems * (delta + 1) * int64(rank)
 			p.IndexBytes += ce*int64(c.Span())*4 + parentElems*4 + (ce+1)*8
 			if !c.IsLeaf() {
-				lives = append(lives, liveNode{c.Lo, c.Hi, ce * int64(rank) * 8})
+				b := ce * int64(rank) * 8
+				lives = append(lives, liveNode{c.Lo, c.Hi, b})
+				p.RetainedValueBytes += b
 			}
 			walk(c, ce)
 		}

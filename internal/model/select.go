@@ -31,13 +31,13 @@ type Candidate struct {
 // measurements later: the tensor shape, the estimator's distinct-tuple table
 // (the model's inputs), and why the chosen candidate won.
 type Plan struct {
-	Order      int
-	Rank       int
-	Budget     int64 // bytes; <= 0 means unbounded
-	Dims       []int // mode dimensions (selector's mode order)
-	NNZ        int64
-	Exact      bool // distinct counts were exact, not sketched
-	ByTime     bool // ranked by the roofline time model, not op counts
+	Order  int
+	Rank   int
+	Budget int64 // bytes; <= 0 means unbounded
+	Dims   []int // mode dimensions (selector's mode order)
+	NNZ    int64
+	Exact  bool // distinct counts were exact, not sketched
+	ByTime bool // ranked by the roofline time model, not op counts
 	// BudgetFallback reports that no candidate fit the budget and the
 	// smallest-footprint candidate was chosen instead of the op-optimal one.
 	BudgetFallback bool
@@ -52,6 +52,11 @@ type Plan struct {
 	// Accum is the per-target-mode output-accumulation decision: privatized
 	// per-worker copies versus in-place scatter, with the model's evidence.
 	Accum []AccumChoice
+	// Retain reports that the engine keeps every intermediate's value
+	// storage allocated across sweeps: the budget is unbounded, or the
+	// chosen candidate's index plus retained value bytes fit it. Decided
+	// after the choice, so it never changes which tree is picked.
+	Retain bool
 }
 
 // Options configures Select.
@@ -152,9 +157,17 @@ func SelectWithEstimator(est *Estimator, opt Options) *Plan {
 	if plan.Workers <= 0 {
 		plan.Workers = par.MaxWorkers()
 	}
+	plan.decideRetain()
 	fillAccum(plan, plan.Workers, accum.DefaultCosts)
 	applyAccumOverride(plan, opt.Accum)
 	return plan
+}
+
+// decideRetain sets Retain for the chosen candidate: retaining costs its
+// retained value bytes instead of the two-path peak.
+func (p *Plan) decideRetain() {
+	pred := p.Chosen.Pred
+	p.Retain = p.Budget <= 0 || pred.IndexBytes+pred.RetainedValueBytes <= p.Budget
 }
 
 // applyAccumOverride pins every mode's accumulation strategy to a forced
@@ -252,6 +265,7 @@ func (p *Plan) String() string {
 	if p.BudgetFallback {
 		fmt.Fprintf(&b, "budget fallback: no candidate fits %s; chose the smallest footprint\n", fmtBytes(p.Budget))
 	}
+	fmt.Fprintf(&b, "retain buffers: %v (retained value bytes %s)\n", p.Retain, fmtBytes(p.Chosen.Pred.RetainedValueBytes))
 	if len(p.Accum) > 0 {
 		fmt.Fprintf(&b, "accum (workers=%d):\n", p.Workers)
 		fmt.Fprintf(&b, "  %-6s %10s %-10s %12s %12s %12s %s\n",

@@ -182,9 +182,11 @@ func SelectByTime(x *tensor.COO, opt Options, c Coeffs) *Plan {
 			}
 		}
 	}
-	// The accumulation table depends on the chosen candidate's footprint
-	// (budget slack) and now has calibrated coefficients available —
-	// recompute it against the time-ranked choice.
+	// Retention and the accumulation table depend on the chosen
+	// candidate's footprint (budget slack), and the table now has
+	// calibrated coefficients available — recompute both against the
+	// time-ranked choice.
+	plan.decideRetain()
 	fillAccum(plan, plan.Workers, c.AccumCosts())
 	applyAccumOverride(plan, opt.Accum)
 	return plan

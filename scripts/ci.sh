@@ -34,6 +34,10 @@ go test -race -count=1 -run 'TestSwamp|TestServerIters' ./internal/health/ ./int
 # concurrent by construction.
 go test -race -count=1 -run 'TestDistRun|TestDistFault|TestDistributedALS|TestTransport' ./internal/dist/
 
+# The TCP frame decoder parses bytes from peers: a short fuzz run on every
+# CI pass (the `make fuzz` target runs it longer).
+go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 10s ./internal/dist/
+
 make bench-smoke
 make obs-smoke
 make ckpt-smoke
