@@ -74,7 +74,9 @@ func (c *Checkpoint) Validate() error {
 		return fmt.Errorf("ckpt: fit is non-finite (%g)", c.Fit)
 	}
 	for m, f := range c.Factors {
-		if f == nil || f.Rows < 0 || f.Cols != r || len(f.Data) != f.Rows*f.Cols {
+		// Rows is bounded by len(Data)/Cols before the product is formed,
+		// so a huge Rows cannot wrap Rows*Cols around to len(Data).
+		if f == nil || f.Cols < 1 || f.Cols != r || f.Rows < 0 || f.Rows > len(f.Data)/f.Cols || len(f.Data) != f.Rows*f.Cols {
 			return fmt.Errorf("ckpt: factor %d is malformed", m)
 		}
 		for k, v := range f.Data {

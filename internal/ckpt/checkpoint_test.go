@@ -112,6 +112,9 @@ func TestCheckpointReadRejectsMalformed(t *testing.T) {
 		"no factors":   `{"format":"adatm-ckpt/v1","iter":1,"lambda":[1],"factors":[]}`,
 		"ragged":       `{"format":"adatm-ckpt/v1","iter":1,"lambda":[1],"factors":[{"rows":2,"cols":1,"data":[1]}]}`,
 		"bad lambda":   `{"format":"adatm-ckpt/v1","iter":1,"lambda":[1,2],"factors":[{"rows":1,"cols":1,"data":[1]}]}`,
+		"zero cols":    `{"format":"adatm-ckpt/v1","iter":1,"lambda":[],"factors":[{"rows":5,"cols":0,"data":[]}]}`,
+		"wrapping rows": `{"format":"adatm-ckpt/v1","iter":1,"lambda":[1,2,3,4],` +
+			`"factors":[{"rows":4611686018427387904,"cols":4,"data":[]}]}`,
 	}
 	for name, in := range cases {
 		if _, err := Read(strings.NewReader(in)); err == nil {
@@ -153,4 +156,58 @@ func TestFingerprintSensitivity(t *testing.T) {
 	if Fingerprint(dims, inds, vals, Meta{Rank: 8, Ridge: 0.1, ModeOrder: []int{2, 1, 0}}) == base {
 		t.Error("mode order change not detected")
 	}
+}
+
+// FuzzCheckpointRead feeds arbitrary bytes to the checkpoint decoder. It
+// must never panic, and a checkpoint it accepts must write back out and
+// decode again to the same state, bit for bit.
+func FuzzCheckpointRead(f *testing.F) {
+	var buf bytes.Buffer
+	if err := Write(&buf, randomCheckpoint(rand.New(rand.NewSource(3)), 3)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Add(`{"format":"adatm-ckpt/v1","iter":1,"fit":-0,"lambda":[1],"factors":[{"rows":1,"cols":1,"data":[1]}],"fit_trace":[0.5]}`)
+	f.Add(`{"format":"adatm-ckpt/v1","iter":1,"lambda":[],"factors":[{"rows":5,"cols":0,"data":[]}]}`)
+	f.Add(`{"format":"adatm-ckpt/v1","iter":1,"lambda":[1,2,3,4],"factors":[{"rows":4611686018427387904,"cols":4,"data":[]}]}`)
+	f.Fuzz(func(t *testing.T, in string) {
+		c, err := Read(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := Write(&out, c); err != nil {
+			t.Fatalf("accepted checkpoint does not write back: %v", err)
+		}
+		got, err := Read(&out)
+		if err != nil {
+			t.Fatalf("written checkpoint does not decode: %v", err)
+		}
+		if got.Iter != c.Iter || math.Float64bits(got.Fit) != math.Float64bits(c.Fit) ||
+			got.Seed != c.Seed || got.Fingerprint != c.Fingerprint {
+			t.Fatalf("round trip changed the header: %+v -> %+v", c, got)
+		}
+		if !sameBits(got.Lambda, c.Lambda) || !sameBits(got.FitTrace, c.FitTrace) || len(got.Factors) != len(c.Factors) {
+			t.Fatal("round trip changed λ, the fit trace or the order")
+		}
+		for m, f := range c.Factors {
+			g := got.Factors[m]
+			if f.Rows != g.Rows || f.Cols != g.Cols || !sameBits(f.Data, g.Data) {
+				t.Fatalf("round trip changed factor %d", m)
+			}
+		}
+	})
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

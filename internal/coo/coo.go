@@ -23,7 +23,9 @@ type Engine struct {
 	x       *tensor.COO
 	workers int
 	stripes *par.Stripes
-	arena   *kernel.Arena
+	// rowsBuf holds per-worker scratch for the N−1 factor rows a nonzero
+	// gathers, sized at construction so the kernel allocates nothing.
+	rowsBuf [][][]float64
 	res     *accum.Resolver
 	pool    *accum.Pool
 	ctr     engine.Counters
@@ -31,11 +33,15 @@ type Engine struct {
 	// func value, not a per-call closure — the zero-alloc steady state); the
 	// cur* fields are its call-scoped inputs, set before the parallel region
 	// and cleared after.
-	body       func(worker, lo, hi int)
-	curMode    int
-	curFactors []*dense.Matrix
-	curOut     *dense.Matrix
-	curPool    *accum.Pool
+	body    func(worker, lo, hi int)
+	curMode int
+	curOut  *dense.Matrix
+	curPool *accum.Pool
+	// curInds and curData hold the non-target modes' index columns and
+	// factor data in mode order, so the per-nonzero gather reaches each row
+	// in one step.
+	curInds [][]tensor.Index
+	curData [][]float64
 }
 
 // New builds a COO engine over x. workers <= 0 selects GOMAXPROCS. The
@@ -53,9 +59,14 @@ func NewWithAccum(x *tensor.COO, workers int, cfg accum.Config) *Engine {
 	e := &Engine{
 		x:       x,
 		workers: workers,
-		arena:   kernel.NewArena(w, 1),
+		rowsBuf: make([][][]float64, w),
 		res:     accum.NewResolver(x.Order(), cfg),
 		pool:    accum.NewPool(w),
+		curInds: make([][]tensor.Index, max(x.Order()-1, 0)),
+		curData: make([][]float64, max(x.Order()-1, 0)),
+	}
+	for i := range e.rowsBuf {
+		e.rowsBuf[i] = make([][]float64, len(e.curData))
 	}
 	e.body = e.runChunk
 	return e
@@ -79,20 +90,16 @@ func (e *Engine) ResetStats() { e.ctr.Reset() }
 
 // Instrument implements engine.Instrumentable. The COO kernel splits
 // nonzeros evenly across workers, so its chunk-imbalance gauge is the
-// definitional 1.0 — exported anyway so dashboards see every engine on the
-// same axis.
+// definitional 1.0, and it streams each nonzero through the fused kernel
+// with no scratch arena, so its arena series are the definitional 0 — all
+// exported anyway so dashboards see every engine on the same axis.
 func (e *Engine) Instrument(_ *obs.Tracer, reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	engine.RegisterCommonMetrics(reg, e.Name(), &e.ctr)
 	l := obs.Labels{"engine": e.Name()}
-	reg.GaugeFunc("adatm_kernel_arena_bytes",
-		"Per-worker scratch arena backing bytes.", l,
-		func() float64 { return float64(e.arena.Bytes()) })
-	reg.CounterFunc("adatm_kernel_arena_grows_total",
-		"Arena backing-store reallocations.", l,
-		func() float64 { return float64(e.arena.Grows()) })
+	engine.RegisterNoArenaMetrics(reg, l)
 	reg.GaugeFunc("adatm_par_chunk_imbalance_ratio",
 		"Worst heaviest-chunk/ideal-share ratio of the weighted schedules.", l,
 		func() float64 { return 1 })
@@ -110,7 +117,6 @@ func (e *Engine) MTTKRP(mode int, factors []*dense.Matrix, out *dense.Matrix) er
 	start := time.Now()
 	x := e.x
 	r := out.Cols
-	e.arena.EnsureRank(r)
 	workers := e.workers
 	if workers <= 0 {
 		workers = par.MaxWorkers()
@@ -123,9 +129,17 @@ func (e *Engine) MTTKRP(mode int, factors []*dense.Matrix, out *dense.Matrix) er
 		e.stripes = par.EnsureStripes(e.stripes, out.Rows)
 		out.Zero()
 	}
-	e.curMode, e.curFactors, e.curOut, e.curPool = mode, factors, out, pool
+	g := 0
+	for m, f := range factors {
+		if m != mode {
+			e.curInds[g], e.curData[g] = x.Inds[m], f.Data
+			g++
+		}
+	}
+	e.curMode, e.curOut, e.curPool = mode, out, pool
 	par.ForWorker(x.NNZ(), e.workers, e.body)
-	e.curFactors, e.curOut, e.curPool = nil, nil, nil
+	e.curOut, e.curPool = nil, nil
+	clear(e.curData)
 	if pool != nil {
 		pool.Reduce(out, workers)
 	}
@@ -133,51 +147,37 @@ func (e *Engine) MTTKRP(mode int, factors []*dense.Matrix, out *dense.Matrix) er
 	return nil
 }
 
-// runChunk streams nonzeros [lo, hi) through the Hadamard kernel and
-// accumulates them into the output — privatized copy when curPool is set,
-// striped-lock scatter otherwise.
+// runChunk streams nonzeros [lo, hi) through the fused Hadamard kernel:
+// each nonzero gathers its N−1 non-target factor rows, and one pass over R
+// multiplies them with the value and accumulates the product into the
+// output row — the privatized copy when curPool is set, the shared output
+// under its stripe lock otherwise.
 func (e *Engine) runChunk(worker, lo, hi int) {
 	x := e.x
-	mode, factors, out := e.curMode, e.curFactors, e.curOut
-	n := x.Order()
-	target := x.Inds[mode]
+	out, inds, data := e.curOut, e.curInds, e.curData
+	r := out.Cols
+	target := x.Inds[e.curMode]
 	stripes := e.stripes
-	row := e.arena.Buf(worker, 0)
+	rows := e.rowsBuf[worker]
 	var priv *dense.Matrix
 	if e.curPool != nil {
 		priv = e.curPool.Acquire(worker)
 	}
 	for k := lo; k < hi; k++ {
-		// Fold the first non-target factor row in with the value broadcast,
-		// then Hadamard-multiply the remaining rows.
-		first := true
-		for m := 0; m < n; m++ {
-			if m == mode {
-				continue
-			}
-			f := factors[m].Row(int(x.Inds[m][k]))
-			if first {
-				kernel.Scale(row, f, x.Vals[k])
-				first = false
-			} else {
-				kernel.MulInto(row, f)
-			}
-		}
-		if first { // degenerate order-1 tensor: bare value broadcast
-			for j := range row {
-				row[j] = x.Vals[k]
-			}
+		for g, ind := range inds {
+			j := int(ind[k]) * r
+			rows[g] = data[g][j : j+r]
 		}
 		i := target[k]
 		if priv != nil {
-			kernel.AddInto(priv.Row(int(i)), row)
+			kernel.HadamardAccum(priv.Row(int(i)), x.Vals[k], rows)
 		} else {
 			stripes.Lock(i)
-			kernel.AddInto(out.Row(int(i)), row)
+			kernel.HadamardAccum(out.Row(int(i)), x.Vals[k], rows)
 			stripes.Unlock(i)
 		}
 	}
-	e.ctr.AddOps(int64(hi-lo) * int64(n) * int64(len(row)))
+	e.ctr.AddOps(int64(hi-lo) * int64(x.Order()) * int64(r))
 }
 
 var _ engine.Engine = (*Engine)(nil)

@@ -74,7 +74,9 @@ func ReadModel(r io.Reader) (lambda []float64, factors []*dense.Matrix, err erro
 		return nil, nil, fmt.Errorf("cpd: lambda length %d for rank %d", len(m.Lambda), m.Rank)
 	}
 	for i, fj := range m.Factors {
-		if fj.Rows < 0 || fj.Cols != m.Rank || len(fj.Data) != fj.Rows*fj.Cols {
+		// Rows is bounded by len(Data)/Cols before the product is formed,
+		// so a huge Rows cannot wrap Rows*Cols around to len(Data).
+		if fj.Cols < 1 || fj.Cols != m.Rank || fj.Rows < 0 || fj.Rows > len(fj.Data)/fj.Cols || len(fj.Data) != fj.Rows*fj.Cols {
 			return nil, nil, fmt.Errorf("cpd: factor %d is malformed (%dx%d, %d values)", i, fj.Rows, fj.Cols, len(fj.Data))
 		}
 		factors = append(factors, &dense.Matrix{Rows: fj.Rows, Cols: fj.Cols, Data: fj.Data})

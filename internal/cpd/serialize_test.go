@@ -54,6 +54,8 @@ func TestReadModelRejectsMalformed(t *testing.T) {
 		"ragged data":    `{"format":"adatm-cp/v1","order":1,"rank":2,"factors":[{"rows":2,"cols":2,"data":[1,2,3]}]}`,
 		"bad lambda":     `{"format":"adatm-cp/v1","order":1,"rank":2,"lambda":[1],"factors":[{"rows":1,"cols":2,"data":[1,2]}]}`,
 		"zero order":     `{"format":"adatm-cp/v1","order":0,"rank":1,"factors":[]}`,
+		"negative rank":  `{"format":"adatm-cp/v1","order":1,"rank":-1,"factors":[{"rows":0,"cols":-1,"data":[]}]}`,
+		"wrapping rows":  `{"format":"adatm-cp/v1","order":1,"rank":4,"factors":[{"rows":4611686018427387904,"cols":4,"data":[]}]}`,
 	}
 	for name, in := range cases {
 		if _, _, err := ReadModel(strings.NewReader(in)); err == nil {
@@ -152,4 +154,56 @@ func TestLoadModelMissingFile(t *testing.T) {
 	if _, err := LoadModel(filepath.Join(t.TempDir(), "none.json")); err == nil {
 		t.Error("missing file accepted")
 	}
+}
+
+// FuzzReadModel feeds arbitrary bytes to the model decoder. It must never
+// panic, and a model it accepts must write back out and decode again to
+// the same λ and factors, bit for bit.
+func FuzzReadModel(f *testing.F) {
+	var buf bytes.Buffer
+	fm := dense.New(2, 3)
+	copy(fm.Data, []float64{1, -2.5, 0, math.Copysign(0, -1), 1e-300, 7})
+	if err := WriteModel(&buf, []float64{3, 2, 1}, []*dense.Matrix{fm, fm}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Add(`{"format":"adatm-cp/v1","order":1,"rank":1,"factors":[{"rows":1,"cols":1,"data":[4]}]}`)
+	f.Add(`{"format":"adatm-cp/v1","order":1,"rank":-1,"factors":[{"rows":0,"cols":-1,"data":[]}]}`)
+	f.Add(`{"format":"adatm-cp/v1","order":1,"rank":4,"factors":[{"rows":4611686018427387904,"cols":4,"data":[]}]}`)
+	f.Fuzz(func(t *testing.T, in string) {
+		lambda, factors, err := ReadModel(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteModel(&out, lambda, factors); err != nil {
+			t.Fatalf("accepted model does not write back: %v", err)
+		}
+		lambda2, factors2, err := ReadModel(&out)
+		if err != nil {
+			t.Fatalf("written model does not decode: %v", err)
+		}
+		if !sameBits(lambda, lambda2) || len(factors) != len(factors2) {
+			t.Fatalf("round trip changed λ or the order: %v -> %v", lambda, lambda2)
+		}
+		for m, fm := range factors {
+			g := factors2[m]
+			if fm.Rows != g.Rows || fm.Cols != g.Cols || !sameBits(fm.Data, g.Data) {
+				t.Fatalf("round trip changed factor %d", m)
+			}
+		}
+	})
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -494,6 +495,46 @@ func TestDistRunMessages(t *testing.T) {
 					procs, part.Name, got.Messages, got.Iters, byPart[part.Name])
 			}
 		}
+	}
+}
+
+// TestDistRunSteadyZeroAlloc pins the sharded steady state at zero
+// allocations: at P = 2 over the chan transport with one worker per
+// process, a run of 2k iterations allocates exactly as often as a run of k.
+// The transport recycles every consumed message and its mailboxes reuse
+// their queues, so only the first sweep sizes buffers. The process-wide
+// Mallocs counter also sees the runtime's own allocations, so the run is
+// measured with the collector off (a GC cycle overlapping one run
+// allocates) and on one P (with several, the per-P caches of goroutines
+// and wait-queue entries allocate by scheduling luck). Each count is the
+// least of three runs: a stray runtime allocation lands in one run, while a
+// steady one shows in every run, at least once per extra iteration.
+func TestDistRunSteadyZeroAlloc(t *testing.T) {
+	x := tensor.RandomClustered(5, 40, 3000, 0.5, 1801)
+	c := dist.NewCluster(x, dist.RandomPartition(x, 2, 1), cooFactory)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mallocs := func(iters int) uint64 {
+		tr := dist.NewChanTransport(2)
+		defer tr.Close()
+		opt := cpd.Options{Rank: 8, MaxIters: iters, Tol: math.SmallestNonzeroFloat64, Seed: 3, Workers: 1}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := cpd.RunDist(x, c, tr, opt)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iters != iters {
+			t.Fatalf("run stopped after %d of %d iterations", res.Iters, iters)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	mallocs(2) // the first run sizes the shard engines' scratch
+	short := min(mallocs(5), mallocs(5), mallocs(5))
+	long := min(mallocs(10), mallocs(10), mallocs(10))
+	if short != long {
+		t.Errorf("5 iterations made %d allocations, 10 made %d: the steady sharded iteration allocates", short, long)
 	}
 }
 

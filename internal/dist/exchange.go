@@ -23,6 +23,7 @@ import (
 type Exchange struct {
 	c      *Cluster
 	tr     Transport
+	rel    releaser // tr's Release facet, or nil
 	rank   int
 	plan   *exchangePlan
 	msgs   atomic.Int64
@@ -41,6 +42,7 @@ func NewExchange(c *Cluster, tr Transport, rank int, reg *obs.Registry) (*Exchan
 		return nil, fmt.Errorf("dist: transport connects %d processes, cluster has %d", tr.P(), c.Part.P)
 	}
 	e := &Exchange{c: c, tr: tr, rank: rank, plan: buildExchangePlan(c.X, c.Part, c.Owners)}
+	e.rel, _ = tr.(releaser)
 	e.registerMetrics(reg)
 	return e, nil
 }
@@ -73,6 +75,11 @@ func (e *Exchange) Gather(mode int, replicas []*dense.Matrix) *dense.Matrix {
 
 // retrier is the optional transport facet reporting retransmissions.
 type retrier interface{ Retries() int64 }
+
+// releaser is the optional transport facet that takes back a received
+// message once its consumer is done with it, so the transport can reuse
+// the message and its buffers (ChanTransport).
+type releaser interface{ Release(*Message) }
 
 // registerMetrics wires the adatm_dist_* series. Function metrics are
 // registered once per (name, labels) pair, so repeated runs over the same
@@ -185,7 +192,9 @@ func (b *inbox) recvMatch(kind MsgKind, tag uint8, mode, iter, from int) (*Messa
 // Endpoint is one process's side of the exchange. Its buffers are sized
 // once for the largest mode, so in steady state a run allocates only what
 // the transport itself does: the Transport contract lets a sender reuse a
-// payload as soon as Send returns.
+// payload as soon as Send returns, and every received message is released
+// back to a transport with the Release facet once it has been consumed (a
+// message stashed for a later phase stays unreleased until then).
 type Endpoint struct {
 	ex       *Exchange
 	id       int
@@ -221,6 +230,14 @@ func (e *Exchange) Endpoint(p int) *Endpoint {
 		ep.sendBuf[q] = make([]float64, rows*r)
 	}
 	return ep
+}
+
+// release hands a consumed message back to the transport, if it takes
+// messages back.
+func (p *Endpoint) release(m *Message) {
+	if p.ex.rel != nil {
+		p.ex.rel.Release(m)
+	}
 }
 
 func (p *Endpoint) send(to int, kind MsgKind, tag uint8, mode, iter int, rows []int32, data []float64) error {
@@ -278,6 +295,8 @@ func (p *Endpoint) Reduce(mode, iter int, m, u *dense.Matrix) (*dense.Matrix, *d
 			for k, i := range msg.Rows {
 				addRow(fb, ownRows, i, msg.Data[k*r:(k+1)*r])
 			}
+			p.release(msg)
+			p.incoming[q] = nil
 		}
 	}
 	p.ex.foldNS.Add(time.Since(t0).Nanoseconds())
@@ -318,6 +337,7 @@ func (p *Endpoint) Expand(mode, iter int, own, u *dense.Matrix) error {
 		for k, i := range msg.Rows {
 			copy(u.Row(int(i)), msg.Data[k*r:(k+1)*r])
 		}
+		p.release(msg)
 	}
 	return nil
 }
@@ -341,6 +361,7 @@ func (p *Endpoint) AllReduce(v []float64, tag uint8, mode, iter int) error {
 			return err
 		}
 		copy(v, msg.Data)
+		p.release(msg)
 		return nil
 	}
 	for q := 1; q < P; q++ {
@@ -351,6 +372,7 @@ func (p *Endpoint) AllReduce(v []float64, tag uint8, mode, iter int) error {
 		for j := range v {
 			v[j] += msg.Data[j]
 		}
+		p.release(msg)
 	}
 	for q := 1; q < P; q++ {
 		if err := p.send(q, MsgBcast, tag, mode, iter, nil, v); err != nil {

@@ -119,7 +119,7 @@ func NewTCPTransport(p int, cfg TCPConfig) (*TCPTransport, error) {
 		closed:    make(chan struct{}),
 	}
 	for i := 0; i < p; i++ {
-		t.boxes[i] = newMailbox()
+		t.boxes[i] = newMailbox(p)
 		t.links[i] = make([]*tcpLink, p)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

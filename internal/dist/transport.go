@@ -83,16 +83,23 @@ type Transport interface {
 // mailbox is an unbounded FIFO queue with blocking receive. Unbounded is a
 // correctness requirement, not a convenience: the SPMD protocol has phases
 // where every process sends before any receives, so a bounded queue could
-// deadlock the send side.
+// deadlock the send side. Receive advances head instead of re-slicing the
+// front away, and a full queue compacts before it grows, so the backing
+// array is reused: in steady state the queue allocates nothing.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	q      []*Message
+	q      []*Message // queued messages are q[head:]
+	head   int
 	closed bool
 }
 
-func newMailbox() *mailbox {
-	b := &mailbox{}
+// newMailbox builds the mailbox of one of procs processes. The queue starts
+// with room for two messages per process: at P = 2 the exchange protocol
+// never has more in flight from a peer, so the queue of such a run never
+// grows.
+func newMailbox(procs int) *mailbox {
+	b := &mailbox{q: make([]*Message, 0, 2*procs)}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
@@ -103,6 +110,11 @@ func (b *mailbox) put(m *Message) error {
 	if b.closed {
 		return ErrClosed
 	}
+	if len(b.q) == cap(b.q) && b.head > 0 {
+		n := copy(b.q, b.q[b.head:])
+		clear(b.q[n:])
+		b.q, b.head = b.q[:n], 0
+	}
 	b.q = append(b.q, m)
 	b.cond.Signal()
 	return nil
@@ -111,15 +123,18 @@ func (b *mailbox) put(m *Message) error {
 func (b *mailbox) get() (*Message, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for len(b.q) == 0 && !b.closed {
+	for b.head == len(b.q) && !b.closed {
 		b.cond.Wait()
 	}
-	if len(b.q) == 0 {
+	if b.head == len(b.q) {
 		return nil, ErrClosed
 	}
-	m := b.q[0]
-	b.q[0] = nil
-	b.q = b.q[1:]
+	m := b.q[b.head]
+	b.q[b.head] = nil
+	b.head++
+	if b.head == len(b.q) {
+		b.q, b.head = b.q[:0], 0
+	}
 	return m, nil
 }
 
@@ -129,7 +144,7 @@ func (b *mailbox) get() (*Message, error) {
 func (b *mailbox) close() {
 	b.mu.Lock()
 	b.closed = true
-	b.q = nil
+	b.q, b.head = nil, 0
 	b.cond.Broadcast()
 	b.mu.Unlock()
 }
@@ -138,9 +153,26 @@ func (b *mailbox) close() {
 // mailbox per process, Send copies the payload (no memory sharing between
 // sender and receiver, mirroring real network semantics). Delivery is
 // immediate and loss-free.
+//
+// It implements the Release facet: a consumed message handed back goes on
+// the free list of its link and kind, and the next Send on that link and
+// kind copies into it, so the buffers grow to size during the first sweep
+// and a steady iteration allocates nothing. Lists are kept per kind because
+// the protocol has at most one message of a kind in flight on a link at
+// P = 2, so each list's buffer sees the same sequence of sizes every sweep.
 type ChanTransport struct {
 	boxes []*mailbox
+	free  []freeList // (from·P + to)·numKinds + kind
 	once  sync.Once
+}
+
+// numKinds is the number of MsgKind values with a free list.
+const numKinds = int(MsgBcast) + 1
+
+// freeList holds the released messages of one link and kind.
+type freeList struct {
+	mu sync.Mutex
+	ms []*Message
 }
 
 // NewChanTransport builds an in-process transport connecting p processes.
@@ -148,9 +180,9 @@ func NewChanTransport(p int) *ChanTransport {
 	if p <= 0 {
 		p = 1
 	}
-	t := &ChanTransport{boxes: make([]*mailbox, p)}
+	t := &ChanTransport{boxes: make([]*mailbox, p), free: make([]freeList, p*p*numKinds)}
 	for i := range t.boxes {
-		t.boxes[i] = newMailbox()
+		t.boxes[i] = newMailbox(p)
 	}
 	return t
 }
@@ -162,16 +194,25 @@ func (t *ChanTransport) Send(m *Message) error {
 	if m.To < 0 || m.To >= len(t.boxes) {
 		return fmt.Errorf("dist: send to invalid process %d (P=%d)", m.To, len(t.boxes))
 	}
-	// Deep-copy the payload: the sender is free to reuse its buffers the
-	// moment Send returns, exactly as with a real wire.
-	c := *m
-	if len(m.Rows) > 0 {
-		c.Rows = append([]int32(nil), m.Rows...)
+	// Copy the payload: the sender is free to reuse its buffers the moment
+	// Send returns, exactly as with a real wire.
+	var c *Message
+	if l := t.freeList(m); l != nil {
+		l.mu.Lock()
+		if n := len(l.ms); n > 0 {
+			c = l.ms[n-1]
+			l.ms = l.ms[:n-1]
+		}
+		l.mu.Unlock()
 	}
-	if len(m.Data) > 0 {
-		c.Data = append([]float64(nil), m.Data...)
+	if c == nil {
+		c = new(Message)
 	}
-	return t.boxes[m.To].put(&c)
+	rows, data := c.Rows[:0], c.Data[:0]
+	*c = *m
+	c.Rows = append(rows, m.Rows...)
+	c.Data = append(data, m.Data...)
+	return t.boxes[m.To].put(c)
 }
 
 func (t *ChanTransport) Recv(proc int) (*Message, error) {
@@ -179,6 +220,27 @@ func (t *ChanTransport) Recv(proc int) (*Message, error) {
 		return nil, fmt.Errorf("dist: recv on invalid process %d (P=%d)", proc, len(t.boxes))
 	}
 	return t.boxes[proc].get()
+}
+
+// Release hands back a message Recv returned, once the receiver is done
+// with it; a later Send on the same link and kind reuses the message and
+// its buffers. The caller must not touch m afterwards.
+func (t *ChanTransport) Release(m *Message) {
+	if l := t.freeList(m); l != nil {
+		l.mu.Lock()
+		l.ms = append(l.ms, m)
+		l.mu.Unlock()
+	}
+}
+
+// freeList returns the free list of m's link and kind, or nil when m names
+// no link of this transport.
+func (t *ChanTransport) freeList(m *Message) *freeList {
+	p := len(t.boxes)
+	if m.From < 0 || m.From >= p || m.To < 0 || m.To >= p || int(m.Kind) >= numKinds {
+		return nil
+	}
+	return &t.free[(m.From*p+m.To)*numKinds+int(m.Kind)]
 }
 
 func (t *ChanTransport) Close() error {

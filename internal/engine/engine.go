@@ -95,6 +95,22 @@ func RegisterCommonMetrics(reg *obs.Registry, name string, c *Counters) {
 		func() float64 { return float64(c.ns.Load()) / 1e9 })
 }
 
+// RegisterNoArenaMetrics registers the kernel-arena series at a constant 0
+// for an engine that streams through the fused kernels without a scratch
+// arena (coo, hicoo), so those engines report on the same axis as the ones
+// that own one. Safe to call with a nil registry.
+func RegisterNoArenaMetrics(reg *obs.Registry, l obs.Labels) {
+	if reg == nil {
+		return
+	}
+	reg.GaugeFunc("adatm_kernel_arena_bytes",
+		"Per-worker scratch arena backing bytes.", l,
+		func() float64 { return 0 })
+	reg.CounterFunc("adatm_kernel_arena_grows_total",
+		"Arena backing-store reallocations.", l,
+		func() float64 { return 0 })
+}
+
 // RegisterAccumMetrics registers the accumulation-layer metrics every
 // scatter engine shares: the per-mode resolved strategy (encoded as the
 // accum.Strategy value — 0 auto/unresolved, 1 scatter, 2 privatize),

@@ -115,15 +115,16 @@ type Engine struct {
 	t       *Tensor
 	workers int
 	stripes *par.Stripes
-	arena   *kernel.Arena
 	// chunks holds equal-nnz chunk boundaries over the blocks (blocks have
 	// skewed occupancy, so element-weighted chunking balances the load);
-	// base holds per-worker decoded block-origin scratch.
-	chunks []int
-	base   [][]int
-	res    *accum.Resolver
-	pool   *accum.Pool
-	ctr    engine.Counters
+	// base holds per-worker decoded block-origin scratch and rowsBuf the
+	// per-worker N−1 factor rows an element gathers.
+	chunks  []int
+	base    [][]int
+	rowsBuf [][][]float64
+	res     *accum.Resolver
+	pool    *accum.Pool
+	ctr     engine.Counters
 	// body is the bound worker body (allocated once so MTTKRP passes a stored
 	// func value, not a per-call closure — the zero-alloc steady state); the
 	// cur* fields are its call-scoped inputs, set before the parallel region
@@ -156,14 +157,15 @@ func NewWithAccum(x *tensor.COO, workers int, cfg accum.Config) *Engine {
 	e := &Engine{
 		t:       t,
 		workers: workers,
-		arena:   kernel.NewArena(w, 1),
 		chunks:  par.WeightedBounds(prefix, w*8),
 		base:    make([][]int, w),
+		rowsBuf: make([][][]float64, w),
 		res:     accum.NewResolver(len(t.Dims), cfg),
 		pool:    accum.NewPool(w),
 	}
 	for i := range e.base {
 		e.base[i] = make([]int, len(t.Dims))
+		e.rowsBuf[i] = make([][]float64, max(len(t.Dims)-1, 0))
 	}
 	e.body = e.runChunk
 	return e
@@ -197,12 +199,7 @@ func (e *Engine) Instrument(_ *obs.Tracer, reg *obs.Registry) {
 	}
 	engine.RegisterCommonMetrics(reg, e.Name(), &e.ctr)
 	l := obs.Labels{"engine": e.Name()}
-	reg.GaugeFunc("adatm_kernel_arena_bytes",
-		"Per-worker scratch arena backing bytes.", l,
-		func() float64 { return float64(e.arena.Bytes()) })
-	reg.CounterFunc("adatm_kernel_arena_grows_total",
-		"Arena backing-store reallocations.", l,
-		func() float64 { return float64(e.arena.Grows()) })
+	engine.RegisterNoArenaMetrics(reg, l)
 	prefix := make([]int64, len(e.t.BPtr))
 	for i, p := range e.t.BPtr {
 		prefix[i] = int64(p)
@@ -227,7 +224,6 @@ func (e *Engine) MTTKRP(mode int, factors []*dense.Matrix, out *dense.Matrix) er
 	start := time.Now()
 	t := e.t
 	r := out.Cols
-	e.arena.EnsureRank(r)
 	workers := e.workers
 	if workers <= 0 {
 		workers = par.MaxWorkers()
@@ -250,16 +246,19 @@ func (e *Engine) MTTKRP(mode int, factors []*dense.Matrix, out *dense.Matrix) er
 	return nil
 }
 
-// runChunk processes blocks [lo, hi): decodes each block origin once, streams
-// its elements through the Hadamard kernel, and accumulates into the output —
-// privatized copy when curPool is set, striped-lock scatter otherwise.
+// runChunk processes blocks [lo, hi): decodes each block origin once, then
+// streams its elements through the fused Hadamard kernel — each element
+// gathers its N−1 non-target factor rows, and one pass over R multiplies
+// them with the value and accumulates the product into the output row (the
+// privatized copy when curPool is set, the shared output under its stripe
+// lock otherwise).
 func (e *Engine) runChunk(worker, lo, hi int) {
 	t := e.t
 	mode, factors, out := e.curMode, e.curFactors, e.curOut
 	n := len(t.Dims)
 	stripes := e.stripes
-	row := e.arena.Buf(worker, 0)
 	base := e.base[worker]
+	rows := e.rowsBuf[worker]
 	var priv *dense.Matrix
 	if e.curPool != nil {
 		priv = e.curPool.Acquire(worker)
@@ -271,29 +270,23 @@ func (e *Engine) runChunk(worker, lo, hi int) {
 		}
 		k0, k1 := t.BPtr[b], t.BPtr[b+1]
 		for k := k0; k < k1; k++ {
-			first := true
+			g := 0
 			for m := 0; m < n; m++ {
-				if m == mode {
-					continue
-				}
-				f := factors[m].Row(base[m] + int(t.EInds[m][k]))
-				if first {
-					kernel.Scale(row, f, t.Vals[k])
-					first = false
-				} else {
-					kernel.MulInto(row, f)
+				if m != mode {
+					rows[g] = factors[m].Row(base[m] + int(t.EInds[m][k]))
+					g++
 				}
 			}
 			i := int32(base[mode] + int(t.EInds[mode][k]))
 			if priv != nil {
-				kernel.AddInto(priv.Row(int(i)), row)
+				kernel.HadamardAccum(priv.Row(int(i)), t.Vals[k], rows)
 			} else {
 				stripes.Lock(i)
-				kernel.AddInto(out.Row(int(i)), row)
+				kernel.HadamardAccum(out.Row(int(i)), t.Vals[k], rows)
 				stripes.Unlock(i)
 			}
 		}
-		local += int64(k1-k0) * int64(n) * int64(len(row))
+		local += int64(k1-k0) * int64(n) * int64(out.Cols)
 	}
 	e.ctr.AddOps(local)
 }

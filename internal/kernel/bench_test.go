@@ -83,14 +83,25 @@ func BenchmarkKernelAxpy(b *testing.B) {
 	}
 }
 
+// benchRows returns k random length-r factor rows.
+func benchRows(r, k int) [][]float64 {
+	rng := rand.New(rand.NewSource(int64(100*r + k)))
+	rows := make([][]float64, k)
+	for i := range rows {
+		rows[i] = randVec(r, rng)
+	}
+	return rows
+}
+
 // BenchmarkKernelHadamardAccum compares the fused kernel against the
-// unfused broadcast–multiply–accumulate sequence it replaces in the memo
-// engine's inner loop.
+// unfused Scale–MulInto–AddInto chain it replaced in the element-streaming
+// engines, at one to six rows (tensor orders 2 to 7): four rows and fewer
+// run the fused bodies, five and six the blocked path.
 func BenchmarkKernelHadamardAccum(b *testing.B) {
 	for _, r := range benchRanks {
-		for k := 1; k <= 3; k++ {
-			dst, x, y, z := benchVecs(r)
-			rows := [][]float64{x, y, z}[:k]
+		for k := 1; k <= 6; k++ {
+			dst, _, _, _ := benchVecs(r)
+			rows := benchRows(r, k)
 			b.Run(fmt.Sprintf("r%d/k%d/fused", r, k), func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(int64(r) * 8 * int64(k+1))
@@ -103,10 +114,8 @@ func BenchmarkKernelHadamardAccum(b *testing.B) {
 				b.SetBytes(int64(r) * 8 * int64(k+1))
 				tmp := make([]float64, r)
 				for i := 0; i < b.N; i++ {
-					for j := range tmp {
-						tmp[j] = 1.0000001
-					}
-					for _, row := range rows {
+					Scale(tmp, rows[0], 1.0000001)
+					for _, row := range rows[1:] {
 						MulInto(tmp, row)
 					}
 					AddInto(dst, tmp)
@@ -118,9 +127,9 @@ func BenchmarkKernelHadamardAccum(b *testing.B) {
 
 func BenchmarkKernelHadamardAccumVec(b *testing.B) {
 	for _, r := range benchRanks {
-		for k := 1; k <= 3; k++ {
-			dst, base, y, z := benchVecs(r)
-			rows := [][]float64{base, y, z}[:k]
+		for k := 1; k <= 6; k++ {
+			dst, base, _, _ := benchVecs(r)
+			rows := benchRows(r, k)
 			b.Run(fmt.Sprintf("r%d/k%d", r, k), func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(int64(r) * 8 * int64(k+1))

@@ -1,0 +1,220 @@
+package kernel
+
+// The fused Hadamard-accumulate kernels are the inner loop of every sparse
+// MTTKRP engine: one nonzero's value (or one parent element's cached R-row)
+// is multiplied by k factor rows and the product is accumulated into an
+// output row in a single pass over the rank dimension, with no temporary
+// R-vector.
+//
+// Association. The product associates strictly left to right, ((v·a)·b)·c…,
+// and is added to dst once at the end. That is the order of the unfused
+// chain Scale(t, a, v); MulInto(t, b); …; AddInto(dst, t), so the fused
+// kernels are bit-identical to it. Every body keeps that order: a running
+// product is extended as t[j] = t[j] * e[j] * f[j], never as
+// t[j] *= e[j] * f[j], which would multiply e·f first.
+//
+// Every product is wrapped in an explicit float64 conversion before the
+// add (here and in FMAInto and Axpy, which the one-row cases use). The Go
+// spec makes the conversion a rounding point, so the compiler may not
+// contract `d += a*b` into one fused multiply-add, which the arm64
+// compiler otherwise does. The chain stores its product in a row before
+// adding, so only an unfused add matches it on every target.
+//
+// Shape. One to four rows run 4-wide unrolled bodies; four rows also have
+// a fixed-size body at R = 16, the rank of the order-5 benchmark workload,
+// where it is measured faster. More rows (tensor order ≥ 6) are folded four
+// at a time into a stack-local block of the running product
+// (hadamardBlocked): a single loop with an inner loop over the rows for
+// each j is markedly slower than the chain it replaces.
+
+// HadamardAccum writes dst[j] += v · Π_k rows[k][j] in one pass: the
+// broadcast of the scalar, the k Hadamard multiplies, and the accumulation
+// are fused. rows may be empty, in which case it degenerates to
+// dst[j] += v.
+func HadamardAccum(dst []float64, v float64, rows [][]float64) {
+	switch len(rows) {
+	case 0:
+		for j := range dst {
+			dst[j] += v
+		}
+	case 1:
+		Axpy(dst, v, rows[0])
+	case 2:
+		accum2(dst, v, rows[0], rows[1])
+	case 3:
+		accum3(dst, v, rows[0], rows[1], rows[2])
+	case 4:
+		accum4(dst, v, rows[0], rows[1], rows[2], rows[3])
+	default:
+		hadamardBlocked(dst, v, nil, rows)
+	}
+}
+
+// HadamardAccumVec writes dst[j] += base[j] · Π_k rows[k][j] in one pass,
+// the vector-base variant of HadamardAccum (the base is a parent element's
+// cached R-row rather than a broadcast nonzero value). rows may be empty,
+// in which case it degenerates to AddInto(dst, base).
+func HadamardAccumVec(dst, base []float64, rows [][]float64) {
+	switch len(rows) {
+	case 0:
+		AddInto(dst, base)
+	case 1:
+		FMAInto(dst, base, rows[0])
+	case 2:
+		accumVec2(dst, base, rows[0], rows[1])
+	case 3:
+		accumVec3(dst, base, rows[0], rows[1], rows[2])
+	case 4:
+		accumVec4(dst, base, rows[0], rows[1], rows[2], rows[3])
+	default:
+		hadamardBlocked(dst, 0, base, rows)
+	}
+}
+
+// hadamardBlock is the column width of the stack-local running-product
+// block of the more-than-four-rows path.
+const hadamardBlock = 32
+
+// hadamardBlocked is the body of both kernels above four rows. Per block of
+// at most hadamardBlock columns, the running product is formed from v (or
+// from base when it is non-nil) and the rows four at a time; the last one
+// to four rows are fused with the add into dst.
+func hadamardBlocked(dst []float64, v float64, base []float64, rows [][]float64) {
+	var buf [hadamardBlock]float64
+	last := rows[(len(rows)-1)/4*4:]
+	head := rows[:len(rows)-len(last)]
+	for lo := 0; lo < len(dst); lo += hadamardBlock {
+		t := buf[:min(hadamardBlock, len(dst)-lo)]
+		if base == nil {
+			prod4(t, v, head[:4], lo)
+		} else {
+			copy(t, base[lo:])
+			mul4(t, head[:4], lo)
+		}
+		for g := 4; g < len(head); g += 4 {
+			mul4(t, head[g:g+4], lo)
+		}
+		d := dst[lo : lo+len(t)]
+		switch len(last) {
+		case 1:
+			FMAInto(d, t, last[0][lo:])
+		case 2:
+			accumVec2(d, t, last[0][lo:], last[1][lo:])
+		case 3:
+			accumVec3(d, t, last[0][lo:], last[1][lo:], last[2][lo:])
+		case 4:
+			accumVec4(d, t, last[0][lo:], last[1][lo:], last[2][lo:], last[3][lo:])
+		}
+	}
+}
+
+// prod4 starts the running-product block t from v and four rows read from
+// column off: t[j] = v·a[off+j]·b[off+j]·c[off+j]·e[off+j].
+func prod4(t []float64, v float64, g [][]float64, off int) {
+	n := len(t)
+	a, b, c, e := g[0][off:][:n], g[1][off:][:n], g[2][off:][:n], g[3][off:][:n]
+	for j := range t {
+		t[j] = v * a[j] * b[j] * c[j] * e[j]
+	}
+}
+
+// mul4 extends the running-product block t by four rows read from column
+// off: t[j] = t[j]·a[off+j]·b[off+j]·c[off+j]·e[off+j].
+func mul4(t []float64, g [][]float64, off int) {
+	n := len(t)
+	a, b, c, e := g[0][off:][:n], g[1][off:][:n], g[2][off:][:n], g[3][off:][:n]
+	for j := range t {
+		t[j] = t[j] * a[j] * b[j] * c[j] * e[j]
+	}
+}
+
+// accum2 writes dst[j] += v·a[j]·b[j].
+func accum2(dst []float64, v float64, a, b []float64) {
+	j := 0
+	for ; j+4 <= len(dst); j += 4 {
+		dst[j] += float64(v * a[j] * b[j])
+		dst[j+1] += float64(v * a[j+1] * b[j+1])
+		dst[j+2] += float64(v * a[j+2] * b[j+2])
+		dst[j+3] += float64(v * a[j+3] * b[j+3])
+	}
+	for ; j < len(dst); j++ {
+		dst[j] += float64(v * a[j] * b[j])
+	}
+}
+
+// accum3 writes dst[j] += v·a[j]·b[j]·c[j].
+func accum3(dst []float64, v float64, a, b, c []float64) {
+	j := 0
+	for ; j+4 <= len(dst); j += 4 {
+		dst[j] += float64(v * a[j] * b[j] * c[j])
+		dst[j+1] += float64(v * a[j+1] * b[j+1] * c[j+1])
+		dst[j+2] += float64(v * a[j+2] * b[j+2] * c[j+2])
+		dst[j+3] += float64(v * a[j+3] * b[j+3] * c[j+3])
+	}
+	for ; j < len(dst); j++ {
+		dst[j] += float64(v * a[j] * b[j] * c[j])
+	}
+}
+
+// accum4 writes dst[j] += v·a[j]·b[j]·c[j]·e[j].
+func accum4(dst []float64, v float64, a, b, c, e []float64) {
+	if len(dst) == 16 {
+		d, x, y, z, w := (*[16]float64)(dst), (*[16]float64)(a), (*[16]float64)(b), (*[16]float64)(c), (*[16]float64)(e)
+		for j := range d {
+			d[j] += float64(v * x[j] * y[j] * z[j] * w[j])
+		}
+		return
+	}
+	j := 0
+	for ; j+4 <= len(dst); j += 4 {
+		dst[j] += float64(v * a[j] * b[j] * c[j] * e[j])
+		dst[j+1] += float64(v * a[j+1] * b[j+1] * c[j+1] * e[j+1])
+		dst[j+2] += float64(v * a[j+2] * b[j+2] * c[j+2] * e[j+2])
+		dst[j+3] += float64(v * a[j+3] * b[j+3] * c[j+3] * e[j+3])
+	}
+	for ; j < len(dst); j++ {
+		dst[j] += float64(v * a[j] * b[j] * c[j] * e[j])
+	}
+}
+
+// accumVec2 writes dst[j] += base[j]·a[j]·b[j].
+func accumVec2(dst, base, a, b []float64) {
+	j := 0
+	for ; j+4 <= len(dst); j += 4 {
+		dst[j] += float64(base[j] * a[j] * b[j])
+		dst[j+1] += float64(base[j+1] * a[j+1] * b[j+1])
+		dst[j+2] += float64(base[j+2] * a[j+2] * b[j+2])
+		dst[j+3] += float64(base[j+3] * a[j+3] * b[j+3])
+	}
+	for ; j < len(dst); j++ {
+		dst[j] += float64(base[j] * a[j] * b[j])
+	}
+}
+
+// accumVec3 writes dst[j] += base[j]·a[j]·b[j]·c[j].
+func accumVec3(dst, base, a, b, c []float64) {
+	j := 0
+	for ; j+4 <= len(dst); j += 4 {
+		dst[j] += float64(base[j] * a[j] * b[j] * c[j])
+		dst[j+1] += float64(base[j+1] * a[j+1] * b[j+1] * c[j+1])
+		dst[j+2] += float64(base[j+2] * a[j+2] * b[j+2] * c[j+2])
+		dst[j+3] += float64(base[j+3] * a[j+3] * b[j+3] * c[j+3])
+	}
+	for ; j < len(dst); j++ {
+		dst[j] += float64(base[j] * a[j] * b[j] * c[j])
+	}
+}
+
+// accumVec4 writes dst[j] += base[j]·a[j]·b[j]·c[j]·e[j].
+func accumVec4(dst, base, a, b, c, e []float64) {
+	j := 0
+	for ; j+4 <= len(dst); j += 4 {
+		dst[j] += float64(base[j] * a[j] * b[j] * c[j] * e[j])
+		dst[j+1] += float64(base[j+1] * a[j+1] * b[j+1] * c[j+1] * e[j+1])
+		dst[j+2] += float64(base[j+2] * a[j+2] * b[j+2] * c[j+2] * e[j+2])
+		dst[j+3] += float64(base[j+3] * a[j+3] * b[j+3] * c[j+3] * e[j+3])
+	}
+	for ; j < len(dst); j++ {
+		dst[j] += float64(base[j] * a[j] * b[j] * c[j] * e[j])
+	}
+}

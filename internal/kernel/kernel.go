@@ -141,158 +141,70 @@ func AddInto(dst, src []float64) {
 	}
 }
 
-// FMAInto writes dst[j] += a[j] * b[j].
+// FMAInto writes dst[j] += a[j] * b[j]. The product is rounded before the
+// add: the float64 conversion forbids contracting the two into one FMA
+// instruction, so the result matches a multiply into a row followed by
+// AddInto on every target. HadamardAccumVec relies on that.
 func FMAInto(dst, a, b []float64) {
 	switch len(dst) {
 	case 8:
 		d, x, y := (*[8]float64)(dst), (*[8]float64)(a), (*[8]float64)(b)
 		for j := range d {
-			d[j] += x[j] * y[j]
+			d[j] += float64(x[j] * y[j])
 		}
 	case 16:
 		d, x, y := (*[16]float64)(dst), (*[16]float64)(a), (*[16]float64)(b)
 		for j := range d {
-			d[j] += x[j] * y[j]
+			d[j] += float64(x[j] * y[j])
 		}
 	case 32:
 		d, x, y := (*[32]float64)(dst), (*[32]float64)(a), (*[32]float64)(b)
 		for j := range d {
-			d[j] += x[j] * y[j]
+			d[j] += float64(x[j] * y[j])
 		}
 	default:
 		j := 0
 		for ; j+4 <= len(dst); j += 4 {
-			dst[j] += a[j] * b[j]
-			dst[j+1] += a[j+1] * b[j+1]
-			dst[j+2] += a[j+2] * b[j+2]
-			dst[j+3] += a[j+3] * b[j+3]
+			dst[j] += float64(a[j] * b[j])
+			dst[j+1] += float64(a[j+1] * b[j+1])
+			dst[j+2] += float64(a[j+2] * b[j+2])
+			dst[j+3] += float64(a[j+3] * b[j+3])
 		}
 		for ; j < len(dst); j++ {
-			dst[j] += a[j] * b[j]
+			dst[j] += float64(a[j] * b[j])
 		}
 	}
 }
 
-// Axpy writes dst[j] += a * src[j].
+// Axpy writes dst[j] += a * src[j], rounding the product before the add as
+// FMAInto does. HadamardAccum relies on that.
 func Axpy(dst []float64, a float64, src []float64) {
 	switch len(dst) {
 	case 8:
 		d, s := (*[8]float64)(dst), (*[8]float64)(src)
 		for j := range d {
-			d[j] += a * s[j]
+			d[j] += float64(a * s[j])
 		}
 	case 16:
 		d, s := (*[16]float64)(dst), (*[16]float64)(src)
 		for j := range d {
-			d[j] += a * s[j]
+			d[j] += float64(a * s[j])
 		}
 	case 32:
 		d, s := (*[32]float64)(dst), (*[32]float64)(src)
 		for j := range d {
-			d[j] += a * s[j]
+			d[j] += float64(a * s[j])
 		}
 	default:
 		j := 0
 		for ; j+4 <= len(dst); j += 4 {
-			dst[j] += a * src[j]
-			dst[j+1] += a * src[j+1]
-			dst[j+2] += a * src[j+2]
-			dst[j+3] += a * src[j+3]
+			dst[j] += float64(a * src[j])
+			dst[j+1] += float64(a * src[j+1])
+			dst[j+2] += float64(a * src[j+2])
+			dst[j+3] += float64(a * src[j+3])
 		}
 		for ; j < len(dst); j++ {
-			dst[j] += a * src[j]
-		}
-	}
-}
-
-// HadamardAccum writes dst[j] += v · Π_k rows[k][j] in one pass: the
-// broadcast of the scalar, the k Hadamard multiplies, and the accumulation
-// are fused, so no temporary R-vector is needed. rows may be empty, in
-// which case it degenerates to dst[j] += v.
-func HadamardAccum(dst []float64, v float64, rows [][]float64) {
-	switch len(rows) {
-	case 0:
-		for j := range dst {
-			dst[j] += v
-		}
-	case 1:
-		Axpy(dst, v, rows[0])
-	case 2:
-		a, b := rows[0], rows[1]
-		j := 0
-		for ; j+4 <= len(dst); j += 4 {
-			dst[j] += v * a[j] * b[j]
-			dst[j+1] += v * a[j+1] * b[j+1]
-			dst[j+2] += v * a[j+2] * b[j+2]
-			dst[j+3] += v * a[j+3] * b[j+3]
-		}
-		for ; j < len(dst); j++ {
-			dst[j] += v * a[j] * b[j]
-		}
-	case 3:
-		a, b, c := rows[0], rows[1], rows[2]
-		j := 0
-		for ; j+4 <= len(dst); j += 4 {
-			dst[j] += v * a[j] * b[j] * c[j]
-			dst[j+1] += v * a[j+1] * b[j+1] * c[j+1]
-			dst[j+2] += v * a[j+2] * b[j+2] * c[j+2]
-			dst[j+3] += v * a[j+3] * b[j+3] * c[j+3]
-		}
-		for ; j < len(dst); j++ {
-			dst[j] += v * a[j] * b[j] * c[j]
-		}
-	default:
-		for j := range dst {
-			p := v
-			for _, row := range rows {
-				p *= row[j]
-			}
-			dst[j] += p
-		}
-	}
-}
-
-// HadamardAccumVec writes dst[j] += base[j] · Π_k rows[k][j] in one pass,
-// the vector-base variant of HadamardAccum (the base is a parent element's
-// cached R-row rather than a broadcast nonzero value). rows may be empty,
-// in which case it degenerates to AddInto(dst, base).
-func HadamardAccumVec(dst, base []float64, rows [][]float64) {
-	switch len(rows) {
-	case 0:
-		AddInto(dst, base)
-	case 1:
-		FMAInto(dst, base, rows[0])
-	case 2:
-		a, b := rows[0], rows[1]
-		j := 0
-		for ; j+4 <= len(dst); j += 4 {
-			dst[j] += base[j] * a[j] * b[j]
-			dst[j+1] += base[j+1] * a[j+1] * b[j+1]
-			dst[j+2] += base[j+2] * a[j+2] * b[j+2]
-			dst[j+3] += base[j+3] * a[j+3] * b[j+3]
-		}
-		for ; j < len(dst); j++ {
-			dst[j] += base[j] * a[j] * b[j]
-		}
-	case 3:
-		a, b, c := rows[0], rows[1], rows[2]
-		j := 0
-		for ; j+4 <= len(dst); j += 4 {
-			dst[j] += base[j] * a[j] * b[j] * c[j]
-			dst[j+1] += base[j+1] * a[j+1] * b[j+1] * c[j+1]
-			dst[j+2] += base[j+2] * a[j+2] * b[j+2] * c[j+2]
-			dst[j+3] += base[j+3] * a[j+3] * b[j+3] * c[j+3]
-		}
-		for ; j < len(dst); j++ {
-			dst[j] += base[j] * a[j] * b[j] * c[j]
-		}
-	default:
-		for j := range dst {
-			p := base[j]
-			for _, row := range rows {
-				p *= row[j]
-			}
-			dst[j] += p
+			dst[j] += float64(a * src[j])
 		}
 	}
 }

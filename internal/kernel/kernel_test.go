@@ -132,52 +132,96 @@ func TestAxpy(t *testing.T) {
 	}
 }
 
+// hadamardChain is the unfused sequence the fused kernels replace: the
+// product is built in a temporary row by Scale (or a copy of base) and
+// MulInto, then added into dst.
+func hadamardChain(dst []float64, v float64, base []float64, rows [][]float64) {
+	tmp := make([]float64, len(dst))
+	switch {
+	case base != nil:
+		copy(tmp, base)
+	case len(rows) == 0:
+		for j := range tmp {
+			tmp[j] = v
+		}
+	default:
+		Scale(tmp, rows[0], v)
+		rows = rows[1:]
+	}
+	for _, row := range rows {
+		MulInto(tmp, row)
+	}
+	AddInto(dst, tmp)
+}
+
+// randSpecialVec is randVec with signed zeros and extreme magnitudes mixed
+// in, so the association of every product and the final add is pinned on
+// the values where a reordering shows.
+func randSpecialVec(n int, rng *rand.Rand) []float64 {
+	special := []float64{0, math.Copysign(0, -1), 1e-300, -1e300, 3}
+	v := randVec(n, rng)
+	for i := range v {
+		if rng.Intn(4) == 0 {
+			v[i] = special[rng.Intn(len(special))]
+		}
+	}
+	return v
+}
+
+// checkAgainstChain runs one fused kernel (base == nil: HadamardAccum with
+// v; otherwise HadamardAccumVec) and the chain on copies of dst, and
+// requires the same bits.
+func checkAgainstChain(t *testing.T, dst []float64, v float64, base []float64, rows [][]float64) {
+	t.Helper()
+	got := append([]float64(nil), dst...)
+	want := append([]float64(nil), dst...)
+	if base == nil {
+		HadamardAccum(got, v, rows)
+	} else {
+		HadamardAccumVec(got, base, rows)
+	}
+	hadamardChain(want, v, base, rows)
+	for j := range got {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("n=%d k=%d vec=%v: [%d] = %v (%#x), chain gives %v (%#x)", len(dst), len(rows), base != nil,
+				j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+		}
+	}
+}
+
+// chainLengths adds R = 64, two blocks of the more-than-four-rows path, to
+// the lengths every primitive is tested at.
+var chainLengths = append(append([]int(nil), testLengths...), 64)
+
+// TestHadamardAccum pins the fused kernel bit for bit to the
+// Scale/MulInto/AddInto chain at 0–6 rows: the fixed-size four-row body
+// (R = 16), the unrolled bodies, and the blocked path above four rows.
 func TestHadamardAccum(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, n := range testLengths {
-		for k := 0; k <= 5; k++ {
-			rows := make([][]float64, k)
-			for i := range rows {
-				rows[i] = randVec(n, rng)
-			}
-			dst := randVec(n, rng)
-			want := make([]float64, n)
-			for j := range want {
-				p := -0.5
-				for _, row := range rows {
-					p *= row[j]
+	for _, n := range chainLengths {
+		for k := 0; k <= 6; k++ {
+			for trial := 0; trial < 10; trial++ {
+				rows := make([][]float64, k)
+				for i := range rows {
+					rows[i] = randSpecialVec(n, rng)
 				}
-				want[j] = dst[j] + p
-			}
-			HadamardAccum(dst, -0.5, rows)
-			if !almostEqual(dst, want, 1e-15) {
-				t.Errorf("HadamardAccum n=%d k=%d mismatch", n, k)
+				checkAgainstChain(t, randSpecialVec(n, rng), rng.NormFloat64()*1e3, nil, rows)
 			}
 		}
 	}
 }
 
+// TestHadamardAccumVec is TestHadamardAccum for the vector-base kernel.
 func TestHadamardAccumVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	for _, n := range testLengths {
-		for k := 0; k <= 5; k++ {
-			base := randVec(n, rng)
-			rows := make([][]float64, k)
-			for i := range rows {
-				rows[i] = randVec(n, rng)
-			}
-			dst := randVec(n, rng)
-			want := make([]float64, n)
-			for j := range want {
-				p := base[j]
-				for _, row := range rows {
-					p *= row[j]
+	for _, n := range chainLengths {
+		for k := 0; k <= 6; k++ {
+			for trial := 0; trial < 10; trial++ {
+				rows := make([][]float64, k)
+				for i := range rows {
+					rows[i] = randSpecialVec(n, rng)
 				}
-				want[j] = dst[j] + p
-			}
-			HadamardAccumVec(dst, base, rows)
-			if !almostEqual(dst, want, 1e-15) {
-				t.Errorf("HadamardAccumVec n=%d k=%d mismatch", n, k)
+				checkAgainstChain(t, randSpecialVec(n, rng), 0, randSpecialVec(n, rng), rows)
 			}
 		}
 	}
@@ -244,6 +288,7 @@ func TestPrimitivesAllocFree(t *testing.T) {
 	a := make([]float64, 17)
 	b := make([]float64, 17)
 	rows := [][]float64{a, b}
+	rows6 := [][]float64{a, b, a, b, a, b}
 	if n := testing.AllocsPerRun(100, func() {
 		Scale(dst, a, 2)
 		MulInto(dst, a)
@@ -252,6 +297,8 @@ func TestPrimitivesAllocFree(t *testing.T) {
 		Axpy(dst, 2, a)
 		HadamardAccum(dst, 2, rows)
 		HadamardAccumVec(dst, a, rows)
+		HadamardAccum(dst, 2, rows6)
+		HadamardAccumVec(dst, a, rows6)
 	}); n != 0 {
 		t.Errorf("primitives allocate %v/op", n)
 	}

@@ -16,6 +16,19 @@ make test-race
 go vet ./cmd/...
 go test -race ./cmd/...
 
+# The fused Hadamard kernels are pinned bit for bit to the unfused
+# multiply-then-add chain, which holds only if no product is contracted
+# with its add into one FMA instruction. The amd64 compiler never does
+# that; the arm64 one does unless a float64 conversion forbids it, so the
+# arm64 build of the kernel package must contain no fused multiply-add.
+fmadir=$(mktemp -d)
+GOARCH=arm64 go build -o "$fmadir/kernel.a" ./internal/kernel/
+if go tool objdump "$fmadir/kernel.a" | grep -E 'F(N)?M(ADD|SUB)D'; then
+	echo "internal/kernel: FMA contraction in the arm64 build" >&2
+	exit 1
+fi
+rm -r "$fmadir"
+
 # The scatter-vs-privatize agreement suite runs again under the race detector
 # at a forced multi-worker width: the privatized pool's epoch stamping and the
 # tiled parallel reduction are the shared-state hot spots of the accum layer,
@@ -28,15 +41,20 @@ GOMAXPROCS=4 go test -race -count=1 -run 'TestConformanceAccum' ./internal/engin
 go test -race -count=1 -run 'TestSwamp|TestServerIters' ./internal/health/ ./internal/obs/
 
 # The distributed conformance suite (both transports, P in {2,4,7}, coo/csf/
-# memo shard engines vs the single-node solver at 1e-12) and the transport
-# fault-injection regressions run under the race detector: the SPMD workers,
-# the TCP retransmit timers, and the shared metrics registry are all
-# concurrent by construction.
+# memo shard engines vs the single-node solver at 1e-12), the P=2 steady-
+# state allocation pin (TestDistRunSteadyZeroAlloc: the chan transport's
+# message recycling) and the transport fault-injection regressions run
+# under the race detector: the SPMD workers, the recycled messages, the TCP
+# retransmit timers, and the shared metrics registry are all concurrent by
+# construction.
 go test -race -count=1 -run 'TestDistRun|TestDistFault|TestDistributedALS|TestTransport' ./internal/dist/
 
-# The TCP frame decoder parses bytes from peers: a short fuzz run on every
-# CI pass (the `make fuzz` target runs it longer).
+# The TCP frame decoder parses bytes from peers, and the model and
+# checkpoint decoders parse files: a short fuzz run of each on every CI pass
+# (the `make fuzz` target runs them longer).
 go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 10s ./internal/dist/
+go test -run '^$' -fuzz '^FuzzReadModel$' -fuzztime 10s ./internal/cpd/
+go test -run '^$' -fuzz '^FuzzCheckpointRead$' -fuzztime 10s ./internal/ckpt/
 
 make bench-smoke
 make obs-smoke
