@@ -74,6 +74,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 30s ./internal/dist/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadModel$$' -fuzztime 30s ./internal/cpd/
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRead$$' -fuzztime 30s ./internal/ckpt/
+	$(GO) test -run '^$$' -fuzz '^FuzzValidateLedger$$' -fuzztime 30s ./internal/audit/
 
 experiments:
 	$(GO) run ./cmd/adabench

@@ -452,8 +452,10 @@ type EngineConfig struct {
 	Workers int
 	// MemoryBudget caps the adaptive choice (<= 0: unbounded). It also
 	// decides whether the memo engines keep their intermediates allocated
-	// across sweeps: the adaptive model retains when the retained bytes fit;
-	// memo engines built without the model retain only when unbounded.
+	// across sweeps, and whether the children of the root stream their
+	// reduction: the adaptive model decides each when its bytes fit; memo
+	// engines built without the model retain and stream only when
+	// unbounded.
 	MemoryBudget int64
 	// Strategy overrides the memoization tree for the memo engines; nil
 	// uses the kind's default shape.
@@ -469,6 +471,9 @@ type EngineConfig struct {
 	// plumbing, set by NewEnginePlanned): the plan's when the model runs,
 	// otherwise retention exactly when the budget is unbounded.
 	retain bool
+	// stream carries the memo engines' root-streaming decision the same
+	// way (the plan's Stream, otherwise exactly when unbounded).
+	stream bool
 }
 
 // NewEngine constructs the MTTKRP kernel of the given kind for x. The
@@ -495,6 +500,7 @@ func NewEnginePlanned(x *Tensor, kind EngineKind, cfg EngineConfig) (Engine, *Pl
 	n := x.Order()
 	acfg := accum.Config{Strategy: cfg.Accum, Workers: cfg.Workers, Budget: cfg.MemoryBudget}
 	cfg.retain = cfg.MemoryBudget <= 0
+	cfg.stream = cfg.MemoryBudget <= 0
 	switch kind {
 	case EngineCOO:
 		return coo.NewWithAccum(x, cfg.Workers, acfg), nil, nil
@@ -526,11 +532,13 @@ func NewEnginePlanned(x *Tensor, kind EngineKind, cfg EngineConfig) (Engine, *Pl
 			Workers: cfg.Workers, Accum: cfg.Accum,
 		})
 		// The plan resolved the accumulation backend per mode (budget slack
-		// already accounted for) and whether to retain the intermediates;
-		// hand both to the engine so kernel entries don't re-derive them.
+		// already accounted for), whether to retain the intermediates and
+		// whether to stream the root children; hand them to the engine so
+		// kernel entries don't re-derive them.
 		cfgP := cfg
 		cfgP.accumPerMode = plan.AccumPerMode()
 		cfgP.retain = plan.Retain
+		cfgP.stream = plan.Stream
 		eng, err := memoEngine(x, cfgP, plan.Chosen.Strategy, fmt.Sprintf("adaptive[%s]", plan.Chosen.Name))
 		if err != nil {
 			return nil, nil, err
@@ -546,7 +554,7 @@ func memoEngine(x *Tensor, cfg EngineConfig, s *Strategy, name string) (Engine, 
 		s = cfg.Strategy
 	}
 	return memo.NewWithConfig(x, s, memo.Config{
-		Workers: cfg.Workers, Name: name, RetainBuffers: cfg.retain,
+		Workers: cfg.Workers, Name: name, RetainBuffers: cfg.retain, StreamRoot: cfg.stream,
 		Accum: accum.Config{
 			Strategy: cfg.Accum,
 			PerMode:  cfg.accumPerMode,

@@ -215,11 +215,13 @@ func TestNVecsInitFacade(t *testing.T) {
 	}
 }
 
-// TestRetainBuffersFacade: buffer retention follows the memory budget and
-// never changes the numbers. A memo engine built without the model retains
-// its intermediates only when the budget is unbounded; an order-6 balanced
-// tree's retained sum exceeds its two-path peak, so the retaining engine
-// reports the larger peak, and both runs agree bit for bit.
+// TestRetainBuffersFacade: buffer retention and root streaming follow the
+// memory budget and never change the numbers. A memo engine built without
+// the model retains its intermediates and streams its root children only
+// when the budget is unbounded; an order-6 balanced tree's retained sum
+// exceeds its two-path peak, so the retaining engine reports the larger
+// peak, the streaming one the larger index storage, and both runs agree bit
+// for bit.
 func TestRetainBuffersFacade(t *testing.T) {
 	x := adatm.Generate(adatm.GenSpec{
 		Name: "facade6", Dims: []int{12, 11, 10, 9, 8, 7}, NNZ: 3000,
@@ -242,6 +244,10 @@ func TestRetainBuffersFacade(t *testing.T) {
 	if keptStats.PeakValueBytes <= freedStats.PeakValueBytes {
 		t.Errorf("retaining peak %d not above the freeing peak %d: retention did not follow the budget",
 			keptStats.PeakValueBytes, freedStats.PeakValueBytes)
+	}
+	if keptStats.IndexBytes <= freedStats.IndexBytes {
+		t.Errorf("streaming index bytes %d not above the gathering engine's %d: streaming did not follow the budget",
+			keptStats.IndexBytes, freedStats.IndexBytes)
 	}
 	if math.Float64bits(kept.Fit) != math.Float64bits(freed.Fit) {
 		t.Errorf("retaining fit %.17g differs from freeing fit %.17g", kept.Fit, freed.Fit)

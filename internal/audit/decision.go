@@ -41,6 +41,9 @@ type CandidateRecord struct {
 	// PredRetainedValueBytes is the value storage an engine keeping every
 	// intermediate allocated across sweeps would hold.
 	PredRetainedValueBytes int64 `json:"pred_retained_value_bytes,omitempty"`
+	// PredStreamBytes is the extra index storage of streaming the children
+	// of the root (model.Prediction.StreamBytes).
+	PredStreamBytes int64 `json:"pred_stream_bytes,omitempty"`
 	// PredTimeNS is the roofline time-model forecast; zero unless the
 	// selection ranked by predicted time.
 	PredTimeNS int64 `json:"pred_time_ns,omitempty"`
@@ -106,6 +109,10 @@ type Decision struct {
 	// across sweeps (the plan's retention decision), so its measured peak
 	// value bytes are the retained sum, not the two-path peak.
 	Retain bool `json:"retain"`
+	// Stream reports that the children of the root store their reduction
+	// as streamed tuples (the plan's streaming decision), so the measured
+	// index bytes include the stream bytes.
+	Stream bool `json:"stream"`
 	// Workers is the parallel width the accumulation table assumed.
 	Workers int `json:"workers,omitempty"`
 	// Accum is the per-mode output-accumulation decision table.
@@ -126,6 +133,7 @@ func NewDecision(p *model.Plan) *Decision {
 		Chosen: p.Chosen.Name,
 		Reason: p.Reason(),
 		Retain: p.Retain,
+		Stream: p.Stream,
 	}
 	d.Candidates = make([]CandidateRecord, len(p.Candidates))
 	for i, c := range p.Candidates {
@@ -136,6 +144,7 @@ func NewDecision(p *model.Plan) *Decision {
 			PredIndexBytes:         c.Pred.IndexBytes,
 			PredPeakValueBytes:     c.Pred.PeakValueBytes,
 			PredRetainedValueBytes: c.Pred.RetainedValueBytes,
+			PredStreamBytes:        c.Pred.StreamBytes,
 			PredTimeNS:             c.PredTime.Nanoseconds(),
 			Feasible:               c.Feasible,
 		}
@@ -168,4 +177,13 @@ func (d *Decision) Candidate(name string) *CandidateRecord {
 		}
 	}
 	return nil
+}
+
+// streamBytes is the stream storage the candidate's engine holds under the
+// decision: its predicted stream bytes when the plan streams, else 0.
+func (d *Decision) streamBytes(c *CandidateRecord) int64 {
+	if d.Stream {
+		return c.PredStreamBytes
+	}
+	return 0
 }

@@ -214,3 +214,49 @@ func TestAuditRetainedPeak(t *testing.T) {
 		}
 	}
 }
+
+// The plan streams the root children when their bytes fit and records the
+// decision; a budget one byte short of index + retained value + stream bytes
+// keeps the same tree and retention but declines streaming. Reconciliation
+// then predicts the index bytes without the stream bytes, and the declining
+// engine measures exactly the predicted stream bytes fewer.
+func TestAuditStreamDecision(t *testing.T) {
+	x := adatm.Generate(adatm.GenSpec{Dims: []int{1024, 1024, 1024, 1024}, NNZ: 20000,
+		Skew: []float64{0.8, 0.8, 0.8, 0.8}, Seed: 1})
+	run := func(budget int64) (*audit.Decision, audit.Quantity) {
+		t.Helper()
+		rec := adatm.NewAuditRecorder(adatm.AuditConfig{})
+		if _, err := adatm.Decompose(x, adatm.Options{
+			Rank: 16, MaxIters: 2, Tol: 1e-15, Seed: 1, Workers: 1,
+			Engine: adatm.EngineAdaptive, MemoryBudget: budget, Audit: rec,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		latest := rec.Latest()
+		q, ok := latest.Report.Quantity(audit.QIndexBytes)
+		if !ok {
+			t.Fatal("no index_bytes quantity")
+		}
+		return latest.Decision, q
+	}
+	free, freeQ := run(0)
+	cand := free.Candidate(free.Chosen)
+	if !free.Stream || cand.PredStreamBytes <= 0 {
+		t.Fatalf("unbounded decision: stream %v, %d stream bytes", free.Stream, cand.PredStreamBytes)
+	}
+	if freeQ.Predicted != float64(cand.PredIndexBytes+cand.PredStreamBytes) {
+		t.Errorf("streamed index bytes predicted as %g, want index + stream %d", freeQ.Predicted, cand.PredIndexBytes+cand.PredStreamBytes)
+	}
+	budget := cand.PredIndexBytes + cand.PredRetainedValueBytes + cand.PredStreamBytes - 1
+	tight, tightQ := run(budget)
+	if tight.Chosen != free.Chosen || !tight.Retain || tight.Stream {
+		t.Fatalf("budget %d: chose %s retain %v stream %v, want %s retaining without streaming",
+			budget, tight.Chosen, tight.Retain, tight.Stream, free.Chosen)
+	}
+	if tightQ.Predicted != float64(cand.PredIndexBytes) {
+		t.Errorf("declined index bytes predicted as %g, want %d", tightQ.Predicted, cand.PredIndexBytes)
+	}
+	if d := freeQ.Measured - tightQ.Measured; d != float64(cand.PredStreamBytes) {
+		t.Errorf("streaming measured %g more index bytes, predicted %d", d, cand.PredStreamBytes)
+	}
+}

@@ -153,7 +153,7 @@ func ReconcileCandidate(d *Decision, name string, m Measured, warnThreshold floa
 	}
 	add(QPeakValueBytes, float64(predPeak), float64(m.PeakValueBytes))
 	if m.IndexBytes > 0 {
-		add(QIndexBytes, float64(cand.PredIndexBytes), float64(m.IndexBytes))
+		add(QIndexBytes, float64(cand.PredIndexBytes+d.streamBytes(cand)), float64(m.IndexBytes))
 	}
 	if cand.PredTimeNS > 0 && m.MTTKRPSecondsPerIter > 0 {
 		add(QMTTKRPSeconds, float64(cand.PredTimeNS)/1e9, m.MTTKRPSecondsPerIter)
@@ -216,7 +216,9 @@ func measuredChoice(d *Decision, cand *CandidateRecord, m Measured) string {
 			} else if m.OpsPerIter > 0 {
 				s.key = m.OpsPerIter
 			}
-			s.footInt = m.IndexBytes + m.PeakValueBytes
+			// Feasibility never counted the stream bytes (streaming is
+			// decided after the choice), so they leave the measured side.
+			s.footInt = m.IndexBytes - d.streamBytes(c) + m.PeakValueBytes
 			s.feasible = d.Budget <= 0 || s.footInt <= d.Budget
 		}
 		cs = append(cs, s)

@@ -39,10 +39,15 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	memoStream, err := memo.NewWithConfig(x, memo.Balanced(x.Order()), memo.Config{Workers: 1, RetainBuffers: true, StreamRoot: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	engines := map[string]engine.Engine{
-		"memo-retain": memoEng,
-		"csf":         csf.NewAllMode(x, 1),
-		"csf-one":     csf.NewSingle(x, 1),
+		"memo-retain":        memoEng,
+		"memo-retain-stream": memoStream,
+		"csf":                csf.NewAllMode(x, 1),
+		"csf-one":            csf.NewSingle(x, 1),
 	}
 	for name, e := range engines {
 		// Two warm-up sweeps: the first materializes caches and retained
@@ -76,10 +81,16 @@ func TestSteadyStateZeroAllocPrivatized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	memoStream, err := memo.NewWithConfig(x, memo.Balanced(x.Order()),
+		memo.Config{Workers: 1, RetainBuffers: true, StreamRoot: true, Accum: acfg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	engines := map[string]engine.Engine{
-		"coo-priv":   coo.NewWithAccum(x, 1, acfg),
-		"hicoo-priv": hicoo.NewWithAccum(x, 1, acfg),
-		"memo-priv":  memoEng,
+		"coo-priv":         coo.NewWithAccum(x, 1, acfg),
+		"hicoo-priv":       hicoo.NewWithAccum(x, 1, acfg),
+		"memo-priv":        memoEng,
+		"memo-priv-stream": memoStream,
 	}
 	for name, e := range engines {
 		sweepWithInvalidation(e, x, fs, outs) // sizes the privatized pool

@@ -56,9 +56,10 @@ func E7ModelAccuracy(cfg Config) *Table {
 		var names []string
 		maxRelErr := 0.0
 		for _, c := range plan.Candidates {
-			// Every candidate runs with the plan's retention, so its
-			// measured peak matches the prediction Reconcile compares.
-			eng, err := memo.NewWithConfig(x, c.Strategy, memo.Config{Workers: cfg.Workers, Name: c.Name, RetainBuffers: plan.Retain})
+			// Every candidate runs with the plan's retention and streaming,
+			// so its measured peak and index bytes match the predictions
+			// Reconcile compares.
+			eng, err := memo.NewWithConfig(x, c.Strategy, memo.Config{Workers: cfg.Workers, Name: c.Name, RetainBuffers: plan.Retain, StreamRoot: plan.Stream})
 			if err != nil {
 				panic(err)
 			}
@@ -126,7 +127,10 @@ func E8BudgetAdaptivity(cfg Config) *Table {
 			budget = int64(frac * float64(full))
 		}
 		plan := adatm.PlanFor(x, cfg.rank(), budget)
-		eng, err := memo.New(x, plan.Chosen.Strategy, cfg.Workers, plan.Chosen.Name)
+		// The engine takes the plan's buffer decisions, so each row times
+		// the layout the budgeted plan would run.
+		eng, err := memo.NewWithConfig(x, plan.Chosen.Strategy, memo.Config{Workers: cfg.Workers, Name: plan.Chosen.Name,
+			RetainBuffers: plan.Retain, StreamRoot: plan.Stream})
 		if err != nil {
 			panic(err)
 		}
@@ -135,8 +139,7 @@ func E8BudgetAdaptivity(cfg Config) *Table {
 		if budget > 0 {
 			label = fmt.Sprintf("%.0f%% of full", 100*frac)
 		}
-		aux := plan.Chosen.Pred.IndexBytes + plan.Chosen.Pred.PeakValueBytes
-		t.Add(label, plan.Chosen.Name, plan.Chosen.Strategy.String(), plan.Chosen.Pred.Ops, fmtMiB(aux), fmtDur(d))
+		t.Add(label, plan.Chosen.Name, plan.Chosen.Strategy.String(), plan.Chosen.Pred.Ops, fmtMiB(plan.AuxBytes()), fmtDur(d))
 	}
 	return t
 }

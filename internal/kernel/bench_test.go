@@ -140,3 +140,76 @@ func BenchmarkKernelHadamardAccumVec(b *testing.B) {
 		}
 	}
 }
+
+// streamBench is one first-level contraction's input: nnz nonzeros in
+// reduction groups of one to three (a Zipf order-4 tensor's children of the
+// root average about 1.15 nonzeros per group), k factors of 1024 rows at
+// rank r, and random row indices.
+type streamBench struct {
+	dst, vals []float64
+	ptr       []int
+	idx       [][]int32
+	facs      [][]float64
+}
+
+func newStreamBench(r, k, nnz int) *streamBench {
+	rng := rand.New(rand.NewSource(int64(10*k + r)))
+	const rows = 1024
+	sb := &streamBench{vals: randVec(nnz, rng), idx: make([][]int32, k), facs: make([][]float64, k)}
+	for m := range sb.facs {
+		sb.facs[m] = randVec(rows*r, rng)
+		sb.idx[m] = make([]int32, nnz)
+		for e := range sb.idx[m] {
+			sb.idx[m][e] = int32(rng.Intn(rows))
+		}
+	}
+	sizes := []int{1, 1, 1, 1, 1, 2, 1, 3}
+	for e, g := 0, 0; e < nnz; g++ {
+		sb.ptr = append(sb.ptr, e)
+		e = min(nnz, e+sizes[g%len(sizes)])
+	}
+	sb.ptr = append(sb.ptr, nnz)
+	sb.dst = make([]float64, (len(sb.ptr)-1)*r)
+	return sb
+}
+
+// BenchmarkKernelStreamAccum compares the streamed kernel against one
+// HadamardAccum call per nonzero over the same arrays (the factor rows
+// gathered through the indices), at R = 16 and one to three factors: the
+// memo engine's first-level contraction before and after streaming. Run
+// with -cpu 1.
+func BenchmarkKernelStreamAccum(b *testing.B) {
+	const r, nnz = 16, 1 << 14
+	for k := 1; k <= 3; k++ {
+		sb := newStreamBench(r, k, nnz)
+		b.Run(fmt.Sprintf("r%d/k%d/streamed", r, k), func(b *testing.B) {
+			b.ReportAllocs()
+			idx := make([][]int32, k)
+			for i := 0; i < b.N; i++ {
+				for g := 0; g+1 < len(sb.ptr); g++ {
+					lo, hi := sb.ptr[g], sb.ptr[g+1]
+					for m := range idx {
+						idx[m] = sb.idx[m][lo:hi]
+					}
+					StreamAccum(sb.dst[g*r:(g+1)*r], sb.vals[lo:hi], idx, sb.facs)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("r%d/k%d/per-nonzero", r, k), func(b *testing.B) {
+			b.ReportAllocs()
+			rows := make([][]float64, k)
+			for i := 0; i < b.N; i++ {
+				for g := 0; g+1 < len(sb.ptr); g++ {
+					out := sb.dst[g*r : (g+1)*r]
+					for e := sb.ptr[g]; e < sb.ptr[g+1]; e++ {
+						for m := range rows {
+							o := int(sb.idx[m][e]) * r
+							rows[m] = sb.facs[m][o : o+r]
+						}
+						HadamardAccum(out, sb.vals[e], rows)
+					}
+				}
+			}
+		})
+	}
+}

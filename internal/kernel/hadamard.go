@@ -218,3 +218,65 @@ func accumVec4(dst, base, a, b, c, e []float64) {
 		dst[j] += float64(base[j] * a[j] * b[j] * c[j] * e[j])
 	}
 }
+
+// StreamAccum writes dst[j] += Σ_e vals[e] · Π_k facs[k][idx[k][e]·R + j]
+// with R = len(dst): one reduction group of nonzeros, taken in order e, each
+// contributing its value times one row per factor. facs[k] is a row-major
+// factor matrix with row stride R, and idx[k] holds the nonzeros' row
+// indices into it; idx[k] must be at least as long as vals, and facs may
+// not be empty.
+//
+// It is the streamed form of calling HadamardAccum once per nonzero, and it
+// is bit-identical to that loop: every term associates ((v·a)·b)… left to
+// right and is then added once, in nonzero order. What changes is the loop
+// nest. The columns are taken in blocks of 8, then 4, then one at a time;
+// each block keeps its accumulators and running products in local
+// variables across the whole group, so dst is loaded and stored once per
+// block instead of once per nonzero. One body serves every factor count.
+func StreamAccum(dst, vals []float64, idx [][]int32, facs [][]float64) {
+	r := len(dst)
+	k := len(facs)
+	j := 0
+	for ; j+8 <= r; j += 8 {
+		d := (*[8]float64)(dst[j:])
+		a0, a1, a2, a3, a4, a5, a6, a7 := d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]
+		for e, v := range vals {
+			f := (*[8]float64)(facs[0][int(idx[0][e])*r+j:])
+			p0, p1, p2, p3 := float64(v*f[0]), float64(v*f[1]), float64(v*f[2]), float64(v*f[3])
+			p4, p5, p6, p7 := float64(v*f[4]), float64(v*f[5]), float64(v*f[6]), float64(v*f[7])
+			for m := 1; m < k; m++ {
+				f = (*[8]float64)(facs[m][int(idx[m][e])*r+j:])
+				p0, p1, p2, p3 = float64(p0*f[0]), float64(p1*f[1]), float64(p2*f[2]), float64(p3*f[3])
+				p4, p5, p6, p7 = float64(p4*f[4]), float64(p5*f[5]), float64(p6*f[6]), float64(p7*f[7])
+			}
+			a0, a1, a2, a3 = a0+p0, a1+p1, a2+p2, a3+p3
+			a4, a5, a6, a7 = a4+p4, a5+p5, a6+p6, a7+p7
+		}
+		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = a0, a1, a2, a3, a4, a5, a6, a7
+	}
+	for ; j+4 <= r; j += 4 {
+		d := (*[4]float64)(dst[j:])
+		a0, a1, a2, a3 := d[0], d[1], d[2], d[3]
+		for e, v := range vals {
+			f := (*[4]float64)(facs[0][int(idx[0][e])*r+j:])
+			p0, p1, p2, p3 := float64(v*f[0]), float64(v*f[1]), float64(v*f[2]), float64(v*f[3])
+			for m := 1; m < k; m++ {
+				f = (*[4]float64)(facs[m][int(idx[m][e])*r+j:])
+				p0, p1, p2, p3 = float64(p0*f[0]), float64(p1*f[1]), float64(p2*f[2]), float64(p3*f[3])
+			}
+			a0, a1, a2, a3 = a0+p0, a1+p1, a2+p2, a3+p3
+		}
+		d[0], d[1], d[2], d[3] = a0, a1, a2, a3
+	}
+	for ; j < r; j++ {
+		a := dst[j]
+		for e, v := range vals {
+			p := float64(v * facs[0][int(idx[0][e])*r+j])
+			for m := 1; m < k; m++ {
+				p = float64(p * facs[m][int(idx[m][e])*r+j])
+			}
+			a += p
+		}
+		dst[j] = a
+	}
+}

@@ -227,6 +227,50 @@ func TestHadamardAccumVec(t *testing.T) {
 	}
 }
 
+// TestStreamAccum pins the streamed kernel bit for bit to one HadamardAccum
+// call per nonzero, in nonzero order, at 1–6 factors and reduction groups of
+// 0–9 nonzeros: the 8- and 4-column blocks and the scalar tail, with signed
+// zeros and extremes in the values and the factors.
+func TestStreamAccum(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range chainLengths {
+		for k := 1; k <= 6; k++ {
+			for trial := 0; trial < 10; trial++ {
+				const rows = 5
+				facs := make([][]float64, k)
+				for m := range facs {
+					facs[m] = randSpecialVec(rows*n, rng)
+				}
+				nnz := rng.Intn(10)
+				vals := randSpecialVec(nnz, rng)
+				idx := make([][]int32, k)
+				for m := range idx {
+					idx[m] = make([]int32, nnz)
+					for e := range idx[m] {
+						idx[m][e] = int32(rng.Intn(rows))
+					}
+				}
+				got := randSpecialVec(n, rng)
+				want := append([]float64(nil), got...)
+				StreamAccum(got, vals, idx, facs)
+				fr := make([][]float64, k)
+				for e, v := range vals {
+					for m := range fr {
+						o := int(idx[m][e]) * n
+						fr[m] = facs[m][o : o+n]
+					}
+					HadamardAccum(want, v, fr)
+				}
+				for j := range got {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("n=%d k=%d nnz=%d: [%d] = %v, per-nonzero loop gives %v", n, k, nnz, j, got[j], want[j])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestArena(t *testing.T) {
 	a := NewArena(3, 2)
 	if a.Workers() != 3 {
@@ -299,6 +343,7 @@ func TestPrimitivesAllocFree(t *testing.T) {
 		HadamardAccumVec(dst, a, rows)
 		HadamardAccum(dst, 2, rows6)
 		HadamardAccumVec(dst, a, rows6)
+		StreamAccum(dst, a[:3], [][]int32{{0, 0, 0}, {0, 0, 0}}, rows)
 	}); n != 0 {
 		t.Errorf("primitives allocate %v/op", n)
 	}

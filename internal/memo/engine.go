@@ -34,19 +34,20 @@ type Engine struct {
 
 	rank int // R of the cached value matrices; 0 until the first MTTKRP
 
-	// Per-worker factor-row scratch for the fused Hadamard-accumulate
-	// kernel, sized workers × maxDelta at construction so the numeric
-	// phase allocates nothing.
+	// Per-worker scratch for the kernels, sized workers × maxDelta at
+	// construction so the numeric phase allocates nothing: factor rows for
+	// the fused Hadamard-accumulate kernel, index slices for the streamed
+	// one.
 	rowsBuf [][][]float64
+	idxBuf  [][][]tensor.Index
 	// Call-scoped compute inputs plus a method value bound once at
 	// construction: every compute passes the same func value to the
 	// scheduler instead of a fresh closure, keeping steady state at zero
 	// allocations.
-	curNode     *node
-	curDst      *dense.Matrix
-	curScatter  []tensor.Index
-	curFromRoot bool
-	body        func(worker, lo, hi int)
+	curNode    *node
+	curDst     *dense.Matrix
+	curScatter []tensor.Index
+	body       func(worker, lo, hi int)
 
 	// Privatized leaf accumulation: the scatter path above is already
 	// lock-free (distinct leaf elements own distinct output rows), but its
@@ -80,7 +81,9 @@ type Engine struct {
 	spanNames []string
 }
 
-// New builds the engine for the given strategy. name labels the engine in
+// New builds the engine for the given strategy with the zero Config's
+// defaults: no buffer retention and no root streaming, the layout that
+// never uses more memory than a budgeted plan. name labels the engine in
 // reports (e.g. "memo-binary"); an empty name defaults to "memo".
 func New(x *tensor.COO, strat *Strategy, workers int, name string) (*Engine, error) {
 	return NewWithConfig(x, strat, Config{Workers: workers, Name: name})
@@ -96,6 +99,14 @@ type Config struct {
 	// allocation. It carries the cost model's retention decision
 	// (model.Plan.Retain) rather than a user option.
 	RetainBuffers bool
+	// StreamRoot stores the reduction of every non-leaf child of the root
+	// as streamed tuples in reduction order (each nonzero's value and
+	// delta indices copied next to each other), so the contractions that
+	// read every nonzero run sequentially. It costs
+	// parentElems·(8 + 4·|δ| − 4) extra index bytes per such child and
+	// carries the cost model's decision (model.Plan.Stream); without it,
+	// and always for leaves, root children gather through redElems.
+	StreamRoot bool
 	// Accum is the output-accumulation policy for the leaf contraction
 	// (LockFree is forced on — the scatter baseline here takes no locks).
 	Accum accum.Config
@@ -112,7 +123,7 @@ func NewWithConfig(x *tensor.COO, strat *Strategy, cfg Config) (*Engine, error) 
 	}
 	e := &Engine{x: x, strat: strat, name: name, workers: cfg.Workers, retain: cfg.RetainBuffers}
 	start := time.Now()
-	e.root, e.all, e.leaves = buildTree(x, strat, cfg.Workers)
+	e.root, e.all, e.leaves = buildTree(x, strat, cfg.Workers, cfg.StreamRoot)
 	e.symbolicNS = time.Since(start).Nanoseconds()
 	maxDelta := 0
 	for _, t := range e.all {
@@ -126,8 +137,10 @@ func NewWithConfig(x *tensor.COO, strat *Strategy, cfg Config) (*Engine, error) 
 		w = par.MaxWorkers()
 	}
 	e.rowsBuf = make([][][]float64, w)
+	e.idxBuf = make([][][]tensor.Index, w)
 	for i := range e.rowsBuf {
 		e.rowsBuf[i] = make([][]float64, maxDelta)
+		e.idxBuf[i] = make([][]tensor.Index, maxDelta)
 	}
 	e.body = e.runChunk
 	acfg := cfg.Accum
@@ -289,7 +302,7 @@ func (e *Engine) MTTKRP(mode int, factors []*dense.Matrix, out *dense.Matrix) er
 	if workers <= 0 {
 		workers = par.MaxWorkers()
 	}
-	if e.res.Resolve(mode, out.Rows, int64(len(leaf.redElems)), r, workers) == accum.Privatize {
+	if e.res.Resolve(mode, out.Rows, int64(leaf.parent.nelem), r, workers) == accum.Privatize {
 		e.computePrivatized(leaf, factors, r, out, workers)
 	} else {
 		out.Zero()
@@ -325,34 +338,32 @@ func (e *Engine) ensure(t *node, factors []*dense.Matrix, r int) {
 // compute evaluates the contraction of the parent's semi-sparse tensor with
 // the delta-mode factor rows, reduced into t's elements. The inner loop is
 // the paper's TTM-through-Hadamard kernel, run through the shared fused
-// primitives: for each parent element, its R-row (or the broadcast scalar
-// nonzero value when the parent is the root) is multiplied by one factor
-// row per removed mode and accumulated into the owning destination row in
-// a single pass, with no temporary R-vector. When scatter is nil, element
-// i's row is dst.Row(i) (materializing t.vals); otherwise it is
-// dst.Row(scatter[i]) (the fused leaf-to-output scatter). Elements are
-// scheduled in reduction-weighted chunks; distinct elements own distinct
-// destination rows, so no synchronization is needed.
+// primitives (see reduceInto). When scatter is nil, element i's row is
+// dst.Row(i) (materializing t.vals); otherwise it is dst.Row(scatter[i])
+// (the fused leaf-to-output scatter). Elements are scheduled in
+// reduction-weighted chunks; distinct elements own distinct destination
+// rows, so no synchronization is needed.
 func (e *Engine) compute(t *node, factors []*dense.Matrix, r int, dst *dense.Matrix, scatter []tensor.Index) {
-	p := t.parent
-	for k, d := range t.delta {
-		t.facBuf[k] = factors[d]
-	}
-	e.curNode, e.curDst, e.curScatter, e.curFromRoot = t, dst, scatter, p.parent == nil
+	e.bindFactors(t, factors)
+	e.curNode, e.curDst, e.curScatter = t, dst, scatter
 	par.ForChunks(t.chunks, e.workers, e.body)
 	e.curNode, e.curDst, e.curScatter = nil, nil, nil
-	e.ctr.AddOps(int64(p.nelem) * int64(len(t.delta)+1) * int64(r))
+	e.ctr.AddOps(int64(t.parent.nelem) * int64(len(t.delta)+1) * int64(r))
+}
+
+// bindFactors fills t's factor scratch with the delta modes' row-major
+// factor data (row stride R).
+func (e *Engine) bindFactors(t *node, factors []*dense.Matrix) {
+	for k, d := range t.delta {
+		t.facData[k] = factors[d].Data
+	}
 }
 
 // runChunk processes one scheduled chunk of the current compute's child
 // elements on the given worker.
 func (e *Engine) runChunk(worker, lo, hi int) {
 	t := e.curNode
-	p := t.parent
-	dst, scatter, fromRoot := e.curDst, e.curScatter, e.curFromRoot
-	vals := e.x.Vals
-	rows := e.rowsBuf[worker]
-	k := len(t.delta)
+	dst, scatter := e.curDst, e.curScatter
 	for i := lo; i < hi; i++ {
 		var out []float64
 		if scatter == nil {
@@ -360,22 +371,52 @@ func (e *Engine) runChunk(worker, lo, hi int) {
 		} else {
 			out = dst.Row(int(scatter[i]))
 		}
-		for j := range out {
-			out[j] = 0
+		clear(out)
+		e.reduceInto(worker, t, out, t.redPtr[i], t.redPtr[i+1])
+	}
+}
+
+// reduceInto accumulates t's reduction entries [a, b), which all belong to
+// one element of t, into out. A streamed child of the root hands the whole
+// run to the streamed kernel: values and delta indices are contiguous in
+// reduction order. Otherwise each entry is gathered through redElems, and
+// its factor rows multiply the nonzero value (a child of the root whose
+// stream bytes the cost model declined) or the parent element's cached
+// R-row (deeper nodes). Every path adds the entries in reduction order with
+// the same association, so both layouts give the same bits.
+func (e *Engine) reduceInto(worker int, t *node, out []float64, a, b int64) {
+	p := t.parent
+	if t.sVals != nil {
+		idx := e.idxBuf[worker][:len(t.delta)]
+		for k := range idx {
+			idx[k] = t.sIdx[k][a:b]
 		}
-		for ei := t.redPtr[i]; ei < t.redPtr[i+1]; ei++ {
+		kernel.StreamAccum(out, t.sVals[a:b], idx, t.facData)
+		return
+	}
+	rows := e.rowsBuf[worker][:len(t.delta)]
+	if p.parent == nil {
+		vals := e.x.Vals
+		for ei := a; ei < b; ei++ {
 			pe := int(t.redElems[ei])
-			for kk := 0; kk < k; kk++ {
-				rows[kk] = t.facBuf[kk].Row(int(t.deltaIdx[kk][pe]))
-			}
-			if fromRoot {
-				// Single-pass v · Πf accumulate; with a single removed
-				// mode this is a bare out[j] += v·f[j] (no broadcast).
-				kernel.HadamardAccum(out, vals[pe], rows[:k])
-			} else {
-				kernel.HadamardAccumVec(out, p.vals.Row(pe), rows[:k])
-			}
+			gatherRows(t, rows, pe, len(out))
+			kernel.HadamardAccum(out, vals[pe], rows)
 		}
+		return
+	}
+	for ei := a; ei < b; ei++ {
+		pe := int(t.redElems[ei])
+		gatherRows(t, rows, pe, len(out))
+		kernel.HadamardAccumVec(out, p.vals.Row(pe), rows)
+	}
+}
+
+// gatherRows points rows[k] at the factor row of delta mode k that parent
+// element pe indexes.
+func gatherRows(t *node, rows [][]float64, pe, r int) {
+	for k := range rows {
+		o := int(t.deltaIdx[k][pe]) * r
+		rows[k] = t.facData[k][o : o+r]
 	}
 }
 
@@ -386,30 +427,23 @@ func (e *Engine) runChunk(worker, lo, hi int) {
 // tiled reduction. Mirrors compute's call-scoped-field pattern so the
 // steady state stays allocation-free.
 func (e *Engine) computePrivatized(t *node, factors []*dense.Matrix, r int, out *dense.Matrix, workers int) {
-	p := t.parent
-	for k, d := range t.delta {
-		t.facBuf[k] = factors[d]
-	}
+	e.bindFactors(t, factors)
 	e.pool.Begin(out.Rows, r)
-	e.curNode, e.curScatter, e.curFromRoot = t, t.inds[0], p.parent == nil
-	par.ForWorker(len(t.redElems), e.workers, e.privBody)
+	e.curNode, e.curScatter = t, t.inds[0]
+	par.ForWorker(t.parent.nelem, e.workers, e.privBody)
 	e.pool.Reduce(out, workers)
 	e.curNode, e.curScatter = nil, nil
-	e.ctr.AddOps(int64(p.nelem) * int64(len(t.delta)+1) * int64(r))
+	e.ctr.AddOps(int64(t.parent.nelem) * int64(len(t.delta)+1) * int64(r))
 }
 
 // runPrivChunk processes reduction entries [lo, hi) of the current
 // privatized leaf contraction on the given worker. The owning leaf element
 // of entry lo is found by binary search on the reduction pointer (hand
-// rolled: sort.Search's closure would allocate in this zero-alloc path) and
-// then advanced in step with the entries.
+// rolled: sort.Search's closure would allocate in this zero-alloc path);
+// the range is then reduced one element's run of entries at a time.
 func (e *Engine) runPrivChunk(worker, lo, hi int) {
 	t := e.curNode
-	p := t.parent
-	scatter, fromRoot := e.curScatter, e.curFromRoot
-	vals := e.x.Vals
-	rows := e.rowsBuf[worker]
-	k := len(t.delta)
+	scatter := e.curScatter
 	priv := e.pool.Acquire(worker)
 	// Greatest i with redPtr[i] <= lo: invariant redPtr[a] <= lo < redPtr[b].
 	a, b := 0, len(t.redPtr)-1
@@ -421,21 +455,10 @@ func (e *Engine) runPrivChunk(worker, lo, hi int) {
 			b = mid
 		}
 	}
-	i := a
-	for ei := lo; ei < hi; ei++ {
-		for int64(ei) >= t.redPtr[i+1] {
-			i++
-		}
-		out := priv.Row(int(scatter[i]))
-		pe := int(t.redElems[ei])
-		for kk := 0; kk < k; kk++ {
-			rows[kk] = t.facBuf[kk].Row(int(t.deltaIdx[kk][pe]))
-		}
-		if fromRoot {
-			kernel.HadamardAccum(out, vals[pe], rows[:k])
-		} else {
-			kernel.HadamardAccumVec(out, p.vals.Row(pe), rows[:k])
-		}
+	for i, ei := a, int64(lo); ei < int64(hi); i++ {
+		end := min(t.redPtr[i+1], int64(hi))
+		e.reduceInto(worker, t, priv.Row(int(scatter[i])), ei, end)
+		ei = end
 	}
 }
 

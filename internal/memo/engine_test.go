@@ -1,6 +1,8 @@
 package memo
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -32,30 +34,67 @@ func strategiesFor(n int) map[string]*Strategy {
 
 func TestSymbolicInvariants(t *testing.T) {
 	x := tensor.RandomClustered(4, 10, 800, 0.8, 51)
-	e, err := New(x, Balanced(4), 2, "")
-	if err != nil {
-		t.Fatal(err)
+	for _, s := range []*Strategy{Balanced(4), Flat(4), TwoGroup(4, 1)} {
+		for _, stream := range []bool{true, false} {
+			e, err := NewWithConfig(x, s, Config{Workers: 2, StreamRoot: stream})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSymbolic(t, x, e, stream)
+		}
 	}
+}
+
+// checkSymbolic verifies the symbolic structure of every node: the
+// reduction runs partition the parent's elements, the projected tuples are
+// sorted and distinct, and every parent element appears exactly once,
+// under the tuple it projects to — through redElems, or, for a streamed
+// non-leaf child of the root, as a stream entry carrying its value and
+// delta indices. Leaves never stream.
+func checkSymbolic(t *testing.T, x *tensor.COO, e *Engine, stream bool) {
+	t.Helper()
 	if e.root.nelem != x.NNZ() {
 		t.Fatalf("root elems = %d, want nnz %d", e.root.nelem, x.NNZ())
+	}
+	// Root element id of every nonzero's full index tuple (the tensor has
+	// no duplicate coordinates), to identify stream entries.
+	rootID := make(map[string]int32, x.NNZ())
+	tuple := make([]tensor.Index, x.Order())
+	key := func() string { return fmt.Sprint(tuple) }
+	for pe := 0; pe < x.NNZ(); pe++ {
+		for m := range tuple {
+			tuple[m] = x.Inds[m][pe]
+		}
+		if _, dup := rootID[key()]; dup {
+			t.Fatalf("test tensor has a duplicate coordinate %v", tuple)
+		}
+		rootID[key()] = int32(pe)
 	}
 	for _, nd := range e.all {
 		if nd.parent == nil {
 			continue
 		}
+		streamed := stream && nd.parent.parent == nil && nd.hi-nd.lo > 1
 		// Reduction sets partition [0, parent.nelem).
-		if nd.redPtr[0] != 0 || nd.redPtr[len(nd.redPtr)-1] != int64(nd.parent.nelem) {
+		if nd.redPtr[0] != 0 || nd.redPtr[len(nd.redPtr)-1] != int64(nd.parent.nelem) || len(nd.redPtr) != nd.nelem+1 {
 			t.Fatalf("node [%d,%d): reduction pointers do not span the parent", nd.lo, nd.hi)
 		}
-		if len(nd.redElems) != nd.parent.nelem {
-			t.Fatalf("node [%d,%d): redElems length %d != parent elems %d", nd.lo, nd.hi, len(nd.redElems), nd.parent.nelem)
-		}
-		seen := make([]bool, nd.parent.nelem)
-		for _, pe := range nd.redElems {
-			if seen[pe] {
-				t.Fatalf("node [%d,%d): parent element %d appears twice", nd.lo, nd.hi, pe)
+		entries := len(nd.redElems)
+		if streamed {
+			if nd.redElems != nil {
+				t.Fatalf("node [%d,%d): streamed root child keeps redElems", nd.lo, nd.hi)
 			}
-			seen[pe] = true
+			entries = len(nd.sVals)
+			for k := range nd.delta {
+				if len(nd.sIdx[k]) != entries {
+					t.Fatalf("node [%d,%d): sIdx[%d] length %d != %d values", nd.lo, nd.hi, k, len(nd.sIdx[k]), entries)
+				}
+			}
+		} else if nd.sVals != nil || nd.sIdx != nil {
+			t.Fatalf("node [%d,%d): streamed arrays on a non-streamed node", nd.lo, nd.hi)
+		}
+		if entries != nd.parent.nelem {
+			t.Fatalf("node [%d,%d): %d reduction entries != parent elems %d", nd.lo, nd.hi, entries, nd.parent.nelem)
 		}
 		// Projected tuples strictly increasing (sorted + deduplicated).
 		for i := 1; i < nd.nelem; i++ {
@@ -74,15 +113,39 @@ func TestSymbolicInvariants(t *testing.T) {
 				t.Fatalf("node [%d,%d): tuples not strictly increasing at %d", nd.lo, nd.hi, i)
 			}
 		}
-		// Each element's tuple matches every parent element in its set.
+		// Every parent element appears exactly once, under the element
+		// whose tuple it projects to.
+		seen := make([]bool, nd.parent.nelem)
 		for i := 0; i < nd.nelem; i++ {
-			for e := nd.redPtr[i]; e < nd.redPtr[i+1]; e++ {
-				pe := nd.redElems[e]
-				for k, m := 0, nd.lo; m < nd.hi; k, m = k+1, m+1 {
-					if nd.inds[k][i] != nd.parent.inds[m-nd.parent.lo][pe] {
-						t.Fatalf("node [%d,%d): element %d reduction mismatch", nd.lo, nd.hi, i)
+			for ei := nd.redPtr[i]; ei < nd.redPtr[i+1]; ei++ {
+				var pe int32
+				if streamed {
+					for m := nd.lo; m < nd.hi; m++ {
+						tuple[m] = nd.inds[m-nd.lo][i]
+					}
+					for k, d := range nd.delta {
+						tuple[d] = nd.sIdx[k][ei]
+					}
+					id, ok := rootID[key()]
+					if !ok {
+						t.Fatalf("node [%d,%d): stream entry %d has tuple %v, not a nonzero", nd.lo, nd.hi, ei, tuple)
+					}
+					if math.Float64bits(nd.sVals[ei]) != math.Float64bits(x.Vals[id]) {
+						t.Fatalf("node [%d,%d): stream entry %d value %v, nonzero %d has %v", nd.lo, nd.hi, ei, nd.sVals[ei], id, x.Vals[id])
+					}
+					pe = id
+				} else {
+					pe = nd.redElems[ei]
+					for k, m := 0, nd.lo; m < nd.hi; k, m = k+1, m+1 {
+						if nd.inds[k][i] != nd.parent.inds[m-nd.parent.lo][pe] {
+							t.Fatalf("node [%d,%d): element %d reduction mismatch", nd.lo, nd.hi, i)
+						}
 					}
 				}
+				if seen[pe] {
+					t.Fatalf("node [%d,%d): parent element %d appears twice", nd.lo, nd.hi, pe)
+				}
+				seen[pe] = true
 			}
 		}
 	}

@@ -10,12 +10,14 @@ import (
 // sort. Small modes (< 2^16) take one pass over dim buckets; larger modes
 // take two 16-bit passes. This replaces comparison sorting in the symbolic
 // phase, cutting its cost from O(E·log E·K) comparisons to O(E·K) moves.
-func sortByKeys(perm []int32, keys [][]tensor.Index, dims []int) {
+// The radix passes ping-pong between perm and one scratch buffer of the same
+// length, which is returned (contents unspecified) so the caller can reuse it.
+func sortByKeys(perm []int32, keys [][]tensor.Index, dims []int) []int32 {
+	scratch := make([]int32, len(perm))
 	if len(perm) < 2 {
-		return
+		return scratch
 	}
-	src := perm
-	dst := make([]int32, len(perm))
+	src, dst := perm, scratch
 	for k := len(keys) - 1; k >= 0; k-- {
 		key := keys[k]
 		dim := dims[k]
@@ -34,6 +36,7 @@ func sortByKeys(perm []int32, keys [][]tensor.Index, dims []int) {
 	if &src[0] != &perm[0] {
 		copy(perm, src)
 	}
+	return scratch
 }
 
 // countingPass stable-sorts src into dst by bucket(e) over nbuckets.

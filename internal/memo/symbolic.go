@@ -21,13 +21,23 @@ type node struct {
 
 	// Symbolic structure. inds[m-lo] is the index array of mode m over the
 	// node's nelem distinct projected tuples; for the root these alias the
-	// input tensor's arrays. redPtr/redElems (nil for the root) group the
-	// parent's element ids by the tuple of this node they project onto:
-	// parent elements redElems[redPtr[i]:redPtr[i+1]] reduce into element i.
+	// input tensor's arrays. redPtr (nil for the root) groups the parent's
+	// elements by the tuple of this node they project onto: reduction
+	// entries redPtr[i]:redPtr[i+1] reduce into element i. Below the first
+	// level an entry is a parent element id, redElems[e].
 	nelem    int
 	inds     [][]tensor.Index
 	redPtr   []int64
 	redElems []int32
+
+	// Streamed reduction of a non-leaf child of the root (nil otherwise, or
+	// when the engine does not stream): the entries' nonzero values and delta-mode
+	// indices copied into reduction order, sVals[e] = x.Vals[pe] and
+	// sIdx[k][e] = deltaIdx[k][pe] for the entry's root element pe. The
+	// contraction then reads every array sequentially instead of gathering
+	// through redElems.
+	sVals []float64
+	sIdx  [][]tensor.Index
 
 	// vals is the nelem × R semi-sparse value matrix; nil when invalidated.
 	// Leaf nodes never materialize vals: their contraction is fused with
@@ -43,13 +53,13 @@ type node struct {
 
 	// Kernel-layer state resolved once at build time so the numeric phase
 	// performs no per-call setup allocation: deltaIdx[k] is the parent's
-	// index array for mode delta[k], facBuf is the per-call factor-matrix
-	// scratch (filled at the top of each compute), and chunks holds the
-	// equal-weight chunk boundaries over this node's elements (weighted by
-	// reduction-group size via the redPtr prefix sums — the load-balanced
-	// schedule for skewed reductions).
+	// index array for mode delta[k], facData is the per-call factor scratch
+	// (the delta modes' row-major factor data, filled at the top of each
+	// compute), and chunks holds the equal-weight chunk boundaries over
+	// this node's elements (weighted by reduction-group size via the redPtr
+	// prefix sums — the load-balanced schedule for skewed reductions).
 	deltaIdx [][]tensor.Index
-	facBuf   []*dense.Matrix
+	facData  [][]float64
 	chunks   []int
 
 	// id is the node's index in the engine's pre-order list, assigned at
@@ -62,7 +72,11 @@ type node struct {
 // its parent, so breadth-first order exposes the natural coarse parallelism
 // of the preprocessing). Returns the root, all nodes in breadth-first
 // order, and the leaf for each mode.
-func buildTree(x *tensor.COO, strat *Strategy, workers int) (root *node, all []*node, leaves []*node) {
+// With stream set, the children of the root that are not leaves store
+// their reduction as streamed tuples (sVals/sIdx) in place of redElems.
+// Leaves keep redElems: a streamed leaf costs the most bytes (every other
+// mode's index per nonzero) and did not measure faster.
+func buildTree(x *tensor.COO, strat *Strategy, workers int, stream bool) (root *node, all []*node, leaves []*node) {
 	n := x.Order()
 	w := workers
 	if w <= 0 {
@@ -101,8 +115,9 @@ func buildTree(x *tensor.COO, strat *Strategy, workers int) (root *node, all []*
 			}
 		}
 		par.For(len(nodes), workers, func(i int) {
-			buildSymbolic(nodes[i], x.Dims)
-			finalizeNode(nodes[i], w)
+			c := nodes[i]
+			buildSymbolic(c, x.Dims, stream && c.parent == root && c.hi-c.lo > 1, x.Vals)
+			finalizeNode(c, w)
 		})
 		level = next
 	}
@@ -110,27 +125,29 @@ func buildTree(x *tensor.COO, strat *Strategy, workers int) (root *node, all []*
 }
 
 // finalizeNode resolves the kernel-layer state of a freshly built node: the
-// delta-mode index arrays (stable for the life of the engine — parent inds
-// are built once and never reallocated), the factor scratch, and the
-// nnz-weighted chunk boundaries used by the load-balanced scheduler
-// (workers × 8 chunks of roughly equal reduction weight).
+// factor scratch and the nnz-weighted chunk boundaries used by the
+// load-balanced scheduler (workers × 8 chunks of roughly equal reduction
+// weight).
 func finalizeNode(c *node, workers int) {
-	p := c.parent
-	c.deltaIdx = make([][]tensor.Index, len(c.delta))
-	for k, d := range c.delta {
-		c.deltaIdx[k] = p.inds[d-p.lo]
-	}
-	c.facBuf = make([]*dense.Matrix, len(c.delta))
+	c.facData = make([][]float64, len(c.delta))
 	c.chunks = par.WeightedBounds(c.redPtr, workers*8)
 }
 
 // buildSymbolic computes the symbolic projection of c's parent onto
 // [c.lo, c.hi): sort the parent's elements by their projected index tuple
 // (LSD radix), collapse duplicates into distinct child elements, and record
-// the grouping as the reduction mapping.
-func buildSymbolic(c *node, dims []int) {
+// the grouping as the reduction mapping — as redElems, or, with stream set
+// (c is a child of the root), as streamed tuples gathered from the nonzero
+// values rootVals.
+func buildSymbolic(c *node, dims []int, stream bool, rootVals []float64) {
 	p := c.parent
 	lo, hi := c.lo, c.hi
+	// The delta-mode index arrays are stable for the life of the engine:
+	// parent inds are built once and never reallocated.
+	c.deltaIdx = make([][]tensor.Index, len(c.delta))
+	for k, d := range c.delta {
+		c.deltaIdx[k] = p.inds[d-p.lo]
+	}
 	// Key arrays: the parent's index arrays for the child's modes.
 	keys := make([][]tensor.Index, hi-lo)
 	for m := lo; m < hi; m++ {
@@ -140,7 +157,7 @@ func buildSymbolic(c *node, dims []int) {
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	sortByKeys(perm, keys, dims[lo:hi])
+	scratch := sortByKeys(perm, keys, dims[lo:hi])
 	sameKey := func(a, b int32) bool {
 		for _, key := range keys {
 			if key[a] != key[b] {
@@ -149,21 +166,53 @@ func buildSymbolic(c *node, dims []int) {
 		}
 		return true
 	}
-	c.inds = make([][]tensor.Index, hi-lo)
-	c.redElems = perm
-	c.redPtr = append(c.redPtr, 0)
-	for i := 0; i < len(perm); i++ {
+	// One pass over the sorted permutation finds where each distinct tuple
+	// starts. The starts go into the radix scratch (free until streaming
+	// reuses it), so every array below is allocated once at its exact size.
+	starts := scratch[:0]
+	for i := range perm {
 		if i == 0 || !sameKey(perm[i-1], perm[i]) {
-			if i > 0 {
-				c.redPtr = append(c.redPtr, int64(i))
-			}
-			for k, key := range keys {
-				c.inds[k] = append(c.inds[k], key[perm[i]])
-			}
+			starts = append(starts, int32(i))
 		}
 	}
-	c.redPtr = append(c.redPtr, int64(len(perm)))
-	c.nelem = len(c.inds[0])
+	c.nelem = len(starts)
+	c.inds = make([][]tensor.Index, hi-lo)
+	for k := range c.inds {
+		c.inds[k] = make([]tensor.Index, c.nelem)
+	}
+	c.redPtr = make([]int64, c.nelem+1)
+	for el, i := range starts {
+		c.redPtr[el] = int64(i)
+		for k, key := range keys {
+			c.inds[k][el] = key[perm[i]]
+		}
+	}
+	c.redPtr[c.nelem] = int64(len(perm))
+	if !stream {
+		c.redElems = perm
+		return
+	}
+	// Stream the reduction. The two buffers the sort leaves behind become
+	// index arrays: sIdx[0] is written over perm itself (each entry after
+	// its own read) and the radix scratch becomes sIdx[1].
+	c.sVals = make([]float64, len(perm))
+	c.sIdx = make([][]tensor.Index, len(c.delta))
+	for k := range c.sIdx {
+		switch k {
+		case 0:
+			c.sIdx[k] = perm
+		case 1:
+			c.sIdx[k] = scratch
+		default:
+			c.sIdx[k] = make([]tensor.Index, len(perm))
+		}
+	}
+	for e, pe := range perm {
+		c.sVals[e] = rootVals[pe]
+		for k, idx := range c.sIdx {
+			idx[e] = c.deltaIdx[k][pe]
+		}
+	}
 }
 
 // indexBytes returns the symbolic storage of the node (index arrays plus
@@ -176,7 +225,10 @@ func (t *node) indexBytes() int64 {
 	for _, ind := range t.inds {
 		b += int64(len(ind)) * 4
 	}
-	b += int64(len(t.redPtr))*8 + int64(len(t.redElems))*4
+	b += int64(len(t.redPtr))*8 + int64(len(t.redElems))*4 + int64(len(t.sVals))*8
+	for _, ind := range t.sIdx {
+		b += int64(len(ind)) * 4
+	}
 	return b
 }
 

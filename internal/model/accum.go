@@ -31,16 +31,13 @@ func (c Coeffs) AccumCosts() accum.Costs {
 // <= 0 leaves the table with the default parallel width of 1 worker — the
 // privatized path never wins there, which is the correct degenerate answer.
 // The privatized footprint is budgeted against what the chosen candidate
-// leaves free: Budget − (index + value bytes), where the value bytes are
-// the retained sum when the plan retains and the two-path peak otherwise.
+// leaves free: Budget − (index + value + stream bytes), where the value
+// bytes are the retained sum when the plan retains and the two-path peak
+// otherwise, and stream bytes count only when the plan streams.
 func fillAccum(p *Plan, workers int, c accum.Costs) {
 	slack := int64(0)
 	if p.Budget > 0 {
-		vals := p.Chosen.Pred.PeakValueBytes
-		if p.Retain {
-			vals = p.Chosen.Pred.RetainedValueBytes
-		}
-		slack = p.Budget - (p.Chosen.Pred.IndexBytes + vals)
+		slack = p.Budget - p.AuxBytes()
 		if slack < 1 {
 			slack = 1 // spent budget: any footprint is infeasible
 		}

@@ -27,6 +27,12 @@ type Prediction struct {
 	// non-leaf node allocated across sweeps: the sum of all their value
 	// matrices. It is at least PeakValueBytes.
 	RetainedValueBytes int64
+	// StreamBytes is the extra symbolic storage of streaming the non-leaf
+	// children of the root: each stores its reduction as the nonzeros' values
+	// (8 bytes) and delta indices (4 bytes × |δ|) in reduction order, in
+	// place of the reduction element array (4 bytes), so it costs
+	// parentElems · (8 + 4·|δ| − 4) bytes on top of IndexBytes.
+	StreamBytes int64
 }
 
 // Predict evaluates the cost model for a strategy at the given rank, using
@@ -50,6 +56,9 @@ func Predict(est *Estimator, s *memo.Strategy, rank int) Prediction {
 			delta := int64(node.Span() - c.Span())
 			p.Ops += parentElems * (delta + 1) * int64(rank)
 			p.IndexBytes += ce*int64(c.Span())*4 + parentElems*4 + (ce+1)*8
+			if node == s && !c.IsLeaf() {
+				p.StreamBytes += parentElems * (8 + 4*delta - 4)
+			}
 			if !c.IsLeaf() {
 				b := ce * int64(rank) * 8
 				lives = append(lives, liveNode{c.Lo, c.Hi, b})

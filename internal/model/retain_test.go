@@ -65,6 +65,60 @@ func TestRetainTightBudget(t *testing.T) {
 	}
 }
 
+// Streaming is decided after retention, against the value bytes retention
+// leaves: the budget must hold index + value + stream bytes, where the value
+// bytes are the retained sum when the plan retains and the two-path peak
+// otherwise. It never changes the choice. Once the plan streams, the
+// privatized footprint gets only what the stream bytes leave.
+func TestStreamBudget(t *testing.T) {
+	x := order8()
+	free := Select(x, Options{Rank: 8, Workers: 4})
+	c := free.Chosen.Pred
+	if !free.Stream || c.StreamBytes <= 0 {
+		t.Fatalf("unbounded plan: stream %v, %d stream bytes", free.Stream, c.StreamBytes)
+	}
+	if c.PeakValueBytes+c.StreamBytes < c.RetainedValueBytes || c.PeakValueBytes == c.RetainedValueBytes {
+		t.Fatalf("fixture: peak %d + stream %d must reach the retained sum %d, which must exceed the peak",
+			c.PeakValueBytes, c.StreamBytes, c.RetainedValueBytes)
+	}
+	for _, tc := range []struct {
+		budget         int64
+		retain, stream bool
+	}{
+		{c.IndexBytes + c.RetainedValueBytes - 1, false, false},
+		// Fits the peak plus the stream, but that budget retains, and the
+		// retained sum plus the stream does not fit.
+		{c.IndexBytes + c.PeakValueBytes + c.StreamBytes, true, false},
+		{c.IndexBytes + c.RetainedValueBytes + c.StreamBytes - 1, true, false},
+		{c.IndexBytes + c.RetainedValueBytes + c.StreamBytes, true, true},
+	} {
+		p := Select(x, Options{Rank: 8, Workers: 4, Budget: tc.budget})
+		if p.BudgetFallback || p.Chosen.Name != free.Chosen.Name {
+			t.Errorf("budget %d: chose %s (fallback %v), want the unbounded choice %s",
+				tc.budget, p.Chosen.Name, p.BudgetFallback, free.Chosen.Name)
+		}
+		if p.Retain != tc.retain || p.Stream != tc.stream {
+			t.Errorf("budget %d: Retain %v Stream %v, want %v %v", tc.budget, p.Retain, p.Stream, tc.retain, tc.stream)
+		}
+	}
+	foot := free.Accum[0].FootprintBytes
+	for _, tc := range []struct {
+		budget   int64
+		feasible bool
+	}{
+		{c.IndexBytes + c.RetainedValueBytes + c.StreamBytes + foot, true},
+		{c.IndexBytes + c.RetainedValueBytes + c.StreamBytes + foot - 1, false},
+	} {
+		p := Select(x, Options{Rank: 8, Workers: 4, Budget: tc.budget})
+		if !p.Stream {
+			t.Fatalf("budget %d: plan does not stream", tc.budget)
+		}
+		if got := p.Accum[0].Feasible; got != tc.feasible {
+			t.Errorf("budget %d: mode 0 privatized footprint %d feasible = %v, want %v", tc.budget, foot, got, tc.feasible)
+		}
+	}
+}
+
 // When the plan retains, the privatized footprint gets only the budget left
 // after the retained bytes: a budget of index + retained + F fits mode 0's
 // footprint F exactly, and one byte less does not.

@@ -57,6 +57,12 @@ type Plan struct {
 	// chosen candidate's index plus retained value bytes fit it. Decided
 	// after the choice, so it never changes which tree is picked.
 	Retain bool
+	// Stream reports that the non-leaf children of the root store their
+	// reduction as streamed tuples (Prediction.StreamBytes): the budget is
+	// unbounded, or index bytes, value bytes (retained or peak, following
+	// Retain) and stream bytes fit it. Decided after Retain and, like it,
+	// never changes the tree.
+	Stream bool
 }
 
 // Options configures Select.
@@ -157,17 +163,40 @@ func SelectWithEstimator(est *Estimator, opt Options) *Plan {
 	if plan.Workers <= 0 {
 		plan.Workers = par.MaxWorkers()
 	}
-	plan.decideRetain()
+	plan.decideBuffers()
 	fillAccum(plan, plan.Workers, accum.DefaultCosts)
 	applyAccumOverride(plan, opt.Accum)
 	return plan
 }
 
-// decideRetain sets Retain for the chosen candidate: retaining costs its
-// retained value bytes instead of the two-path peak.
-func (p *Plan) decideRetain() {
+// decideBuffers sets Retain and then Stream for the chosen candidate:
+// retaining costs its retained value bytes instead of the two-path peak,
+// and streaming costs its stream bytes on top of the value bytes the
+// retention decision leaves.
+func (p *Plan) decideBuffers() {
 	pred := p.Chosen.Pred
 	p.Retain = p.Budget <= 0 || pred.IndexBytes+pred.RetainedValueBytes <= p.Budget
+	p.Stream = p.Budget <= 0 || pred.IndexBytes+p.valueBytes()+pred.StreamBytes <= p.Budget
+}
+
+// valueBytes is the chosen candidate's value storage under the retention
+// decision: the retained sum when the plan retains, else the two-path peak.
+func (p *Plan) valueBytes() int64 {
+	if p.Retain {
+		return p.Chosen.Pred.RetainedValueBytes
+	}
+	return p.Chosen.Pred.PeakValueBytes
+}
+
+// AuxBytes is the chosen engine's predicted auxiliary memory under the
+// plan's buffer decisions: index bytes, value bytes, and stream bytes when
+// it streams.
+func (p *Plan) AuxBytes() int64 {
+	b := p.Chosen.Pred.IndexBytes + p.valueBytes()
+	if p.Stream {
+		b += p.Chosen.Pred.StreamBytes
+	}
+	return b
 }
 
 // applyAccumOverride pins every mode's accumulation strategy to a forced
@@ -266,6 +295,7 @@ func (p *Plan) String() string {
 		fmt.Fprintf(&b, "budget fallback: no candidate fits %s; chose the smallest footprint\n", fmtBytes(p.Budget))
 	}
 	fmt.Fprintf(&b, "retain buffers: %v (retained value bytes %s)\n", p.Retain, fmtBytes(p.Chosen.Pred.RetainedValueBytes))
+	fmt.Fprintf(&b, "stream root children: %v (stream bytes %s)\n", p.Stream, fmtBytes(p.Chosen.Pred.StreamBytes))
 	if len(p.Accum) > 0 {
 		fmt.Fprintf(&b, "accum (workers=%d):\n", p.Workers)
 		fmt.Fprintf(&b, "  %-6s %10s %-10s %12s %12s %12s %s\n",

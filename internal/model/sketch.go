@@ -12,7 +12,7 @@
 package model
 
 import (
-	"sort"
+	"slices"
 )
 
 // mix64 is the splitmix64 finalizer, a strong 64-bit mixing function.
@@ -32,15 +32,16 @@ func mix64(x uint64) uint64 {
 type kmv struct {
 	k      int
 	seen   map[uint64]struct{}
-	thresh uint64 // hashes >= thresh are ignored (cannot be in the bottom k)
-	exact  bool   // true while the sketch has never overflowed
+	hs     []uint64 // compaction and estimate scratch, reused across calls
+	thresh uint64   // hashes >= thresh are ignored (cannot be in the bottom k)
+	exact  bool     // true while the sketch has never overflowed
 }
 
 func newKMV(k int) *kmv {
 	if k < 16 {
 		k = 16
 	}
-	return &kmv{k: k, seen: make(map[uint64]struct{}, 2*k), thresh: ^uint64(0), exact: true}
+	return &kmv{k: k, seen: make(map[uint64]struct{}, 2*k+1), thresh: ^uint64(0), exact: true}
 }
 
 // offer adds one hash to the sketch.
@@ -57,16 +58,24 @@ func (s *kmv) offer(h uint64) {
 	}
 }
 
-// compact trims the retained set back to the k smallest hashes.
-func (s *kmv) compact() {
-	hs := make([]uint64, 0, len(s.seen))
+// sorted returns the retained hashes in increasing order, in the reused
+// scratch slice.
+func (s *kmv) sorted() []uint64 {
+	s.hs = s.hs[:0]
 	for h := range s.seen {
-		hs = append(hs, h)
+		s.hs = append(s.hs, h)
 	}
-	sort.Slice(hs, func(a, b int) bool { return hs[a] < hs[b] })
-	hs = hs[:s.k]
+	slices.Sort(s.hs)
+	return s.hs
+}
+
+// compact trims the retained set back to the k smallest hashes. The map is
+// cleared and refilled rather than replaced, so a warm sketch compacts
+// without allocating.
+func (s *kmv) compact() {
+	hs := s.sorted()[:s.k]
 	s.thresh = hs[len(hs)-1] + 1
-	s.seen = make(map[uint64]struct{}, 2*s.k)
+	clear(s.seen)
 	for _, h := range hs {
 		s.seen[h] = struct{}{}
 	}
@@ -78,12 +87,7 @@ func (s *kmv) estimate() int64 {
 	if s.exact || len(s.seen) < s.k {
 		return int64(len(s.seen))
 	}
-	hs := make([]uint64, 0, len(s.seen))
-	for h := range s.seen {
-		hs = append(hs, h)
-	}
-	sort.Slice(hs, func(a, b int) bool { return hs[a] < hs[b] })
-	kth := hs[s.k-1]
+	kth := s.sorted()[s.k-1]
 	if kth == 0 {
 		return int64(s.k)
 	}

@@ -182,11 +182,11 @@ func SelectByTime(x *tensor.COO, opt Options, c Coeffs) *Plan {
 			}
 		}
 	}
-	// Retention and the accumulation table depend on the chosen
+	// The buffer decisions and the accumulation table depend on the chosen
 	// candidate's footprint (budget slack), and the table now has
 	// calibrated coefficients available — recompute both against the
 	// time-ranked choice.
-	plan.decideRetain()
+	plan.decideBuffers()
 	fillAccum(plan, plan.Workers, c.AccumCosts())
 	applyAccumOverride(plan, opt.Accum)
 	return plan

@@ -49,12 +49,15 @@ go test -race -count=1 -run 'TestSwamp|TestServerIters' ./internal/health/ ./int
 # construction.
 go test -race -count=1 -run 'TestDistRun|TestDistFault|TestDistributedALS|TestTransport' ./internal/dist/
 
-# The TCP frame decoder parses bytes from peers, and the model and
-# checkpoint decoders parse files: a short fuzz run of each on every CI pass
-# (the `make fuzz` target runs them longer).
+# The TCP frame decoder parses bytes from peers, and the model, checkpoint
+# and decision-ledger decoders parse files: a short fuzz run of each on every
+# CI pass (the `make fuzz` target runs them longer). The checkpoint run caps
+# minimization (Go's default budget is 60 s per new input), so its seconds go
+# to new inputs.
 go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 10s ./internal/dist/
 go test -run '^$' -fuzz '^FuzzReadModel$' -fuzztime 10s ./internal/cpd/
-go test -run '^$' -fuzz '^FuzzCheckpointRead$' -fuzztime 10s ./internal/ckpt/
+go test -run '^$' -fuzz '^FuzzCheckpointRead$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ckpt/
+go test -run '^$' -fuzz '^FuzzValidateLedger$' -fuzztime 10s ./internal/audit/
 
 make bench-smoke
 make obs-smoke
