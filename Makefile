@@ -75,6 +75,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadModel$$' -fuzztime 30s ./internal/cpd/
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRead$$' -fuzztime 30s ./internal/ckpt/
 	$(GO) test -run '^$$' -fuzz '^FuzzValidateLedger$$' -fuzztime 30s ./internal/audit/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 30s ./internal/perf/
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamAccum$$' -fuzztime 30s ./internal/kernel/
 
 experiments:
 	$(GO) run ./cmd/adabench

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -599,6 +601,78 @@ func TestDistRunCtxCancel(t *testing.T) {
 		}
 		if n := runtime.NumGoroutine(); n > before {
 			t.Errorf("%s: %d goroutines after close, %d before the run", name, n, before)
+		}
+	}
+}
+
+// corruptFirst is a transport that passes one message, the first that
+// match accepts, through corrupt on its way: a faulty or hostile peer. The
+// corruption edits a copy, never the sender's buffers or plan.
+type corruptFirst struct {
+	dist.Transport
+	match   func(*dist.Message) bool
+	corrupt func(*dist.Message)
+	done    atomic.Bool
+}
+
+func (c *corruptFirst) Send(m *dist.Message) error {
+	if !c.match(m) || !c.done.CompareAndSwap(false, true) {
+		return c.Transport.Send(m)
+	}
+	bad := *m
+	bad.Rows = slices.Clone(m.Rows)
+	c.corrupt(&bad)
+	return c.Transport.Send(&bad)
+}
+
+// TestDistRunRejectsBadMessage: at P = 2 over the chan transport, a fold
+// naming a row the receiver does not own, a fold or expand payload one
+// value short, an expand naming a row past the mode's last, and a short
+// all-reduce partial each end the run with dist.ErrBadMessage: no panic,
+// no sum into the wrong row, and no goroutine left behind.
+func TestDistRunRejectsBadMessage(t *testing.T) {
+	x, opt := conformanceFixture(t)
+	// Fine grain: it is the partition under which process 1 owns a row
+	// another process folds to it, so a fold can name a foreign row.
+	c := dist.NewCluster(x, dist.FineGrainGreedyPartition(x, 2, 2), cooFactory)
+	// foreign returns a row of m's mode that m's receiver does not own, or −1.
+	foreign := func(m *dist.Message) int {
+		return slices.IndexFunc(c.Owners.Owner[m.Mode], func(q int32) bool { return int(q) != m.To })
+	}
+	kind := func(k dist.MsgKind) func(*dist.Message) bool {
+		return func(m *dist.Message) bool { return m.Kind == k }
+	}
+	short := func(m *dist.Message) { m.Data = m.Data[:len(m.Data)-1] }
+	cases := []struct {
+		name    string
+		match   func(*dist.Message) bool
+		corrupt func(*dist.Message)
+	}{
+		{"foreign fold row",
+			func(m *dist.Message) bool { return m.Kind == dist.MsgFold && foreign(m) >= 0 },
+			func(m *dist.Message) { m.Rows[0] = int32(foreign(m)) }},
+		{"short fold payload", kind(dist.MsgFold), short},
+		{"short expand payload", kind(dist.MsgExpand), short},
+		{"expand row past dim", kind(dist.MsgExpand), func(m *dist.Message) { m.Rows[0] = int32(x.Dims[m.Mode]) }},
+		{"short all-reduce", kind(dist.MsgReduce), short},
+	}
+	for _, tc := range cases {
+		before := runtime.NumGoroutine()
+		tr := &corruptFirst{Transport: dist.NewChanTransport(2), match: tc.match, corrupt: tc.corrupt}
+		_, err := cpd.RunDist(x, c, tr, opt)
+		tr.Close()
+		if !tr.done.Load() {
+			t.Fatalf("%s: the run sent no message to corrupt", tc.name)
+		}
+		if !errors.Is(err, dist.ErrBadMessage) {
+			t.Errorf("%s: want dist.ErrBadMessage, got %v", tc.name, err)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("%s: %d goroutines after the run, %d before", tc.name, n, before)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -10,6 +11,24 @@ import (
 	"adatm/internal/obs"
 	"adatm/internal/tensor"
 )
+
+// ErrBadMessage reports a received message that does not carry what the
+// exchange plan says its sender sends: exactly the plan's row list, and
+// exactly one payload value per row and rank column (for a fold or an
+// expand) or per element of the all-reduced vector (for a reduce or a
+// broadcast). The error wrapping it names the sender, kind, mode and
+// iteration.
+var ErrBadMessage = errors.New("dist: malformed message")
+
+// checkMessage returns an ErrBadMessage error unless msg carries exactly
+// rows and n values. It compares in place and allocates nothing on success.
+func checkMessage(msg *Message, rows []int32, n int) error {
+	if slices.Equal(msg.Rows, rows) && len(msg.Data) == n {
+		return nil
+	}
+	return fmt.Errorf("%w: %s from process %d, mode %d, iteration %d: %d rows and %d values, want %d rows and %d values",
+		ErrBadMessage, msg.Kind, msg.From, msg.Mode, msg.Iter, len(msg.Rows), len(msg.Data), len(rows), n)
+}
 
 // Exchange is the row-exchange protocol of one sharded CP-ALS run: the
 // symbolic schedule of which rows each process folds to which owner, the
@@ -194,7 +213,10 @@ func (b *inbox) recvMatch(kind MsgKind, tag uint8, mode, iter, from int) (*Messa
 // the transport itself does: the Transport contract lets a sender reuse a
 // payload as soon as Send returns, and every received message is released
 // back to a transport with the Release facet once it has been consumed (a
-// message stashed for a later phase stays unreleased until then).
+// message stashed for a later phase stays unreleased until then). Every
+// received message is checked against the plan before it is read: one that
+// does not carry its sender's planned rows and payload length ends the run
+// with ErrBadMessage, rather than a panic or a sum into the wrong row.
 type Endpoint struct {
 	ex       *Exchange
 	id       int
@@ -277,11 +299,15 @@ func (p *Endpoint) Reduce(mode, iter int, m, u *dense.Matrix) (*dense.Matrix, *d
 	clear(fb)
 	for q := range p.incoming {
 		p.incoming[q] = nil
-		if q == p.id || len(plan.fold[mode][q][p.id]) == 0 {
+		rows := plan.fold[mode][q][p.id]
+		if q == p.id || len(rows) == 0 {
 			continue
 		}
 		msg, err := p.inbox.recvMatch(MsgFold, 0, mode, iter, q)
 		if err != nil {
+			return nil, nil, err
+		}
+		if err := checkMessage(msg, rows, len(rows)*r); err != nil {
 			return nil, nil, err
 		}
 		p.incoming[q] = msg
@@ -334,6 +360,9 @@ func (p *Endpoint) Expand(mode, iter int, own, u *dense.Matrix) error {
 		if err != nil {
 			return err
 		}
+		if err := checkMessage(msg, rows, len(rows)*r); err != nil {
+			return err
+		}
 		for k, i := range msg.Rows {
 			copy(u.Row(int(i)), msg.Data[k*r:(k+1)*r])
 		}
@@ -360,6 +389,9 @@ func (p *Endpoint) AllReduce(v []float64, tag uint8, mode, iter int) error {
 		if err != nil {
 			return err
 		}
+		if err := checkMessage(msg, nil, len(v)); err != nil {
+			return err
+		}
 		copy(v, msg.Data)
 		p.release(msg)
 		return nil
@@ -367,6 +399,9 @@ func (p *Endpoint) AllReduce(v []float64, tag uint8, mode, iter int) error {
 	for q := 1; q < P; q++ {
 		msg, err := p.inbox.recvMatch(MsgReduce, tag, mode, iter, q)
 		if err != nil {
+			return err
+		}
+		if err := checkMessage(msg, nil, len(v)); err != nil {
 			return err
 		}
 		for j := range v {

@@ -173,7 +173,8 @@ func newStreamBench(r, k, nnz int) *streamBench {
 	return sb
 }
 
-// BenchmarkKernelStreamAccum compares the streamed kernel against one
+// BenchmarkKernelStreamAccum compares the streamed kernel as dispatched
+// (streamed: the AVX2 body on a CPU with AVX2), its portable body, and one
 // HadamardAccum call per nonzero over the same arrays (the factor rows
 // gathered through the indices), at R = 16 and one to three factors: the
 // memo engine's first-level contraction before and after streaming. Run
@@ -182,19 +183,24 @@ func BenchmarkKernelStreamAccum(b *testing.B) {
 	const r, nnz = 16, 1 << 14
 	for k := 1; k <= 3; k++ {
 		sb := newStreamBench(r, k, nnz)
-		b.Run(fmt.Sprintf("r%d/k%d/streamed", r, k), func(b *testing.B) {
-			b.ReportAllocs()
-			idx := make([][]int32, k)
-			for i := 0; i < b.N; i++ {
-				for g := 0; g+1 < len(sb.ptr); g++ {
-					lo, hi := sb.ptr[g], sb.ptr[g+1]
-					for m := range idx {
-						idx[m] = sb.idx[m][lo:hi]
+		for _, body := range []struct {
+			name string
+			fn   func(dst, vals []float64, idx [][]int32, facs [][]float64)
+		}{{"streamed", StreamAccum}, {"portable", streamAccumGeneric}} {
+			b.Run(fmt.Sprintf("r%d/k%d/%s", r, k, body.name), func(b *testing.B) {
+				b.ReportAllocs()
+				idx := make([][]int32, k)
+				for i := 0; i < b.N; i++ {
+					for g := 0; g+1 < len(sb.ptr); g++ {
+						lo, hi := sb.ptr[g], sb.ptr[g+1]
+						for m := range idx {
+							idx[m] = sb.idx[m][lo:hi]
+						}
+						body.fn(sb.dst[g*r:(g+1)*r], sb.vals[lo:hi], idx, sb.facs)
 					}
-					StreamAccum(sb.dst[g*r:(g+1)*r], sb.vals[lo:hi], idx, sb.facs)
 				}
-			}
-		})
+			})
+		}
 		b.Run(fmt.Sprintf("r%d/k%d/per-nonzero", r, k), func(b *testing.B) {
 			b.ReportAllocs()
 			rows := make([][]float64, k)

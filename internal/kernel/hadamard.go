@@ -26,6 +26,23 @@ package kernel
 // at a time into a stack-local block of the running product
 // (hadamardBlocked): a single loop with an inner loop over the rows for
 // each j is markedly slower than the chain it replaces.
+//
+// StreamAccum has two bodies. The portable one (streamAccumGeneric) takes
+// the columns in blocks of 8, then 4, then one at a time. On amd64, when
+// CPUID reports AVX2 and XCR0 shows the OS saving the YMM state (hasAVX2,
+// set once at package initialization), an assembly body runs instead
+// (stream_amd64.s): blocks of 16 columns in four YMM accumulators, loaded
+// from dst once per block and stored once, then blocks of 4, then a scalar
+// tail. Per nonzero it broadcasts the value, multiplies it by the first
+// factor's row and then by each later row in k order (VMULPD), and adds
+// the product once (VADDPD). Each lane thus does for its column exactly
+// the IEEE multiplies and add of the portable body, in the same order and
+// with no fused multiply-add, so the two bodies agree bit for bit. Bounds:
+// the Go wrapper checks the factor and index counts and the index lengths;
+// the assembly checks every row, idx·R·8 + blockEnd ≤ len(facs[k])·8,
+// with the index loaded zero-extended, so a negative index becomes a huge
+// row and fails the check instead of reading before the factor. A failed
+// check returns false, and the wrapper panics as the portable body would.
 
 // HadamardAccum writes dst[j] += v · Π_k rows[k][j] in one pass: the
 // broadcast of the scalar, the k Hadamard multiplies, and the accumulation
@@ -219,7 +236,8 @@ func accumVec4(dst, base, a, b, c, e []float64) {
 	}
 }
 
-// StreamAccum writes dst[j] += Σ_e vals[e] · Π_k facs[k][idx[k][e]·R + j]
+// streamAccumGeneric is StreamAccum's portable body, and the reference for
+// its AVX2 body. It writes dst[j] += Σ_e vals[e] · Π_k facs[k][idx[k][e]·R + j]
 // with R = len(dst): one reduction group of nonzeros, taken in order e, each
 // contributing its value times one row per factor. facs[k] is a row-major
 // factor matrix with row stride R, and idx[k] holds the nonzeros' row
@@ -233,7 +251,7 @@ func accumVec4(dst, base, a, b, c, e []float64) {
 // each block keeps its accumulators and running products in local
 // variables across the whole group, so dst is loaded and stored once per
 // block instead of once per nonzero. One body serves every factor count.
-func StreamAccum(dst, vals []float64, idx [][]int32, facs [][]float64) {
+func streamAccumGeneric(dst, vals []float64, idx [][]int32, facs [][]float64) {
 	r := len(dst)
 	k := len(facs)
 	j := 0

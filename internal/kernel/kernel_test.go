@@ -227,48 +227,213 @@ func TestHadamardAccumVec(t *testing.T) {
 	}
 }
 
-// TestStreamAccum pins the streamed kernel bit for bit to one HadamardAccum
-// call per nonzero, in nonzero order, at 1–6 factors and reduction groups of
-// 0–9 nonzeros: the 8- and 4-column blocks and the scalar tail, with signed
-// zeros and extremes in the values and the factors.
+// streamBodies lists StreamAccum's bodies this host runs: the portable one,
+// and the AVX2 one when the CPU has it.
+func streamBodies(t testing.TB) []bool {
+	if !hasAVX2 {
+		t.Logf("no AVX2 on this CPU or OS: only the portable body runs")
+		return []bool{false}
+	}
+	return []bool{false, true}
+}
+
+// bodyName names a body of streamBodies.
+func bodyName(avx bool) string {
+	if avx {
+		return "avx2"
+	}
+	return "portable"
+}
+
+// streamAccumWith runs StreamAccum with its AVX2 body selected (avx, which
+// only a CPU with AVX2 may ask for) or the portable one, and reports whether
+// it panicked.
+func streamAccumWith(avx bool, dst, vals []float64, idx [][]int32, facs [][]float64) (panicked bool) {
+	saved := hasAVX2
+	hasAVX2 = avx
+	defer func() {
+		hasAVX2 = saved
+		panicked = recover() != nil
+	}()
+	StreamAccum(dst, vals, idx, facs)
+	return false
+}
+
+// TestStreamAccum pins both bodies of the streamed kernel bit for bit to
+// one HadamardAccum call per nonzero, in nonzero order, at 1–6 factors and
+// reduction groups of 0–9 nonzeros: every length of chainLengths covers the
+// AVX2 body's 16- and 4-column blocks and scalar tail, and the portable
+// body's 8- and 4-column blocks and tail, with signed zeros and extremes in
+// the values and the factors.
 func TestStreamAccum(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, n := range chainLengths {
-		for k := 1; k <= 6; k++ {
-			for trial := 0; trial < 10; trial++ {
-				const rows = 5
-				facs := make([][]float64, k)
-				for m := range facs {
-					facs[m] = randSpecialVec(rows*n, rng)
-				}
-				nnz := rng.Intn(10)
-				vals := randSpecialVec(nnz, rng)
-				idx := make([][]int32, k)
-				for m := range idx {
-					idx[m] = make([]int32, nnz)
-					for e := range idx[m] {
-						idx[m][e] = int32(rng.Intn(rows))
+	for _, avx := range streamBodies(t) {
+		rng := rand.New(rand.NewSource(9))
+		for _, n := range chainLengths {
+			for k := 1; k <= 6; k++ {
+				for trial := 0; trial < 10; trial++ {
+					const rows = 5
+					facs := make([][]float64, k)
+					for m := range facs {
+						facs[m] = randSpecialVec(rows*n, rng)
 					}
-				}
-				got := randSpecialVec(n, rng)
-				want := append([]float64(nil), got...)
-				StreamAccum(got, vals, idx, facs)
-				fr := make([][]float64, k)
-				for e, v := range vals {
-					for m := range fr {
-						o := int(idx[m][e]) * n
-						fr[m] = facs[m][o : o+n]
+					nnz := rng.Intn(10)
+					vals := randSpecialVec(nnz, rng)
+					idx := make([][]int32, k)
+					for m := range idx {
+						idx[m] = make([]int32, nnz)
+						for e := range idx[m] {
+							idx[m][e] = int32(rng.Intn(rows))
+						}
 					}
-					HadamardAccum(want, v, fr)
-				}
-				for j := range got {
-					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-						t.Fatalf("n=%d k=%d nnz=%d: [%d] = %v, per-nonzero loop gives %v", n, k, nnz, j, got[j], want[j])
+					got := randSpecialVec(n, rng)
+					want := append([]float64(nil), got...)
+					if streamAccumWith(avx, got, vals, idx, facs) {
+						t.Fatalf("%s n=%d k=%d nnz=%d: panicked on valid input", bodyName(avx), n, k, nnz)
+					}
+					fr := make([][]float64, k)
+					for e, v := range vals {
+						for m := range fr {
+							o := int(idx[m][e]) * n
+							fr[m] = facs[m][o : o+n]
+						}
+						HadamardAccum(want, v, fr)
+					}
+					for j := range got {
+						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+							t.Fatalf("%s n=%d k=%d nnz=%d: [%d] = %v, per-nonzero loop gives %v", bodyName(avx), n, k, nnz, j, got[j], want[j])
+						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// TestStreamAccumBounds requires both bodies to panic, not to read stray
+// memory, on a negative row index (−1 and the most negative int32), on an
+// index equal to the factor's row count, and on an index array shorter than
+// vals: in the first and the last factor, and in each kind of column block.
+func TestStreamAccumBounds(t *testing.T) {
+	const rows = 3
+	for _, avx := range streamBodies(t) {
+		for _, r := range []int{1, 4, 16, 21} {
+			for _, k := range []int{1, 3} {
+				for _, m := range []int{0, k - 1} {
+					cases := map[string]func(idx [][]int32){
+						"index -1":       func(idx [][]int32) { idx[m][1] = -1 },
+						"index MinInt32": func(idx [][]int32) { idx[m][1] = math.MinInt32 },
+						"index = rows":   func(idx [][]int32) { idx[m][1] = rows },
+						"short index":    func(idx [][]int32) { idx[m] = idx[m][:1] },
+					}
+					for name, corrupt := range cases {
+						facs := make([][]float64, k)
+						idx := make([][]int32, k)
+						for f := range facs {
+							facs[f] = make([]float64, rows*r)
+							idx[f] = []int32{0, 1, 2}
+						}
+						corrupt(idx)
+						if !streamAccumWith(avx, make([]float64, r), []float64{1, 2, 3}, idx, facs) {
+							t.Errorf("%s R=%d k=%d factor %d, %s: no panic", bodyName(avx), r, k, m, name)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzStreamAccum draws R, the factor count, the group size, values
+// (infinities, signed zeros, subnormals and extremes included) and row
+// indices (some negative or past the last row, some index arrays short)
+// from the input, and requires both bodies to give the same bits or both to
+// panic. It skips on a CPU without AVX2.
+//
+// NaN arises only from the arithmetic (∞·0, ∞−∞), so every NaN is the one
+// the hardware generates. When both operands of an instruction are NaN, the
+// operand order decides which one propagates, and for the portable body
+// that order is the compiler's register choice, which the Go spec leaves
+// open; with a single NaN value it cannot show.
+func FuzzStreamAccum(f *testing.F) {
+	f.Add(uint32(16|1<<8|5<<16|3<<24), []byte{1, 2, 3, 250, 40, 7})
+	f.Add(uint32(21|2<<8|9<<16|2<<24), []byte{0, 3, 9, 200, 33, 17, 64, 128})
+	f.Add(uint32(64|4<<8|11<<16|1<<24), []byte{255, 254, 5})
+	f.Fuzz(func(t *testing.T, shape uint32, data []byte) {
+		if !hasAVX2 {
+			t.Skip("no AVX2 on this CPU or OS: there is one body")
+		}
+		special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+			5e-324, -math.MaxFloat64, 1e300, 1e-300}
+		pos := 0
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[pos%len(data)]
+			pos++
+			return b
+		}
+		value := func() float64 {
+			b := next()
+			if int(b) < len(special) {
+				return special[b]
+			}
+			return float64(int8(b)) / 7
+		}
+		// R ≥ 1: at R = 0 the portable body reads no index, so it lets a
+		// short index array pass, which the AVX2 body's wrapper rejects.
+		r := 1 + int(shape%70)
+		k := 1 + int(shape>>8%5)
+		nnz := int(shape >> 16 % 12)
+		rows := 1 + int(shape>>24%4)
+		facs := make([][]float64, k)
+		idx := make([][]int32, k)
+		for m := range facs {
+			facs[m] = make([]float64, rows*r)
+			for j := range facs[m] {
+				facs[m][j] = value()
+			}
+			idx[m] = make([]int32, nnz)
+			for e := range idx[m] {
+				switch b := next(); {
+				case b == 255:
+					idx[m][e] = -1
+				case b == 254:
+					idx[m][e] = int32(rows)
+				case b == 253 && e > 0:
+					idx[m] = idx[m][:e]
+				default:
+					idx[m][e] = int32(int(b) % rows)
+				}
+				if len(idx[m]) < nnz {
+					break
+				}
+			}
+		}
+		vals := make([]float64, nnz)
+		for e := range vals {
+			vals[e] = value()
+		}
+		dst := make([]float64, r)
+		for j := range dst {
+			dst[j] = value()
+		}
+		port := append([]float64(nil), dst...)
+		pAVX := streamAccumWith(true, dst, vals, idx, facs)
+		pPort := streamAccumWith(false, port, vals, idx, facs)
+		if pAVX != pPort {
+			t.Fatalf("R=%d k=%d nnz=%d: avx2 panicked %v, portable panicked %v", r, k, nnz, pAVX, pPort)
+		}
+		if pAVX {
+			return
+		}
+		for j := range dst {
+			if math.Float64bits(dst[j]) != math.Float64bits(port[j]) {
+				t.Fatalf("R=%d k=%d nnz=%d: [%d] avx2 %v (%#x), portable %v (%#x)", r, k, nnz, j,
+					dst[j], math.Float64bits(dst[j]), port[j], math.Float64bits(port[j]))
+			}
+		}
+	})
 }
 
 func TestArena(t *testing.T) {

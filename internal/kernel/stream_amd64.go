@@ -1,0 +1,68 @@
+package kernel
+
+// hasAVX2 selects StreamAccum's AVX2 body. It is set once at package
+// initialization from the CPU and OS feature bits; tests clear it to run
+// the portable body.
+var hasAVX2 bool
+
+// init sets hasAVX2. It is an init function, not an initializer
+// expression: an initializer makes the compiler emit a package init
+// function ahead of the package's other code, which moves every kernel by
+// 32 bytes, and dist-order5's four-row body measured about 5 % slower at
+// that offset.
+func init() { hasAVX2 = detectAVX2() }
+
+// detectAVX2 reports whether the CPU implements AVX2 and the OS saves the
+// YMM registers across context switches: CPUID.1:ECX OSXSAVE and AVX,
+// XCR0 bits 1–2 (XMM and YMM state), and CPUID.(7,0):EBX AVX2.
+func detectAVX2() bool {
+	if maxID, _, _, _ := cpuid(0, 0); maxID < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<5) != 0
+}
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+// streamAccumAVX2 is StreamAccum's AVX2 body (stream_amd64.s). It returns
+// false, possibly after updating some column blocks of dst, when a row
+// index puts a factor row past the end of its factor. The caller has
+// checked len(facs) ≥ 1, len(idx) ≥ len(facs) and len(idx[k]) ≥ len(vals).
+//
+//go:noescape
+func streamAccumAVX2(dst, vals []float64, idx [][]int32, facs [][]float64) bool
+
+// StreamAccum writes dst[j] += Σ_e vals[e] · Π_k facs[k][idx[k][e]·R + j]
+// with R = len(dst); see streamAccumGeneric for the contract. On a CPU with
+// AVX2 it runs an assembly body that is bit-identical to the portable one:
+// every lane multiplies and adds as the portable body's scalars do, in the
+// same order, with no fused multiply-add. Like the portable body, it panics
+// on an index array shorter than vals or a row index outside its factor,
+// and never reads past one; it also panics on an empty facs.
+func StreamAccum(dst, vals []float64, idx [][]int32, facs [][]float64) {
+	if !hasAVX2 {
+		streamAccumGeneric(dst, vals, idx, facs)
+		return
+	}
+	if len(facs) < 1 || len(idx) < len(facs) {
+		panic("kernel: StreamAccum needs one index array per factor")
+	}
+	for k := range facs {
+		if len(idx[k]) < len(vals) {
+			panic("kernel: StreamAccum index array shorter than vals")
+		}
+	}
+	if !streamAccumAVX2(dst, vals, idx, facs) {
+		panic("kernel: StreamAccum row index out of range")
+	}
+}

@@ -1,0 +1,187 @@
+#include "textflag.h"
+
+// Registers of streamAccumAVX2:
+//
+//	DI   dst		SI   vals		CX   len(vals)
+//	BX   idx headers	DX   facs headers	R9   len(facs)·24
+//	R10  R·8 (row stride)	R11  column byte offset of the block
+//	R12  nonzero e		R13  factor header offset m·24
+//	AX, R8, R14 scratch
+//
+// Y0–Y3 (X0 in the tail) hold the block's accumulators, Y4 (X4) the
+// broadcast value, Y5–Y8 (X5) the running product.
+
+// ROW leaves in R14 the address of factor m's data and in AX the byte
+// offset of row idx[m][e] at the current block, and jumps to fail unless
+// the block's end, end bytes past that offset, lies inside facs[m]. The
+// index is zero-extended: a negative int32 becomes a row past every factor
+// and fails the check.
+#define ROW(end) \
+	MOVQ    (BX)(R13*1), AX; \
+	MOVLQZX (AX)(R12*4), AX; \
+	IMULQ   R10, AX; \
+	ADDQ    R11, AX; \
+	LEAQ    end(AX), R14; \
+	MOVQ    8(DX)(R13*1), R8; \
+	SHLQ    $3, R8; \
+	CMPQ    R14, R8; \
+	JHI     fail; \
+	MOVQ    (DX)(R13*1), R14
+
+// func streamAccumAVX2(dst, vals []float64, idx [][]int32, facs [][]float64) bool
+TEXT ·streamAccumAVX2(SB), NOSPLIT, $0-97
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    dst_len+8(FP), R10
+	MOVQ    vals_base+24(FP), SI
+	MOVQ    vals_len+32(FP), CX
+	MOVQ    idx_base+48(FP), BX
+	MOVQ    facs_base+72(FP), DX
+	MOVQ    facs_len+80(FP), R9
+	IMUL3Q  $24, R9, R9
+	SHLQ    $3, R10
+	XORQ    R11, R11
+
+block16:
+	LEAQ    128(R11), R8
+	CMPQ    R8, R10
+	JHI     block4
+	VMOVUPD 0(DI)(R11*1), Y0
+	VMOVUPD 32(DI)(R11*1), Y1
+	VMOVUPD 64(DI)(R11*1), Y2
+	VMOVUPD 96(DI)(R11*1), Y3
+	XORQ    R12, R12
+
+nz16:
+	CMPQ    R12, CX
+	JEQ     store16
+	VBROADCASTSD (SI)(R12*8), Y4
+	XORQ    R13, R13
+	ROW(128)
+	VMULPD  0(R14)(AX*1), Y4, Y5
+	VMULPD  32(R14)(AX*1), Y4, Y6
+	VMULPD  64(R14)(AX*1), Y4, Y7
+	VMULPD  96(R14)(AX*1), Y4, Y8
+	ADDQ    $24, R13
+
+fac16:
+	CMPQ    R13, R9
+	JEQ     add16
+	ROW(128)
+	VMULPD  0(R14)(AX*1), Y5, Y5
+	VMULPD  32(R14)(AX*1), Y6, Y6
+	VMULPD  64(R14)(AX*1), Y7, Y7
+	VMULPD  96(R14)(AX*1), Y8, Y8
+	ADDQ    $24, R13
+	JMP     fac16
+
+add16:
+	VADDPD  Y5, Y0, Y0
+	VADDPD  Y6, Y1, Y1
+	VADDPD  Y7, Y2, Y2
+	VADDPD  Y8, Y3, Y3
+	INCQ    R12
+	JMP     nz16
+
+store16:
+	VMOVUPD Y0, 0(DI)(R11*1)
+	VMOVUPD Y1, 32(DI)(R11*1)
+	VMOVUPD Y2, 64(DI)(R11*1)
+	VMOVUPD Y3, 96(DI)(R11*1)
+	ADDQ    $128, R11
+	JMP     block16
+
+block4:
+	LEAQ    32(R11), R8
+	CMPQ    R8, R10
+	JHI     tail
+	VMOVUPD (DI)(R11*1), Y0
+	XORQ    R12, R12
+
+nz4:
+	CMPQ    R12, CX
+	JEQ     store4
+	VBROADCASTSD (SI)(R12*8), Y4
+	XORQ    R13, R13
+	ROW(32)
+	VMULPD  (R14)(AX*1), Y4, Y5
+	ADDQ    $24, R13
+
+fac4:
+	CMPQ    R13, R9
+	JEQ     add4
+	ROW(32)
+	VMULPD  (R14)(AX*1), Y5, Y5
+	ADDQ    $24, R13
+	JMP     fac4
+
+add4:
+	VADDPD  Y5, Y0, Y0
+	INCQ    R12
+	JMP     nz4
+
+store4:
+	VMOVUPD Y0, (DI)(R11*1)
+	ADDQ    $32, R11
+	JMP     block4
+
+tail:
+	CMPQ    R11, R10
+	JEQ     done
+	VMOVSD  (DI)(R11*1), X0
+	XORQ    R12, R12
+
+nz1:
+	CMPQ    R12, CX
+	JEQ     store1
+	VMOVSD  (SI)(R12*8), X4
+	XORQ    R13, R13
+	ROW(8)
+	VMULSD  (R14)(AX*1), X4, X5
+	ADDQ    $24, R13
+
+fac1:
+	CMPQ    R13, R9
+	JEQ     add1
+	ROW(8)
+	VMULSD  (R14)(AX*1), X5, X5
+	ADDQ    $24, R13
+	JMP     fac1
+
+add1:
+	VADDSD  X5, X0, X0
+	INCQ    R12
+	JMP     nz1
+
+store1:
+	VMOVSD  X0, (DI)(R11*1)
+	ADDQ    $8, R11
+	JMP     tail
+
+done:
+	VZEROUPPER
+	MOVB    $1, ret+96(FP)
+	RET
+
+fail:
+	VZEROUPPER
+	MOVB    $0, ret+96(FP)
+	RET
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET

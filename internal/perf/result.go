@@ -193,12 +193,21 @@ func LoadFile(path string) (*SuiteResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var r SuiteResult
-	if err := json.Unmarshal(data, &r); err != nil {
+	r, err := Decode(data)
+	if err != nil {
 		return nil, fmt.Errorf("perf: %s: %w", path, err)
 	}
+	return r, nil
+}
+
+// Decode parses and validates the bytes of a result file.
+func Decode(data []byte) (*SuiteResult, error) {
+	var r SuiteResult
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, err
+	}
 	if err := r.Validate(); err != nil {
-		return nil, fmt.Errorf("perf: %s: %w", path, err)
+		return nil, err
 	}
 	return &r, nil
 }

@@ -21,11 +21,32 @@ go test -race ./cmd/...
 # with its add into one FMA instruction. The amd64 compiler never does
 # that; the arm64 one does unless a float64 conversion forbids it, so the
 # arm64 build of the kernel package must contain no fused multiply-add.
+# arm64 has no assembly body, so this build also proves that the
+# portable-only kernel package compiles.
+#
+# On amd64, StreamAccum's AVX2 body is hand-written and must contain no
+# fused multiply-add either. `go tool objdump` cannot decode VEX
+# instructions (it prints a VFMADD231SD as a MOVL), so the check reads the
+# assembly source, which the assembler encodes as written, and, where
+# binutils is installed, the kernel package's code in a linked amd64 binary.
 fmadir=$(mktemp -d)
 GOARCH=arm64 go build -o "$fmadir/kernel.a" ./internal/kernel/
 if go tool objdump "$fmadir/kernel.a" | grep -E 'F(N)?M(ADD|SUB)D'; then
 	echo "internal/kernel: FMA contraction in the arm64 build" >&2
 	exit 1
+fi
+if grep -inE 'VF(N)?M(ADD|SUB)' internal/kernel/*.s; then
+	echo "internal/kernel: fused multiply-add in the amd64 assembly" >&2
+	exit 1
+fi
+if command -v objdump >/dev/null; then
+	GOARCH=amd64 go test -c -o "$fmadir/kernel.test" ./internal/kernel/
+	if objdump -d --no-show-raw-insn "$fmadir/kernel.test" |
+		awk '/^[0-9a-f]+ </ { k = index($0, "<adatm/internal/kernel.") > 0 } k' |
+		grep -iE 'vf(n)?m(add|sub)'; then
+		echo "internal/kernel: fused multiply-add in the amd64 build" >&2
+		exit 1
+	fi
 fi
 rm -r "$fmadir"
 
@@ -49,15 +70,19 @@ go test -race -count=1 -run 'TestSwamp|TestServerIters' ./internal/health/ ./int
 # construction.
 go test -race -count=1 -run 'TestDistRun|TestDistFault|TestDistributedALS|TestTransport' ./internal/dist/
 
-# The TCP frame decoder parses bytes from peers, and the model, checkpoint
-# and decision-ledger decoders parse files: a short fuzz run of each on every
-# CI pass (the `make fuzz` target runs them longer). The checkpoint run caps
-# minimization (Go's default budget is 60 s per new input), so its seconds go
-# to new inputs.
+# The TCP frame decoder parses bytes from peers, and the model, checkpoint,
+# decision-ledger and bench-result decoders parse files: a short fuzz run of
+# each on every CI pass (the `make fuzz` target runs them longer). The
+# checkpoint run caps minimization (Go's default budget is 60 s per new
+# input), so its seconds go to new inputs. The streamed kernel's fuzz run
+# holds its AVX2 body to the portable one, bit for bit or panic for panic,
+# on random shapes, special values and out-of-range indices.
 go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 10s ./internal/dist/
 go test -run '^$' -fuzz '^FuzzReadModel$' -fuzztime 10s ./internal/cpd/
 go test -run '^$' -fuzz '^FuzzCheckpointRead$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ckpt/
 go test -run '^$' -fuzz '^FuzzValidateLedger$' -fuzztime 10s ./internal/audit/
+go test -run '^$' -fuzz '^FuzzDecodeResult$' -fuzztime 10s ./internal/perf/
+go test -run '^$' -fuzz '^FuzzStreamAccum$' -fuzztime 10s ./internal/kernel/
 
 make bench-smoke
 make obs-smoke
