@@ -53,7 +53,8 @@ type (
 	Engine = engine.Engine
 	// EngineStats carries an engine's operation and memory counters.
 	EngineStats = engine.Stats
-	// Strategy is a memoization tree over the tensor modes.
+	// Strategy is a memoization tree over the tensor modes, in the mode
+	// order its root names (Strategy.Modes; nil is the natural order).
 	Strategy = memo.Strategy
 	// Plan is the cost model's scored candidate list and chosen strategy.
 	Plan = model.Plan
@@ -269,8 +270,9 @@ type Options struct {
 	// (multiplicative updates); requires a non-negative tensor.
 	NonNegative bool
 	// ModeOrder sets the ALS sub-iteration order (a permutation of the
-	// modes; nil = natural). Mode-permuted engines require it to match
-	// their sweep order.
+	// modes; nil = natural). A memo engine whose strategy has a mode
+	// order computes each intermediate once per iteration only when this
+	// matches Strategy.SweepOrder (DecomposePermuted sets it).
 	ModeOrder []int
 	// Ctx, when non-nil, cancels the run between mode sub-iterations; the
 	// partial Result is returned with ctx's error.
@@ -323,11 +325,17 @@ func engineFor(x *Tensor, opt Options) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	observe(eng, plan, opt)
+	return eng, nil
+}
+
+// observe records plan (when the model ran) with opt.Audit and instruments
+// eng with opt's tracer and metrics.
+func observe(eng Engine, plan *Plan, opt Options) {
 	if opt.Audit != nil && plan != nil {
 		opt.Audit.RecordDecision(audit.NewDecision(plan))
 	}
 	Instrument(eng, opt.Tracer, opt.Metrics)
-	return eng, nil
 }
 
 // cpdOptions translates the public Options into the solver's.
@@ -491,11 +499,8 @@ func NewEngine(x *Tensor, kind EngineKind, cfg EngineConfig) (Engine, error) {
 // audit the decision (see Options.Audit). Every other path returns a nil
 // Plan.
 func NewEnginePlanned(x *Tensor, kind EngineKind, cfg EngineConfig) (Engine, *Plan, error) {
-	if x == nil {
-		return nil, nil, fmt.Errorf("adatm: nil tensor")
-	}
-	if err := x.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("adatm: %w", err)
+	if err := checkTensor(x); err != nil {
+		return nil, nil, err
 	}
 	n := x.Order()
 	acfg := accum.Config{Strategy: cfg.Accum, Workers: cfg.Workers, Budget: cfg.MemoryBudget}
@@ -531,15 +536,7 @@ func NewEnginePlanned(x *Tensor, kind EngineKind, cfg EngineConfig) (Engine, *Pl
 			Rank: cfg.Rank, Budget: cfg.MemoryBudget,
 			Workers: cfg.Workers, Accum: cfg.Accum,
 		})
-		// The plan resolved the accumulation backend per mode (budget slack
-		// already accounted for), whether to retain the intermediates and
-		// whether to stream the root children; hand them to the engine so
-		// kernel entries don't re-derive them.
-		cfgP := cfg
-		cfgP.accumPerMode = plan.AccumPerMode()
-		cfgP.retain = plan.Retain
-		cfgP.stream = plan.Stream
-		eng, err := memoEngine(x, cfgP, plan.Chosen.Strategy, fmt.Sprintf("adaptive[%s]", plan.Chosen.Name))
+		eng, err := plannedEngine(x, cfg, plan)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -547,6 +544,29 @@ func NewEnginePlanned(x *Tensor, kind EngineKind, cfg EngineConfig) (Engine, *Pl
 	default:
 		return nil, nil, fmt.Errorf("adatm: unknown engine kind %q", kind)
 	}
+}
+
+// checkTensor rejects a nil or malformed tensor.
+func checkTensor(x *Tensor) error {
+	if x == nil {
+		return fmt.Errorf("adatm: nil tensor")
+	}
+	if err := x.Validate(); err != nil {
+		return fmt.Errorf("adatm: %w", err)
+	}
+	return nil
+}
+
+// plannedEngine builds the memoized engine plan chose, in the chosen
+// strategy's mode order. The plan resolved the accumulation backend per
+// mode (budget slack already accounted for), whether to retain the
+// intermediates and whether to stream the root children; they go to the
+// engine so kernel entries don't re-derive them.
+func plannedEngine(x *Tensor, cfg EngineConfig, plan *Plan) (Engine, error) {
+	cfg.accumPerMode = plan.AccumPerMode()
+	cfg.retain = plan.Retain
+	cfg.stream = plan.Stream
+	return memoEngine(x, cfg, plan.Chosen.Strategy, fmt.Sprintf("adaptive[%s]", plan.Chosen.Name))
 }
 
 func memoEngine(x *Tensor, cfg EngineConfig, s *Strategy, name string) (Engine, error) {
@@ -570,27 +590,32 @@ func PlanFor(x *Tensor, rank int, budget int64) *Plan {
 	return model.Select(x, model.Options{Rank: rank, Budget: budget})
 }
 
-// PermPlan is the outcome of permutation-aware selection: the best
-// (mode permutation, strategy) pair.
-type PermPlan = model.PermPlan
-
-// PlanPermutedFor extends PlanFor over candidate mode permutations,
-// unlocking strategies that group non-adjacent modes.
-func PlanPermutedFor(x *Tensor, rank int, budget int64) *PermPlan {
+// PlanPermutedFor extends PlanFor over candidate mode orders, unlocking
+// strategies that group non-adjacent modes. The chosen strategy carries its
+// order (Strategy.SweepOrder); candidates are named "<order>/<tree>".
+func PlanPermutedFor(x *Tensor, rank int, budget int64) *Plan {
 	return model.SelectPermuted(x, model.Options{Rank: rank, Budget: budget}, nil)
 }
 
-// DecomposePermuted is Decompose with permutation-aware adaptive selection:
-// it picks the best (permutation, strategy) pair, builds the permuted
-// memoized engine, and sweeps the modes in the engine's order. opt.Engine
-// and opt.ModeOrder are ignored.
+// DecomposePermuted is Decompose with order-aware adaptive selection: it
+// picks the best (mode order, strategy) pair, builds the adaptive engine
+// for that plan exactly as Decompose does for a natural-order one, and
+// sweeps the modes in the chosen order. opt.Engine and opt.ModeOrder are
+// ignored.
 func DecomposePermuted(x *Tensor, opt Options) (*Result, error) {
-	pp := PlanPermutedFor(x, opt.Rank, opt.MemoryBudget)
-	eng, err := pp.BuildChosen(x, opt.Workers)
+	if err := checkTensor(x); err != nil {
+		return nil, err
+	}
+	plan := model.SelectPermuted(x, model.Options{
+		Rank: opt.Rank, Budget: opt.MemoryBudget,
+		Workers: opt.Workers, Accum: opt.Accum,
+	}, nil)
+	eng, err := plannedEngine(x, EngineConfig{Rank: opt.Rank, Workers: opt.Workers, MemoryBudget: opt.MemoryBudget, Accum: opt.Accum}, plan)
 	if err != nil {
 		return nil, err
 	}
-	opt.ModeOrder = eng.SweepOrder()
+	observe(eng, plan, opt)
+	opt.ModeOrder = plan.Chosen.Strategy.SweepOrder()
 	return DecomposeWith(x, eng, opt)
 }
 

@@ -1,7 +1,10 @@
 package adatm_test
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -142,11 +145,79 @@ func TestDecomposePermutedMatchesOthers(t *testing.T) {
 	}
 }
 
+// TestDecomposePermutedPin pins the permuted run bit for bit at Workers=1
+// under an unbounded budget: the hashes are those of the run that built its
+// engine over a permuted copy of the tensor, so the chosen (order, tree)
+// pair, the engine's arithmetic and the sweep order are all unchanged. The
+// correlated tensor's choice is a non-natural order; the facade tensor's
+// ties with the natural grouping.
+func TestDecomposePermutedPin(t *testing.T) {
+	cases := []struct {
+		name string
+		x    *adatm.Tensor
+		tree string
+		want uint64
+	}{
+		{"facade", testTensor(t), "([3,2] [1,0])", 0x7debae28f25c5bd9},
+		{"correlated", correlatedTensor(4000, 7), "([3,1] [0,2])", 0x8ead30a22d7f9d7b},
+	}
+	for _, tc := range cases {
+		plan := adatm.PlanPermutedFor(tc.x, 5, 0)
+		if got := plan.Chosen.Strategy.String(); got != tc.tree {
+			t.Errorf("%s: chose %s %s, want %s", tc.name, plan.Chosen.Name, got, tc.tree)
+		}
+		res, err := adatm.DecomposePermuted(tc.x, adatm.Options{Rank: 5, MaxIters: 8, Tol: 1e-14, Seed: 3, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resultHash(res); got != tc.want {
+			t.Errorf("%s: result hash %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
+}
+
+// correlatedTensor builds an order-4 tensor whose mode 2 is a near-function
+// of mode 0, so the compressible pair is not adjacent.
+func correlatedTensor(nnz int, seed int64) *adatm.Tensor {
+	rng := rand.New(rand.NewSource(seed))
+	dims := []int{60, 50, 60, 40}
+	x := adatm.Generate(adatm.GenSpec{Dims: dims, NNZ: nnz, Seed: seed})
+	for k := range x.Inds[2] {
+		x.Inds[2][k] = adatm.Index((int(x.Inds[0][k])*7 + rng.Intn(3)) % dims[2])
+	}
+	x.Dedup()
+	return x
+}
+
+// resultHash folds the float64 bits of λ, every factor entry and the fit
+// into one FNV-64a value, so a single comparison pins a run bit for bit.
+func resultHash(res *adatm.Result) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	for _, v := range res.Lambda {
+		put(v)
+	}
+	for _, f := range res.Factors {
+		for _, v := range f.Data {
+			put(v)
+		}
+	}
+	put(res.Fit)
+	return h.Sum64()
+}
+
 func TestPlanPermutedFor(t *testing.T) {
 	x := testTensor(t)
 	pp := adatm.PlanPermutedFor(x, 8, 0)
-	if len(pp.Candidates) < 3 || pp.Chosen.Plan == nil {
+	if len(pp.Candidates) < 3 || pp.Chosen.Strategy == nil {
 		t.Fatalf("degenerate permuted plan: %+v", pp)
+	}
+	if err := pp.Chosen.Strategy.Validate(x.Order()); err != nil {
+		t.Fatal(err)
 	}
 }
 

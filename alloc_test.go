@@ -51,3 +51,39 @@ func TestDecomposeSteadyZeroAlloc(t *testing.T) {
 			k, short, 2*k, long)
 	}
 }
+
+// TestDecomposePermutedSteadyZeroAlloc is the same pin for the permuted
+// path: DecomposePermuted builds its engine from the plan like the
+// adaptive kind does, so it retains its intermediates too, and the k extra
+// iterations of a 2k run allocate nothing. Each run selects and builds its
+// own engine, and the sketches' hash sets may grow differently from run to
+// run, so counting starts after the first iteration, once set-up is done.
+func TestDecomposePermutedSteadyZeroAlloc(t *testing.T) {
+	x := testTensor(t)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	mallocs := func(iters int) uint64 {
+		var before, after runtime.MemStats
+		opt := adatm.Options{Rank: 8, MaxIters: iters, Tol: math.SmallestNonzeroFloat64, Seed: 3, Workers: 1,
+			Progress: func(s adatm.IterStats) bool {
+				if s.Iter == 1 {
+					runtime.ReadMemStats(&before)
+				}
+				return true
+			}}
+		res, err := adatm.DecomposePermuted(x, opt)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iters != iters {
+			t.Fatalf("run stopped after %d of %d iterations", res.Iters, iters)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	const k = 5
+	short, long := mallocs(k), mallocs(2*k)
+	if short != long {
+		t.Errorf("%d iterations made %d allocations, %d made %d: the steady iteration allocates",
+			k, short, 2*k, long)
+	}
+}

@@ -216,7 +216,7 @@ func BenchmarkE16_PermutedSelection(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pp := adatm.PlanPermutedFor(x, benchCfg.Rank, 0)
-		if pp.Chosen.Plan == nil {
+		if pp.Chosen.Strategy == nil {
 			b.Fatal("no permuted choice")
 		}
 	}

@@ -49,9 +49,9 @@ func main() {
 	natural := adatm.PlanFor(corr, 16, 0)
 	pp := adatm.PlanPermutedFor(corr, 16, 0)
 	fmt.Printf("natural order:  %-24s predicted ops %d\n", natural.Chosen.Strategy, natural.Chosen.Pred.Ops)
-	fmt.Printf("permuted (%s): perm=%v %-18s predicted ops %d (%.2fx fewer)\n",
-		pp.Chosen.Name, pp.Chosen.Perm, pp.Chosen.Plan.Chosen.Strategy, pp.Chosen.Plan.Chosen.Pred.Ops,
-		float64(natural.Chosen.Pred.Ops)/float64(pp.Chosen.Plan.Chosen.Pred.Ops))
+	fmt.Printf("permuted (%s): order=%v %-18s predicted ops %d (%.2fx fewer)\n",
+		pp.Chosen.Name, pp.Chosen.Strategy.SweepOrder(), pp.Chosen.Strategy, pp.Chosen.Pred.Ops,
+		float64(natural.Chosen.Pred.Ops)/float64(pp.Chosen.Pred.Ops))
 
 	fmt.Println("\n--- the full plan for the order-6 tensor ---")
 	fmt.Print(full)

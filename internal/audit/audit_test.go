@@ -2,6 +2,7 @@ package audit
 
 import (
 	"bytes"
+	"fmt"
 	"log/slog"
 	"math"
 	"strings"
@@ -54,6 +55,54 @@ func TestNewDecisionFromPlan(t *testing.T) {
 	fd := NewDecision(forced)
 	if fd.Reason != ReasonBudgetFallback {
 		t.Errorf("tiny budget: reason = %q, want %q", fd.Reason, ReasonBudgetFallback)
+	}
+}
+
+// A permuted plan's decision carries the chosen order, the ledger line of a
+// natural one has no modes key, the per-mode accumulation outcome reads
+// the timing of the original mode at each position, and the validator
+// rejects an order that does not permute the dims' positions.
+func TestDecisionModeOrder(t *testing.T) {
+	x := tensor.RandomClustered(4, 12, 800, 0.6, 41)
+	natural := NewDecision(model.Select(x, model.Options{Rank: 8}))
+	if natural.Modes != nil {
+		t.Errorf("natural decision modes = %v", natural.Modes)
+	}
+	var buf bytes.Buffer
+	if err := NewLedger(&buf).Append(Record{Decision: natural}); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), `"modes"`) {
+		t.Errorf("natural ledger line carries modes: %s", buf.String())
+	}
+
+	order := []int{3, 2, 1, 0}
+	d := NewDecision(model.SelectPermuted(x, model.Options{Rank: 8}, map[string][]int{"rev": order}))
+	if fmt.Sprint(d.Modes) != fmt.Sprint(order) {
+		t.Fatalf("permuted decision modes = %v, want %v", d.Modes, order)
+	}
+	secs := []float64{0.1, 0.2, 0.3, 0.4}
+	rep := Reconcile(d, Measured{Iters: 1, ModeMTTKRPSeconds: secs}, 0)
+	if rep == nil || len(rep.Accum) != 4 {
+		t.Fatalf("reconciliation = %+v", rep)
+	}
+	for _, a := range rep.Accum {
+		if want := secs[order[a.Mode]]; a.MeasuredModeSecs != want {
+			t.Errorf("accum position %d: measured %v, want mode %d's %v", a.Mode, a.MeasuredModeSecs, order[a.Mode], want)
+		}
+	}
+	buf.Reset()
+	if err := NewLedger(&buf).Append(Record{Decision: d}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := ValidateLedger(&buf); n != 1 || err != nil {
+		t.Errorf("ValidateLedger = %d, %v on a permuted decision", n, err)
+	}
+	for _, bad := range []string{`[0,1,2]`, `[0,1,2,2]`, `[0,1,2,4]`, `[-1,0,1,2]`} {
+		line := `{"decision":{"chosen":"rev/flat","dims":[4,3,2,1],"modes":` + bad + `}}`
+		if _, err := ValidateLedger(strings.NewReader(line)); err == nil {
+			t.Errorf("modes %s accepted", bad)
+		}
 	}
 }
 

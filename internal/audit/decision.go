@@ -76,11 +76,15 @@ type AccumRecord struct {
 // the sketch-estimated distinct-tuple table the predictions came from, and
 // the chosen strategy with the reason it won.
 type Decision struct {
-	Time   time.Time `json:"time"`
-	Dims   []int     `json:"dims"`
-	NNZ    int64     `json:"nnz"`
-	Rank   int       `json:"rank"`
-	Budget int64     `json:"budget_bytes"`
+	Time time.Time `json:"time"`
+	// Dims, Ranges and Accum are in the chosen strategy's mode order;
+	// Modes names the original mode at each position of that order and is
+	// omitted for the natural order.
+	Dims   []int `json:"dims"`
+	Modes  []int `json:"modes,omitempty"`
+	NNZ    int64 `json:"nnz"`
+	Rank   int   `json:"rank"`
+	Budget int64 `json:"budget_bytes"`
 	// Kind distinguishes decision flavors in the ledger: "" (the default)
 	// is a format/strategy selection, "partition" is a distributed-layer
 	// partitioner selection (see partition.go).
@@ -125,6 +129,7 @@ func NewDecision(p *model.Plan) *Decision {
 	d := &Decision{
 		Time:   time.Now(),
 		Dims:   append([]int(nil), p.Dims...),
+		Modes:  append([]int(nil), p.Chosen.Strategy.Modes...),
 		NNZ:    p.NNZ,
 		Rank:   p.Rank,
 		Budget: p.Budget,

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"adatm/internal/tensor"
 )
 
 // Record is one ledger entry: a decision plus (once the run finished) its
@@ -89,7 +91,8 @@ func (l *Ledger) Append(rec Record) error {
 }
 
 // ValidateLedger checks a JSONL decision ledger: every non-empty line must
-// parse as a Record carrying either a decision with a chosen candidate or a
+// parse as a Record carrying either a decision with a chosen candidate (and
+// a mode order, when present, that permutes its dims' positions) or a
 // lifecycle event with a kind. Returns the number of valid records,
 // stopping at the first malformed line.
 func ValidateLedger(r io.Reader) (int, error) {
@@ -111,6 +114,9 @@ func ValidateLedger(r io.Reader) (int, error) {
 		case rec.Decision != nil:
 			if rec.Decision.Chosen == "" {
 				return n, fmt.Errorf("audit: ledger line %d: decision has no chosen candidate", line)
+			}
+			if len(rec.Decision.Modes) > 0 && !tensor.IsPermutation(rec.Decision.Modes, len(rec.Decision.Dims)) {
+				return n, fmt.Errorf("audit: ledger line %d: modes %v do not permute %d dims", line, rec.Decision.Modes, len(rec.Decision.Dims))
 			}
 		case rec.Event != nil:
 			if rec.Event.Kind == "" {

@@ -19,6 +19,11 @@ func FuzzValidateLedger(f *testing.F) {
 	if err := l.Append(Record{Decision: NewDecision(plan)}); err != nil {
 		f.Fatal(err)
 	}
+	corr := tensor.RandomClustered(4, 8, 80, 0.5, 2)
+	permuted := model.SelectPermuted(corr, model.Options{Rank: 4}, map[string][]int{"rev": {3, 2, 1, 0}})
+	if err := l.Append(Record{Decision: NewDecision(permuted)}); err != nil {
+		f.Fatal(err)
+	}
 	if err := l.Append(Record{Event: &Event{Kind: "resume", Iter: 3}}); err != nil {
 		f.Fatal(err)
 	}
@@ -28,6 +33,7 @@ func FuzzValidateLedger(f *testing.F) {
 	f.Add(`{"decision":{"chosen":""}}`)
 	f.Add(`{"event":{"kind":"perf.suite"}}` + "\r\n" + `{"report":{}}`)
 	f.Add(`{"decision":{"chosen":"flat","dims":[-1],"nnz":-5,"stream":true}}`)
+	f.Add(`{"decision":{"chosen":"natural/flat","dims":[4,3,2],"modes":[2,0,2]}}`)
 	f.Fuzz(func(t *testing.T, in string) {
 		n, _ := ValidateLedger(strings.NewReader(in))
 		if lines := strings.Count(in, "\n") + 1; n < 0 || n > lines {

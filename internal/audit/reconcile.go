@@ -166,8 +166,12 @@ func ReconcileCandidate(d *Decision, name string, m Measured, warnThreshold floa
 			PredScatterNS:   a.PredScatterNS,
 			PredPrivatizeNS: a.PredPrivatizeNS,
 		}
-		if a.Mode < len(m.ModeMTTKRPSeconds) {
-			o.MeasuredModeSecs = m.ModeMTTKRPSeconds[a.Mode]
+		mode := a.Mode // a position in the chosen order; timings are per original mode
+		if mode < len(d.Modes) {
+			mode = d.Modes[mode]
+		}
+		if mode < len(m.ModeMTTKRPSeconds) {
+			o.MeasuredModeSecs = m.ModeMTTKRPSeconds[mode]
 		}
 		rep.Accum = append(rep.Accum, o)
 	}

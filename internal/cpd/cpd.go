@@ -47,9 +47,10 @@ type Options struct {
 	// every factor entry non-negative. Requires a non-negative tensor.
 	NonNegative bool
 	// ModeOrder is the order the sub-iterations visit the modes (a
-	// permutation of 0..N-1; nil = natural). Mode-permuted memoization
-	// engines need the sweep to follow their permutation so every
-	// intermediate is materialized exactly once per iteration.
+	// permutation of 0..N-1; nil = natural). A memoization tree over
+	// another mode order needs the sweep to follow that order
+	// (memo.Strategy.SweepOrder) so every intermediate is materialized
+	// exactly once per iteration.
 	ModeOrder []int
 	// Ctx, when non-nil, is checked between mode sub-iterations. On
 	// cancellation Run stops within one sub-iteration and returns the
@@ -530,15 +531,8 @@ func sweepOrder(order []int, n int) ([]int, error) {
 		}
 		return out, nil
 	}
-	if len(order) != n {
-		return nil, fmt.Errorf("cpd: ModeOrder has %d entries for order-%d tensor", len(order), n)
-	}
-	seen := make([]bool, n)
-	for _, m := range order {
-		if m < 0 || m >= n || seen[m] {
-			return nil, fmt.Errorf("cpd: ModeOrder %v is not a permutation", order)
-		}
-		seen[m] = true
+	if !tensor.IsPermutation(order, n) {
+		return nil, fmt.Errorf("cpd: ModeOrder %v is not a permutation of %d modes", order, n)
 	}
 	return order, nil
 }

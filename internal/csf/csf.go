@@ -50,15 +50,8 @@ type Tensor struct {
 // level order, which must be a permutation of the modes.
 func Build(x *tensor.COO, modeOrder []int) (*Tensor, error) {
 	n := x.Order()
-	if len(modeOrder) != n {
-		return nil, fmt.Errorf("csf: mode order has %d entries for order-%d tensor", len(modeOrder), n)
-	}
-	seen := make([]bool, n)
-	for _, m := range modeOrder {
-		if m < 0 || m >= n || seen[m] {
-			return nil, fmt.Errorf("csf: mode order %v is not a permutation of 0..%d", modeOrder, n-1)
-		}
-		seen[m] = true
+	if !tensor.IsPermutation(modeOrder, n) {
+		return nil, fmt.Errorf("csf: mode order %v is not a permutation of 0..%d", modeOrder, n-1)
 	}
 	nnz := x.NNZ()
 	perm := make([]int, nnz)

@@ -130,8 +130,19 @@ func randomFactors(x *tensor.COO, r int, seed int64) []*dense.Matrix {
 // issued so memoizing engines follow their steady-state
 // compute-once-per-node pattern.
 func SweepOnce(e engine.Engine, x *tensor.COO, factors []*dense.Matrix, out *dense.Matrix) time.Duration {
+	return sweepOrdered(e, x, factors, out, nil)
+}
+
+// sweepOrdered is SweepOnce visiting the modes in the given order (nil:
+// natural), the order a memo tree over another mode order needs to reuse
+// every node.
+func sweepOrdered(e engine.Engine, x *tensor.COO, factors []*dense.Matrix, out *dense.Matrix, order []int) time.Duration {
 	startNS := e.Stats().MTTKRPNS
-	for mode := 0; mode < x.Order(); mode++ {
+	for i := 0; i < x.Order(); i++ {
+		mode := i
+		if order != nil {
+			mode = order[i]
+		}
 		mm := &dense.Matrix{Rows: x.Dims[mode], Cols: out.Cols, Data: out.Data[:x.Dims[mode]*out.Cols]}
 		if err := e.MTTKRP(mode, factors, mm); err != nil {
 			panic(err)
@@ -145,38 +156,18 @@ func SweepOnce(e engine.Engine, x *tensor.COO, factors []*dense.Matrix, out *den
 // reps timed sweeps (the minimum is the standard noise-resistant
 // microbenchmark statistic: external interference only ever adds time).
 func TimeSweeps(e engine.Engine, x *tensor.COO, r, reps int, seed int64) time.Duration {
-	fs := randomFactors(x, r, seed)
-	out := dense.New(maxDim(x.Dims), r)
-	SweepOnce(e, x, fs, out) // warm-up: symbolic reuse, allocator, caches
-	best := time.Duration(0)
-	for i := 0; i < reps; i++ {
-		if d := SweepOnce(e, x, fs, out); best == 0 || d < best {
-			best = d
-		}
-	}
-	return best
+	return timeSweepsOrdered(e, x, r, reps, seed, nil)
 }
 
-// timeSweepsOrdered is TimeSweeps with an explicit mode sweep order (for
-// permuted engines whose reuse depends on the visit order).
+// timeSweepsOrdered is TimeSweeps with an explicit mode sweep order (nil:
+// natural).
 func timeSweepsOrdered(e engine.Engine, x *tensor.COO, r, reps int, seed int64, order []int) time.Duration {
 	fs := randomFactors(x, r, seed)
 	out := dense.New(maxDim(x.Dims), r)
-	sweep := func() time.Duration {
-		startNS := e.Stats().MTTKRPNS
-		for _, mode := range order {
-			mm := &dense.Matrix{Rows: x.Dims[mode], Cols: r, Data: out.Data[:x.Dims[mode]*r]}
-			if err := e.MTTKRP(mode, fs, mm); err != nil {
-				panic(err)
-			}
-			e.FactorUpdated(mode)
-		}
-		return time.Duration(e.Stats().MTTKRPNS - startNS)
-	}
-	sweep() // warm-up
+	sweepOrdered(e, x, fs, out, order) // warm-up: symbolic reuse, allocator, caches
 	best := time.Duration(0)
 	for i := 0; i < reps; i++ {
-		if d := sweep(); best == 0 || d < best {
+		if d := sweepOrdered(e, x, fs, out, order); best == 0 || d < best {
 			best = d
 		}
 	}

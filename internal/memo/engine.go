@@ -28,6 +28,12 @@ type Engine struct {
 	workers int
 	retain  bool
 
+	// For a strategy over another mode order, pos[m] is the position of
+	// original mode m and pfac holds each call's factors in position order
+	// (both nil for the natural order).
+	pos  []int
+	pfac []*dense.Matrix
+
 	root   *node
 	all    []*node
 	leaves []*node
@@ -112,7 +118,11 @@ type Config struct {
 	Accum accum.Config
 }
 
-// NewWithConfig is New with the full configuration surface.
+// NewWithConfig is New with the full configuration surface. A strategy
+// over another mode order builds its tree over a view of x in that order,
+// aliasing x's index and value arrays; MTTKRP and FactorUpdated keep taking
+// original modes. The plan's accumulation table (cfg.Accum.PerMode) is
+// indexed by position in that order.
 func NewWithConfig(x *tensor.COO, strat *Strategy, cfg Config) (*Engine, error) {
 	if err := strat.Validate(x.Order()); err != nil {
 		return nil, err
@@ -122,8 +132,17 @@ func NewWithConfig(x *tensor.COO, strat *Strategy, cfg Config) (*Engine, error) 
 		name = "memo"
 	}
 	e := &Engine{x: x, strat: strat, name: name, workers: cfg.Workers, retain: cfg.RetainBuffers}
+	view := x
+	if strat.Modes != nil {
+		view = x.PermuteModes(strat.Modes)
+		e.pos = make([]int, x.Order())
+		for p, m := range strat.Modes {
+			e.pos[m] = p
+		}
+		e.pfac = make([]*dense.Matrix, x.Order())
+	}
 	start := time.Now()
-	e.root, e.all, e.leaves = buildTree(x, strat, cfg.Workers, cfg.StreamRoot)
+	e.root, e.all, e.leaves = buildTree(view, strat, cfg.Workers, cfg.StreamRoot)
 	e.symbolicNS = time.Since(start).Nanoseconds()
 	maxDelta := 0
 	for _, t := range e.all {
@@ -178,7 +197,8 @@ func (e *Engine) MemoStats() (hits, misses, evictions int64) {
 
 // Instrument implements engine.Instrumentable: the memoization counters and
 // live value-storage gauge go to the registry, and node rebuilds are spanned
-// in the tracer (named memo.rebuild[lo:hi) after each node's mode range).
+// in the tracer (named memo.rebuild[lo:hi) after each node's position range
+// in the strategy's order, which is its mode range in the natural order).
 // The worst per-node chunk imbalance of the reduction schedule is exported
 // as a gauge — the number the weighted scheduler exists to keep near 1.
 func (e *Engine) Instrument(tr *obs.Tracer, reg *obs.Registry) {
@@ -231,6 +251,9 @@ func (e *Engine) ResetStats() { e.ctr.Reset() }
 // FactorUpdated implements engine.Engine: every cached node contracted with
 // factors[mode] becomes stale and is dropped.
 func (e *Engine) FactorUpdated(mode int) {
+	if e.pos != nil {
+		mode = e.pos[mode]
+	}
 	for _, t := range e.all {
 		if t.vals != nil && t.dependsOn(mode) {
 			e.free(t)
@@ -288,6 +311,12 @@ func (e *Engine) MTTKRP(mode int, factors []*dense.Matrix, out *dense.Matrix) er
 	if e.rank != r {
 		e.invalidateAll()
 		e.rank = r
+	}
+	if e.pos != nil {
+		for p, m := range e.strat.Modes {
+			e.pfac[p] = factors[m]
+		}
+		factors, mode = e.pfac, e.pos[mode]
 	}
 	leaf := e.leaves[mode]
 	e.ensure(leaf.parent, factors, r)
@@ -462,8 +491,8 @@ func (e *Engine) runPrivChunk(worker, lo, hi int) {
 	}
 }
 
-// NodeElemCounts returns, for every node in pre-order, its mode range and
-// the number of distinct projected tuples — the quantities the cost model
+// NodeElemCounts returns, for every node in pre-order, its position range
+// and the number of distinct projected tuples — the quantities the cost model
 // estimates. Used to validate the model against the exact symbolic phase.
 func (e *Engine) NodeElemCounts() []NodeCount {
 	out := make([]NodeCount, 0, len(e.all))

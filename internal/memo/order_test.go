@@ -10,11 +10,16 @@ import (
 	"adatm/internal/tensor"
 )
 
+// inOrder sets s's mode order (the original mode at each position).
+func inOrder(s *Strategy, modes []int) *Strategy {
+	s.Modes = modes
+	return s
+}
+
 func TestPermutedMatchesReference(t *testing.T) {
 	x := tensor.RandomClustered(4, 12, 600, 0.8, 401)
 	fs := randomFactors(x, 5, 402)
-	perm := []int{2, 0, 3, 1}
-	e, err := NewPermuted(x, Balanced(4), perm, 2, "")
+	e, err := NewWithConfig(x, inOrder(Balanced(4), []int{2, 0, 3, 1}), Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,12 +37,12 @@ func TestPermutedSweepProtocol(t *testing.T) {
 	x := tensor.RandomClustered(5, 10, 500, 0.7, 403)
 	fs := randomFactors(x, 4, 404)
 	rng := rand.New(rand.NewSource(405))
-	perm := []int{4, 1, 3, 0, 2}
-	e, err := NewPermuted(x, Balanced(5), perm, 2, "")
+	s := inOrder(Balanced(5), []int{4, 1, 3, 0, 2})
+	e, err := NewWithConfig(x, s, Config{Workers: 2, RetainBuffers: true, StreamRoot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := e.SweepOrder()
+	order := s.SweepOrder()
 	for iter := 0; iter < 2; iter++ {
 		for _, mode := range order {
 			out := dense.New(x.Dims[mode], 4)
@@ -52,13 +57,13 @@ func TestPermutedSweepProtocol(t *testing.T) {
 	}
 }
 
-// Sweeping in the permuted order must keep the once-per-iteration property:
-// steady-state per-sweep ops equal PerIterationOps.
+// Sweeping in the strategy's order must keep the once-per-iteration
+// property: steady-state per-sweep ops equal PerIterationOps.
 func TestPermutedOncePerIteration(t *testing.T) {
 	x := tensor.RandomClustered(4, 10, 400, 0.9, 406)
 	fs := randomFactors(x, 8, 407)
-	perm := []int{3, 1, 0, 2}
-	e, err := NewPermuted(x, Balanced(4), perm, 1, "")
+	s := inOrder(Balanced(4), []int{3, 1, 0, 2})
+	e, err := NewWithConfig(x, s, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,34 +76,45 @@ func TestPermutedOncePerIteration(t *testing.T) {
 		}
 		return e.Stats().HadamardOps
 	}
-	sweep(e.SweepOrder()) // fill caches
-	got := sweep(e.SweepOrder())
+	sweep(s.SweepOrder()) // fill caches
+	got := sweep(s.SweepOrder())
 	if want := e.PerIterationOps(8); got != want {
-		t.Errorf("permuted sweep ops %d != once-per-node %d", got, want)
+		t.Errorf("ordered sweep ops %d != once-per-node %d", got, want)
 	}
 	// Sweeping in the WRONG (natural) order must cost at least as much.
 	natural := []int{0, 1, 2, 3}
 	sweep(natural)
 	if wrong := sweep(natural); wrong < got {
-		t.Errorf("natural-order sweep %d unexpectedly cheaper than permuted %d", wrong, got)
+		t.Errorf("natural-order sweep %d unexpectedly cheaper than ordered %d", wrong, got)
 	}
 }
 
 func TestPermutedValidation(t *testing.T) {
 	x := tensor.RandomUniform(3, 6, 50, 408)
-	bad := [][]int{{0, 1}, {0, 0, 1}, {0, 1, 3}, {-1, 0, 1}}
+	bad := [][]int{{0, 1}, {0, 0, 1}, {0, 1, 3}, {-1, 0, 1}, {}}
 	for _, perm := range bad {
-		if _, err := NewPermuted(x, Balanced(3), perm, 1, ""); err == nil {
-			t.Errorf("permutation %v accepted", perm)
+		s := inOrder(Balanced(3), perm)
+		if err := s.Validate(3); err == nil {
+			t.Errorf("order %v accepted by Validate", perm)
 		}
+		if _, err := NewWithConfig(x, s, Config{Workers: 1}); err == nil {
+			t.Errorf("order %v accepted by NewWithConfig", perm)
+		}
+	}
+	// The order belongs to the root: a child carrying one is malformed.
+	s := Balanced(3)
+	s.Children[0].Modes = []int{1, 0}
+	if err := s.Validate(3); err == nil {
+		t.Error("order on a non-root node accepted")
 	}
 }
 
+// The identity order is the natural one: same tree, same bits.
 func TestPermutedIdentityEqualsPlain(t *testing.T) {
 	x := tensor.RandomClustered(4, 10, 300, 0.6, 409)
 	fs := randomFactors(x, 4, 410)
 	plain, _ := New(x, Balanced(4), 1, "")
-	permuted, err := NewPermuted(x, Balanced(4), []int{0, 1, 2, 3}, 1, "")
+	ordered, err := New(x, inOrder(Balanced(4), []int{0, 1, 2, 3}), 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,15 +122,17 @@ func TestPermutedIdentityEqualsPlain(t *testing.T) {
 		a := dense.New(x.Dims[mode], 4)
 		b := dense.New(x.Dims[mode], 4)
 		plain.MTTKRP(mode, fs, a)
-		permuted.MTTKRP(mode, fs, b)
-		if d := a.MaxAbsDiff(b); d > 1e-12 {
-			t.Errorf("mode %d: identity permutation differs by %g", mode, d)
+		ordered.MTTKRP(mode, fs, b)
+		for i := range a.Data {
+			if a.Data[i] != b.Data[i] {
+				t.Fatalf("mode %d: identity order differs from nil at %d: %v vs %v", mode, i, b.Data[i], a.Data[i])
+			}
 		}
 	}
 }
 
-// Property: random permutations with random strategies stay correct under
-// the permuted-sweep ALS protocol.
+// Property: random orders with random strategies stay correct under the
+// ordered-sweep ALS protocol.
 func TestPermutedProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -125,11 +143,12 @@ func TestPermutedProperty(t *testing.T) {
 		for m := range fs {
 			fs[m] = dense.Random(x.Dims[m], 3, rng)
 		}
-		e, err := NewPermuted(x, randomBinary(order, rng), perm, 2, "")
+		s := inOrder(randomBinary(order, rng), perm)
+		e, err := NewWithConfig(x, s, Config{Workers: 2, StreamRoot: rng.Intn(2) == 0})
 		if err != nil {
 			return false
 		}
-		for _, mode := range e.SweepOrder() {
+		for _, mode := range s.SweepOrder() {
 			out := dense.New(x.Dims[mode], 3)
 			e.MTTKRP(mode, fs, out)
 			want := ref.MTTKRPSparse(x, mode, fs)

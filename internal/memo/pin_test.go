@@ -20,7 +20,11 @@ import (
 // leaf), every two-group split (a leaf next to a group at the ends) and
 // balanced, at orders 3–6; the ranks cover the streamed kernel's 8- and
 // 4-column blocks and its scalar tail. Both layouts of the root children —
-// streamed and gathered through redElems — must give the same bits.
+// streamed and gathered through redElems — must give the same bits. The
+// entries with an order suffix are trees over that mode order, swept in it;
+// their values come from an engine built over a permuted copy of the
+// tensor, so they also pin that the ordered view copies nothing that
+// changes the arithmetic.
 func TestMemoMTTKRPPin(t *testing.T) {
 	want := map[string]uint64{
 		"order3/flat":     0x88c804950668002d,
@@ -45,12 +49,26 @@ func TestMemoMTTKRPPin(t *testing.T) {
 		"order6/2group@3": 0xb603c3a8a71ce2fd,
 		"order6/2group@4": 0x43f15e1d154b8025,
 		"order6/2group@5": 0x21d8dc2ae2fa73dd,
+
+		"order4/flat[3 1 0 2]":       0xcd5515b7db593df5,
+		"order4/balanced[2 0 3 1]":   0xcdc08c6fbabad8ed,
+		"order5/balanced[4 1 3 0 2]": 0x9047c38da10e1dad,
+		"order5/2group@2[1 3 0 4 2]": 0xb706fd5d72f77d5d,
+	}
+	orders := map[int]map[string][]int{
+		4: {"flat": {3, 1, 0, 2}, "balanced": {2, 0, 3, 1}},
+		5: {"balanced": {4, 1, 3, 0, 2}, "2group@2": {1, 3, 0, 4, 2}},
 	}
 	for order := 3; order <= 6; order++ {
 		x := tensor.RandomClustered(order, 40, 700, 0.7, int64(60+order))
 		trees := map[string]*Strategy{"flat": Flat(order), "balanced": Balanced(order)}
 		for s := 1; s < order; s++ {
 			trees[fmt.Sprintf("2group@%d", s)] = TwoGroup(order, s)
+		}
+		for name, modes := range orders[order] {
+			s := *trees[name]
+			s.Modes = modes
+			trees[fmt.Sprintf("%s%v", name, modes)] = &s
 		}
 		for name, s := range trees {
 			for _, stream := range []bool{true, false} {
@@ -63,7 +81,8 @@ func TestMemoMTTKRPPin(t *testing.T) {
 	}
 }
 
-// memoOutputHash hashes the pinned MTTKRP sequence of one tree and layout.
+// memoOutputHash hashes the pinned MTTKRP sequence of one tree and layout,
+// sweeping the modes in the tree's order.
 func memoOutputHash(t *testing.T, x *tensor.COO, s *Strategy, stream bool) uint64 {
 	order := x.Order()
 	h := fnv.New64a()
@@ -81,7 +100,7 @@ func memoOutputHash(t *testing.T, x *tensor.COO, s *Strategy, stream bool) uint6
 				t.Fatal(err)
 			}
 			for it := 0; it < 2; it++ {
-				for mode := 0; mode < order; mode++ {
+				for _, mode := range s.SweepOrder() {
 					out := dense.New(x.Dims[mode], r)
 					if err := e.MTTKRP(mode, fs, out); err != nil {
 						t.Fatal(err)

@@ -18,22 +18,51 @@
 //     O(N log N) tensor contractions per ALS iteration.
 //   - arbitrary binary trees chosen by the cost model (package model).
 //
-// Children cover contiguous mode ranges because CP-ALS sweeps the modes in
-// order: contiguity is exactly the condition under which every node is
-// computed once and reused until its whole range has been swept.
+// Children cover contiguous ranges of positions in the sweep order because
+// CP-ALS sweeps the modes in that order: contiguity is exactly the condition
+// under which every node is computed once and reused until its whole range
+// has been swept. The root names the original mode at each position
+// (Strategy.Modes), so the order is part of the tree: grouping modes that
+// are not adjacent in the tensor is a tree over another order, not another
+// kind of engine.
 package memo
 
 import (
 	"fmt"
 	"strings"
+
+	"adatm/internal/tensor"
 )
 
-// Strategy is a node of a memoization tree over the contiguous mode range
-// [Lo, Hi). Leaves have Hi == Lo+1 and no children; internal nodes have at
-// least two children whose ranges partition [Lo, Hi) in order.
+// Strategy is a node of a memoization tree over the contiguous range
+// [Lo, Hi) of positions in the sweep order. Leaves have Hi == Lo+1 and no
+// children; internal nodes have at least two children whose ranges
+// partition [Lo, Hi) in order.
 type Strategy struct {
 	Lo, Hi   int
 	Children []*Strategy
+	// Modes is set on the root only: Modes[p] is the original mode at
+	// position p. nil is the natural order, position p is mode p.
+	Modes []int
+}
+
+// mode returns the original mode at position p of s's order.
+func (s *Strategy) mode(p int) int {
+	if s.Modes == nil {
+		return p
+	}
+	return s.Modes[p]
+}
+
+// SweepOrder returns the original modes in the order CP-ALS must sweep
+// them for every node to be computed once per iteration: Modes, or the
+// natural order when Modes is nil. Call it on the root.
+func (s *Strategy) SweepOrder() []int {
+	order := make([]int, s.Hi)
+	for p := range order {
+		order[p] = s.mode(p)
+	}
+	return order
 }
 
 // IsLeaf reports whether s covers a single mode.
@@ -42,15 +71,25 @@ func (s *Strategy) IsLeaf() bool { return s.Hi-s.Lo == 1 }
 // Span returns the number of modes covered.
 func (s *Strategy) Span() int { return s.Hi - s.Lo }
 
-// Validate checks that s is a well-formed strategy for an order-n tensor.
+// Validate checks that s is a well-formed strategy for an order-n tensor:
+// a tree over [0, n) whose root order, when set, is a permutation of the n
+// modes.
 func (s *Strategy) Validate(n int) error {
 	if s.Lo != 0 || s.Hi != n {
 		return fmt.Errorf("memo: root covers [%d,%d), want [0,%d)", s.Lo, s.Hi, n)
+	}
+	if s.Modes != nil && !tensor.IsPermutation(s.Modes, n) {
+		return fmt.Errorf("memo: mode order %v is not a permutation of %d modes", s.Modes, n)
 	}
 	return s.validate()
 }
 
 func (s *Strategy) validate() error {
+	for _, c := range s.Children {
+		if c.Modes != nil {
+			return fmt.Errorf("memo: mode order on non-root node [%d,%d)", c.Lo, c.Hi)
+		}
+	}
 	if s.Lo >= s.Hi {
 		return fmt.Errorf("memo: empty node range [%d,%d)", s.Lo, s.Hi)
 	}
@@ -169,17 +208,20 @@ func (s *Strategy) Depth() int {
 	return d + 1
 }
 
-// String renders the tree in a compact nested-range notation, e.g.
-// "([0-1][2-3])" for a balanced order-4 tree.
+// String renders the tree in a compact nested notation over the original
+// modes, e.g. "([0-1] [2-3])" for a balanced order-4 tree. A group of
+// leaves is a bracketed range when its modes run up by one, and a
+// comma-separated list otherwise: "([3,1] [0,2])" is the same shape over
+// the order 3 1 0 2.
 func (s *Strategy) String() string {
 	var b strings.Builder
-	s.render(&b)
+	s.render(&b, s)
 	return b.String()
 }
 
-func (s *Strategy) render(b *strings.Builder) {
+func (s *Strategy) render(b *strings.Builder, root *Strategy) {
 	if s.IsLeaf() {
-		fmt.Fprintf(b, "%d", s.Lo)
+		fmt.Fprintf(b, "%d", root.mode(s.Lo))
 		return
 	}
 	b.WriteByte('(')
@@ -187,15 +229,34 @@ func (s *Strategy) render(b *strings.Builder) {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		if c.IsLeaf() {
-			c.render(b)
-		} else if c.flatGroup() {
-			fmt.Fprintf(b, "[%d-%d]", c.Lo, c.Hi-1)
+		if c.flatGroup() {
+			c.renderGroup(b, root)
 		} else {
-			c.render(b)
+			c.render(b, root)
 		}
 	}
 	b.WriteByte(')')
+}
+
+// renderGroup renders a node whose children are all leaves.
+func (s *Strategy) renderGroup(b *strings.Builder, root *Strategy) {
+	first := root.mode(s.Lo)
+	run := true
+	for p := s.Lo; p < s.Hi; p++ {
+		run = run && root.mode(p) == first+p-s.Lo
+	}
+	if run {
+		fmt.Fprintf(b, "[%d-%d]", first, first+s.Span()-1)
+		return
+	}
+	b.WriteByte('[')
+	for p := s.Lo; p < s.Hi; p++ {
+		if p > s.Lo {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(b, "%d", root.mode(p))
+	}
+	b.WriteByte(']')
 }
 
 // flatGroup reports whether every child of s is a leaf.
@@ -208,10 +269,16 @@ func (s *Strategy) flatGroup() bool {
 	return len(s.Children) > 0
 }
 
-// Equal reports structural equality of two strategies.
+// Equal reports whether two strategies have the same shape over the same
+// mode order (a nil order equals the natural one).
 func (s *Strategy) Equal(o *Strategy) bool {
 	if s.Lo != o.Lo || s.Hi != o.Hi || len(s.Children) != len(o.Children) {
 		return false
+	}
+	for p := s.Lo; p < s.Hi; p++ {
+		if s.mode(p) != o.mode(p) {
+			return false
+		}
 	}
 	for i := range s.Children {
 		if !s.Children[i].Equal(o.Children[i]) {

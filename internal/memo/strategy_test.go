@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -157,6 +158,45 @@ func TestEqual(t *testing.T) {
 	// At n=3, TwoGroup(3,2) and Balanced(3) coincide.
 	if !TwoGroup(3, 2).Equal(Balanced(3)) {
 		t.Errorf("TwoGroup(3,2)=%s, Balanced(3)=%s should coincide", TwoGroup(3, 2), Balanced(3))
+	}
+}
+
+// The mode order is part of the strategy: String names original modes,
+// Equal tells orders apart (the identity order equals nil), and
+// SweepOrder returns the order or the natural one.
+func TestStrategyModeOrder(t *testing.T) {
+	cases := []struct {
+		s    *Strategy
+		want string
+	}{
+		{inOrder(Balanced(4), []int{3, 1, 0, 2}), "([3,1] [0,2])"},
+		{inOrder(Balanced(4), []int{2, 3, 0, 1}), "([2-3] [0-1])"},
+		{inOrder(Flat(3), []int{2, 0, 1}), "(2 0 1)"},
+		{inOrder(Balanced(5), []int{4, 1, 3, 0, 2}), "(([4,1] 3) [0,2])"},
+		{inOrder(Balanced(4), []int{0, 1, 2, 3}), Balanced(4).String()},
+	}
+	for _, c := range cases {
+		if err := c.s.Validate(c.s.Hi); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.s.String(); got != c.want {
+			t.Errorf("order %v: String = %q, want %q", c.s.Modes, got, c.want)
+		}
+		if got := c.s.SweepOrder(); fmt.Sprint(got) != fmt.Sprint(c.s.Modes) {
+			t.Errorf("SweepOrder = %v, want %v", got, c.s.Modes)
+		}
+	}
+	if got := Balanced(3).SweepOrder(); fmt.Sprint(got) != "[0 1 2]" {
+		t.Errorf("natural SweepOrder = %v", got)
+	}
+	if inOrder(Balanced(4), []int{3, 1, 0, 2}).Equal(Balanced(4)) {
+		t.Error("trees over different orders equal")
+	}
+	if !inOrder(Balanced(4), []int{0, 1, 2, 3}).Equal(Balanced(4)) {
+		t.Error("identity order unequal to the natural one")
+	}
+	if !inOrder(Flat(3), []int{2, 0, 1}).Equal(inOrder(Flat(3), []int{2, 0, 1})) {
+		t.Error("identical ordered trees unequal")
 	}
 }
 

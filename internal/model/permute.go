@@ -1,45 +1,16 @@
 package model
 
 import (
+	"slices"
 	"sort"
 
-	"adatm/internal/memo"
 	"adatm/internal/tensor"
 )
 
-// Mode permutation support: strategy trees group contiguous mode ranges, so
-// grouping non-adjacent modes requires permuting the modes first. The
-// functions here score candidate permutations (each with its own projection
-// estimator over the permuted order) and pick the best (permutation,
-// strategy) pair.
-
-// NewEstimatorOrdered is NewEstimator over a permuted mode order: range
-// [lo, hi) refers to permuted positions, i.e. original modes
-// perm[lo..hi-1].
-func NewEstimatorOrdered(x *tensor.COO, perm []int, k int) *Estimator {
-	if len(perm) != x.Order() {
-		panic("model: permutation arity mismatch")
-	}
-	px := &tensor.COO{Dims: make([]int, len(perm)), Inds: make([][]tensor.Index, len(perm)), Vals: x.Vals}
-	for p, m := range perm {
-		px.Dims[p] = x.Dims[m]
-		px.Inds[p] = x.Inds[m] // aliasing is fine: the estimator only reads
-	}
-	return NewEstimator(px, k)
-}
-
-// PermCandidate is one scored (permutation, plan) pair.
-type PermCandidate struct {
-	Name string
-	Perm []int
-	Plan *Plan
-}
-
-// PermPlan is the outcome of permutation-aware selection.
-type PermPlan struct {
-	Candidates []PermCandidate
-	Chosen     PermCandidate
-}
+// Mode order support: strategy trees group contiguous ranges of positions,
+// so grouping non-adjacent modes is a tree over another mode order. The
+// functions here name candidate orders and score every (order, tree) pair
+// with the same routine Select runs over the natural order.
 
 // HeuristicPermutations returns the candidate mode orders the selector
 // scores: natural, dimensions ascending, dimensions descending, and
@@ -69,55 +40,28 @@ func HeuristicPermutations(x *tensor.COO) map[string][]int {
 	}
 }
 
-// SelectPermuted scores every candidate permutation (each with a fresh
-// estimator over its order) and returns the (permutation, strategy) pair
-// with the lowest predicted op count among feasible plans. perms may be
-// nil, in which case HeuristicPermutations is used.
-func SelectPermuted(x *tensor.COO, opt Options, perms map[string][]int) *PermPlan {
+// SelectPermuted is Select over several mode orders: perms maps a name to
+// an order (the original mode at each position), and nil uses
+// HeuristicPermutations. Each order gets its own estimator over the tensor
+// viewed in that order. Candidates are named "<order>/<tree>", orders are
+// scored in name order, and the chosen candidate's Strategy carries its
+// order (nil when it is the natural one).
+func SelectPermuted(x *tensor.COO, opt Options, perms map[string][]int) *Plan {
 	if perms == nil {
 		perms = HeuristicPermutations(x)
 	}
-	out := &PermPlan{}
-	for name, perm := range perms {
-		var est *Estimator
-		if opt.Exact {
-			est = NewExactEstimator(permutedView(x, perm))
-		} else {
-			est = NewEstimatorOrdered(x, perm, opt.SketchK)
-		}
-		plan := SelectWithEstimator(est, opt)
-		out.Candidates = append(out.Candidates, PermCandidate{Name: name, Perm: perm, Plan: plan})
+	names := make([]string, 0, len(perms))
+	for name := range perms {
+		names = append(names, name)
 	}
-	// Deterministic order (map iteration is random).
-	sort.Slice(out.Candidates, func(a, b int) bool { return out.Candidates[a].Name < out.Candidates[b].Name })
-	best := -1
-	for i, c := range out.Candidates {
-		if best < 0 {
-			best = i
-			continue
-		}
-		bi, ci := out.Candidates[best], c
-		// Prefer feasible plans, then lower predicted ops.
-		if (ci.Plan.Chosen.Feasible && !bi.Plan.Chosen.Feasible) ||
-			(ci.Plan.Chosen.Feasible == bi.Plan.Chosen.Feasible && ci.Plan.Chosen.Pred.Ops < bi.Plan.Chosen.Pred.Ops) {
-			best = i
+	sort.Strings(names)
+	orders := make([]sweepOrder, len(names))
+	for i, name := range names {
+		perm := perms[name]
+		orders[i] = sweepOrder{prefix: name + "/", est: newEstimator(x.PermuteModes(perm), opt)}
+		if !slices.IsSorted(perm) { // the one sorted permutation is the natural order
+			orders[i].modes = slices.Clone(perm)
 		}
 	}
-	out.Chosen = out.Candidates[best]
-	return out
-}
-
-func permutedView(x *tensor.COO, perm []int) *tensor.COO {
-	px := &tensor.COO{Dims: make([]int, len(perm)), Inds: make([][]tensor.Index, len(perm)), Vals: x.Vals}
-	for p, m := range perm {
-		px.Dims[p] = x.Dims[m]
-		px.Inds[p] = x.Inds[m]
-	}
-	return px
-}
-
-// BuildChosen constructs the permuted memoized engine for the selection.
-func (pp *PermPlan) BuildChosen(x *tensor.COO, workers int) (*memo.Permuted, error) {
-	return memo.NewPermuted(x, pp.Chosen.Plan.Chosen.Strategy, pp.Chosen.Perm, workers,
-		"adaptive-perm["+pp.Chosen.Name+"/"+pp.Chosen.Plan.Chosen.Name+"]")
+	return choose(orders, opt)
 }

@@ -1,10 +1,13 @@
 package model
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"adatm/internal/accum"
 	"adatm/internal/dense"
+	"adatm/internal/memo"
 	"adatm/internal/ref"
 	"adatm/internal/tensor"
 )
@@ -30,15 +33,17 @@ func correlated(nnz int, seed int64) *tensor.COO {
 	return x
 }
 
+// The estimator over an ordered view reads the same tuples as one over a
+// physical copy of the tensor in that order.
 func TestEstimatorOrderedMatchesPermutedClone(t *testing.T) {
 	x := tensor.RandomClustered(4, 10, 500, 0.8, 501)
 	perm := []int{3, 1, 0, 2}
-	a := NewEstimatorOrdered(x, perm, 1<<14)
-	b := NewEstimator(x.PermuteModes(perm), 1<<14)
+	a := NewEstimator(x.PermuteModes(perm), 1<<14)
+	b := NewEstimator(x.PermuteModes(perm).Clone(), 1<<14)
 	for lo := 0; lo < 4; lo++ {
 		for hi := lo + 1; hi <= 4; hi++ {
 			if a.Distinct(lo, hi) != b.Distinct(lo, hi) {
-				t.Errorf("range [%d,%d): ordered %d vs clone %d", lo, hi, a.Distinct(lo, hi), b.Distinct(lo, hi))
+				t.Errorf("range [%d,%d): view %d vs clone %d", lo, hi, a.Distinct(lo, hi), b.Distinct(lo, hi))
 			}
 		}
 	}
@@ -70,36 +75,36 @@ func TestHeuristicPermutationsValid(t *testing.T) {
 
 func TestSelectPermutedFindsCorrelatedGrouping(t *testing.T) {
 	x := correlated(30000, 503)
-	// Hand the selector a permutation that groups the correlated pair in
+	// Hand the selector an order that groups the correlated pair in
 	// addition to the heuristics; it must beat the natural order's plan.
 	perms := HeuristicPermutations(x)
 	perms["group02"] = []int{0, 2, 1, 3}
 	pp := SelectPermuted(x, Options{Rank: 16}, perms)
 
-	var natural, chosen int64
-	for _, c := range pp.Candidates {
-		if c.Name == "natural" {
-			natural = c.Plan.Chosen.Pred.Ops
-		}
-	}
-	chosen = pp.Chosen.Plan.Chosen.Pred.Ops
-	if chosen >= natural {
+	natural := Select(x, Options{Rank: 16}).Chosen.Pred.Ops
+	if chosen := pp.Chosen.Pred.Ops; chosen >= natural {
 		t.Errorf("permuted selection (%s, %d ops) no better than natural (%d ops)", pp.Chosen.Name, chosen, natural)
 	}
-	// The winning permutation must place modes 0 and 2 adjacently.
+	// The winning order must place modes 0 and 2 adjacently.
 	pos := make([]int, 4)
-	for p, m := range pp.Chosen.Perm {
+	for p, m := range pp.Chosen.Strategy.SweepOrder() {
 		pos[m] = p
 	}
 	if d := pos[0] - pos[2]; d != 1 && d != -1 {
-		t.Errorf("chosen permutation %v does not group the correlated modes", pp.Chosen.Perm)
+		t.Errorf("chosen order %v does not group the correlated modes", pp.Chosen.Strategy.Modes)
+	}
+	// The plan's tables are in the chosen order.
+	if want := x.PermuteModes(pp.Chosen.Strategy.Modes).Dims; fmt.Sprint(pp.Dims) != fmt.Sprint(want) {
+		t.Errorf("plan dims %v, want the chosen order's %v", pp.Dims, want)
 	}
 }
 
-func TestBuildChosenComputesCorrectMTTKRP(t *testing.T) {
+// The ordered engine for a permuted plan's choice computes the reference
+// MTTKRP in original mode numbering.
+func TestSelectPermutedChosenComputesCorrectMTTKRP(t *testing.T) {
 	x := correlated(5000, 504)
 	pp := SelectPermuted(x, Options{Rank: 4}, nil)
-	eng, err := pp.BuildChosen(x, 2)
+	eng, err := memo.NewWithConfig(x, pp.Chosen.Strategy, memo.Config{Workers: 2, Accum: accum.Config{PerMode: pp.AccumPerMode()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,5 +134,35 @@ func TestSelectPermutedDeterministicOrder(t *testing.T) {
 		if a.Candidates[i].Name != b.Candidates[i].Name {
 			t.Fatalf("nondeterministic candidate order: %s vs %s", a.Candidates[i].Name, b.Candidates[i].Name)
 		}
+	}
+	if a.Chosen.Name != b.Chosen.Name {
+		t.Fatalf("nondeterministic choice: %s vs %s", a.Chosen.Name, b.Chosen.Name)
+	}
+}
+
+// Select is the shared routine over the natural order alone: a permuted
+// selection given only the identity order scores the same candidates,
+// named under that order, and makes the same choice with a nil order.
+func TestSelectPermutedNaturalOnlyMatchesSelect(t *testing.T) {
+	x := tensor.RandomClustered(5, 12, 800, 0.7, 507)
+	opt := Options{Rank: 8, Budget: 1 << 16, Workers: 2}
+	want := Select(x, opt)
+	got := SelectPermuted(x, opt, map[string][]int{"natural": {0, 1, 2, 3, 4}})
+	if len(got.Candidates) != len(want.Candidates) {
+		t.Fatalf("%d candidates, want %d", len(got.Candidates), len(want.Candidates))
+	}
+	for i, c := range got.Candidates {
+		w := want.Candidates[i]
+		if c.Name != "natural/"+w.Name || !c.Strategy.Equal(w.Strategy) || c.Pred != w.Pred || c.Feasible != w.Feasible {
+			t.Errorf("candidate %d: %s %s %+v, want natural/%s %s %+v", i, c.Name, c.Strategy, c.Pred, w.Name, w.Strategy, w.Pred)
+		}
+	}
+	if got.Chosen.Strategy.Modes != nil {
+		t.Errorf("identity order kept as %v, want nil", got.Chosen.Strategy.Modes)
+	}
+	if got.Chosen.Name != "natural/"+want.Chosen.Name || got.Retain != want.Retain || got.Stream != want.Stream ||
+		fmt.Sprint(got.Accum) != fmt.Sprint(want.Accum) || fmt.Sprint(got.Ranges) != fmt.Sprint(want.Ranges) {
+		t.Errorf("choice %s (retain %v stream %v), want natural/%s (retain %v stream %v)",
+			got.Chosen.Name, got.Retain, got.Stream, want.Chosen.Name, want.Retain, want.Stream)
 	}
 }

@@ -23,6 +23,9 @@ type Candidate struct {
 	// ranked by predicted time (SelectByTime).
 	PredTime time.Duration
 	Feasible bool
+	// est is the estimator over the strategy's mode order that the
+	// predictions came from.
+	est *Estimator
 }
 
 // Plan is the selector's full output: every candidate it scored (sorted by
@@ -34,15 +37,16 @@ type Plan struct {
 	Order  int
 	Rank   int
 	Budget int64 // bytes; <= 0 means unbounded
-	Dims   []int // mode dimensions (selector's mode order)
+	Dims   []int // mode dimensions in the chosen strategy's mode order
 	NNZ    int64
 	Exact  bool // distinct counts were exact, not sketched
 	ByTime bool // ranked by the roofline time model, not op counts
 	// BudgetFallback reports that no candidate fit the budget and the
 	// smallest-footprint candidate was chosen instead of the op-optimal one.
 	BudgetFallback bool
-	// Ranges is the estimator's distinct-tuple table (all contiguous mode
-	// ranges) — the raw inputs the predictions were computed from.
+	// Ranges is the estimator's distinct-tuple table (all contiguous
+	// ranges of positions in the chosen strategy's mode order) — the raw
+	// inputs the predictions were computed from.
 	Ranges     []RangeCount
 	Candidates []Candidate
 	Chosen     Candidate
@@ -51,6 +55,7 @@ type Plan struct {
 	Workers int
 	// Accum is the per-target-mode output-accumulation decision: privatized
 	// per-worker copies versus in-place scatter, with the model's evidence.
+	// It is indexed by position in the chosen strategy's mode order.
 	Accum []AccumChoice
 	// Retain reports that the engine keeps every intermediate's value
 	// storage allocated across sweeps: the budget is unbounded, or the
@@ -85,54 +90,76 @@ type Options struct {
 	Accum accum.Strategy
 }
 
-// Select runs the model-driven selection for x: estimate the projection
-// sizes, enumerate the candidate strategy family (flat, every two-group
-// split, balanced binary, and the DP-optimal binary tree), score each with
-// the cost model, and choose the cheapest feasible candidate.
+// Select runs the model-driven selection for x over the natural mode
+// order: estimate the projection sizes, enumerate the candidate strategy
+// family (flat, every two-group split, balanced binary, and the DP-optimal
+// binary tree), score each with the cost model, and choose the cheapest
+// feasible candidate.
 func Select(x *tensor.COO, opt Options) *Plan {
-	var est *Estimator
+	return SelectWithEstimator(newEstimator(x, opt), opt)
+}
+
+// newEstimator builds the estimator opt asks for: exact or sketched.
+func newEstimator(x *tensor.COO, opt Options) *Estimator {
 	if opt.Exact {
-		est = NewExactEstimator(x)
-	} else {
-		est = NewEstimator(x, opt.SketchK)
+		return NewExactEstimator(x)
 	}
-	return SelectWithEstimator(est, opt)
+	return NewEstimator(x, opt.SketchK)
 }
 
 // SelectWithEstimator is Select with a prebuilt estimator (so callers can
 // reuse one estimator across ranks and budgets).
 func SelectWithEstimator(est *Estimator, opt Options) *Plan {
-	n := est.Order()
+	return choose([]sweepOrder{{est: est}}, opt)
+}
+
+// sweepOrder is one mode order the selector scores: modes is the original
+// mode at each position (nil: natural), est the estimator over the tensor
+// viewed in that order, and prefix starts the names of its candidates.
+type sweepOrder struct {
+	prefix string
+	modes  []int
+	est    *Estimator
+}
+
+// choose scores the candidate family over every order, in the given order
+// of orders, and chooses the cheapest feasible (order, tree) pair. Among
+// equal predictions the earlier candidate wins.
+func choose(orders []sweepOrder, opt Options) *Plan {
+	first := orders[0].est
+	n := first.Order()
 	rank := opt.Rank
 	if rank <= 0 {
 		rank = 16
 	}
-	plan := &Plan{
-		Order: n, Rank: rank, Budget: opt.Budget,
-		Dims: est.Dims(), NNZ: est.NNZ(), Exact: est.Exact(), Ranges: est.Ranges(),
-	}
+	plan := &Plan{Order: n, Rank: rank, Budget: opt.Budget, NNZ: first.NNZ()}
 
-	add := func(name string, s *memo.Strategy) {
-		pred := Predict(est, s, rank)
-		feasible := opt.Budget <= 0 || pred.IndexBytes+pred.PeakValueBytes <= opt.Budget
-		plan.Candidates = append(plan.Candidates, Candidate{Name: name, Strategy: s, Pred: pred, Feasible: feasible})
-	}
-
-	add("flat", memo.Flat(n))
-	for s := 1; s < n; s++ {
-		add(fmt.Sprintf("2group@%d", s), memo.TwoGroup(n, s))
-	}
-	if n >= 3 {
-		add("balanced", memo.Balanced(n))
-	}
-	if n >= 3 {
-		if dp := dpBinary(est, rank); dp != nil {
-			add("dp-binary", dp)
+	for _, o := range orders {
+		add := func(name string, s *memo.Strategy) {
+			s.Modes = o.modes
+			pred := Predict(o.est, s, rank)
+			feasible := opt.Budget <= 0 || pred.IndexBytes+pred.PeakValueBytes <= opt.Budget
+			plan.Candidates = append(plan.Candidates, Candidate{
+				Name: o.prefix + name, Strategy: s, Pred: pred, Feasible: feasible, est: o.est,
+			})
+		}
+		add("flat", memo.Flat(n))
+		for s := 1; s < n; s++ {
+			add(fmt.Sprintf("2group@%d", s), memo.TwoGroup(n, s))
+		}
+		if n >= 3 {
+			add("balanced", memo.Balanced(n))
+		}
+		if n >= 3 {
+			if dp := dpBinary(o.est, rank); dp != nil {
+				add("dp-binary", dp)
+			}
 		}
 	}
 
 	// Deduplicate structurally identical candidates (e.g. balanced ==
-	// dp-binary, or 2group == balanced at n=3), keeping the first name.
+	// dp-binary, or 2group == balanced at n=3, or two names for one
+	// order), keeping the first name.
 	plan.Candidates = dedupCandidates(plan.Candidates)
 
 	sort.SliceStable(plan.Candidates, func(a, b int) bool {
@@ -159,6 +186,8 @@ func SelectWithEstimator(est *Estimator, opt Options) *Plan {
 		chosen = best
 	}
 	plan.Chosen = plan.Candidates[chosen]
+	est := plan.Chosen.est
+	plan.Dims, plan.Exact, plan.Ranges = est.Dims(), est.Exact(), est.Ranges()
 	plan.Workers = opt.Workers
 	if plan.Workers <= 0 {
 		plan.Workers = par.MaxWorkers()

@@ -149,12 +149,7 @@ func PredictTime(est *Estimator, s *memo.Strategy, rank int, c Coeffs) time.Dura
 // instead of raw op counts. The candidate set and feasibility rules are
 // identical; only the ordering criterion changes.
 func SelectByTime(x *tensor.COO, opt Options, c Coeffs) *Plan {
-	var est *Estimator
-	if opt.Exact {
-		est = NewExactEstimator(x)
-	} else {
-		est = NewEstimator(x, opt.SketchK)
-	}
+	est := newEstimator(x, opt)
 	plan := SelectWithEstimator(est, opt)
 	// Re-rank by predicted time; re-choose the cheapest feasible.
 	plan.ByTime = true

@@ -220,25 +220,35 @@ func (t *COO) Dedup() int {
 	return merged
 }
 
-// PermuteModes returns a new tensor with modes reordered so that new mode m
-// is old mode perm[m].
+// PermuteModes returns a read-only view of t with modes reordered so that
+// new mode m is old mode perm[m]. The view shares t's index and value
+// arrays: nothing is copied, and neither tensor may be modified while the
+// other is in use.
 func (t *COO) PermuteModes(perm []int) *COO {
-	if len(perm) != t.Order() {
-		panic("tensor: PermuteModes arity mismatch")
+	if !IsPermutation(perm, t.Order()) {
+		panic(fmt.Sprintf("tensor: PermuteModes: %v is not a permutation of %d modes", perm, t.Order()))
 	}
-	c := &COO{Vals: append([]float64(nil), t.Vals...)}
-	c.Dims = make([]int, t.Order())
-	c.Inds = make([][]Index, t.Order())
-	seen := make([]bool, t.Order())
+	c := &COO{Dims: make([]int, t.Order()), Inds: make([][]Index, t.Order()), Vals: t.Vals}
 	for m, p := range perm {
-		if p < 0 || p >= t.Order() || seen[p] {
-			panic("tensor: PermuteModes invalid permutation")
-		}
-		seen[p] = true
 		c.Dims[m] = t.Dims[p]
-		c.Inds[m] = append([]Index(nil), t.Inds[p]...)
+		c.Inds[m] = t.Inds[p]
 	}
 	return c
+}
+
+// IsPermutation reports whether order is a permutation of 0..n-1.
+func IsPermutation(order []int, n int) bool {
+	if len(order) != n {
+		return false
+	}
+	seen := make([]bool, n)
+	for _, m := range order {
+		if m < 0 || m >= n || seen[m] {
+			return false
+		}
+		seen[m] = true
+	}
+	return true
 }
 
 // CompactModes removes empty slices: every mode index space is relabelled to

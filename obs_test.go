@@ -2,6 +2,7 @@ package adatm_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -68,6 +69,61 @@ func TestDecomposeWithObservability(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics exposition missing %s", want)
 		}
+	}
+}
+
+// TestDecomposePermutedObserved: the permuted path builds its engine like
+// Decompose does, so it records the selection decision, with the chosen
+// order, and instruments the engine with the run's metrics and tracer.
+func TestDecomposePermutedObserved(t *testing.T) {
+	x := correlatedTensor(4000, 7)
+	var ledger strings.Builder
+	rec := adatm.NewAuditRecorder(adatm.AuditConfig{Ledger: &ledger})
+	tr := adatm.NewTracer(0)
+	reg := adatm.NewMetrics()
+	_, err := adatm.DecomposePermuted(x, adatm.Options{
+		Rank: 4, MaxIters: 3, Seed: 1, Workers: 1,
+		Audit: rec, Tracer: tr, Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(ledger.String()), "\n")
+	if len(lines) != 1 {
+		t.Fatalf("ledger has %d records, want 1:\n%s", len(lines), ledger.String())
+	}
+	var line struct {
+		Decision *struct {
+			Chosen string `json:"chosen"`
+			Dims   []int  `json:"dims"`
+			Modes  []int  `json:"modes"`
+		} `json:"decision"`
+	}
+	if err := json.Unmarshal([]byte(lines[0]), &line); err != nil {
+		t.Fatal(err)
+	}
+	d := rec.Latest().Decision
+	if line.Decision == nil || d == nil || line.Decision.Chosen != d.Chosen {
+		t.Fatalf("ledger decision %+v does not match the recorded one", line.Decision)
+	}
+	plan := adatm.PlanPermutedFor(x, 4, 0)
+	if want := plan.Chosen.Strategy.Modes; want == nil || fmt.Sprint(line.Decision.Modes) != fmt.Sprint(want) {
+		t.Errorf("decision modes %v, want the chosen order %v", line.Decision.Modes, want)
+	}
+
+	var sb strings.Builder
+	if _, err := reg.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "adatm_memo_hits_total") {
+		t.Error("metrics exposition missing adatm_memo_hits_total")
+	}
+	sb.Reset()
+	if err := tr.WriteChromeTrace(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), `"memo.rebuild[`) {
+		t.Error("trace has no memo.rebuild spans")
 	}
 }
 

@@ -84,6 +84,12 @@ go test -run '^$' -fuzz '^FuzzValidateLedger$' -fuzztime 10s ./internal/audit/
 go test -run '^$' -fuzz '^FuzzDecodeResult$' -fuzztime 10s ./internal/perf/
 go test -run '^$' -fuzz '^FuzzStreamAccum$' -fuzztime 10s ./internal/kernel/
 
+# The order-aware path end to end: quick E16 selects over several mode
+# orders and times the chosen ordered engine, and the modelpick example
+# prints a permuted plan through the public API.
+go run ./cmd/adabench -quick -exp E16
+go run ./examples/modelpick
+
 make bench-smoke
 make obs-smoke
 make ckpt-smoke
