@@ -277,8 +277,9 @@ type Options struct {
 	// Ctx, when non-nil, cancels the run between mode sub-iterations; the
 	// partial Result is returned with ctx's error.
 	Ctx context.Context
-	// Progress is invoked after every completed iteration; returning false
-	// stops the run early with a valid Result.
+	// Progress is invoked after every completed iteration, the converging
+	// one included; returning false stops the run early with a valid
+	// Result (a converging iteration still ends the run converged).
 	Progress func(IterStats) bool
 	// CollectStats attaches a per-phase RunStats breakdown to the Result.
 	CollectStats bool

@@ -50,6 +50,53 @@ func TestDecomposeSteadyZeroAlloc(t *testing.T) {
 		t.Errorf("%d iterations made %d allocations, %d made %d: the steady iteration allocates",
 			k, short, 2*k, long)
 	}
+
+	// The same pin with every observer attached: metrics, tracer, audit,
+	// health, stats collection, progress, and checkpoints whose cadence
+	// never comes due inside the run. The count runs from the first
+	// iteration's event to the last one's, since the final checkpoint write
+	// allocates by design. The observers only watch, so the factors must
+	// match the bare run's bit for bit.
+	watched := func(iters int) (uint64, *adatm.Result) {
+		var first, last runtime.MemStats
+		opt := adatm.Options{Rank: rank, MaxIters: iters, Tol: math.SmallestNonzeroFloat64, Seed: 3, Workers: 1,
+			Metrics: adatm.NewMetrics(), Tracer: adatm.NewTracer(0),
+			Audit:  adatm.NewAuditRecorder(adatm.AuditConfig{}),
+			Health: adatm.NewHealthProbe(adatm.HealthConfig{}), CollectStats: true,
+			Checkpoint: &adatm.CheckpointConfig{Dir: t.TempDir(), Every: 2*k + 1},
+			Progress: func(s adatm.IterStats) bool {
+				switch s.Iter {
+				case 1:
+					runtime.ReadMemStats(&first)
+				case iters:
+					runtime.ReadMemStats(&last)
+				}
+				return true
+			}}
+		res, err := adatm.DecomposeWith(x, eng, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iters != iters {
+			t.Fatalf("observed run stopped after %d of %d iterations", res.Iters, iters)
+		}
+		return last.Mallocs - first.Mallocs, res
+	}
+	bare, err := adatm.DecomposeWith(x, eng, adatm.Options{Rank: rank, MaxIters: 2 * k, Tol: math.SmallestNonzeroFloat64, Seed: 3, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, _ = watched(k)
+	long, full := watched(2 * k)
+	if short != 0 || long != 0 {
+		t.Errorf("with every observer attached, %d iterations made %d allocations and %d made %d: the steady iteration allocates",
+			k, short, 2*k, long)
+	}
+	for m := range bare.Factors {
+		if bare.Factors[m].MaxAbsDiff(full.Factors[m]) != 0 {
+			t.Errorf("factor %d differs with every observer attached", m)
+		}
+	}
 }
 
 // TestDecomposePermutedSteadyZeroAlloc is the same pin for the permuted

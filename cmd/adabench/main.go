@@ -16,16 +16,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime/pprof"
-	"runtime/trace"
 	"strings"
 	"time"
 
 	"adatm"
-	"adatm/internal/audit"
+	"adatm/internal/boot"
 	"adatm/internal/exp"
 	"adatm/internal/obs"
-	"adatm/internal/par"
 	"adatm/internal/perf"
 )
 
@@ -43,94 +40,32 @@ func run() int {
 		jsonOut   = flag.Bool("json", false, "render tables as JSON records")
 		pprofOut  = flag.String("pprof", "", "write a CPU profile of the whole run to this file")
 		rtTrace   = flag.String("runtimetrace", "", "write a runtime execution trace of the whole run to this file")
-		traceOut  = flag.String("trace", "", "deprecated alias for -runtimetrace")
 		tracefile = flag.String("tracefile", "", "write a Chrome trace-event JSON of the suite's spans (load in Perfetto)")
-		listen    = flag.String("listen", "", "serve /metrics, /healthz, /run, /debug/pprof on this address while the suite runs")
+		listen    = flag.String("listen", "", "serve /metrics, /healthz, /run, /timeseries, /debug/pprof on this address while the suite runs")
 		rank      = flag.Int("rank", 16, "CP rank for non-sweeping experiments")
 		workers   = flag.Int("workers", 0, "parallel width (0 = GOMAXPROCS)")
 		seed      = flag.Int64("seed", 0, "dataset seed offset")
 		accumStr  = flag.String("accum", "auto", "MTTKRP output accumulation: auto (model decides per mode), scatter, privatize")
-		auditFile = flag.String("auditfile", "", "write the model-audit decision ledger (JSONL) from model experiments (E7) to this file")
+		auditFile = flag.String("auditfile", "", "append the model-audit decision ledger (JSONL) from model experiments (E7) and perf-suite events to this file")
 		healthRun = flag.Bool("health", false, "attach a numerical-health probe to the full CP-ALS experiment runs (E2); with -listen, serves the shared iteration stream at /iters")
 		suiteMode = flag.Bool("suite", false, "run the perf-trajectory benchmark suite instead of the experiments; result JSON to stdout")
 		baseline  = flag.String("baseline", "", "run the perf suite and gate it against this baseline result file (implies -suite; exit 1 on regression)")
 		samples   = flag.Int("samples", 5, "measured samples per perf-suite scenario (with -suite/-baseline)")
 	)
 	flag.Parse()
-	if *traceOut != "" {
-		fmt.Fprintln(os.Stderr, "adabench: -trace is deprecated; use -runtimetrace")
-		if *rtTrace == "" {
-			*rtTrace = *traceOut
-		}
+	sess, err := boot.Start(boot.Config{
+		Name: "adabench", CPUProfile: *pprofOut, RuntimeTrace: *rtTrace, TraceFile: *tracefile,
+		Workers: *workers, Listen: *listen, AuditFile: *auditFile,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "adabench:", err)
+		return 1
 	}
-
-	if *pprofOut != "" {
-		f, err := os.Create(*pprofOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adabench:", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "adabench:", err)
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *rtTrace != "" {
-		f, err := os.Create(*rtTrace)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adabench:", err)
-			return 1
-		}
-		if err := trace.Start(f); err != nil {
-			fmt.Fprintln(os.Stderr, "adabench:", err)
-			return 1
-		}
-		defer func() {
-			trace.Stop()
-			f.Close()
-		}()
-	}
-
-	var tracer *obs.Tracer
-	if *tracefile != "" {
-		tracer = obs.NewTracer(0)
-		tracer.SetTrackName(0, "main")
-		par.SetChunkTracer(tracer)
-		defer func() {
-			par.SetChunkTracer(nil)
-			f, err := os.Create(*tracefile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "adabench: trace export:", err)
-				return
-			}
-			if err := tracer.WriteChromeTrace(f); err != nil {
-				fmt.Fprintln(os.Stderr, "adabench: trace export:", err)
-			}
-			f.Close()
-			fmt.Fprintf(os.Stderr, "wrote %d trace events to %s (load in Perfetto)\n", tracer.Len(), *tracefile)
-		}()
-	}
-	var srv *obs.Server
-	var reg *obs.Registry
-	if *listen != "" {
-		reg = adatm.NewMetrics()
-		obs.RegisterRuntimeMetrics(reg)
-		var err error
-		srv, err = obs.Serve(*listen, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adabench:", err)
-			return 1
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug server listening on http://%s\n", srv.Addr())
-	}
+	defer sess.Close(false)
+	tracer, reg, srv := sess.Tracer, sess.Metrics, sess.Server
 
 	if *suiteMode || *baseline != "" {
-		return runPerfSuite(*baseline, *samples, *quick, *workers, *auditFile, tracer, reg, srv)
+		return runPerfSuite(*baseline, *samples, *quick, *workers, sess)
 	}
 
 	accumStrat, err := adatm.ParseAccumStrategy(*accumStr)
@@ -152,15 +87,7 @@ func run() int {
 			return adatm.NewHealthProbe(adatm.HealthConfig{Run: run, Metrics: reg, Log: iterLog})
 		}
 	}
-	if *auditFile != "" {
-		f, err := os.Create(*auditFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adabench:", err)
-			return 1
-		}
-		defer f.Close()
-		cfg.AuditW = f
-	}
+	cfg.AuditW = sess.Ledger
 	runners := exp.Registry()
 	if *expList != "" {
 		runners = runners[:0]
@@ -202,29 +129,13 @@ func run() int {
 
 // runPerfSuite executes the perf-trajectory scenario registry (-suite),
 // optionally gating it against a committed baseline (-baseline). The suite
-// reuses the experiment CLI's observability wiring: spans into -tracefile,
+// reuses the experiment CLI's observability session: spans into -tracefile,
 // adatm_perf_* gauges and /timeseries onto -listen, and perf.suite events
 // into -auditfile.
-func runPerfSuite(baseline string, samples int, quick bool, workers int, auditFile string, tracer *obs.Tracer, reg *obs.Registry, srv *obs.Server) int {
+func runPerfSuite(baseline string, samples int, quick bool, workers int, sess *boot.Session) int {
 	pcfg := perf.RunnerConfig{
 		Samples: samples, Quick: quick, Workers: workers,
-		Tracer: tracer, Metrics: reg, Log: os.Stderr,
-	}
-	if auditFile != "" {
-		f, err := os.Create(auditFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adabench:", err)
-			return 1
-		}
-		defer f.Close()
-		pcfg.Audit = audit.NewRecorder(audit.Config{Ledger: f})
-	}
-	if srv != nil {
-		sampler := obs.NewSampler(0, 0)
-		sampler.Start()
-		defer sampler.Stop()
-		srv.SetSampler(sampler)
-		pcfg.Sampler = sampler
+		Tracer: sess.Tracer, Metrics: sess.Metrics, Sampler: sess.Sampler, Audit: sess.Audit, Log: os.Stderr,
 	}
 	res, err := perf.RunSuite(perf.Scenarios(), pcfg)
 	if err != nil {

@@ -22,23 +22,6 @@ type distFlags struct {
 	modelPath      string
 }
 
-// metricsReg returns the run's metrics registry (nil-safe: nil when no
-// -listen was given).
-func (o *obsState) metricsReg() *adatm.Metrics {
-	if o == nil {
-		return nil
-	}
-	return o.metrics
-}
-
-// auditRec returns the run's audit recorder (nil-safe).
-func (o *obsState) auditRec() *adatm.AuditRecorder {
-	if o == nil {
-		return nil
-	}
-	return o.audit
-}
-
 // runDist executes the sharded solver and reports through the same channels
 // the single-node path uses (the dist result converts to a Result).
 func runDist(x *adatm.Tensor, obsst *obsState, f distFlags) {
@@ -46,7 +29,7 @@ func runDist(x *adatm.Tensor, obsst *obsState, f distFlags) {
 		Rank: f.rank, MaxIters: f.iters, Tol: f.tol, Seed: f.seed, Workers: f.workers,
 		Procs: f.procs, Partition: f.partition, Transport: f.transport,
 		Engine: adatm.EngineKind(f.engine), TrackFit: f.fittrace,
-		Metrics: obsst.metricsReg(), Audit: obsst.auditRec(),
+		Metrics: obsst.Metrics, Audit: obsst.Audit,
 	})
 	if err != nil {
 		fatal(err)

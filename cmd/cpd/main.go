@@ -19,14 +19,13 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime/pprof"
-	"runtime/trace"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"adatm"
+	"adatm/internal/boot"
 )
 
 func main() {
@@ -46,7 +45,6 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit a JSON run report (with per-phase breakdown) to stdout")
 		pprofOut   = flag.String("pprof", "", "write a CPU profile to this file")
 		rtTrace    = flag.String("runtimetrace", "", "write a Go runtime execution trace to this file")
-		traceOut   = flag.String("trace", "", "deprecated alias for -runtimetrace")
 		tracefile  = flag.String("tracefile", "", "write a Chrome trace-event JSON of CP-ALS spans (load in Perfetto)")
 		listen     = flag.String("listen", "", "serve /metrics, /healthz, /run, /plan, /debug/pprof on this address (e.g. :9090)")
 		hold       = flag.Bool("hold", false, "with -listen: keep the debug server up after the run until interrupted")
@@ -78,12 +76,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *traceOut != "" {
-		fmt.Fprintln(os.Stderr, "cpd: -trace is deprecated; use -runtimetrace")
-		if *rtTrace == "" {
-			*rtTrace = *traceOut
-		}
-	}
 	budgetBytes, err := parseBytes(*budget)
 	if err != nil {
 		fatal(err)
@@ -92,12 +84,22 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	stopProf, err := startProfiling(*pprofOut, *rtTrace)
+	obsst, err := setupObs(obsConfig{
+		boot: boot.Config{
+			Name: "cpd", CPUProfile: *pprofOut, RuntimeTrace: *rtTrace, TraceFile: *tracefile,
+			Workers: *workers, Listen: *listen, AuditFile: *auditFile,
+		},
+		hold: *hold, audit: *auditRun, auditWarn: *auditWarn, logJSON: *logJSON, logFile: *logFile,
+		health: *healthRun, healthFile: *healthFile,
+	})
 	if err != nil {
 		fatal(err)
 	}
-	defer stopProf()
-	fatalCleanup = stopProf // defers don't run through os.Exit; flush profiles on fatal too
+	// fatal() exits via os.Exit, skipping defers; route error exits through
+	// finish so a failed run still writes its -tracefile and profiles and
+	// closes -listen. The deferred call closes the paths that return early.
+	fatalCleanup = func() { obsst.finish(*engName, *rank, nil) }
+	defer obsst.finish(*engName, *rank, nil)
 	x, err := adatm.Load(*in)
 	if err != nil {
 		fatal(err)
@@ -132,18 +134,6 @@ func main() {
 			if bad.set {
 				fatal(fmt.Errorf("%s is not supported with -procs > 1", bad.flag))
 			}
-		}
-		obsst, err := setupObs(obsConfig{
-			tracePath: *tracefile, listen: *listen, hold: *hold, workers: *workers,
-			audit: *auditRun, auditFile: *auditFile, auditWarn: *auditWarn,
-			logJSON: *logJSON, logFile: *logFile,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fatalCleanup = func() {
-			obsst.finish(*engName, *rank, nil)
-			stopProf()
 		}
 		runDist(x, obsst, distFlags{
 			rank: *rank, iters: *iters, tol: *tol, seed: *seed, workers: *workers,
@@ -204,21 +194,6 @@ func main() {
 		return
 	}
 
-	obsst, err := setupObs(obsConfig{
-		tracePath: *tracefile, listen: *listen, hold: *hold, workers: *workers,
-		audit: *auditRun, auditFile: *auditFile, auditWarn: *auditWarn,
-		logJSON: *logJSON, logFile: *logFile,
-		health: *healthRun, healthFile: *healthFile,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	// fatal() exits via os.Exit, skipping defers; route error exits through
-	// finish so a failed run still writes its -tracefile and closes -listen.
-	fatalCleanup = func() {
-		obsst.finish(*engName, *rank, nil)
-		stopProf()
-	}
 	opt := adatm.Options{
 		Rank: *rank, MaxIters: *iters, Tol: *tol, Seed: *seed, Workers: *workers,
 		Engine: adatm.EngineKind(*engName), MemoryBudget: budgetBytes, TrackFit: *fittrace,
@@ -336,57 +311,6 @@ func fatal(err error) {
 		fatalCleanup()
 	}
 	os.Exit(1)
-}
-
-// startProfiling starts the optional CPU profile and runtime trace; the
-// returned stop function flushes and closes both (idempotent, safe when
-// neither was requested).
-func startProfiling(pprofPath, tracePath string) (func(), error) {
-	var stops []func()
-	if pprofPath != "" {
-		f, err := os.Create(pprofPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		stops = append(stops, func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		})
-	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			for _, s := range stops {
-				s()
-			}
-			return nil, err
-		}
-		if err := trace.Start(f); err != nil {
-			f.Close()
-			for _, s := range stops {
-				s()
-			}
-			return nil, err
-		}
-		stops = append(stops, func() {
-			trace.Stop()
-			f.Close()
-		})
-	}
-	done := false
-	return func() {
-		if done {
-			return
-		}
-		done = true
-		for _, s := range stops {
-			s()
-		}
-	}, nil
 }
 
 // runReport is the -json output schema.

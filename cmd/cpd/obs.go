@@ -7,65 +7,47 @@ import (
 	"log/slog"
 	"math"
 	"os"
-	"os/signal"
-	"runtime"
-	"syscall"
 	"time"
 
 	"adatm"
-	"adatm/internal/obs"
+	"adatm/internal/boot"
 )
 
 // obsConfig collects the observability flags of one CLI run.
 type obsConfig struct {
-	tracePath  string  // -tracefile: Chrome trace-event output
-	listen     string  // -listen: debug server address
-	hold       bool    // -hold: keep the server up after the run
-	workers    int     // parallel width (names the tracer tracks)
-	audit      bool    // -audit: print the reconciliation table
-	auditFile  string  // -auditfile: JSONL decision ledger
-	auditWarn  float64 // -auditwarn: |rel err| warning threshold
-	logJSON    bool    // -logjson: structured JSON log events to stderr
-	logFile    string  // -logfile: structured JSON log events to this file
-	health     bool    // -health: numerical-health probe + final verdict
-	healthFile string  // -healthfile: per-iteration health history (JSONL)
-}
-
-// enabled reports whether any observability feature was requested.
-func (c obsConfig) enabled() bool {
-	return c.tracePath != "" || c.listen != "" || c.wantAudit() || c.wantHealth()
+	boot       boot.Config // -pprof, -runtimetrace, -tracefile, -listen, -auditfile
+	hold       bool        // -hold: keep the server up after the run
+	audit      bool        // -audit: print the reconciliation table
+	auditWarn  float64     // -auditwarn: |rel err| warning threshold
+	logJSON    bool        // -logjson: structured JSON log events to stderr
+	logFile    string      // -logfile: structured JSON log events to this file
+	health     bool        // -health: numerical-health probe + final verdict
+	healthFile string      // -healthfile: per-iteration health history (JSONL)
 }
 
 // wantAudit reports whether the run needs a model-audit recorder: any audit
 // or logging flag, or a debug server (which serves the decision at /plan and
 // the adatm_model_* gauges at /metrics).
 func (c obsConfig) wantAudit() bool {
-	return c.audit || c.auditFile != "" || c.logJSON || c.logFile != "" || c.listen != ""
+	return c.audit || c.boot.AuditFile != "" || c.logJSON || c.logFile != "" || c.boot.Listen != ""
 }
 
 // wantHealth reports whether the run needs a numerical-health probe: either
 // health flag, or a debug server (which serves the iteration stream at
 // /iters and the adatm_health_* gauges at /metrics).
 func (c obsConfig) wantHealth() bool {
-	return c.health || c.healthFile != "" || c.listen != ""
+	return c.health || c.healthFile != "" || c.boot.Listen != ""
 }
 
-// obsState bundles the optional observability wiring of one CLI run: the
-// span tracer behind -tracefile, the metrics registry + live debug server
-// behind -listen, and the model-audit recorder behind -audit/-auditfile/
-// -logjson/-logfile.
+// obsState is the observability wiring of one CLI run: the shared session
+// (profiles, tracer, debug server, audit recorder) plus what only cpd has,
+// the structured log, the health probe and the /run snapshot.
 type obsState struct {
-	tracer     *adatm.Tracer
-	metrics    *adatm.Metrics
-	server     *adatm.DebugServer
-	sampler    *obs.Sampler
-	audit      *adatm.AuditRecorder
-	auditFile  *os.File
+	*boot.Session
 	logFile    *os.File
 	health     *adatm.HealthProbe
 	iterLog    *adatm.IterLog
 	healthPath string
-	tracePath  string
 	hold       bool
 	started    time.Time
 	done       bool // finish already ran (it is called from both the normal exit and fatal)
@@ -102,112 +84,60 @@ func finiteFitPtr(fit float64) *float64 {
 	return &fit
 }
 
-// setupObs builds the tracer/registry/server/audit-recorder requested by the
-// flags. Any feature may be absent; a nil *obsState (no flags set) disables
-// everything.
+// setupObs starts the session and the health and logging sinks the flags
+// ask for.
 func setupObs(cfg obsConfig) (*obsState, error) {
-	if !cfg.enabled() {
-		return nil, nil
-	}
-	o := &obsState{tracePath: cfg.tracePath, hold: cfg.hold, started: time.Now()}
-	if cfg.tracePath != "" {
-		o.tracer = adatm.NewTracer(0)
-		o.tracer.SetTrackName(0, "main")
-		w := cfg.workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		for i := 1; i <= w; i++ {
-			o.tracer.SetTrackName(int32(i), fmt.Sprintf("worker %d", i))
-		}
-		adatm.TraceChunks(o.tracer)
-	}
-	if cfg.listen != "" {
-		o.metrics = adatm.NewMetrics()
-		obs.RegisterRuntimeMetrics(o.metrics)
-		srv, err := adatm.ServeDebug(cfg.listen, o.metrics)
-		if err != nil {
-			return nil, fmt.Errorf("debug server: %w", err)
-		}
-		o.server = srv
-		o.metrics.PublishExpvar("adatm")
-		// Background resource sampler behind /timeseries: heap, GC pauses,
-		// and goroutine count over the run's lifetime.
-		o.sampler = obs.NewSampler(0, 0)
-		o.sampler.Start()
-		srv.SetSampler(o.sampler)
-		fmt.Fprintf(os.Stderr, "debug server listening on http://%s\n", srv.Addr())
-	}
+	o := &obsState{hold: cfg.hold, healthPath: cfg.healthFile, started: time.Now()}
 	if cfg.wantAudit() {
-		if err := o.setupAudit(cfg); err != nil {
-			o.closeFiles()
-			if o.server != nil {
-				o.server.Close()
+		acfg := &adatm.AuditConfig{WarnThreshold: cfg.auditWarn}
+		if cfg.logJSON || cfg.logFile != "" {
+			dest := io.Writer(os.Stderr)
+			if cfg.logFile != "" {
+				f, err := os.Create(cfg.logFile)
+				if err != nil {
+					return nil, fmt.Errorf("logfile: %w", err)
+				}
+				o.logFile = f
+				dest = f
 			}
-			return nil, err
+			acfg.Logger = slog.New(slog.NewJSONHandler(dest, nil))
 		}
+		cfg.boot.Audit = acfg
 	}
+	sess, err := boot.Start(cfg.boot)
+	if err != nil {
+		if o.logFile != nil {
+			o.logFile.Close()
+		}
+		return nil, err
+	}
+	o.Session = sess
 	if cfg.wantHealth() {
 		// Built after the audit recorder so the probe's health.state events
 		// land in the same ledger/log sinks as the model-audit records.
 		o.iterLog = adatm.NewIterLog(0)
 		o.health = adatm.NewHealthProbe(adatm.HealthConfig{
-			Metrics: o.metrics, Audit: o.audit, Log: o.iterLog,
+			Metrics: o.Metrics, Audit: o.Audit, Log: o.iterLog,
 		})
-		o.healthPath = cfg.healthFile
-		if o.server != nil {
-			o.server.SetIterLog(o.iterLog)
+		if o.Server != nil {
+			o.Server.SetIterLog(o.iterLog)
 		}
 	}
 	return o, nil
 }
 
-// setupAudit wires the model-audit recorder: JSON logger (stderr or -logfile),
-// JSONL ledger (-auditfile), the metrics registry, and the /plan publisher.
-func (o *obsState) setupAudit(cfg obsConfig) error {
-	acfg := adatm.AuditConfig{WarnThreshold: cfg.auditWarn, Metrics: o.metrics}
-	if cfg.logJSON || cfg.logFile != "" {
-		dest := io.Writer(os.Stderr)
-		if cfg.logFile != "" {
-			f, err := os.Create(cfg.logFile)
-			if err != nil {
-				return fmt.Errorf("logfile: %w", err)
-			}
-			o.logFile = f
-			dest = f
-		}
-		acfg.Logger = slog.New(slog.NewJSONHandler(dest, nil))
-	}
-	if cfg.auditFile != "" {
-		f, err := os.Create(cfg.auditFile)
-		if err != nil {
-			return fmt.Errorf("auditfile: %w", err)
-		}
-		o.auditFile = f
-		acfg.Ledger = f
-	}
-	if srv := o.server; srv != nil {
-		acfg.OnUpdate = func(rec adatm.AuditRecord) { srv.SetPlan(rec) }
-	}
-	o.audit = adatm.NewAuditRecorder(acfg)
-	return nil
-}
-
-// options fills the Tracer/Metrics/Audit fields of opt.
+// options fills the Tracer/Metrics/Audit/Health fields of opt.
 func (o *obsState) options(opt *adatm.Options) {
-	if o == nil {
-		return
-	}
-	opt.Tracer = o.tracer
-	opt.Metrics = o.metrics
-	opt.Audit = o.audit
+	opt.Tracer = o.Tracer
+	opt.Metrics = o.Metrics
+	opt.Audit = o.Audit
 	opt.Health = o.health
 }
 
 // healthSummary returns the run's final health verdict, or nil when no
 // probe was wired.
 func (o *obsState) healthSummary() *adatm.HealthSummary {
-	if o == nil || o.health == nil {
+	if o.health == nil {
 		return nil
 	}
 	s := o.health.Summary()
@@ -217,10 +147,10 @@ func (o *obsState) healthSummary() *adatm.HealthSummary {
 // latestAudit returns the run's audit record, or nil when no decision was
 // recorded (no recorder, or a non-adaptive engine ran).
 func (o *obsState) latestAudit() *adatm.AuditRecord {
-	if o == nil || o.audit == nil {
+	if o.Audit == nil {
 		return nil
 	}
-	rec := o.audit.Latest()
+	rec := o.Audit.Latest()
 	if rec.Decision == nil {
 		return nil
 	}
@@ -230,11 +160,11 @@ func (o *obsState) latestAudit() *adatm.AuditRecord {
 // progress wraps the per-iteration callback so /run always serves a live
 // snapshot, chaining to inner (which may be nil).
 func (o *obsState) progress(engName string, rank int, inner func(adatm.IterStats) bool) func(adatm.IterStats) bool {
-	if o == nil || o.server == nil {
+	if o.Server == nil {
 		return inner
 	}
 	return func(s adatm.IterStats) bool {
-		o.server.SetRun(runSnapshot{
+		o.Server.SetRun(runSnapshot{
 			Engine: engName, Rank: rank, Iter: s.Iter, Fit: finiteFitPtr(s.Fit), FitDelta: s.FitDelta,
 			ElapsedMS: s.Elapsed.Milliseconds(), MTTKRPMS: s.MTTKRPTime.Milliseconds(),
 		})
@@ -245,12 +175,11 @@ func (o *obsState) progress(engName string, rank int, inner func(adatm.IterStats
 	}
 }
 
-// finish writes the Chrome trace file, publishes the final /run snapshot,
-// optionally holds the debug server open until SIGINT/SIGTERM, shuts the
-// server down, and closes the audit/log files. Idempotent and safe on a nil
-// receiver. A nil result marks an error exit: the trace is still flushed
-// (failed runs are exactly the ones worth tracing) but -hold is skipped so
-// scripted runs don't hang on failure.
+// finish seals the iteration stream and writes -healthfile, publishes the
+// final /run snapshot, and closes the session (trace file, -hold, server,
+// ledger, profiles) and the log file. Idempotent. A nil result marks an
+// error exit: the files are still written (failed runs are exactly the
+// ones worth tracing) but -hold is skipped so scripted runs don't hang.
 func (o *obsState) finish(engName string, rank int, res *adatm.Result) {
 	if o == nil || o.done {
 		return
@@ -268,46 +197,18 @@ func (o *obsState) finish(engName string, rank int, res *adatm.Result) {
 			fmt.Fprintf(os.Stderr, "wrote %d health samples to %s\n", o.iterLog.Seq(), o.healthPath)
 		}
 	}
-	if o.tracer != nil {
-		adatm.TraceChunks(nil)
-		if err := writeTraceFile(o.tracePath, o.tracer); err != nil {
-			fmt.Fprintln(os.Stderr, "cpd: trace export:", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "wrote %d trace events to %s (load in Perfetto)\n", o.tracer.Len(), o.tracePath)
-		}
+	if o.Server != nil && res != nil {
+		o.Server.SetRun(runSnapshot{
+			Engine: engName, Rank: rank, Iter: res.Iters, Fit: finiteFitPtr(res.Fit),
+			ElapsedMS: time.Since(o.started).Milliseconds(), MTTKRPMS: res.MTTKRPTime.Milliseconds(),
+			Done: true, Converged: res.Converged,
+			Audit:  o.latestAudit(),
+			Health: o.healthSummary(),
+		})
 	}
-	if o.server != nil {
-		if res != nil {
-			o.server.SetRun(runSnapshot{
-				Engine: engName, Rank: rank, Iter: res.Iters, Fit: finiteFitPtr(res.Fit),
-				ElapsedMS: time.Since(o.started).Milliseconds(), MTTKRPMS: res.MTTKRPTime.Milliseconds(),
-				Done: true, Converged: res.Converged,
-				Audit:  o.latestAudit(),
-				Health: o.healthSummary(),
-			})
-		}
-		if o.hold && res != nil {
-			fmt.Fprintf(os.Stderr, "run finished; holding debug server on http://%s (interrupt to exit)\n", o.server.Addr())
-			ch := make(chan os.Signal, 1)
-			signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-			<-ch
-		}
-		// Stop after -hold so /timeseries keeps sampling while held.
-		o.sampler.Stop()
-		o.server.Close()
-	}
-	o.closeFiles()
-}
-
-// closeFiles closes the -auditfile and -logfile handles (nil-safe).
-func (o *obsState) closeFiles() {
-	if o.auditFile != nil {
-		o.auditFile.Close()
-		o.auditFile = nil
-	}
+	o.Close(o.hold && res != nil)
 	if o.logFile != nil {
 		o.logFile.Close()
-		o.logFile = nil
 	}
 }
 
@@ -324,18 +225,6 @@ func writeIterLog(path string, l *adatm.IterLog) error {
 			f.Close()
 			return err
 		}
-	}
-	return f.Close()
-}
-
-func writeTraceFile(path string, tr *adatm.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
 	}
 	return f.Close()
 }

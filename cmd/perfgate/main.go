@@ -15,12 +15,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
 	"adatm/internal/audit"
-	"adatm/internal/obs"
+	"adatm/internal/boot"
 	"adatm/internal/perf"
 )
 
@@ -88,59 +86,28 @@ func (f *suiteFlags) register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.hold, "hold", false, "keep the debug server up after the suite until interrupted")
 }
 
-// execute runs one suite under the configured observability sinks.
+// execute runs one suite under the configured observability sinks. The
+// returned cleanup closes them, holding the debug server first with -hold.
 func (f *suiteFlags) execute(stderr io.Writer) (*perf.SuiteResult, *audit.Recorder, func(), error) {
 	scs, err := perf.Select(splitList(f.scenarios))
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	cfg := perf.RunnerConfig{
-		Samples: f.samples, Warmup: f.warmup, Quick: f.quick,
-		Workers: f.workers, Log: stderr,
-	}
-	cleanup := func() {}
-	if f.listen != "" {
-		reg := obs.NewRegistry()
-		obs.RegisterRuntimeMetrics(reg)
-		srv, err := obs.Serve(f.listen, reg)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		sampler := obs.NewSampler(0, 0)
-		sampler.Start()
-		srv.SetSampler(sampler)
-		fmt.Fprintf(stderr, "debug server listening on http://%s\n", srv.Addr())
-		cfg.Metrics = reg
-		cfg.Sampler = sampler
-		cleanup = func() {
-			if f.hold {
-				fmt.Fprintf(stderr, "suite finished; holding debug server on http://%s (interrupt to exit)\n", srv.Addr())
-				waitForInterrupt()
-			}
-			sampler.Stop()
-			srv.Close()
-		}
-	}
-	var rec *audit.Recorder
-	if f.auditfile != "" {
-		af, err := os.OpenFile(f.auditfile, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			cleanup()
-			return nil, nil, nil, err
-		}
-		rec = audit.NewRecorder(audit.Config{Ledger: af})
-		prev := cleanup
-		cleanup = func() { prev(); af.Close() }
-	}
-	cfg.Audit = rec
-	res, err := perf.RunSuite(scs, cfg)
+	sess, err := boot.Start(boot.Config{Name: "perfgate", Log: stderr, Listen: f.listen, AuditFile: f.auditfile})
 	if err != nil {
-		cleanup()
 		return nil, nil, nil, err
 	}
-	// The per-listen sampler keeps running until cleanup; its timeline window
-	// for the result was already captured by RunSuite.
-	return res, rec, cleanup, nil
+	res, err := perf.RunSuite(scs, perf.RunnerConfig{
+		Samples: f.samples, Warmup: f.warmup, Quick: f.quick, Workers: f.workers, Log: stderr,
+		Metrics: sess.Metrics, Sampler: sess.Sampler, Audit: sess.Audit,
+	})
+	if err != nil {
+		sess.Close(false)
+		return nil, nil, nil, err
+	}
+	// The sampler keeps running until cleanup; its timeline window for the
+	// result was already captured by RunSuite.
+	return res, sess.Audit, func() { sess.Close(f.hold) }, nil
 }
 
 func runSuite(args []string, stdout, stderr io.Writer) int {
@@ -275,13 +242,6 @@ func runGate(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stderr, "perfgate: gate passed")
 	return 0
-}
-
-// waitForInterrupt blocks until SIGINT/SIGTERM (the -hold behavior).
-func waitForInterrupt() {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	<-ch
 }
 
 func splitList(s string) []string {

@@ -35,29 +35,24 @@ type CheckpointConfig struct {
 	fault *ckpt.Fault
 }
 
-// checkpointer runs the checkpoint protocol inside the ALS loop. The
-// boundary snapshot reuses its buffers, so steady-state iterations with
-// checkpointing disabled cost one pointer test and enabled ones allocate
+// checkpointer is the observer that runs the checkpoint protocol. The
+// boundary snapshot reuses its buffers, so steady-state iterations allocate
 // only inside the periodic write itself.
 type checkpointer struct {
 	mgr       *ckpt.Manager
 	every     int
 	interval  time.Duration
-	snap      ckpt.Checkpoint
-	snapValid bool
-	written   int // iteration of the last committed checkpoint
+	snap      ckpt.Checkpoint // the newest boundary state (Iter 0: none yet)
+	written   int             // iteration of the last committed checkpoint
 	lastWrite time.Time
 }
 
-// newCheckpointer builds the loop's checkpointer; a nil config yields a nil
-// checkpointer (the free path). sweep is the resolved mode order, so the
-// fingerprint is identical whether the caller passed nil or the explicit
-// natural order.
-func newCheckpointer(x *tensor.COO, opt Options, sweep []int) (*checkpointer, error) {
+// newCheckpointer builds the checkpointer for opt.Checkpoint. sweep is the
+// resolved mode order, so the fingerprint is identical whether the caller
+// passed nil or the explicit natural order; written is the iteration the
+// newest checkpoint already holds (0 on a fresh run).
+func newCheckpointer(x *tensor.COO, opt Options, sweep []int, written int) (*checkpointer, error) {
 	cfg := opt.Checkpoint
-	if cfg == nil {
-		return nil, nil
-	}
 	mgr, err := ckpt.NewManager(cfg.Dir, cfg.Retain)
 	if err != nil {
 		return nil, err
@@ -70,7 +65,7 @@ func newCheckpointer(x *tensor.COO, opt Options, sweep []int) (*checkpointer, er
 	if every <= 0 && cfg.Interval <= 0 {
 		every = 1
 	}
-	c := &checkpointer{mgr: mgr, every: every, interval: cfg.Interval, lastWrite: time.Now()}
+	c := &checkpointer{mgr: mgr, every: every, interval: cfg.Interval, written: written, lastWrite: time.Now()}
 	c.snap.Seed = opt.Seed
 	c.snap.Fingerprint = fingerprintFor(x, opt, sweep)
 	return c, nil
@@ -87,34 +82,28 @@ func fingerprintFor(x *tensor.COO, opt Options, sweep []int) string {
 	})
 }
 
-// snapshot copies the iteration-boundary state into the pending checkpoint,
-// reusing the previous snapshot's buffers.
-func (c *checkpointer) snapshot(iter int, fit float64, lambda []float64, factors []*dense.Matrix, trace []float64) {
-	c.snap.Iter = iter
-	c.snap.Fit = fit
-	c.snap.Lambda = append(c.snap.Lambda[:0], lambda...)
+// iteration copies the boundary state into the pending checkpoint, reusing
+// the previous snapshot's buffers, and writes it when a trigger is due. A
+// write failure aborts the run — the caller asked for durability and is
+// not getting it.
+func (c *checkpointer) iteration(ev iterEvent) (bool, error) {
+	c.snap.Iter = ev.iter
+	c.snap.Fit = ev.fit
+	c.snap.Lambda = append(c.snap.Lambda[:0], ev.lambda...)
 	if c.snap.Factors == nil {
-		c.snap.Factors = make([]*dense.Matrix, len(factors))
+		c.snap.Factors = make([]*dense.Matrix, len(ev.factors))
 	}
-	for m, f := range factors {
+	for m, f := range ev.factors {
 		if c.snap.Factors[m] == nil {
 			c.snap.Factors[m] = dense.New(f.Rows, f.Cols)
 		}
 		c.snap.Factors[m].CopyFrom(f)
 	}
-	c.snap.FitTrace = append(c.snap.FitTrace[:0], trace...)
-	c.snapValid = true
-}
-
-// boundary is called after every completed iteration: it refreshes the
-// snapshot and writes a checkpoint when a trigger is due. A write failure
-// aborts the run — the caller asked for durability and is not getting it.
-func (c *checkpointer) boundary(iter int, fit float64, lambda []float64, factors []*dense.Matrix, trace []float64) error {
-	c.snapshot(iter, fit, lambda, factors, trace)
-	if c.due(iter) {
-		return c.write()
+	c.snap.FitTrace = append(c.snap.FitTrace[:0], ev.fitTrace...)
+	if c.due(ev.iter) {
+		return false, c.write()
 	}
-	return nil
+	return false, nil
 }
 
 func (c *checkpointer) due(iter int) bool {
@@ -133,11 +122,13 @@ func (c *checkpointer) write() error {
 	return nil
 }
 
-// finalWrite persists the newest boundary state on any exit path —
-// convergence, iteration cap, cancellation (SIGTERM via Ctx), or an early
-// Progress stop — so a resume never replays work the run already finished.
-func (c *checkpointer) finalWrite() error {
-	if c == nil || !c.snapValid || c.snap.Iter <= c.written {
+// end persists the newest boundary state when the run ends by convergence,
+// the iteration cap, an early Progress stop or cancellation (SIGTERM via
+// Ctx), so a resume never replays work the run already finished. After a
+// failure (non-finite numerics, a failed write) it writes nothing: the last
+// checkpoint on disk holds the last good state.
+func (c *checkpointer) end(_ *Result, why exit) error {
+	if why == exitFailed || c.snap.Iter <= c.written {
 		return nil
 	}
 	return c.write()
@@ -181,7 +172,7 @@ func Resume(x *tensor.COO, eng engine.Engine, c *ckpt.Checkpoint, opt Options) (
 		prevFit:   c.Fit,
 		lambda:    c.Lambda,
 		fitTrace:  c.FitTrace,
-	}, local{})
+	}, local{}, true)
 }
 
 // resumeState carries a checkpoint's loop state into run.

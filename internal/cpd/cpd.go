@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"adatm/internal/audit"
@@ -57,9 +56,10 @@ type Options struct {
 	// partial Result (factors normalized, Stopped set) together with
 	// ctx.Err().
 	Ctx context.Context
-	// Progress, when non-nil, is invoked after every completed iteration.
-	// Returning false stops the run early with a valid Result (Stopped
-	// set, no error).
+	// Progress, when non-nil, is invoked after every completed iteration,
+	// the converging one included. Returning false stops the run early with
+	// a valid Result (Stopped set, no error); on the converging iteration
+	// the run ends converged whatever it returns.
 	Progress func(IterStats) bool
 	// CollectStats attaches a per-phase RunStats breakdown to the Result.
 	// When false (the default) only the coarse MTTKRPTime/TotalTime
@@ -73,22 +73,20 @@ type Options struct {
 	Metrics *obs.Registry
 	// Audit, when non-nil, reconciles the cost model's selection decision
 	// against the run's measured counters at run end (adaptive engines
-	// deposit their Decision at construction time). The uninstrumented path
-	// is one pointer test; all audit work happens outside the iteration
-	// loop, so the steady state stays allocation-free.
+	// deposit their Decision at construction time). All audit work happens
+	// at run end, so the steady state stays allocation-free.
 	Audit *audit.Recorder
 	// Checkpoint, when non-nil, makes the run durable: iteration-boundary
 	// state is written crash-atomically to Checkpoint.Dir on the configured
-	// cadence (and on every exit path), and Resume continues the run from
-	// the newest checkpoint with an identical trajectory. The disabled path
-	// is one pointer test per iteration.
+	// cadence (and when the run ends), and Resume continues the run from
+	// the newest checkpoint with an identical trajectory.
 	Checkpoint *CheckpointConfig
 	// Health, when non-nil, observes every completed iteration's numerical
 	// state (fit delta, λ dynamics, Gram-Hadamard conditioning, factor
 	// congruence) and maintains a debounced healthy/stalled/swamp-suspect/
 	// ill-conditioned verdict. The probe reads only state already resident
 	// in the loop — no extra MTTKRPs — and is allocation-free in steady
-	// state; the disabled path is one pointer test per iteration.
+	// state.
 	Health *health.Probe
 }
 
@@ -123,7 +121,7 @@ type Result struct {
 
 // Run decomposes x at the configured rank using the given MTTKRP engine.
 func Run(x *tensor.COO, eng engine.Engine, opt Options) (*Result, error) {
-	return run(x, eng, opt, nil, local{})
+	return run(x, eng, opt, nil, local{}, true)
 }
 
 // exchange is the seam between the ALS loop and the other processes of a
@@ -168,8 +166,10 @@ func checkInputs(x *tensor.COO, opt Options) error {
 
 // run is the ALS loop shared by Run and RunDist (ex is the process's row
 // exchange) and by Resume (rs carries the checkpointed loop state; opt.Init
-// holds the checkpointed factors).
-func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState, ex exchange) (*Result, error) {
+// holds the checkpointed factors). Only a watched run builds the phase
+// clock, the CollectStats breakdown and the observers of opt; a sharded
+// run watches process 0 alone.
+func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState, ex exchange, watched bool) (*Result, error) {
 	if err := checkInputs(x, opt); err != nil {
 		return nil, err
 	}
@@ -219,17 +219,17 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState, ex exch
 			res.FitTrace = append([]float64(nil), rs.fitTrace...)
 		}
 	}
-	cw, err := newCheckpointer(x, opt, sweep)
-	if err != nil {
-		return nil, err
+	var clock *phaseClock
+	var observers []observer
+	if watched {
+		if opt.CollectStats {
+			res.Stats = &RunStats{ModeMTTKRP: make([]PhaseStats, n)}
+		}
+		clock = newPhaseClock(res.Stats, opt.Tracer, opt.Metrics, n)
+		if observers, err = newObservers(x, eng, opt, res.Stats, startIter, sweep); err != nil {
+			return nil, err
+		}
 	}
-	if cw != nil {
-		cw.written = startIter - 1
-	}
-	if opt.CollectStats {
-		res.Stats = &RunStats{ModeMTTKRP: make([]PhaseStats, n)}
-	}
-	clock := newPhaseClock(res.Stats, opt.Tracer, opt.Metrics, n)
 
 	start := time.Now()
 
@@ -254,70 +254,28 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState, ex exch
 	// The solver keeps h's Cholesky factor between modes.
 	var solver dense.SPDSolver
 
-	// auditBase snapshots the engine counters before the first iteration so
-	// reconciliation works on this run's deltas even when the caller reuses
-	// an engine across runs.
-	var auditBase engine.Stats
-	if opt.Audit != nil {
-		auditBase = eng.Stats()
-	}
-
-	// finish seals the result on every exit path: the λ vector, the total
-	// stopwatch, and (when collecting) the symbolic phase copied from the
-	// engine plus the steady-state allocation counters. The audit
-	// reconciliation runs last, after the steady-state memstats read, so its
-	// (one-time, end-of-run) allocations never pollute the steady counters.
-	var memBase runtime.MemStats
-	memBased := false
-	finish := func() {
-		res.Lambda = lambda
-		res.TotalTime = time.Since(start)
-		if res.Stats != nil {
-			res.Stats.Phases[PhaseSymbolic].Time = time.Duration(eng.Stats().SymbolicNS)
-			res.Stats.Phases[PhaseSymbolic].Count = 1
-			if memBased && res.Iters > 1 {
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				res.Stats.SteadyAllocs = int64(ms.Mallocs - memBase.Mallocs)
-				res.Stats.SteadyAllocBytes = int64(ms.TotalAlloc - memBase.TotalAlloc)
-				res.Stats.SteadyIters = int64(res.Iters) - 1
-			}
-		}
-		if opt.Audit != nil && res.Iters > 0 {
-			opt.Audit.Reconcile(measuredFrom(eng.Stats(), auditBase, res))
-		}
-	}
-
 	var prevOps int64
 	if clock != nil {
 		prevOps = eng.Stats().HadamardOps
 	}
 	lastMode := sweep[n-1]
+	// why and endErr are how the run ends; an engine or exchange error
+	// returns at once, with no Result.
+	why, endErr := exitDone, error(nil)
+loop:
 	for iter := startIter; iter <= maxIters; iter++ {
-		if res.Stats != nil && iter == startIter+1 {
-			// Iteration 1 warms scratch buffers; steady state starts here.
-			runtime.ReadMemStats(&memBase)
-			memBased = true
-		}
 		// The last mode's MTTKRP rows and normalized factor rows, for the
 		// fit's inner product ⟨X, X̂⟩.
 		var lastM, lastU *dense.Matrix
 		for _, mode := range sweep {
-			if opt.Ctx != nil {
-				select {
-				case <-opt.Ctx.Done():
-					res.Stopped = true
-					finish()
-					// The snapshot from the last completed iteration is
-					// boundary-consistent even though this sweep is mid-
-					// flight; persist it so the cancellation (e.g. a
-					// SIGTERM routed through Ctx) loses no finished work.
-					if werr := cw.finalWrite(); werr != nil {
-						return res, errors.Join(opt.Ctx.Err(), werr)
-					}
-					return res, opt.Ctx.Err()
-				default:
-				}
+			if opt.Ctx != nil && opt.Ctx.Err() != nil {
+				// The last completed iteration is boundary-consistent even
+				// though this sweep is mid-flight, so the checkpointer still
+				// persists it: a cancellation (e.g. a SIGTERM routed through
+				// Ctx) loses no finished work.
+				res.Stopped = true
+				why, endErr = exitCancelled, opt.Ctx.Err()
+				break loop
 			}
 			mm.Rows, mm.Data = x.Dims[mode], m.Data[:x.Dims[mode]*r]
 			t0 := time.Now()
@@ -396,8 +354,8 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState, ex exch
 			// λ is replicated after the all-reduce, so every process of a
 			// sharded run stops here together.
 			if !allFinite(lambda) {
-				finish()
-				return res, &NonFiniteError{Iter: iter, Mode: mode}
+				why, endErr = exitFailed, &NonFiniteError{Iter: iter, Mode: mode}
+				break loop
 			}
 			if err := ex.Expand(mode, iter, u, factors[mode]); err != nil {
 				return nil, err
@@ -423,24 +381,27 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState, ex exch
 		fit := computeFit(normX, lambda, grams, had, inner[0])
 		clock.tick(PhaseFit)
 		if math.IsNaN(fit) || math.IsInf(fit, 0) {
-			finish()
-			return res, &NonFiniteError{Iter: iter, Mode: -1}
+			why, endErr = exitFailed, &NonFiniteError{Iter: iter, Mode: -1}
+			break
 		}
 		if opt.TrackFit {
 			res.FitTrace = append(res.FitTrace, fit)
 		}
 		res.Iters = iter
 		res.Fit = fit
-		clock.iteration(fit)
-		opt.Health.Observe(health.Input{
-			Iter: iter, Fit: fit, PrevFit: prevFit, Tol: tol,
-			Lambda: lambda, Grams: grams,
-		})
-		if cw != nil {
-			if cerr := cw.boundary(iter, fit, lambda, factors, res.FitTrace); cerr != nil {
-				finish()
-				return res, cerr
+		ev := iterEvent{
+			iter: iter, fit: fit, prevFit: prevFit, tol: tol,
+			lambda: lambda, grams: grams, factors: factors, fitTrace: res.FitTrace,
+			elapsed: time.Since(start), mttkrpTime: res.MTTKRPTime,
+		}
+		stop := false
+		for _, o := range observers {
+			s, oerr := o.iteration(ev)
+			if oerr != nil {
+				why, endErr = exitFailed, oerr
+				break loop
 			}
+			stop = stop || s
 		}
 		// Every process computes the identical fit from replicated state,
 		// so a sharded run takes this branch unanimously, with no vote.
@@ -448,26 +409,20 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState, ex exch
 			res.Converged = true
 			break
 		}
-		if opt.Progress != nil {
-			stop := !opt.Progress(IterStats{
-				Iter:       iter,
-				Fit:        fit,
-				FitDelta:   fit - prevFit,
-				Elapsed:    time.Since(start),
-				MTTKRPTime: res.MTTKRPTime,
-			})
-			if stop {
-				res.Stopped = true
-				break
-			}
+		if stop {
+			res.Stopped = true
+			break
 		}
 		prevFit = fit
 	}
-	finish()
-	if werr := cw.finalWrite(); werr != nil {
-		return res, werr
+	res.Lambda = lambda
+	res.TotalTime = time.Since(start)
+	for i := len(observers) - 1; i >= 0; i-- {
+		if oerr := observers[i].end(res, why); oerr != nil {
+			endErr = errors.Join(endErr, oerr)
+		}
 	}
-	return res, nil
+	return res, endErr
 }
 
 // NonFiniteError reports that the numerics of a run went NaN or Inf: λ after

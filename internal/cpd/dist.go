@@ -33,9 +33,10 @@ type DistResult struct {
 // Every process evaluates the same fit from replicated state, so they all
 // take the same convergence decision.
 //
-// λ, the Grams and the fit are replicated, so process 0 alone runs with
-// the caller's Health, CollectStats, Tracer and Metrics. Checkpoint, Audit
-// and Progress are rejected. Every process checks Ctx; on the first error
+// λ, the Grams and the fit are replicated, so process 0 alone is watched:
+// its loop alone builds the phase clock (CollectStats, Tracer, Metrics) and
+// the observers (Health, the metrics tick). Checkpoint, Audit and Progress
+// are rejected. Every process checks Ctx; on the first error
 // the transport is closed and the root-cause error returned, with no
 // Result. The Result's Factors are gathered from the row owners, its
 // MTTKRPTime is summed over processes, and its TotalTime excludes building
@@ -61,14 +62,10 @@ func RunDist(x *tensor.COO, c *dist.Cluster, tr dist.Transport, opt Options) (*D
 	var closeOnce sync.Once
 	var wg sync.WaitGroup
 	for p := 0; p < P; p++ {
-		o := opt
-		if p > 0 {
-			o.Health, o.CollectStats, o.Tracer, o.Metrics, o.TrackFit = nil, false, nil, nil, false
-		}
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			results[p], errs[p] = run(x, c.Engines[p], o, nil, ex.Endpoint(p))
+			results[p], errs[p] = run(x, c.Engines[p], opt, nil, ex.Endpoint(p), p == 0)
 			if errs[p] != nil {
 				// Unblock every peer stuck in Recv or Send: the transport
 				// close turns their blocking calls into ErrClosed.

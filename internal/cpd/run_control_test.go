@@ -202,3 +202,36 @@ func TestRunPropagatesEngineError(t *testing.T) {
 		t.Fatalf("well-formed run errored: %v", err)
 	}
 }
+
+// Progress sees every completed iteration, the converging one included, and
+// a stop vote on that iteration leaves the run converged, not stopped.
+func TestRunProgressSeesConvergingIteration(t *testing.T) {
+	x := tensor.RandomClustered(3, 20, 800, 0.6, 47)
+	calls := 0
+	res, err := Run(x, coo.New(x, 1), Options{
+		Rank: 3, MaxIters: 200, Tol: 1e-4, Seed: 5,
+		Progress: func(IterStats) bool { calls++; return true },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatalf("run did not converge in %d iterations", res.Iters)
+	}
+	if calls != res.Iters {
+		t.Errorf("Progress called %d times over %d iterations", calls, res.Iters)
+	}
+
+	last := res.Iters
+	res, err = Run(x, coo.New(x, 1), Options{
+		Rank: 3, MaxIters: 200, Tol: 1e-4, Seed: 5,
+		Progress: func(s IterStats) bool { return s.Iter < last },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iters != last || !res.Converged || res.Stopped {
+		t.Errorf("stop vote on the converging iteration: iters %d converged %v stopped %v, want %d true false",
+			res.Iters, res.Converged, res.Stopped, last)
+	}
+}

@@ -157,8 +157,6 @@ type phaseClock struct {
 	tr        *obs.Tracer
 	hist      [NumPhases]*obs.Histogram
 	modeNames []string // tracer span names, one per mode ("mttkrp/mode<k>")
-	itersC    *obs.Counter
-	fitG      *obs.Gauge
 	mark      time.Time
 }
 
@@ -183,8 +181,6 @@ func newPhaseClock(rs *RunStats, tr *obs.Tracer, reg *obs.Registry, nModes int) 
 			c.hist[p] = reg.Histogram("adatm_cpd_phase_seconds",
 				"CP-ALS phase latency.", obs.Labels{"phase": p.String()}, nil)
 		}
-		c.itersC = reg.Counter("adatm_cpd_iterations_total", "Completed ALS iterations.", nil)
-		c.fitG = reg.Gauge("adatm_cpd_fit", "Model fit after the latest iteration.", nil)
 	}
 	return c
 }
@@ -237,13 +233,4 @@ func (c *phaseClock) mttkrp(mode int, d time.Duration, ops int64) {
 		end := c.tr.Now()
 		c.tr.EmitRange(c.modeNames[mode], 0, end-d.Nanoseconds(), d.Nanoseconds())
 	}
-}
-
-// iteration publishes the per-iteration run-level metrics.
-func (c *phaseClock) iteration(fit float64) {
-	if c == nil {
-		return
-	}
-	c.itersC.Inc()
-	c.fitG.Set(fit)
 }

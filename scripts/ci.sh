@@ -16,6 +16,11 @@ make test-race
 go vet ./cmd/...
 go test -race ./cmd/...
 
+# perfbench is a nested module that builds the benchmark against the public
+# facade; neither the targets above nor `go test ./...` compile it, so a
+# facade change could break the benchmark unseen.
+(cd perfbench && go vet ./... && go test ./...)
+
 # The fused Hadamard kernels are pinned bit for bit to the unfused
 # multiply-then-add chain, which holds only if no product is contracted
 # with its add into one FMA instruction. The amd64 compiler never does
