@@ -54,17 +54,21 @@ bench-kernels:
 bench-mttkrp:
 	$(GO) test -bench=MTTKRPAccum -benchmem -json -run='^$$' ./internal/engine/ > BENCH_6.json.tmp && mv BENCH_6.json.tmp BENCH_6.json
 
-# Refresh the committed perf-trajectory baseline (DESIGN.md §2h): the full
-# scenario registry at full scale, written atomically by perfgate itself.
+# Refresh the committed perf baseline (DESIGN.md §2h): perfbench on every
+# BENCHMARK.json workload, seeds 1..6, untraced and traced, each invocation at
+# its minimum of three measured runs (about 3 min on 2 vCPU), written
+# atomically by perfgate. Five seeds are the fewest a Mann–Whitney test can
+# ever call significant; with five, one seed slowed by a noisy neighbour hid
+# a 40 % slowdown, and six tolerate one such seed per side.
 perf-baseline:
-	$(GO) run ./cmd/perfgate run -out BENCH_8.json
+	$(GO) run ./cmd/perfgate run -samples 6 -out BENCH_23.json
 
-# Perf-pipeline smoke for CI: one quick sample of every scenario, gated
-# against itself. Identical sample sets can never be a significant
-# regression, so this must pass — it proves the measure/compare/gate path
-# end to end without paying for a real baseline comparison.
+# The CI perf gate: re-measure the working tree with the baseline's seeds,
+# and fail when an end-to-end metric is significantly worse than the
+# committed baseline by more than its BENCHMARK.json bound, when a workload is
+# missing, or when a run fails its checks.
 perf-gate:
-	$(GO) run ./cmd/perfgate gate -self -quick -samples 1
+	$(GO) run ./cmd/perfgate gate -baseline BENCH_23.json
 
 ci:
 	./scripts/ci.sh

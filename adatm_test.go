@@ -387,3 +387,43 @@ func TestResumeFromCheckpoint(t *testing.T) {
 		t.Error("Resume from empty directory accepted")
 	}
 }
+
+// A resumed run reconciles the model against its own iterations only: a
+// 4 + 4 resume measures the same ops per iteration as a fresh 8-iteration
+// run, not half of it.
+func TestResumeAuditReconcile(t *testing.T) {
+	x := testTensor(t)
+	opt := adatm.Options{Rank: 4, MaxIters: 8, Tol: 1e-300, Seed: 2, Engine: adatm.EngineAdaptive}
+	measured := func(opt adatm.Options, run func(*adatm.Tensor, adatm.Options) (*adatm.Result, error)) (iters int, ops float64) {
+		t.Helper()
+		opt.Audit = adatm.NewAuditRecorder(adatm.AuditConfig{})
+		if _, err := run(x, opt); err != nil {
+			t.Fatal(err)
+		}
+		rep := opt.Audit.Latest().Report
+		if rep == nil {
+			t.Fatal("no reconciliation recorded")
+		}
+		return rep.Measured.Iters, rep.Measured.OpsPerIter
+	}
+	freshIters, fresh := measured(opt, adatm.Decompose)
+
+	dir := filepath.Join(t.TempDir(), "ck")
+	stopped := opt
+	stopped.Checkpoint = &adatm.CheckpointConfig{Dir: dir, Every: 1}
+	n := 0
+	stopped.Progress = func(adatm.IterStats) bool { n++; return n < 4 }
+	if _, err := adatm.Decompose(x, stopped); err != nil {
+		t.Fatal(err)
+	}
+	resumed := opt
+	resumed.Checkpoint = &adatm.CheckpointConfig{Dir: dir, Every: 1}
+	iters, ops := measured(resumed, adatm.Resume)
+
+	if freshIters != 8 || iters != 4 {
+		t.Errorf("measured iters: fresh %d, resumed %d; want 8 and 4", freshIters, iters)
+	}
+	if fresh <= 0 || ops != fresh {
+		t.Errorf("resumed ops_per_iter %g, fresh %g; want equal", ops, fresh)
+	}
+}

@@ -8,8 +8,8 @@
 //	adabench -exp E3,E7      # run a subset
 //	adabench -markdown       # emit markdown tables (for EXPERIMENTS.md)
 //	adabench -rank 32        # override the default rank
-//	adabench -suite          # run the perf-trajectory suite (result JSON to stdout)
-//	adabench -baseline F     # run the suite and gate it against baseline F
+//
+// Performance over time is tracked by perfgate over perfbench, not here.
 package main
 
 import (
@@ -23,7 +23,6 @@ import (
 	"adatm/internal/boot"
 	"adatm/internal/exp"
 	"adatm/internal/obs"
-	"adatm/internal/perf"
 )
 
 func main() {
@@ -46,11 +45,8 @@ func run() int {
 		workers   = flag.Int("workers", 0, "parallel width (0 = GOMAXPROCS)")
 		seed      = flag.Int64("seed", 0, "dataset seed offset")
 		accumStr  = flag.String("accum", "auto", "MTTKRP output accumulation: auto (model decides per mode), scatter, privatize")
-		auditFile = flag.String("auditfile", "", "append the model-audit decision ledger (JSONL) from model experiments (E7) and perf-suite events to this file")
+		auditFile = flag.String("auditfile", "", "append the model-audit decision ledger (JSONL) from model experiments (E7) to this file")
 		healthRun = flag.Bool("health", false, "attach a numerical-health probe to the full CP-ALS experiment runs (E2); with -listen, serves the shared iteration stream at /iters")
-		suiteMode = flag.Bool("suite", false, "run the perf-trajectory benchmark suite instead of the experiments; result JSON to stdout")
-		baseline  = flag.String("baseline", "", "run the perf suite and gate it against this baseline result file (implies -suite; exit 1 on regression)")
-		samples   = flag.Int("samples", 5, "measured samples per perf-suite scenario (with -suite/-baseline)")
 	)
 	flag.Parse()
 	sess, err := boot.Start(boot.Config{
@@ -63,10 +59,6 @@ func run() int {
 	}
 	defer sess.Close(false)
 	tracer, reg, srv := sess.Tracer, sess.Metrics, sess.Server
-
-	if *suiteMode || *baseline != "" {
-		return runPerfSuite(*baseline, *samples, *quick, *workers, sess)
-	}
 
 	accumStrat, err := adatm.ParseAccumStrategy(*accumStr)
 	if err != nil {
@@ -124,42 +116,5 @@ func run() int {
 		}
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", r.ID, time.Since(start).Round(time.Millisecond))
 	}
-	return 0
-}
-
-// runPerfSuite executes the perf-trajectory scenario registry (-suite),
-// optionally gating it against a committed baseline (-baseline). The suite
-// reuses the experiment CLI's observability session: spans into -tracefile,
-// adatm_perf_* gauges and /timeseries onto -listen, and perf.suite events
-// into -auditfile.
-func runPerfSuite(baseline string, samples int, quick bool, workers int, sess *boot.Session) int {
-	pcfg := perf.RunnerConfig{
-		Samples: samples, Quick: quick, Workers: workers,
-		Tracer: sess.Tracer, Metrics: sess.Metrics, Sampler: sess.Sampler, Audit: sess.Audit, Log: os.Stderr,
-	}
-	res, err := perf.RunSuite(perf.Scenarios(), pcfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "adabench:", err)
-		return 1
-	}
-	if baseline == "" {
-		if err := res.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "adabench:", err)
-			return 1
-		}
-		return 0
-	}
-	base, err := perf.LoadFile(baseline)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "adabench:", err)
-		return 1
-	}
-	cmp := perf.Compare(base, res, perf.DefaultThresholds())
-	cmp.WriteTable(os.Stdout)
-	if err := cmp.Gate(); err != nil {
-		fmt.Fprintln(os.Stderr, "adabench:", err)
-		return 1
-	}
-	fmt.Fprintln(os.Stderr, "adabench: perf gate passed")
 	return 0
 }

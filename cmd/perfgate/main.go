@@ -1,24 +1,27 @@
-// Command perfgate runs the perf-trajectory suite and gates commits on
-// statistical regressions against a committed baseline (DESIGN.md §2h).
+// Command perfgate drives the repository's benchmark, perfbench, over a
+// seed set, records every run's report, and gates commits on statistical
+// regressions against a committed baseline (DESIGN.md §2h). Run it from
+// the repository root: it reads BENCHMARK.json there and starts the
+// benchmark command it declares once per workload, seed and trace mode.
 //
 // Usage:
 //
-//	perfgate run -out BENCH_8.json            # measure, write a baseline
-//	perfgate compare -baseline A -current B   # print the delta table
-//	perfgate gate -baseline BENCH_8.json      # fresh run vs baseline; exit 1 on regression
-//	perfgate gate -self -quick -samples 1     # pipeline smoke: run once, compare to itself
-//	perfgate list                             # print the scenario registry
+//	perfgate run -samples 6 -out BENCH_23.json             # measure, write a baseline
+//	perfgate compare -baseline A -current B                # print the delta table
+//	perfgate gate -baseline BENCH_23.json                  # re-measure the tree; exit 1 on regression
+//	perfgate gate -baseline A -current B                   # gate two stored results
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
+	"os/exec"
+	"strconv"
+	"time"
 
-	"adatm/internal/audit"
-	"adatm/internal/boot"
 	"adatm/internal/perf"
 )
 
@@ -26,12 +29,15 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-const usage = `usage: perfgate <run|compare|gate|list> [flags]
+// specFile is the benchmark declaration: the command, workloads, metric
+// directions and bounds. perfgate reads it and never writes it.
+const specFile = "BENCHMARK.json"
 
-  run      execute the benchmark suite and write a result file
+const usage = `usage: perfgate <run|compare|gate> [flags]
+
+  run      run perfbench over the seed set and write a result file
   compare  print the delta table between two result files
-  gate     fail (exit 1) when the current run regresses past the baseline
-  list     print the scenario registry
+  gate     fail (exit 1) when the current side regresses past the baseline
 `
 
 // run is the testable entry point: exit code 0 on success, 1 on a failed
@@ -43,16 +49,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	switch args[0] {
 	case "run":
-		return runSuite(args[1:], stdout, stderr)
-	case "compare":
-		return runCompare(args[1:], stdout, stderr)
-	case "gate":
-		return runGate(args[1:], stdout, stderr)
-	case "list":
-		for _, n := range perf.Names() {
-			fmt.Fprintln(stdout, n)
-		}
-		return 0
+		return runBench(args[1:], stdout, stderr)
+	case "compare", "gate":
+		return runCompare(args[0], args[1:], stdout, stderr)
 	case "-h", "-help", "--help", "help":
 		fmt.Fprint(stdout, usage)
 		return 0
@@ -62,197 +61,133 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 }
 
-// suiteFlags are the measurement flags shared by `run` and `gate` (which may
-// execute a fresh suite for the current side).
-type suiteFlags struct {
-	samples   int
-	warmup    int
-	quick     bool
-	workers   int
-	scenarios string
-	listen    string
-	auditfile string
-	hold      bool
-}
-
-func (f *suiteFlags) register(fs *flag.FlagSet) {
-	fs.IntVar(&f.samples, "samples", 5, "measured samples per scenario")
-	fs.IntVar(&f.warmup, "warmup", 1, "unmeasured warmup units per scenario")
-	fs.BoolVar(&f.quick, "quick", false, "~8x smaller tensors, rank 8")
-	fs.IntVar(&f.workers, "workers", 0, "engine parallel width (0 = GOMAXPROCS)")
-	fs.StringVar(&f.scenarios, "scenarios", "", "comma-separated scenario names (default: full registry)")
-	fs.StringVar(&f.listen, "listen", "", "serve /metrics and /timeseries on this address while the suite runs")
-	fs.StringVar(&f.auditfile, "auditfile", "", "append perf.suite/perf.regression events to this JSONL ledger")
-	fs.BoolVar(&f.hold, "hold", false, "keep the debug server up after the suite until interrupted")
-}
-
-// execute runs one suite under the configured observability sinks. The
-// returned cleanup closes them, holding the debug server first with -hold.
-func (f *suiteFlags) execute(stderr io.Writer) (*perf.SuiteResult, *audit.Recorder, func(), error) {
-	scs, err := perf.Select(splitList(f.scenarios))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	sess, err := boot.Start(boot.Config{Name: "perfgate", Log: stderr, Listen: f.listen, AuditFile: f.auditfile})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	res, err := perf.RunSuite(scs, perf.RunnerConfig{
-		Samples: f.samples, Warmup: f.warmup, Quick: f.quick, Workers: f.workers, Log: stderr,
-		Metrics: sess.Metrics, Sampler: sess.Sampler, Audit: sess.Audit,
-	})
-	if err != nil {
-		sess.Close(false)
-		return nil, nil, nil, err
-	}
-	// The sampler keeps running until cleanup; its timeline window for the
-	// result was already captured by RunSuite.
-	return res, sess.Audit, func() { sess.Close(f.hold) }, nil
-}
-
-func runSuite(args []string, stdout, stderr io.Writer) int {
+func runBench(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("perfgate run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var sf suiteFlags
-	sf.register(fs)
+	samples := fs.Int("samples", 6, "seeds per workload and trace mode (seeds 1..samples); 5 is the fewest that can ever show a significant change")
 	out := fs.String("out", "", "write the result JSON to this file (atomic temp+rename); default stdout")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	res, _, cleanup, err := sf.execute(stderr)
+	if *samples < 1 {
+		fmt.Fprintln(stderr, "perfgate run: -samples must be positive")
+		return 2
+	}
+	seeds := make([]int64, *samples)
+	for i := range seeds {
+		seeds[i] = int64(i + 1)
+	}
+	spec, err := perf.LoadSpec(specFile)
 	if err != nil {
 		fmt.Fprintln(stderr, "perfgate:", err)
 		return 1
 	}
-	defer cleanup()
-	if *out == "" {
-		if err := res.WriteJSON(stdout); err != nil {
-			fmt.Fprintln(stderr, "perfgate:", err)
-			return 1
-		}
-		return 0
-	}
-	if err := perf.WriteFile(*out, res); err != nil {
+	res, err := measure(spec, seeds, stderr)
+	if err != nil {
 		fmt.Fprintln(stderr, "perfgate:", err)
 		return 1
 	}
-	fmt.Fprintf(stderr, "wrote %d scenarios × %d samples to %s\n", len(res.Scenarios), res.Samples, *out)
+	if *out == "" {
+		err = res.WriteJSON(stdout)
+	} else if err = perf.WriteFile(*out, res); err == nil {
+		fmt.Fprintf(stderr, "wrote %d runs to %s\n", len(res.Runs), *out)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "perfgate:", err)
+		return 1
+	}
 	return 0
 }
 
-func runCompare(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("perfgate compare", flag.ContinueOnError)
+// measure runs perfbench once per seed, trace mode and workload, in that
+// nesting, so slow drift of the host spreads over every workload's samples
+// instead of biasing the one that ran last.
+func measure(spec *perf.Spec, seeds []int64, stderr io.Writer) (*perf.Result, error) {
+	res := &perf.Result{Format: perf.FormatVersion, UnixSec: time.Now().Unix(), Env: perf.Fingerprint(), Seeds: seeds}
+	for _, seed := range seeds {
+		for trace := 0; trace <= 1; trace++ {
+			for _, w := range spec.Workloads {
+				t0 := time.Now()
+				rep, err := invoke(spec.Command, w.Name, seed, trace, stderr)
+				if err != nil {
+					return nil, fmt.Errorf("%s seed %d trace %d: %w", w.Name, seed, trace, err)
+				}
+				fmt.Fprintf(stderr, "perfgate: %s seed %d trace %d: correct=%v failed %d of %d runs (%.1fs)\n",
+					w.Name, seed, trace, rep.Correct, rep.Failed, rep.Attempted, time.Since(t0).Seconds())
+				res.Runs = append(res.Runs, perf.Run{Workload: w.Name, Seed: seed, Trace: trace, Report: rep})
+			}
+		}
+	}
+	return res, nil
+}
+
+// invoke runs the benchmark command once, in its own process (so
+// peak_rss_bytes is that invocation's), and parses the report on the last
+// line of its output. Every invocation passes --seconds 0: perfbench's
+// minimum of three measured runs, so the repetitions are the seeds.
+func invoke(command []string, workload string, seed int64, trace int, stderr io.Writer) (perf.Report, error) {
+	args := append(command[1:len(command):len(command)],
+		"--workload", workload, "--seed", strconv.FormatInt(seed, 10),
+		"--seconds", "0", "--trace", strconv.Itoa(trace))
+	cmd := exec.Command(command[0], args...)
+	var out bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, stderr
+	if err := cmd.Run(); err != nil {
+		return perf.Report{}, err
+	}
+	lines := bytes.Split(bytes.TrimSpace(out.Bytes()), []byte("\n"))
+	last := lines[len(lines)-1]
+	rep, err := perf.ParseReport(last)
+	if err != nil {
+		return perf.Report{}, fmt.Errorf("last output line %.100q: %w", last, err)
+	}
+	return rep, nil
+}
+
+// runCompare is both compare, which prints the table, and gate, which also
+// exits 1 on a failed verdict. Without -current, gate re-measures the
+// working tree with the baseline's own seeds.
+func runCompare(sub string, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("perfgate "+sub, flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	baseline := fs.String("baseline", "", "baseline result file")
-	current := fs.String("current", "", "current result file")
-	alpha := fs.Float64("alpha", 0.05, "Mann–Whitney significance level")
-	minDelta := fs.Float64("min-delta", 5, "minimum median slowdown percent that can regress")
+	current := fs.String("current", "", "current result file (gate default: measure the working tree)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *baseline == "" || *current == "" {
-		fmt.Fprintln(stderr, "perfgate compare: -baseline and -current are required")
+	if *baseline == "" || (sub == "compare" && *current == "") {
+		fmt.Fprintf(stderr, "perfgate %s: -baseline is required, and so is -current for compare\n", sub)
 		return 2
+	}
+	spec, err := perf.LoadSpec(specFile)
+	if err != nil {
+		fmt.Fprintln(stderr, "perfgate:", err)
+		return 1
 	}
 	base, err := perf.LoadFile(*baseline)
 	if err != nil {
 		fmt.Fprintln(stderr, "perfgate:", err)
 		return 1
 	}
-	cur, err := perf.LoadFile(*current)
+	var cur *perf.Result
+	if *current != "" {
+		cur, err = perf.LoadFile(*current)
+	} else {
+		cur, err = measure(spec, base.Seeds, stderr)
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "perfgate:", err)
 		return 1
 	}
-	perf.Compare(base, cur, perf.Thresholds{Alpha: *alpha, MinDeltaPct: *minDelta}).WriteTable(stdout)
-	return 0
-}
-
-func runGate(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("perfgate gate", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var sf suiteFlags
-	sf.register(fs)
-	baseline := fs.String("baseline", "", "baseline result file")
-	current := fs.String("current", "", "current result file (default: run a fresh suite)")
-	self := fs.Bool("self", false, "run one fresh suite and gate it against itself (pipeline smoke)")
-	alpha := fs.Float64("alpha", 0.05, "Mann–Whitney significance level")
-	minDelta := fs.Float64("min-delta", 5, "minimum median slowdown percent that can regress")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *self == (*baseline != "") {
-		fmt.Fprintln(stderr, "perfgate gate: exactly one of -self or -baseline is required")
-		return 2
-	}
-
-	var base, cur *perf.SuiteResult
-	var rec *audit.Recorder
-	cleanup := func() {}
-	switch {
-	case *self:
-		res, r, cl, err := sf.execute(stderr)
-		if err != nil {
-			fmt.Fprintln(stderr, "perfgate:", err)
-			return 1
-		}
-		base, cur, rec, cleanup = res, res, r, cl
-	default:
-		var err error
-		base, err = perf.LoadFile(*baseline)
-		if err != nil {
-			fmt.Fprintln(stderr, "perfgate:", err)
-			return 1
-		}
-		if *current != "" {
-			cur, err = perf.LoadFile(*current)
-			if err != nil {
-				fmt.Fprintln(stderr, "perfgate:", err)
-				return 1
-			}
-		} else {
-			// Gate the working tree: measure the scenarios the baseline holds.
-			if sf.scenarios == "" {
-				var names []string
-				for _, sc := range base.Scenarios {
-					names = append(names, sc.Name)
-				}
-				sf.scenarios = strings.Join(names, ",")
-			}
-			cur, rec, cleanup, err = sf.execute(stderr)
-			if err != nil {
-				fmt.Fprintln(stderr, "perfgate:", err)
-				return 1
-			}
-		}
-	}
-	defer cleanup()
-
-	cmp := perf.Compare(base, cur, perf.Thresholds{Alpha: *alpha, MinDeltaPct: *minDelta})
+	cmp := perf.Compare(spec, base, cur)
 	cmp.WriteTable(stdout)
+	if sub == "compare" {
+		return 0
+	}
 	if err := cmp.Gate(); err != nil {
-		for _, d := range cmp.Regressions() {
-			rec.RecordEvent(audit.Event{
-				Kind:   "perf.regression",
-				Detail: fmt.Sprintf("%s: +%.1f%% median (p=%.4g)", d.Scenario, d.DeltaPct, d.P),
-			})
-		}
 		fmt.Fprintln(stderr, "perfgate:", err)
 		return 1
 	}
 	fmt.Fprintln(stderr, "perfgate: gate passed")
 	return 0
-}
-
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

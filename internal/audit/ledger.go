@@ -21,21 +21,23 @@ type Record struct {
 
 // Event is a run-lifecycle entry in the ledger outside the model-selection
 // flow: checkpoint resumes (which explain why a run's measured iteration
-// counts start mid-trajectory) and perf-suite runs/regression verdicts
-// (which anchor the performance trajectory to the decision history).
+// counts start mid-trajectory), the sharded solver's partition choice, and
+// numerical-health state changes.
 type Event struct {
-	// Kind identifies the event ("resume", "perf.suite", "perf.regression").
+	// Kind identifies the event ("resume.load", "resume",
+	// "dist.partition", "health.state").
 	Kind string `json:"kind"`
 	// Iter is the ALS iteration the event refers to (for a resume: the
 	// checkpointed iteration the run continues from).
 	Iter int `json:"iter,omitempty"`
-	// Path is the file involved (checkpoint or bench result), when known.
+	// Path is the file involved (the checkpoint), when known.
 	Path string `json:"path,omitempty"`
 	// Fingerprint is the tensor+plan fingerprint the checkpoint was
 	// validated against.
 	Fingerprint string `json:"fingerprint,omitempty"`
-	// Detail carries kind-specific context: for perf.suite the scenario and
-	// sample counts, for perf.regression the offending scenario and delta.
+	// Detail carries kind-specific context: for dist.partition the process
+	// count, transport and chosen partitioner, for health.state the state
+	// transition and the signals behind it.
 	Detail string `json:"detail,omitempty"`
 }
 

@@ -452,13 +452,14 @@ func allFinite(v []float64) bool {
 }
 
 // measuredFrom converts the run's engine-counter deltas and per-phase
-// breakdown into the audit layer's Measured record: totals averaged per
-// completed iteration so they are comparable with the model's per-iteration
-// predictions.
-func measuredFrom(s, base engine.Stats, res *Result) audit.Measured {
-	iters := float64(res.Iters)
+// breakdown into the audit layer's Measured record: totals averaged over
+// the n iterations this run completed (on Resume, not those of the run
+// that wrote the checkpoint) so they are comparable with the model's
+// per-iteration predictions.
+func measuredFrom(s, base engine.Stats, res *Result, n int) audit.Measured {
+	iters := float64(n)
 	m := audit.Measured{
-		Iters:                res.Iters,
+		Iters:                n,
 		OpsPerIter:           float64(s.HadamardOps-base.HadamardOps) / iters,
 		MTTKRPSecondsPerIter: float64(s.MTTKRPNS-base.MTTKRPNS) / 1e9 / iters,
 		PeakValueBytes:       s.PeakValueBytes,

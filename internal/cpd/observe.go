@@ -79,7 +79,7 @@ func newObservers(x *tensor.COO, eng engine.Engine, opt Options, rs *RunStats, f
 		list = append(list, progress(opt.Progress))
 	}
 	if opt.Audit != nil {
-		list = append(list, &auditReconcile{rec: opt.Audit, eng: eng, base: eng.Stats()})
+		list = append(list, &auditReconcile{rec: opt.Audit, eng: eng, base: eng.Stats(), first: first})
 	}
 	if rs != nil {
 		list = append(list, &collectStats{rs: rs, eng: eng, first: first})
@@ -132,18 +132,19 @@ func (progress) end(*Result, exit) error { return nil }
 // auditReconcile reconciles the cost model's decision against this run's
 // engine-counter deltas at run end; base is taken before the first
 // iteration, so an engine reused across runs still yields this run's
-// deltas.
+// deltas, and they are averaged over this run's iterations, from first.
 type auditReconcile struct {
-	rec  *audit.Recorder
-	eng  engine.Engine
-	base engine.Stats
+	rec   *audit.Recorder
+	eng   engine.Engine
+	base  engine.Stats
+	first int
 }
 
 func (*auditReconcile) iteration(iterEvent) (bool, error) { return false, nil }
 
 func (a *auditReconcile) end(res *Result, _ exit) error {
-	if res.Iters > 0 {
-		a.rec.Reconcile(measuredFrom(a.eng.Stats(), a.base, res))
+	if n := res.Iters - a.first + 1; n > 0 {
+		a.rec.Reconcile(measuredFrom(a.eng.Stats(), a.base, res, n))
 	}
 	return nil
 }

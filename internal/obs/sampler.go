@@ -21,8 +21,8 @@ type ResourceSample struct {
 }
 
 // Default sampler cadence and ring capacity: 100 ms × 4096 samples ≈ seven
-// minutes of timeline, enough to cover a bench suite or explain a noisy
-// sample window post hoc without unbounded growth.
+// minutes of timeline, enough to cover a run or explain a noisy window
+// post hoc without unbounded growth.
 const (
 	defaultSampleInterval = 100 * time.Millisecond
 	defaultSamplerCap     = 4096
@@ -30,10 +30,9 @@ const (
 
 // Sampler records a ring-buffered timeline of process resource samples on a
 // fixed cadence in a background goroutine. It exists to explain performance
-// measurements after the fact: a bench sample that ran concurrently with a
-// GC cycle or a goroutine spike is visible in the timeline window that
-// brackets it (see the /timeseries endpoint and the perf suite's embedded
-// timelines).
+// after the fact: a phase that ran concurrently with a GC cycle or a
+// goroutine spike is visible in the timeline window that brackets it (see
+// the /timeseries endpoint).
 //
 // A nil *Sampler is valid: every method no-ops.
 type Sampler struct {
@@ -129,8 +128,7 @@ func (s *Sampler) loop() {
 }
 
 // record appends one sample to the ring. ReadMemStats stops the world
-// briefly; at the default 100 ms cadence that overhead is ~negligible and,
-// critically, identical for every bench scenario it runs alongside.
+// briefly; at the default 100 ms cadence that overhead is ~negligible.
 func (s *Sampler) record() {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -150,13 +148,6 @@ func (s *Sampler) record() {
 
 // Snapshot returns the retained samples in chronological order.
 func (s *Sampler) Snapshot() []ResourceSample {
-	return s.Since(0)
-}
-
-// Since returns the retained samples with UnixNano >= t, in chronological
-// order — the probe the perf runner uses to embed the timeline window of one
-// suite run into its bench record.
-func (s *Sampler) Since(t int64) []ResourceSample {
 	if s == nil {
 		return nil
 	}
@@ -170,9 +161,7 @@ func (s *Sampler) Since(t int64) []ResourceSample {
 	}
 	out := make([]ResourceSample, 0, n-start)
 	for i := start; i < n; i++ {
-		if sm := s.buf[i%size]; sm.UnixNano >= t {
-			out = append(out, sm)
-		}
+		out = append(out, s.buf[i%size])
 	}
 	return out
 }

@@ -58,26 +58,11 @@ func TestSamplerRingWraps(t *testing.T) {
 	}
 }
 
-func TestSamplerSince(t *testing.T) {
-	s := NewSampler(time.Hour, 16)
-	s.record()
-	cut := time.Now().UnixNano()
-	time.Sleep(time.Millisecond)
-	s.record()
-	s.record()
-	if got := len(s.Since(cut)); got != 2 {
-		t.Fatalf("Since returned %d samples, want 2", got)
-	}
-	if got := len(s.Since(0)); got != 3 {
-		t.Fatalf("Since(0) returned %d samples, want 3", got)
-	}
-}
-
 func TestSamplerNil(t *testing.T) {
 	var s *Sampler
 	s.Start()
 	s.Stop()
-	if s.Snapshot() != nil || s.Since(0) != nil || s.Interval() != 0 {
+	if s.Snapshot() != nil || s.Interval() != 0 {
 		t.Fatal("nil sampler must no-op")
 	}
 }
@@ -180,7 +165,7 @@ func TestTimeseriesRace(t *testing.T) {
 			}
 		}()
 	}
-	// Direct snapshot readers (the perf runner path).
+	// Direct snapshot readers.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -189,7 +174,7 @@ func TestTimeseriesRace(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = s.Since(time.Now().Add(-time.Second).UnixNano())
+				_ = s.Snapshot()
 			}
 		}
 	}()

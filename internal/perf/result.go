@@ -10,26 +10,24 @@ import (
 	"strings"
 
 	"adatm/internal/ckpt"
-	"adatm/internal/obs"
 )
 
-// FormatVersion identifies the on-disk bench result format. Bump only with a
-// reader that still accepts every older version; the comparison layer
-// refuses mismatched formats rather than silently comparing apples to
-// renamed oranges.
-const FormatVersion = "adatm-bench/v1"
+// FormatVersion identifies the on-disk bench result format. Its runs are
+// perfbench reports, so its names are the workload and metric names of
+// BENCHMARK.json. The comparison layer refuses any other format rather than
+// compare apples to renamed oranges.
+const FormatVersion = "adatm-bench/v2"
 
-// Env is the environment fingerprint stamped into every suite result: the
-// facts that make two measurements comparable (or explain why they aren't).
+// Env is the environment fingerprint stamped into every result: the facts
+// that make two measurements comparable (or explain why they aren't).
 // Comparing results across differing fingerprints is allowed but flagged by
-// Compare, because a CPU or GOMAXPROCS change is the most common benign
-// explanation for a wholesale shift.
+// Compare, because a CPU change is the most common benign explanation for a
+// wholesale shift.
 type Env struct {
 	OS        string `json:"os"`
 	Arch      string `json:"arch"`
 	CPUModel  string `json:"cpu_model,omitempty"`
 	CPUs      int    `json:"cpus"`
-	MaxProcs  int    `json:"maxprocs"`
 	GoVersion string `json:"go_version"`
 	// Revision is the VCS revision of the binary when built from a checkout
 	// ("unknown" under `go run` / `go test`, where build info has no VCS
@@ -44,7 +42,6 @@ func Fingerprint() Env {
 		Arch:      runtime.GOARCH,
 		CPUModel:  cpuModel(),
 		CPUs:      runtime.NumCPU(),
-		MaxProcs:  runtime.GOMAXPROCS(0),
 		GoVersion: runtime.Version(),
 		Revision:  "unknown",
 	}
@@ -59,10 +56,10 @@ func Fingerprint() Env {
 }
 
 // Comparable reports whether two fingerprints describe measurement-
-// equivalent environments (same hardware class and parallel width).
+// equivalent environments (same hardware class). GOMAXPROCS is not part of
+// it: perfbench pins its own.
 func (e Env) Comparable(o Env) bool {
-	return e.OS == o.OS && e.Arch == o.Arch && e.CPUModel == o.CPUModel &&
-		e.CPUs == o.CPUs && e.MaxProcs == o.MaxProcs
+	return e.OS == o.OS && e.Arch == o.Arch && e.CPUModel == o.CPUModel && e.CPUs == o.CPUs
 }
 
 // cpuModel reads the CPU model name from /proc/cpuinfo (Linux); other
@@ -80,98 +77,113 @@ func cpuModel() string {
 	return ""
 }
 
-// Sample is one repeated-sample measurement of a scenario: wall time plus
-// the allocation and engine work counters over the same window, so a slow
-// sample can be attributed (did it do more work, allocate more, or just run
-// slower?).
-type Sample struct {
-	// StartUnixNano anchors the sample on the suite's resource timeline.
-	StartUnixNano int64 `json:"t"`
-	// NS is the wall time of one scenario unit (one MTTKRP sweep, or one
-	// fixed-iteration CP-ALS fit).
-	NS int64 `json:"ns"`
-	// Allocs and Bytes are the heap allocation deltas over the sample.
-	Allocs int64 `json:"allocs"`
-	Bytes  int64 `json:"bytes"`
-	// HadamardOps and MTTKRPCalls are the engine work-counter deltas: the
-	// machine-independent op count that must stay constant across commits
-	// for ns deltas to mean anything.
-	HadamardOps int64 `json:"hadamard_ops"`
-	MTTKRPCalls int64 `json:"mttkrp_calls"`
+// Metric is one named value of a perfbench report.
+type Metric struct {
+	Value float64 `json:"value"`
+	Unit  string  `json:"unit"`
 }
 
-// ScenarioResult is one scenario's sample set plus its robust summary.
-type ScenarioResult struct {
-	Name    string   `json:"name"`
-	Samples []Sample `json:"samples"`
-	Summary Summary  `json:"summary"`
+// Report is what one perfbench invocation prints as its last line: whether
+// every measured run passed its checks, how many ran and failed, and the
+// metrics (the end-to-end ones untraced, the per-layer split traced; none
+// when a check failed).
+type Report struct {
+	Correct   bool              `json:"correct"`
+	Attempted int               `json:"attempted"`
+	Failed    int               `json:"failed"`
+	Metrics   map[string]Metric `json:"metrics"`
 }
 
-// SuiteResult is one suite run: the versioned envelope written to disk.
-type SuiteResult struct {
-	Format    string           `json:"format"`
-	UnixSec   int64            `json:"unix_sec"`
-	Env       Env              `json:"env"`
-	Samples   int              `json:"samples_per_scenario"`
-	Warmup    int              `json:"warmup_per_scenario"`
-	Quick     bool             `json:"quick,omitempty"`
-	Scenarios []ScenarioResult `json:"scenarios"`
-	// Timeline is the suite-wide resource timeline recorded while the
-	// samples ran; each Sample's StartUnixNano indexes into it, so a noisy
-	// sample can be explained post hoc (GC cycle, goroutine spike).
-	Timeline []obs.ResourceSample `json:"timeline,omitempty"`
+// ParseReport decodes and validates one perfbench report line.
+func ParseReport(line []byte) (Report, error) {
+	var r Report
+	if err := json.Unmarshal(line, &r); err != nil {
+		return Report{}, fmt.Errorf("perf: not a perfbench report: %w", err)
+	}
+	if err := r.validate(); err != nil {
+		return Report{}, err
+	}
+	return r, nil
 }
 
-// Scenario returns the named scenario result, or nil.
-func (r *SuiteResult) Scenario(name string) *ScenarioResult {
-	for i := range r.Scenarios {
-		if r.Scenarios[i].Name == name {
-			return &r.Scenarios[i]
+func (r Report) validate() error {
+	switch {
+	case r.Attempted <= 0:
+		return fmt.Errorf("perf: report attempted %d runs", r.Attempted)
+	case r.Failed < 0 || r.Failed > r.Attempted:
+		return fmt.Errorf("perf: report failed %d of %d runs", r.Failed, r.Attempted)
+	case r.Correct && len(r.Metrics) == 0:
+		return fmt.Errorf("perf: correct report has no metrics")
+	}
+	for name := range r.Metrics {
+		if name == "" {
+			return fmt.Errorf("perf: report metric with empty name")
 		}
 	}
 	return nil
+}
+
+// Run is one perfbench invocation: workload, seed and trace mode (0 for
+// the end-to-end metrics, 1 for the per-layer split) with its report.
+type Run struct {
+	Workload string `json:"workload"`
+	Seed     int64  `json:"seed"`
+	Trace    int    `json:"trace"`
+	Report   Report `json:"report"`
+}
+
+// Result is one `perfgate run`: the versioned envelope written to disk. It
+// holds one Run per workload, seed and trace mode.
+type Result struct {
+	Format  string `json:"format"`
+	UnixSec int64  `json:"unix_sec"`
+	Env     Env    `json:"env"`
+	// Seeds are the samples: every workload runs once per seed and trace
+	// mode, each on its own generated tensor.
+	Seeds []int64 `json:"seeds"`
+	Runs  []Run   `json:"runs"`
 }
 
 // Validate checks the structural invariants of a loaded result.
-func (r *SuiteResult) Validate() error {
+func (r *Result) Validate() error {
 	if r.Format != FormatVersion {
 		return fmt.Errorf("perf: result format %q, want %q", r.Format, FormatVersion)
 	}
-	if len(r.Scenarios) == 0 {
-		return fmt.Errorf("perf: result has no scenarios")
+	if len(r.Runs) == 0 {
+		return fmt.Errorf("perf: result has no runs")
 	}
-	seen := make(map[string]bool, len(r.Scenarios))
-	for _, sc := range r.Scenarios {
-		if sc.Name == "" {
-			return fmt.Errorf("perf: scenario with empty name")
+	seeds := make(map[int64]bool, len(r.Seeds))
+	for _, s := range r.Seeds {
+		seeds[s] = true
+	}
+	type key struct {
+		workload string
+		seed     int64
+		trace    int
+	}
+	seen := make(map[key]bool, len(r.Runs))
+	for _, run := range r.Runs {
+		k := key{run.Workload, run.Seed, run.Trace}
+		switch {
+		case run.Workload == "":
+			return fmt.Errorf("perf: run with empty workload")
+		case run.Trace != 0 && run.Trace != 1:
+			return fmt.Errorf("perf: %s seed %d: trace mode %d", run.Workload, run.Seed, run.Trace)
+		case !seeds[run.Seed]:
+			return fmt.Errorf("perf: %s: seed %d is not among the result's seeds", run.Workload, run.Seed)
+		case seen[k]:
+			return fmt.Errorf("perf: duplicate run %s seed %d trace %d", run.Workload, run.Seed, run.Trace)
 		}
-		if seen[sc.Name] {
-			return fmt.Errorf("perf: duplicate scenario %q", sc.Name)
-		}
-		seen[sc.Name] = true
-		if len(sc.Samples) == 0 {
-			return fmt.Errorf("perf: scenario %q has no samples", sc.Name)
-		}
-		for i, s := range sc.Samples {
-			if s.NS <= 0 {
-				return fmt.Errorf("perf: scenario %q sample %d has non-positive ns", sc.Name, i)
-			}
+		seen[k] = true
+		if err := run.Report.validate(); err != nil {
+			return fmt.Errorf("%s seed %d trace %d: %w", run.Workload, run.Seed, run.Trace, err)
 		}
 	}
 	return nil
 }
 
-// nsSamples extracts the wall-time sample vector for the stats layer.
-func (sc *ScenarioResult) nsSamples() []float64 {
-	out := make([]float64, len(sc.Samples))
-	for i, s := range sc.Samples {
-		out[i] = float64(s.NS)
-	}
-	return out
-}
-
 // WriteJSON renders the result as indented JSON.
-func (r *SuiteResult) WriteJSON(w io.Writer) error {
+func (r *Result) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
@@ -180,7 +192,7 @@ func (r *SuiteResult) WriteJSON(w io.Writer) error {
 // WriteFile persists the result crash-atomically (temp file + fsync +
 // rename via the ckpt atomic writer), so an interrupted bench run can never
 // truncate a previously committed baseline.
-func WriteFile(path string, r *SuiteResult) error {
+func WriteFile(path string, r *Result) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
@@ -188,7 +200,7 @@ func WriteFile(path string, r *SuiteResult) error {
 }
 
 // LoadFile reads and validates a result file.
-func LoadFile(path string) (*SuiteResult, error) {
+func LoadFile(path string) (*Result, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -201,8 +213,8 @@ func LoadFile(path string) (*SuiteResult, error) {
 }
 
 // Decode parses and validates the bytes of a result file.
-func Decode(data []byte) (*SuiteResult, error) {
-	var r SuiteResult
+func Decode(data []byte) (*Result, error) {
+	var r Result
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, err
 	}

@@ -76,7 +76,8 @@ go test -race -count=1 -run 'TestSwamp|TestServerIters' ./internal/health/ ./int
 go test -race -count=1 -run 'TestDistRun|TestDistFault|TestDistributedALS|TestTransport' ./internal/dist/
 
 # The TCP frame decoder parses bytes from peers, and the model, checkpoint,
-# decision-ledger and bench-result decoders parse files: a short fuzz run of
+# decision-ledger and bench-result decoders parse files (the last also
+# perfbench's report lines): a short fuzz run of
 # each on every CI pass (the `make fuzz` target runs them longer). The
 # checkpoint run caps minimization (Go's default budget is 60 s per new
 # input), so its seconds go to new inputs. The streamed kernel's fuzz run
@@ -99,4 +100,9 @@ make bench-smoke
 make obs-smoke
 make ckpt-smoke
 make dist-smoke
+
+# The perf gate: perfbench re-measured on the working tree (six seeds, both
+# workloads, untraced and traced; about three minutes) and gated against the
+# committed BENCH_23.json. It fails on a significant end-to-end regression
+# past a BENCHMARK.json bound, a missing workload or a failed run.
 make perf-gate

@@ -114,54 +114,4 @@ grep -q '"health.state"' "$tmp/audit.jsonl" || { echo "obs-smoke: audit ledger m
 [ -s "$tmp/health.jsonl" ] || { echo "obs-smoke: healthfile empty"; exit 1; }
 grep -q '"state"' "$tmp/health.jsonl" || { echo "obs-smoke: healthfile samples missing verdict"; cat "$tmp/health.jsonl"; exit 1; }
 
-echo "obs-smoke: cpd phase OK ($(wc -c <"$tmp/metrics") bytes of metrics, $(wc -c <"$tmp/trace.json") bytes of trace, $(wc -l <"$tmp/audit.jsonl") ledger records, $(wc -l <"$tmp/health.jsonl") health samples)"
-
-# ---- perfgate phase: the perf-trajectory pipeline end to end --------------
-# One quick sample of one scenario, self-gated (identical sample sets can
-# never regress, so the gate must pass), with the debug server held open so
-# the adatm_perf_* series and /timeseries can be scraped afterwards.
-go build -o "$tmp/perfgate" ./cmd/perfgate
-
-"$tmp/perfgate" gate -self -quick -samples 1 -warmup 0 \
-    -scenarios mttkrp/short3/coo/scatter \
-    -listen 127.0.0.1:0 -hold -auditfile "$tmp/perf_ledger.jsonl" \
-    >"$tmp/perf_stdout" 2>"$tmp/perf_stderr" &
-pid=$!
-
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's#.*debug server listening on http://##p' "$tmp/perf_stderr" | head -n1)
-    [ -n "$addr" ] && break
-    kill -0 "$pid" 2>/dev/null || { echo "obs-smoke: perfgate exited early"; cat "$tmp/perf_stderr"; exit 1; }
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "obs-smoke: perfgate server never announced its address"; cat "$tmp/perf_stderr"; exit 1; }
-
-for _ in $(seq 1 600); do
-    grep -q "holding debug server" "$tmp/perf_stderr" && break
-    kill -0 "$pid" 2>/dev/null || { echo "obs-smoke: perfgate exited before holding"; cat "$tmp/perf_stderr"; exit 1; }
-    sleep 0.1
-done
-
-curl -fsS "http://$addr/metrics" >"$tmp/perf_metrics"
-for series in adatm_perf_suite_running adatm_perf_scenarios \
-    adatm_perf_sample_seconds adatm_perf_samples_total adatm_perf_median_seconds; do
-    grep -q "$series" "$tmp/perf_metrics" || { echo "obs-smoke: perfgate /metrics missing $series"; cat "$tmp/perf_metrics"; exit 1; }
-done
-curl -fsS "http://$addr/timeseries" >"$tmp/perf_timeseries"
-grep -q '"heap_alloc_bytes"' "$tmp/perf_timeseries" \
-    || { echo "obs-smoke: perfgate /timeseries has no samples"; cat "$tmp/perf_timeseries"; exit 1; }
-
-kill "$pid"
-wait "$pid" 2>/dev/null || true
-pid=""
-
-# The self-gate must have passed and the delta table must name the scenario.
-grep -q "gate passed" "$tmp/perf_stderr" || { echo "obs-smoke: perf self-gate did not pass"; cat "$tmp/perf_stderr"; exit 1; }
-grep -q "mttkrp/short3/coo/scatter" "$tmp/perf_stdout" || { echo "obs-smoke: perf table missing scenario"; cat "$tmp/perf_stdout"; exit 1; }
-
-# The perf ledger must be valid JSONL carrying the perf.suite event.
-go run ./scripts/jsonlcheck "$tmp/perf_ledger.jsonl" || { echo "obs-smoke: perf ledger invalid"; cat "$tmp/perf_ledger.jsonl"; exit 1; }
-grep -q '"perf.suite"' "$tmp/perf_ledger.jsonl" || { echo "obs-smoke: perf ledger missing perf.suite event"; cat "$tmp/perf_ledger.jsonl"; exit 1; }
-
-echo "obs-smoke: OK (perf phase: $(wc -c <"$tmp/perf_metrics") bytes of metrics)"
+echo "obs-smoke: OK ($(wc -c <"$tmp/metrics") bytes of metrics, $(wc -c <"$tmp/trace.json") bytes of trace, $(wc -l <"$tmp/audit.jsonl") ledger records, $(wc -l <"$tmp/health.jsonl") health samples)"
