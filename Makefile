@@ -74,7 +74,7 @@ ci:
 	./scripts/ci.sh
 
 fuzz:
-	$(GO) test -fuzz FuzzReadTNS -fuzztime 30s ./internal/tensor/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTNS$$' -fuzztime 30s ./internal/tensor/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 30s ./internal/dist/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadModel$$' -fuzztime 30s ./internal/cpd/
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRead$$' -fuzztime 30s ./internal/ckpt/

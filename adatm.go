@@ -94,7 +94,7 @@ type (
 	// layer). A nil recorder is valid and free.
 	AuditRecorder = audit.Recorder
 	// AuditConfig parameterizes NewAuditRecorder (logger, JSONL ledger,
-	// metrics registry, warn threshold, update hook).
+	// metrics registry, update hook).
 	AuditConfig = audit.Config
 	// AuditDecision is one recorded selection decision.
 	AuditDecision = audit.Decision
@@ -105,10 +105,6 @@ type (
 	AuditRecord = audit.Record
 	// AuditMeasured carries a run's measured counters for reconciliation.
 	AuditMeasured = audit.Measured
-	// AccumStrategy selects the MTTKRP output-accumulation backend:
-	// striped-lock scatter, per-worker privatized copies with a parallel
-	// reduction, or model-driven per-mode auto-selection.
-	AccumStrategy = accum.Strategy
 	// CheckpointConfig enables periodic crash-safe checkpoints of a run
 	// (directory, cadence, rolling retention). Attach via
 	// Options.Checkpoint; resume with Resume.
@@ -121,11 +117,8 @@ type (
 	// debounced healthy/stalled/swamp-suspect/ill-conditioned verdict. A
 	// nil probe is valid and free. Attach via Options.Health.
 	HealthProbe = health.Probe
-	// HealthConfig parameterizes NewHealthProbe (sinks and thresholds).
+	// HealthConfig parameterizes NewHealthProbe (its sinks).
 	HealthConfig = health.Config
-	// HealthThresholds tunes the health rule layer; zero fields select the
-	// documented defaults.
-	HealthThresholds = health.Thresholds
 	// HealthState is the probe's typed verdict.
 	HealthState = health.State
 	// HealthSummary is the probe's end-of-run verdict and aggregates.
@@ -144,21 +137,6 @@ const (
 	HealthSwampSuspect   = health.SwampSuspect
 	HealthIllConditioned = health.IllConditioned
 )
-
-// Accumulation backends for Options.Accum / EngineConfig.Accum.
-const (
-	// AccumAuto lets the cost model pick scatter or privatize per
-	// (engine, mode) — the default.
-	AccumAuto = accum.Auto
-	// AccumScatter forces in-place scatter accumulation.
-	AccumScatter = accum.Scatter
-	// AccumPrivatize forces per-worker privatized accumulation.
-	AccumPrivatize = accum.Privatize
-)
-
-// ParseAccumStrategy converts the CLI spelling ("auto", "scatter",
-// "privatize"; empty = auto) into an AccumStrategy.
-func ParseAccumStrategy(s string) (AccumStrategy, error) { return accum.Parse(s) }
 
 // Re-exported phase identifiers for reading RunStats.Phases.
 const (
@@ -256,9 +234,6 @@ type Options struct {
 	// (<= 0: unbounded). See EngineConfig.MemoryBudget for its effect on
 	// the other engines.
 	MemoryBudget int64
-	// Accum selects the MTTKRP output-accumulation backend (default
-	// AccumAuto: the cost model decides per mode).
-	Accum AccumStrategy
 	// TrackFit retains the per-iteration fit trajectory in the result.
 	TrackFit bool
 	// Init supplies initial factor matrices (one I_n × Rank per mode);
@@ -322,7 +297,7 @@ func engineFor(x *Tensor, opt Options) (Engine, error) {
 	if kind == "" {
 		kind = EngineAdaptive
 	}
-	eng, plan, err := NewEnginePlanned(x, kind, EngineConfig{Rank: opt.Rank, Workers: opt.Workers, MemoryBudget: opt.MemoryBudget, Accum: opt.Accum})
+	eng, plan, err := NewEnginePlanned(x, kind, EngineConfig{Rank: opt.Rank, Workers: opt.Workers, MemoryBudget: opt.MemoryBudget})
 	if err != nil {
 		return nil, err
 	}
@@ -469,10 +444,6 @@ type EngineConfig struct {
 	// Strategy overrides the memoization tree for the memo engines; nil
 	// uses the kind's default shape.
 	Strategy *Strategy
-	// Accum selects the output-accumulation backend (default AccumAuto:
-	// per-mode model-driven choice; the adaptive kind takes its per-mode
-	// table from the plan).
-	Accum AccumStrategy
 	// accumPerMode carries the adaptive plan's resolved per-mode table to
 	// the engine constructor (internal plumbing, set by NewEnginePlanned).
 	accumPerMode []accum.Strategy
@@ -504,7 +475,7 @@ func NewEnginePlanned(x *Tensor, kind EngineKind, cfg EngineConfig) (Engine, *Pl
 		return nil, nil, err
 	}
 	n := x.Order()
-	acfg := accum.Config{Strategy: cfg.Accum, Workers: cfg.Workers, Budget: cfg.MemoryBudget}
+	acfg := accum.Config{Workers: cfg.Workers, Budget: cfg.MemoryBudget}
 	cfg.retain = cfg.MemoryBudget <= 0
 	cfg.stream = cfg.MemoryBudget <= 0
 	switch kind {
@@ -533,10 +504,7 @@ func NewEnginePlanned(x *Tensor, kind EngineKind, cfg EngineConfig) (Engine, *Pl
 			eng, err := memoEngine(x, cfg, cfg.Strategy, string(kind))
 			return eng, nil, err
 		}
-		plan := model.Select(x, model.Options{
-			Rank: cfg.Rank, Budget: cfg.MemoryBudget,
-			Workers: cfg.Workers, Accum: cfg.Accum,
-		})
+		plan := model.Select(x, model.Options{Rank: cfg.Rank, Budget: cfg.MemoryBudget, Workers: cfg.Workers})
 		eng, err := plannedEngine(x, cfg, plan)
 		if err != nil {
 			return nil, nil, err
@@ -576,12 +544,7 @@ func memoEngine(x *Tensor, cfg EngineConfig, s *Strategy, name string) (Engine, 
 	}
 	return memo.NewWithConfig(x, s, memo.Config{
 		Workers: cfg.Workers, Name: name, RetainBuffers: cfg.retain, StreamRoot: cfg.stream,
-		Accum: accum.Config{
-			Strategy: cfg.Accum,
-			PerMode:  cfg.accumPerMode,
-			Workers:  cfg.Workers,
-			Budget:   cfg.MemoryBudget,
-		},
+		Accum: accum.Config{PerMode: cfg.accumPerMode, Workers: cfg.Workers, Budget: cfg.MemoryBudget},
 	})
 }
 
@@ -607,11 +570,8 @@ func DecomposePermuted(x *Tensor, opt Options) (*Result, error) {
 	if err := checkTensor(x); err != nil {
 		return nil, err
 	}
-	plan := model.SelectPermuted(x, model.Options{
-		Rank: opt.Rank, Budget: opt.MemoryBudget,
-		Workers: opt.Workers, Accum: opt.Accum,
-	}, nil)
-	eng, err := plannedEngine(x, EngineConfig{Rank: opt.Rank, Workers: opt.Workers, MemoryBudget: opt.MemoryBudget, Accum: opt.Accum}, plan)
+	plan := model.SelectPermuted(x, model.Options{Rank: opt.Rank, Budget: opt.MemoryBudget, Workers: opt.Workers}, nil)
+	eng, err := plannedEngine(x, EngineConfig{Rank: opt.Rank, Workers: opt.Workers, MemoryBudget: opt.MemoryBudget}, plan)
 	if err != nil {
 		return nil, err
 	}

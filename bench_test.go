@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"adatm"
-	"adatm/internal/coo"
 	"adatm/internal/dense"
 	"adatm/internal/dist"
 	"adatm/internal/engine"
@@ -268,16 +267,6 @@ func BenchmarkE21_Partitioners(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkE22_DistributedSweep regenerates experiment E22's measured side:
-// one simulated-cluster MTTKRP sweep.
-func BenchmarkE22_DistributedSweep(b *testing.B) {
-	x := dataset("flickr4d")
-	c := dist.NewCluster(x, dist.FineGrainGreedyPartition(x, 8, 1), func(s *tensor.COO) engine.Engine {
-		return coo.New(s, 1)
-	})
-	benchSweep(b, x, c, benchCfg.Rank)
 }
 
 func maxDim(dims []int) int {

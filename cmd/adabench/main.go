@@ -44,7 +44,6 @@ func run() int {
 		rank      = flag.Int("rank", 16, "CP rank for non-sweeping experiments")
 		workers   = flag.Int("workers", 0, "parallel width (0 = GOMAXPROCS)")
 		seed      = flag.Int64("seed", 0, "dataset seed offset")
-		accumStr  = flag.String("accum", "auto", "MTTKRP output accumulation: auto (model decides per mode), scatter, privatize")
 		auditFile = flag.String("auditfile", "", "append the model-audit decision ledger (JSONL) from model experiments (E7) to this file")
 		healthRun = flag.Bool("health", false, "attach a numerical-health probe to the full CP-ALS experiment runs (E2); with -listen, serves the shared iteration stream at /iters")
 	)
@@ -60,12 +59,7 @@ func run() int {
 	defer sess.Close(false)
 	tracer, reg, srv := sess.Tracer, sess.Metrics, sess.Server
 
-	accumStrat, err := adatm.ParseAccumStrategy(*accumStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "adabench:", err)
-		return 2
-	}
-	cfg := exp.Config{Quick: *quick, Workers: *workers, Rank: *rank, Seed: *seed, Accum: accumStrat}
+	cfg := exp.Config{Quick: *quick, Workers: *workers, Rank: *rank, Seed: *seed}
 	if *healthRun {
 		// One shared iteration stream for every probed run; the per-run
 		// label tells the streams apart. With -listen it is served live at

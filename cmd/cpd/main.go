@@ -38,7 +38,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "parallel width (0 = GOMAXPROCS)")
 		engName    = flag.String("engine", "adaptive", "engine: coo, csf, csf-one, hicoo, memo-flat, memo-2group, memo-balanced, adaptive")
 		budget     = flag.String("budget", "", "memory budget for the adaptive engine, e.g. 512MiB, 2GiB")
-		accumFlag  = flag.String("accum", "auto", "MTTKRP output accumulation: auto (model decides per mode), scatter, privatize")
 		outPfx     = flag.String("out", "", "write factor matrices to <out>_mode<k>.txt and lambda to <out>_lambda.txt")
 		plan       = flag.Bool("plan", false, "print the model-driven plan and exit")
 		fittrace   = flag.Bool("fittrace", false, "print the fit after every iteration")
@@ -50,7 +49,6 @@ func main() {
 		hold       = flag.Bool("hold", false, "with -listen: keep the debug server up after the run until interrupted")
 		auditRun   = flag.Bool("audit", false, "reconcile the cost model's predictions against the measured run and print the table (adaptive engine)")
 		auditFile  = flag.String("auditfile", "", "append the model-audit decision ledger (JSONL) to this file")
-		auditWarn  = flag.Float64("auditwarn", 0.25, "model-audit |relative error| warning threshold")
 		logJSON    = flag.Bool("logjson", false, "emit structured JSON log events (model selection, reconciliation) to stderr")
 		logFile    = flag.String("logfile", "", "write structured JSON log events to this file instead of stderr")
 		healthRun  = flag.Bool("health", false, "track per-iteration numerical health (swamp/stall/conditioning) and print the final verdict (standard CP-ALS only)")
@@ -80,16 +78,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	accumStrat, err := adatm.ParseAccumStrategy(*accumFlag)
-	if err != nil {
-		fatal(err)
-	}
 	obsst, err := setupObs(obsConfig{
 		boot: boot.Config{
 			Name: "cpd", CPUProfile: *pprofOut, RuntimeTrace: *rtTrace, TraceFile: *tracefile,
 			Workers: *workers, Listen: *listen, AuditFile: *auditFile,
 		},
-		hold: *hold, audit: *auditRun, auditWarn: *auditWarn, logJSON: *logJSON, logFile: *logFile,
+		hold: *hold, audit: *auditRun, logJSON: *logJSON, logFile: *logFile,
 		health: *healthRun, healthFile: *healthFile,
 	})
 	if err != nil {
@@ -197,7 +191,7 @@ func main() {
 	opt := adatm.Options{
 		Rank: *rank, MaxIters: *iters, Tol: *tol, Seed: *seed, Workers: *workers,
 		Engine: adatm.EngineKind(*engName), MemoryBudget: budgetBytes, TrackFit: *fittrace,
-		Ridge: *ridge, NonNegative: *nonneg, Accum: accumStrat,
+		Ridge: *ridge, NonNegative: *nonneg,
 		CollectStats: *jsonOut,
 	}
 	obsst.options(&opt)

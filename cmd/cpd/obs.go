@@ -18,7 +18,6 @@ type obsConfig struct {
 	boot       boot.Config // -pprof, -runtimetrace, -tracefile, -listen, -auditfile
 	hold       bool        // -hold: keep the server up after the run
 	audit      bool        // -audit: print the reconciliation table
-	auditWarn  float64     // -auditwarn: |rel err| warning threshold
 	logJSON    bool        // -logjson: structured JSON log events to stderr
 	logFile    string      // -logfile: structured JSON log events to this file
 	health     bool        // -health: numerical-health probe + final verdict
@@ -89,7 +88,7 @@ func finiteFitPtr(fit float64) *float64 {
 func setupObs(cfg obsConfig) (*obsState, error) {
 	o := &obsState{hold: cfg.hold, healthPath: cfg.healthFile, started: time.Now()}
 	if cfg.wantAudit() {
-		acfg := &adatm.AuditConfig{WarnThreshold: cfg.auditWarn}
+		acfg := &adatm.AuditConfig{}
 		if cfg.logJSON || cfg.logFile != "" {
 			dest := io.Writer(os.Stderr)
 			if cfg.logFile != "" {

@@ -39,7 +39,7 @@ const (
 	Privatize
 )
 
-// String implements fmt.Stringer with the CLI spelling of the strategy.
+// String implements fmt.Stringer with the wire spelling of the strategy.
 func (s Strategy) String() string {
 	switch s {
 	case Auto:
@@ -53,8 +53,8 @@ func (s Strategy) String() string {
 	}
 }
 
-// Parse converts the CLI spelling ("auto", "scatter", "privatize") into a
-// Strategy. The empty string means Auto.
+// Parse converts the wire spelling ("auto", "scatter", "privatize") into a
+// Strategy, as ledger records store it. The empty string means Auto.
 func Parse(s string) (Strategy, error) {
 	switch s {
 	case "", "auto":

@@ -159,13 +159,8 @@ func TestChooseCrossover(t *testing.T) {
 }
 
 func TestResolverCachingAndOverrides(t *testing.T) {
-	// Forced strategy wins over everything.
-	r := NewResolver(3, Config{Strategy: Privatize})
-	if s := r.Resolve(0, 1<<20, 1<<20, 16, 8); s != Privatize {
-		t.Fatalf("forced resolve = %v, want privatize", s)
-	}
 	// Per-mode table wins over the model.
-	r = NewResolver(3, Config{PerMode: []Strategy{Scatter, Privatize, Auto}})
+	r := NewResolver(3, Config{PerMode: []Strategy{Scatter, Privatize, Auto}})
 	if s := r.Resolve(1, 1<<20, 1<<20, 16, 8); s != Privatize {
 		t.Fatalf("per-mode resolve = %v, want privatize", s)
 	}

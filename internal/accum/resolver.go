@@ -3,12 +3,9 @@ package accum
 import "sync/atomic"
 
 // Config carries an engine's accumulation policy. The zero value means
-// "Auto everywhere with default costs and no budget", so engines that are
+// "the cost model decides every mode, with no budget", so engines that are
 // constructed without explicit options keep working.
 type Config struct {
-	// Strategy forces one backend for every mode; Auto defers to PerMode
-	// and then the cost model.
-	Strategy Strategy
 	// PerMode, when non-nil, pins a strategy per target mode (the
 	// plan-time table from model.Plan.Accum). Entries equal to Auto fall
 	// through to the cost model.
@@ -19,9 +16,6 @@ type Config struct {
 	// LockFree marks engines whose scatter baseline takes no locks (memo
 	// leaf contraction); see Input.LockFree.
 	LockFree bool
-	// Costs are the model coefficients; zero fields fall back to
-	// DefaultCosts.
-	Costs Costs
 	// Budget bounds the privatized footprint in bytes; <= 0 is unbounded.
 	Budget int64
 }
@@ -45,13 +39,10 @@ func NewResolver(nmodes int, cfg Config) *Resolver {
 // Workers reports the configured parallel width (may be <= 0 for default).
 func (r *Resolver) Workers() int { return r.cfg.Workers }
 
-// Resolve picks the backend for one MTTKRP call: forced strategy first,
-// then the plan's per-mode table, then the cached or freshly evaluated
-// cost model. workers is the effective parallel width of this call.
+// Resolve picks the backend for one MTTKRP call: the plan's per-mode
+// table first, then the cached or freshly evaluated cost model. workers is
+// the effective parallel width of this call.
 func (r *Resolver) Resolve(mode, rows int, nnz int64, rank, workers int) Strategy {
-	if s := r.cfg.Strategy; s != Auto {
-		return s
-	}
 	if pm := r.cfg.PerMode; mode < len(pm) {
 		if s := pm[mode]; s != Auto {
 			return s
@@ -73,9 +64,6 @@ func (r *Resolver) Resolve(mode, rows int, nnz int64, rank, workers int) Strateg
 // or Auto if the mode has not run yet. Safe to call concurrently with
 // Resolve (metrics gauges read this).
 func (r *Resolver) Resolved(mode int) Strategy {
-	if s := r.cfg.Strategy; s != Auto {
-		return s
-	}
 	if pm := r.cfg.PerMode; mode < len(pm) {
 		if s := pm[mode]; s != Auto {
 			return s
@@ -97,5 +85,5 @@ func (r *Resolver) choose(rows int, nnz int64, rank, workers int) Choice {
 		Workers:  workers,
 		LockFree: r.cfg.LockFree,
 		Budget:   r.cfg.Budget,
-	}, r.cfg.Costs)
+	}, DefaultCosts)
 }

@@ -59,8 +59,8 @@ func TestNewDecisionFromPlan(t *testing.T) {
 }
 
 // A permuted plan's decision carries the chosen order, the ledger line of a
-// natural one has no modes key, the per-mode accumulation outcome reads
-// the timing of the original mode at each position, and the validator
+// natural one has no modes key, the per-mode accumulation outcome names
+// the original mode at each position and reads its timing, and the validator
 // rejects an order that does not permute the dims' positions.
 func TestDecisionModeOrder(t *testing.T) {
 	x := tensor.RandomClustered(4, 12, 800, 0.6, 41)
@@ -82,13 +82,16 @@ func TestDecisionModeOrder(t *testing.T) {
 		t.Fatalf("permuted decision modes = %v, want %v", d.Modes, order)
 	}
 	secs := []float64{0.1, 0.2, 0.3, 0.4}
-	rep := Reconcile(d, Measured{Iters: 1, ModeMTTKRPSeconds: secs}, 0)
+	rep := Reconcile(d, Measured{Iters: 1, ModeMTTKRPSeconds: secs})
 	if rep == nil || len(rep.Accum) != 4 {
 		t.Fatalf("reconciliation = %+v", rep)
 	}
-	for _, a := range rep.Accum {
-		if want := secs[order[a.Mode]]; a.MeasuredModeSecs != want {
-			t.Errorf("accum position %d: measured %v, want mode %d's %v", a.Mode, a.MeasuredModeSecs, order[a.Mode], want)
+	for p, a := range rep.Accum {
+		if a.Mode != order[p] {
+			t.Errorf("accum position %d names mode %d, want %d", p, a.Mode, order[p])
+		}
+		if want := secs[order[p]]; a.MeasuredModeSecs != want {
+			t.Errorf("accum position %d: measured %v, want mode %d's %v", p, a.MeasuredModeSecs, order[p], want)
 		}
 	}
 	buf.Reset()
@@ -108,7 +111,7 @@ func TestDecisionModeOrder(t *testing.T) {
 
 func TestReconcileAgreement(t *testing.T) {
 	d := twoCandidates(0)
-	rep := Reconcile(d, Measured{Iters: 3, OpsPerIter: 100, PeakValueBytes: 500, IndexBytes: 1000}, 0)
+	rep := Reconcile(d, Measured{Iters: 3, OpsPerIter: 100, PeakValueBytes: 500, IndexBytes: 1000})
 	if rep == nil {
 		t.Fatal("nil report")
 	}
@@ -131,7 +134,7 @@ func TestReconcileAgreement(t *testing.T) {
 // prediction, the substitution re-rank must flip the verdict.
 func TestReconcileTop1Flip(t *testing.T) {
 	d := twoCandidates(0)
-	rep := Reconcile(d, Measured{Iters: 3, OpsPerIter: 150, PeakValueBytes: 500, IndexBytes: 1000}, 0)
+	rep := Reconcile(d, Measured{Iters: 3, OpsPerIter: 150, PeakValueBytes: 500, IndexBytes: 1000})
 	if rep.Top1Agreement || rep.MeasuredChoice != "B" {
 		t.Errorf("agreement=%v choice=%q, want false/B", rep.Top1Agreement, rep.MeasuredChoice)
 	}
@@ -150,7 +153,7 @@ func TestReconcileTop1Flip(t *testing.T) {
 // infeasible under substitution even if its measured ops stay lowest.
 func TestReconcileMeasuredFootprintInfeasible(t *testing.T) {
 	d := twoCandidates(1500)
-	rep := Reconcile(d, Measured{Iters: 3, OpsPerIter: 100, PeakValueBytes: 5000, IndexBytes: 1000}, 0)
+	rep := Reconcile(d, Measured{Iters: 3, OpsPerIter: 100, PeakValueBytes: 5000, IndexBytes: 1000})
 	if rep.Top1Agreement || rep.MeasuredChoice != "B" {
 		t.Errorf("agreement=%v choice=%q, want false/B (measured footprint 6000 > budget 1500)",
 			rep.Top1Agreement, rep.MeasuredChoice)
@@ -159,7 +162,7 @@ func TestReconcileMeasuredFootprintInfeasible(t *testing.T) {
 
 func TestReconcileDegenerateMeasurement(t *testing.T) {
 	d := twoCandidates(0)
-	rep := Reconcile(d, Measured{Iters: 1}, 0)
+	rep := Reconcile(d, Measured{Iters: 1})
 	for _, q := range rep.Quantities {
 		if math.IsNaN(q.RelErr) || math.IsInf(q.RelErr, 0) {
 			t.Errorf("%s: non-finite rel err %v", q.Name, q.RelErr)
@@ -181,24 +184,24 @@ func TestReconcileDegenerateMeasurement(t *testing.T) {
 }
 
 func TestReconcileNilAndMissing(t *testing.T) {
-	if Reconcile(nil, Measured{}, 0) != nil {
+	if Reconcile(nil, Measured{}) != nil {
 		t.Error("nil decision must reconcile to nil")
 	}
-	if ReconcileCandidate(twoCandidates(0), "nope", Measured{}, 0) != nil {
+	if ReconcileCandidate(twoCandidates(0), "nope", Measured{}) != nil {
 		t.Error("missing candidate must reconcile to nil")
 	}
 }
 
 func TestReportString(t *testing.T) {
 	d := twoCandidates(0)
-	rep := Reconcile(d, Measured{Iters: 3, OpsPerIter: 110, PeakValueBytes: 500, IndexBytes: 1000}, 0)
+	rep := Reconcile(d, Measured{Iters: 3, OpsPerIter: 110, PeakValueBytes: 500, IndexBytes: 1000})
 	s := rep.String()
 	for _, frag := range []string{"candidate=A", QOpsPerIter, "top-1: model agrees", "rel err"} {
 		if !strings.Contains(s, frag) {
 			t.Errorf("report table missing %q:\n%s", frag, s)
 		}
 	}
-	flip := Reconcile(d, Measured{Iters: 3, OpsPerIter: 200, PeakValueBytes: 500, IndexBytes: 1000}, 0)
+	flip := Reconcile(d, Measured{Iters: 3, OpsPerIter: 200, PeakValueBytes: 500, IndexBytes: 1000})
 	if !strings.Contains(flip.String(), "DISAGREES") {
 		t.Errorf("flip table missing DISAGREES:\n%s", flip.String())
 	}
@@ -208,7 +211,7 @@ func TestLedgerRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLedger(&buf)
 	d := twoCandidates(0)
-	rep := Reconcile(d, Measured{Iters: 3, OpsPerIter: 100, PeakValueBytes: 500, IndexBytes: 1000}, 0)
+	rep := Reconcile(d, Measured{Iters: 3, OpsPerIter: 100, PeakValueBytes: 500, IndexBytes: 1000})
 	if err := l.Append(Record{Decision: d}); err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +350,7 @@ func TestRecordString(t *testing.T) {
 		t.Error("empty record String misses the no-decision notice")
 	}
 	d := twoCandidates(0)
-	rep := Reconcile(d, Measured{Iters: 3, OpsPerIter: 100, PeakValueBytes: 500, IndexBytes: 1000}, 0)
+	rep := Reconcile(d, Measured{Iters: 3, OpsPerIter: 100, PeakValueBytes: 500, IndexBytes: 1000})
 	s := Record{Decision: d, Report: rep}.String()
 	for _, frag := range []string{"decision:", "chosen=A", "model audit:"} {
 		if !strings.Contains(s, frag) {

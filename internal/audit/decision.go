@@ -77,9 +77,10 @@ type AccumRecord struct {
 // the chosen strategy with the reason it won.
 type Decision struct {
 	Time time.Time `json:"time"`
-	// Dims, Ranges and Accum are in the chosen strategy's mode order;
-	// Modes names the original mode at each position of that order and is
-	// omitted for the natural order.
+	// Dims, Ranges and Accum are in the chosen strategy's mode order (each
+	// Accum record's Mode names its original mode); Modes names the
+	// original mode at each position of that order and is omitted for the
+	// natural order.
 	Dims   []int `json:"dims"`
 	Modes  []int `json:"modes,omitempty"`
 	NNZ    int64 `json:"nnz"`

@@ -110,19 +110,19 @@ func relErr(pred, meas float64) float64 {
 }
 
 // Reconcile reconciles the decision's chosen candidate against the run's
-// measurements. warnThreshold <= 0 selects DefaultWarnThreshold. Returns nil
-// when d is nil or the chosen candidate is missing from the record.
-func Reconcile(d *Decision, m Measured, warnThreshold float64) *Report {
+// measurements. Returns nil when d is nil or the chosen candidate is
+// missing from the record.
+func Reconcile(d *Decision, m Measured) *Report {
 	if d == nil {
 		return nil
 	}
-	return ReconcileCandidate(d, d.Chosen, m, warnThreshold)
+	return ReconcileCandidate(d, d.Chosen, m)
 }
 
 // ReconcileCandidate is Reconcile against a specific candidate of the
 // decision — sweep harnesses (the E7 model-accuracy experiment) measure
 // every candidate, not only the chosen one.
-func ReconcileCandidate(d *Decision, name string, m Measured, warnThreshold float64) *Report {
+func ReconcileCandidate(d *Decision, name string, m Measured) *Report {
 	if d == nil {
 		return nil
 	}
@@ -130,14 +130,11 @@ func ReconcileCandidate(d *Decision, name string, m Measured, warnThreshold floa
 	if cand == nil {
 		return nil
 	}
-	if warnThreshold <= 0 {
-		warnThreshold = DefaultWarnThreshold
-	}
 	rep := &Report{
 		Candidate:     name,
 		Reason:        d.Reason,
 		Measured:      m,
-		WarnThreshold: warnThreshold,
+		WarnThreshold: DefaultWarnThreshold,
 	}
 	add := func(qname string, pred, meas float64) {
 		rep.Quantities = append(rep.Quantities, Quantity{
@@ -166,12 +163,8 @@ func ReconcileCandidate(d *Decision, name string, m Measured, warnThreshold floa
 			PredScatterNS:   a.PredScatterNS,
 			PredPrivatizeNS: a.PredPrivatizeNS,
 		}
-		mode := a.Mode // a position in the chosen order; timings are per original mode
-		if mode < len(d.Modes) {
-			mode = d.Modes[mode]
-		}
-		if mode < len(m.ModeMTTKRPSeconds) {
-			o.MeasuredModeSecs = m.ModeMTTKRPSeconds[mode]
+		if a.Mode < len(m.ModeMTTKRPSeconds) {
+			o.MeasuredModeSecs = m.ModeMTTKRPSeconds[a.Mode]
 		}
 		rep.Accum = append(rep.Accum, o)
 	}
@@ -185,9 +178,9 @@ func ReconcileCandidate(d *Decision, name string, m Measured, warnThreshold floa
 				fmt.Sprintf("%s: measured 0 against prediction %g", q.Name, q.Predicted))
 			continue
 		}
-		if math.Abs(q.RelErr) > warnThreshold {
+		if math.Abs(q.RelErr) > DefaultWarnThreshold {
 			rep.Warnings = append(rep.Warnings,
-				fmt.Sprintf("%s: relative error %+.1f%% exceeds %.0f%%", q.Name, 100*q.RelErr, 100*warnThreshold))
+				fmt.Sprintf("%s: relative error %+.1f%% exceeds %.0f%%", q.Name, 100*q.RelErr, 100*DefaultWarnThreshold))
 		}
 	}
 	return rep

@@ -18,9 +18,6 @@ type Config struct {
 	Ledger io.Writer
 	// Metrics receives the adatm_model_* gauges at reconciliation time.
 	Metrics *obs.Registry
-	// WarnThreshold is the |relative error| that triggers warnings
-	// (<= 0 selects DefaultWarnThreshold).
-	WarnThreshold float64
 	// OnUpdate is invoked (outside the recorder lock) after each decision
 	// and each reconciliation with the latest record — the hook the CLI
 	// uses to refresh the /plan debug endpoint.
@@ -44,9 +41,6 @@ type Recorder struct {
 
 // NewRecorder builds a recorder over the configured sinks.
 func NewRecorder(cfg Config) *Recorder {
-	if cfg.WarnThreshold <= 0 {
-		cfg.WarnThreshold = DefaultWarnThreshold
-	}
 	return &Recorder{cfg: cfg, ledger: NewLedger(cfg.Ledger)}
 }
 
@@ -123,7 +117,7 @@ func (r *Recorder) Reconcile(m Measured) *Report {
 	if d == nil {
 		return nil
 	}
-	rep := Reconcile(d, m, r.cfg.WarnThreshold)
+	rep := Reconcile(d, m)
 	if rep == nil {
 		return nil
 	}

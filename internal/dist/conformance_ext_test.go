@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"adatm/internal/audit"
@@ -41,8 +42,21 @@ func partitioners(x *tensor.COO, procs int) []*dist.Partition {
 
 func cooFactory(shard *tensor.COO) engine.Engine { return coo.New(shard, 1) }
 
-// Full simulated distributed CP-ALS (the Cluster engine under cpd.Run) must
-// match the shared-memory solver's trajectory from identical initial factors.
+// runDist runs cpd.RunDist over the chan transport with one shard engine
+// per process from factory.
+func runDist(t *testing.T, x *tensor.COO, part *dist.Partition, factory func(*tensor.COO) engine.Engine, opt cpd.Options) *cpd.DistResult {
+	t.Helper()
+	tr := dist.NewChanTransport(part.P)
+	defer tr.Close()
+	got, err := cpd.RunDist(x, dist.NewCluster(x, part, factory), tr, opt)
+	if err != nil {
+		t.Fatalf("%s P=%d: %v", part.Name, part.P, err)
+	}
+	return got
+}
+
+// Full sharded CP-ALS (cpd.RunDist over memo shards) must match the
+// shared-memory solver's trajectory from identical initial factors.
 func TestDistributedALSMatchesShared(t *testing.T) {
 	x := tensor.RandomClustered(3, 18, 1200, 0.6, 605)
 	rng := rand.New(rand.NewSource(606))
@@ -55,20 +69,7 @@ func TestDistributedALSMatchesShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range partitioners(x, 6) {
-		c := dist.NewCluster(x, p, func(s *tensor.COO) engine.Engine {
-			if s.NNZ() == 0 {
-				return coo.New(s, 1)
-			}
-			e, err := memo.New(s, memo.Balanced(3), 1, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
-		})
-		got, err := cpd.Run(x, c, cpd.Options{Rank: 4, MaxIters: 6, Tol: 1e-14, Init: init})
-		if err != nil {
-			t.Fatalf("%s: %v", p.Name, err)
-		}
+		got := runDist(t, x, p, shardEngines(t, "memo", 3), cpd.Options{Rank: 4, MaxIters: 6, Tol: 1e-14, Init: init})
 		if math.Abs(got.Fit-shared.Fit) > 1e-8 {
 			t.Errorf("%s: distributed fit %.12f vs shared %.12f", p.Name, got.Fit, shared.Fit)
 		}
@@ -157,18 +158,110 @@ func conformanceFixture(t *testing.T) (*tensor.COO, cpd.Options) {
 }
 
 // singleNodeBaseline runs the shared-memory cpd.Run over the *same* shard
-// summation (the Cluster engine folds per-shard partials in process order,
-// which is what cpd.RunDist's owners do) so the comparison isolates the
+// summation (foldEngine folds per-shard partials in process order, which
+// is what cpd.RunDist's owners do) so the comparison isolates the
 // distributed protocol — fold routing, owner-side solves, reduce trees —
 // from engine-level MTTKRP summation order.
 func singleNodeBaseline(t *testing.T, x *tensor.COO, part *dist.Partition, kind string, opt cpd.Options) *cpd.Result {
 	t.Helper()
-	c := dist.NewCluster(x, part, shardEngines(t, kind, x.Order()))
-	want, err := cpd.Run(x, c, opt)
+	want, err := cpd.Run(x, newFoldEngine(x, part, shardEngines(t, kind, x.Order())), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return want
+}
+
+// foldEngine is one engine over the sharded summation: each non-empty
+// shard's MTTKRP partial, added into the output in process order.
+type foldEngine struct {
+	shards []engine.Engine
+}
+
+func newFoldEngine(x *tensor.COO, part *dist.Partition, factory func(*tensor.COO) engine.Engine) *foldEngine {
+	e := &foldEngine{}
+	for _, s := range dist.Shards(x, part) {
+		if s.NNZ() > 0 {
+			e.shards = append(e.shards, factory(s))
+		}
+	}
+	return e
+}
+
+func (e *foldEngine) MTTKRP(mode int, factors []*dense.Matrix, out *dense.Matrix) error {
+	partial := dense.New(out.Rows, out.Cols)
+	out.Zero()
+	for _, s := range e.shards {
+		if err := s.MTTKRP(mode, factors, partial); err != nil {
+			return err
+		}
+		for i, v := range partial.Data {
+			out.Data[i] += v
+		}
+	}
+	return nil
+}
+
+func (e *foldEngine) FactorUpdated(mode int) {
+	for _, s := range e.shards {
+		s.FactorUpdated(mode)
+	}
+}
+
+func (e *foldEngine) Name() string        { return "fold" }
+func (e *foldEngine) Stats() engine.Stats { return engine.Stats{} }
+func (e *foldEngine) ResetStats()         {}
+
+// The distributive law, end to end: at order 4 and P=7 the sharded solver
+// reaches the fit of a single-node run over one full-tensor engine, for
+// every partitioner.
+func TestClusterMTTKRPEquivalence(t *testing.T) {
+	x := tensor.RandomClustered(4, 15, 900, 0.8, 603)
+	opt := cpd.Options{Rank: 5, MaxIters: 4, Tol: 1e-14, Init: zeroMeanInit(x, 5, 604)}
+	want, err := cpd.Run(x, coo.New(x, 1), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range partitioners(x, 7) {
+		got := runDist(t, x, p, cooFactory, opt)
+		if d := math.Abs(got.Fit - want.Fit); d > crossEngineFitTol {
+			t.Errorf("%s: fit %.15f vs single-node %.15f (diff %g)", p.Name, got.Fit, want.Fit, d)
+		}
+	}
+}
+
+// Property: the sharded solver reaches the single-node fit for random
+// partitions of random tensors of order 3 to 5 over 2 to 10 processes.
+func TestClusterEquivalenceProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		order := 3 + rng.Intn(3)
+		procs := 2 + rng.Intn(9)
+		x := tensor.RandomClustered(order, 6+rng.Intn(10), 250, rng.Float64(), seed)
+		opt := cpd.Options{Rank: 3, MaxIters: 2, Tol: 1e-14, Init: zeroMeanInit(x, 3, seed)}
+		want, err := cpd.Run(x, coo.New(x, 1), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := runDist(t, x, dist.RandomPartition(x, procs, seed+1), cooFactory, opt)
+		return math.Abs(got.Fit-want.Fit) <= crossEngineFitTol
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+		t.Error(err)
+	}
+}
+
+// zeroMeanInit draws standard-normal initial factors, which keep the
+// Gram-Hadamard systems well conditioned (see conformanceFixture).
+func zeroMeanInit(x *tensor.COO, rank int, seed int64) []*dense.Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	init := make([]*dense.Matrix, x.Order())
+	for m := range init {
+		init[m] = dense.New(x.Dims[m], rank)
+		for i := range init[m].Data {
+			init[m].Data[i] = rng.NormFloat64()
+		}
+	}
+	return init
 }
 
 // TestDistRunConformance: cpd.RunDist over 1/2/4/7 processes × {coo,csf,memo}

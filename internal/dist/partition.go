@@ -2,16 +2,18 @@
 // distributed-memory simulation of CP-ALS in the style the sparse-tensor
 // literature evaluates scalability — nonzero partitioners (random,
 // medium-grain Cartesian, fine-grain greedy), factor-row ownership,
-// communication-volume and message accounting, and a simulated distributed
-// solver whose numerics must be identical to the shared-memory driver (the
-// tensor-times-vector distributive law makes per-shard MTTKRP partials sum
-// to the global result).
+// communication-volume and message accounting, and the exchange that
+// cpd.RunDist runs its per-process ALS loops over, whose numerics match
+// the shared-memory driver (the tensor-times-vector distributive law makes
+// per-shard MTTKRP partials sum to the global result).
 //
-// Nothing here uses real networking: "processes" are tensor shards executed
-// by goroutines, and communication is accounted analytically with an α–β
-// (latency–bandwidth) model. The point is to reproduce the *partitioning
-// quality* comparisons (volume, balance, message counts) that distributed
-// CP papers report, on top of this repository's kernels.
+// "Processes" are goroutines, one per tensor shard. They exchange factor
+// rows over a Transport: an in-process channel transport, or a
+// length-prefixed TCP transport over loopback sockets (tcp.go) with
+// acknowledged retransmission and fault injection. Communication is also
+// predicted analytically with an α–β (latency–bandwidth) model, to
+// reproduce the *partitioning quality* comparisons (volume, balance,
+// message counts) that distributed CP papers report.
 package dist
 
 import (

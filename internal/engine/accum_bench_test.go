@@ -48,7 +48,7 @@ var accumBenchShapes = []accumBenchShape{
 
 func accumBenchEngines(b *testing.B, x *tensor.COO, s accum.Strategy) []engine.Engine {
 	b.Helper()
-	cfg := accum.Config{Strategy: s}
+	cfg := pinned(s, x.Order(), 0)
 	memoEng, err := memo.NewWithConfig(x, memo.Flat(x.Order()),
 		memo.Config{Name: "memo-flat", RetainBuffers: true, Accum: cfg})
 	if err != nil {

@@ -18,10 +18,19 @@ import (
 	"adatm/internal/tensor"
 )
 
-// accumEngines builds every accum-aware engine with a forced strategy.
+// pinned is the accumulation policy that pins each of n modes to s.
+func pinned(s accum.Strategy, n, workers int) accum.Config {
+	per := make([]accum.Strategy, n)
+	for m := range per {
+		per[m] = s
+	}
+	return accum.Config{PerMode: per, Workers: workers}
+}
+
+// accumEngines builds every accum-aware engine with every mode pinned to s.
 func accumEngines(t testing.TB, x *tensor.COO, workers int, s accum.Strategy) map[string]engine.Engine {
 	t.Helper()
-	cfg := accum.Config{Strategy: s, Workers: workers}
+	cfg := pinned(s, x.Order(), workers)
 	out := map[string]engine.Engine{
 		"coo":   coo.NewWithAccum(x, workers, cfg),
 		"hicoo": hicoo.NewWithAccum(x, workers, cfg),

@@ -75,7 +75,7 @@ func TestSteadyStateZeroAllocPrivatized(t *testing.T) {
 		outs[m] = dense.New(x.Dims[m], r)
 	}
 
-	acfg := accum.Config{Strategy: accum.Privatize, Workers: 1}
+	acfg := pinned(accum.Privatize, x.Order(), 1)
 	memoEng, err := memo.NewWithConfig(x, memo.Balanced(x.Order()),
 		memo.Config{Workers: 1, RetainBuffers: true, Accum: acfg})
 	if err != nil {

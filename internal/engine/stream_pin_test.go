@@ -54,7 +54,7 @@ func TestStreamingMTTKRPPin(t *testing.T) {
 					}
 				}
 				for _, s := range []accum.Strategy{accum.Scatter, accum.Privatize} {
-					e := build(x, accum.Config{Strategy: s})
+					e := build(x, pinned(s, order, 0))
 					for mode := 0; mode < order; mode++ {
 						out := dense.New(x.Dims[mode], r)
 						if err := e.MTTKRP(mode, fs, out); err != nil {

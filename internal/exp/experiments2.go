@@ -72,7 +72,7 @@ func E7ModelAccuracy(cfg Config) *Table {
 				MTTKRPSecondsPerIter: d.Seconds(),
 				PeakValueBytes:       s.PeakValueBytes,
 				IndexBytes:           s.IndexBytes,
-			}, 0)
+			})
 			if err := ledger.Append(audit.Record{Decision: dec, Report: rep}); err != nil {
 				panic(err)
 			}

@@ -2,11 +2,9 @@ package exp
 
 import (
 	"fmt"
+	"time"
 
-	"adatm/internal/coo"
 	"adatm/internal/dist"
-	"adatm/internal/engine"
-	"adatm/internal/tensor"
 )
 
 // E21PartitionerQuality compares the distributed-simulation partitioners on
@@ -44,8 +42,7 @@ func E21PartitionerQuality(cfg Config) *Table {
 }
 
 // E22SimulatedScaling reports strong-scaling predictions of the α–β cost
-// model for the simulated cluster, per partitioner, and verifies the
-// distributed numerics against the shared-memory result.
+// model for the simulated cluster, per partitioner.
 func E22SimulatedScaling(cfg Config) *Table {
 	t := &Table{
 		ID:      "E22",
@@ -57,9 +54,12 @@ func E22SimulatedScaling(cfg Config) *Table {
 	// A plausible commodity-cluster machine model: 1 ns/op on each process,
 	// 1 µs message latency, 10 GB/s links.
 	cm := dist.CostModel{NsPerOp: 1, AlphaNs: 1000, BetaNsByte: 0.1}
-	factory := func(s *tensor.COO) engine.Engine { return coo.New(s, 1) }
-	base := dist.NewCluster(x, dist.MediumGrainPartition(x, 1), factory)
-	baseTime := base.PredictIteration(cfg.rank(), cm)
+	predict := func(p *dist.Partition) (time.Duration, float64) {
+		_, stats := dist.AnalyzeComm(x, p)
+		computeNS, commNS := cm.Iteration(p, stats, x.Order(), cfg.rank())
+		return time.Duration(computeNS + commNS), commNS
+	}
+	baseTime, _ := predict(dist.MediumGrainPartition(x, 1))
 	for _, procs := range []int{4, 16, 64} {
 		parts := []*dist.Partition{
 			dist.RandomPartition(x, procs, 17),
@@ -67,9 +67,7 @@ func E22SimulatedScaling(cfg Config) *Table {
 			dist.FineGrainGreedyPartition(x, procs, 19),
 		}
 		for _, p := range parts {
-			c := dist.NewCluster(x, p, factory)
-			pred := c.PredictIteration(cfg.rank(), cm)
-			_, commNs := cm.Iteration(p, c.Comm, x.Order(), cfg.rank())
+			pred, commNs := predict(p)
 			t.Add(procs, p.Name, pred.Round(1000).String(),
 				fmt.Sprintf("%.1fx", float64(baseTime)/float64(pred)),
 				fmt.Sprintf("%.0f%%", 100*commNs/float64(pred)))

@@ -29,10 +29,6 @@ type Config struct {
 	// audit.Records) from the experiments that exercise the cost model
 	// (E7); adabench wires its -auditfile here.
 	AuditW io.Writer
-	// Accum forces the MTTKRP output-accumulation backend for every engine
-	// in the suite (default adatm.AccumAuto: model-driven per mode);
-	// adabench wires its -accum flag here.
-	Accum adatm.AccumStrategy
 	// Health, when non-nil, builds a fresh numerical-health probe for every
 	// full CP-ALS run of the experiments that fit models (E2). The run
 	// label ("dataset/engine") distinguishes the runs in a shared iteration
@@ -103,7 +99,7 @@ func EngineSet(x *tensor.COO, cfg Config) []engine.Engine {
 	kinds := adatm.EngineKinds()
 	out := make([]engine.Engine, 0, len(kinds))
 	for _, k := range kinds {
-		e, err := adatm.NewEngine(x, k, adatm.EngineConfig{Rank: cfg.rank(), Workers: cfg.Workers, Accum: cfg.Accum})
+		e, err := adatm.NewEngine(x, k, adatm.EngineConfig{Rank: cfg.rank(), Workers: cfg.Workers})
 		if err != nil {
 			panic(err)
 		}

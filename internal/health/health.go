@@ -72,56 +72,27 @@ func ParseState(name string) (State, bool) {
 	return Healthy, false
 }
 
-// Thresholds tunes the rule layer. The zero value of any field selects its
-// default, so callers set only what they mean to override.
-type Thresholds struct {
-	// Kappa is the Gram-Hadamard condition estimate at or above which a mode
-	// counts as ill-conditioned. Default 1e8 — half of float64's digits
-	// gone, the customary alarm line for normal-equations solves.
-	Kappa float64
-	// Congruence is the max normalized cross-Gram off-diagonal at or above
-	// which factors count as swamp-suspect. Default 0.97 (columns within
-	// ~14° of collinear), per the CP degeneracy literature.
-	Congruence float64
-	// StallFraction: an iteration counts as stalled when |Δfit| drops below
-	// this fraction of the run's own median |Δfit| (from the probe's
-	// fit-delta histogram) while still above Tol. Default 0.02.
-	StallFraction float64
-	// StallMinIters is the first iteration at which the stall rule may
-	// fire, so the median has history behind it. Default 6.
-	StallMinIters int
-	// Debounce is the number of consecutive iterations a new raw verdict
-	// must persist before the reported state transitions (<= 1 transitions
-	// immediately). Default 2.
-	Debounce int
-}
-
+// The rule layer's thresholds.
 const (
-	defaultKappa         = 1e8
-	defaultCongruence    = 0.97
+	// defaultKappa is the Gram-Hadamard condition estimate at or above
+	// which a mode counts as ill-conditioned: half of float64's digits
+	// gone, the customary alarm line for normal-equations solves.
+	defaultKappa = 1e8
+	// defaultCongruence is the max normalized cross-Gram off-diagonal at or
+	// above which factors count as swamp-suspect (columns within ~14° of
+	// collinear), per the CP degeneracy literature.
+	defaultCongruence = 0.97
+	// defaultStallFraction: an iteration counts as stalled when |Δfit|
+	// drops below this fraction of the run's own median |Δfit| (from the
+	// probe's fit-delta histogram) while still above Tol.
 	defaultStallFraction = 0.02
+	// defaultStallMinIters is the first iteration at which the stall rule
+	// may fire, so the median has history behind it.
 	defaultStallMinIters = 6
-	defaultDebounce      = 2
+	// defaultDebounce is the number of consecutive iterations a new raw
+	// verdict must persist before the reported state transitions.
+	defaultDebounce = 2
 )
-
-func (t Thresholds) withDefaults() Thresholds {
-	if t.Kappa <= 0 {
-		t.Kappa = defaultKappa
-	}
-	if t.Congruence <= 0 {
-		t.Congruence = defaultCongruence
-	}
-	if t.StallFraction <= 0 {
-		t.StallFraction = defaultStallFraction
-	}
-	if t.StallMinIters <= 0 {
-		t.StallMinIters = defaultStallMinIters
-	}
-	if t.Debounce <= 0 {
-		t.Debounce = defaultDebounce
-	}
-	return t
-}
 
 // Config wires a probe to its sinks. Every sink is optional.
 type Config struct {
@@ -138,8 +109,6 @@ type Config struct {
 	// Log, when non-nil, receives one IterSample per observation (the
 	// /iters ring).
 	Log *obs.IterLog
-	// Thresholds tunes the rule layer; zero fields select defaults.
-	Thresholds Thresholds
 }
 
 // Input is one iteration's raw solver state, handed to Observe. Slices are
@@ -166,7 +135,6 @@ type Input struct {
 type Probe struct {
 	mu  sync.Mutex
 	cfg Config
-	thr Thresholds
 
 	// Lazily sized scratch (first Observe fixes modes and rank).
 	hbuf  *dense.Matrix // Gram-Hadamard accumulator, R×R
@@ -221,10 +189,8 @@ func FitDeltaBuckets() []float64 {
 func New(cfg Config) *Probe {
 	p := &Probe{
 		cfg:       cfg,
-		thr:       cfg.Thresholds.withDefaults(),
 		deltaHist: obs.NewHistogram(FitDeltaBuckets()),
 	}
-	p.m.debounce = p.thr.Debounce
 	if reg := cfg.Metrics; reg != nil {
 		p.stateG = reg.Gauge("adatm_health_state",
 			"Debounced numerical-health verdict (0 healthy, 1 stalled, 2 swamp-suspect, 3 ill-conditioned).", nil)
@@ -321,12 +287,12 @@ func (p *Probe) Observe(in Input) {
 	// a stall.
 	raw := Healthy
 	switch {
-	case maxK >= p.thr.Kappa:
+	case maxK >= defaultKappa:
 		raw = IllConditioned
-	case maxC >= p.thr.Congruence:
+	case maxC >= defaultCongruence:
 		raw = SwampSuspect
-	case deltaOK && in.Iter >= p.thr.StallMinIters && absDelta >= in.Tol:
-		if med := p.deltaHist.Quantile(0.5); med > 0 && absDelta < p.thr.StallFraction*med {
+	case deltaOK && in.Iter >= defaultStallMinIters && absDelta >= in.Tol:
+		if med := p.deltaHist.Quantile(0.5); med > 0 && absDelta < defaultStallFraction*med {
 			raw = Stalled
 		}
 	}
@@ -390,13 +356,12 @@ func (p *Probe) Observe(in Input) {
 }
 
 // machine debounces verdict transitions: a candidate state must persist for
-// debounce consecutive observations before it is reported, so one noisy
-// iteration cannot flap the verdict.
+// defaultDebounce consecutive observations before it is reported, so one
+// noisy iteration cannot flap the verdict.
 type machine struct {
 	state       State
 	cand        State
 	streak      int
-	debounce    int
 	transitions int
 }
 
@@ -412,7 +377,7 @@ func (m *machine) step(raw State) (State, bool) {
 		m.cand = raw
 		m.streak = 1
 	}
-	if m.streak >= m.debounce {
+	if m.streak >= defaultDebounce {
 		m.state = raw
 		m.streak = 0
 		m.transitions++

@@ -71,21 +71,8 @@ func TestStateStringParseJSON(t *testing.T) {
 	}
 }
 
-func TestThresholdDefaults(t *testing.T) {
-	thr := Thresholds{}.withDefaults()
-	if thr.Kappa != 1e8 || thr.Congruence != 0.97 || thr.StallFraction != 0.02 ||
-		thr.StallMinIters != 6 || thr.Debounce != 2 {
-		t.Errorf("defaults = %+v", thr)
-	}
-	// Explicit overrides survive.
-	thr = Thresholds{Kappa: 10, Congruence: 0.5, Debounce: 1}.withDefaults()
-	if thr.Kappa != 10 || thr.Congruence != 0.5 || thr.Debounce != 1 {
-		t.Errorf("overrides clobbered: %+v", thr)
-	}
-}
-
 func TestMachineDebounce(t *testing.T) {
-	m := machine{debounce: 2}
+	m := machine{}
 	if st, ch := m.step(SwampSuspect); st != Healthy || ch {
 		t.Fatalf("one raw observation transitioned: %v %v", st, ch)
 	}

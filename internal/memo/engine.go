@@ -122,7 +122,8 @@ type Config struct {
 // over another mode order builds its tree over a view of x in that order,
 // aliasing x's index and value arrays; MTTKRP and FactorUpdated keep taking
 // original modes. The plan's accumulation table (cfg.Accum.PerMode) is
-// indexed by position in that order.
+// indexed by position in that order; the engine resolves and reports it by
+// original mode.
 func NewWithConfig(x *tensor.COO, strat *Strategy, cfg Config) (*Engine, error) {
 	if err := strat.Validate(x.Order()); err != nil {
 		return nil, err
@@ -164,6 +165,15 @@ func NewWithConfig(x *tensor.COO, strat *Strategy, cfg Config) (*Engine, error) 
 	e.body = e.runChunk
 	acfg := cfg.Accum
 	acfg.LockFree = true
+	if e.pos != nil && acfg.PerMode != nil {
+		per := make([]accum.Strategy, x.Order())
+		for p, m := range strat.Modes {
+			if p < len(acfg.PerMode) {
+				per[m] = acfg.PerMode[p]
+			}
+		}
+		acfg.PerMode = per
+	}
 	e.res = accum.NewResolver(x.Order(), acfg)
 	e.pool = accum.NewPool(w)
 	e.privBody = e.runPrivChunk
@@ -312,13 +322,14 @@ func (e *Engine) MTTKRP(mode int, factors []*dense.Matrix, out *dense.Matrix) er
 		e.invalidateAll()
 		e.rank = r
 	}
+	pos := mode
 	if e.pos != nil {
 		for p, m := range e.strat.Modes {
 			e.pfac[p] = factors[m]
 		}
-		factors, mode = e.pfac, e.pos[mode]
+		factors, pos = e.pfac, e.pos[mode]
 	}
-	leaf := e.leaves[mode]
+	leaf := e.leaves[pos]
 	e.ensure(leaf.parent, factors, r)
 	// The leaf contraction is fused with the output scatter: each leaf
 	// element's row is accumulated straight into the output row of its mode

@@ -1,11 +1,14 @@
 package memo
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"adatm/internal/accum"
 	"adatm/internal/dense"
+	"adatm/internal/obs"
 	"adatm/internal/ref"
 	"adatm/internal/tensor"
 )
@@ -29,6 +32,42 @@ func TestPermutedMatchesReference(t *testing.T) {
 		want := ref.MTTKRPSparse(x, mode, fs)
 		if d := out.MaxAbsDiff(want); d > 1e-8 {
 			t.Errorf("mode %d: diff %g", mode, d)
+		}
+	}
+}
+
+// A permuted engine takes the plan's accumulation table by position and
+// resolves and reports it by original mode: over order (2,0,1), position 0
+// is mode 2, so the mode="2" gauge reads privatize and only mode 2's
+// MTTKRP fills the privatized pool.
+func TestPermutedAccumByMode(t *testing.T) {
+	x := tensor.RandomClustered(3, 12, 400, 0.7, 407)
+	fs := randomFactors(x, 4, 408)
+	per := []accum.Strategy{accum.Privatize, accum.Scatter, accum.Scatter}
+	e, err := NewWithConfig(x, inOrder(Balanced(3), []int{2, 0, 1}),
+		Config{Workers: 2, Name: "perm", Accum: accum.Config{PerMode: per}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	e.Instrument(nil, reg)
+	for mode := 0; mode < 3; mode++ {
+		out := dense.New(x.Dims[mode], 4)
+		if err := e.MTTKRP(mode, fs, out); err != nil {
+			t.Fatal(err)
+		}
+		if d := out.MaxAbsDiff(ref.MTTKRPSparse(x, mode, fs)); d > 1e-8 {
+			t.Errorf("mode %d: diff %g", mode, d)
+		}
+		if pooled := reg.Snapshot()[`adatm_accum_pool_bytes{engine="perm"}`] > 0; pooled != (mode == 2) {
+			t.Errorf("after mode %d: privatized pool in use = %v", mode, pooled)
+		}
+	}
+	snap := reg.Snapshot()
+	for mode, want := range []accum.Strategy{accum.Scatter, accum.Scatter, accum.Privatize} {
+		key := fmt.Sprintf(`adatm_accum_strategy{engine="perm",mode="%d"}`, mode)
+		if got := accum.Strategy(snap[key]); got != want {
+			t.Errorf("%s = %s, want %s", key, got, want)
 		}
 	}
 }

@@ -95,7 +95,11 @@ func memoOutputHash(t *testing.T, x *tensor.COO, s *Strategy, stream bool) uint6
 			}
 		}
 		for _, st := range []accum.Strategy{accum.Scatter, accum.Privatize} {
-			e, err := NewWithConfig(x, s, Config{Workers: 1, StreamRoot: stream, Accum: accum.Config{Strategy: st}})
+			per := make([]accum.Strategy, order)
+			for p := range per {
+				per[p] = st
+			}
+			e, err := NewWithConfig(x, s, Config{Workers: 1, StreamRoot: stream, Accum: accum.Config{PerMode: per}})
 			if err != nil {
 				t.Fatal(err)
 			}

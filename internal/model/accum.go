@@ -13,7 +13,9 @@ import (
 // against the budget slack left after the chosen strategy's own storage)
 // and the scatter's parallel width.
 
-// AccumChoice records the accumulation decision for one target mode.
+// AccumChoice records the accumulation decision for one target mode. Plan
+// keeps the table in the chosen strategy's order; Mode names the original
+// mode at that position.
 type AccumChoice struct {
 	Mode int `json:"mode"`
 	Rows int `json:"rows"`
@@ -42,6 +44,7 @@ func fillAccum(p *Plan, workers int, c accum.Costs) {
 			slack = 1 // spent budget: any footprint is infeasible
 		}
 	}
+	order := p.Chosen.Strategy.SweepOrder()
 	p.Accum = p.Accum[:0]
 	for m := 0; m < p.Order; m++ {
 		in := accum.Input{
@@ -54,11 +57,11 @@ func fillAccum(p *Plan, workers int, c accum.Costs) {
 			LockFree: true,
 			Budget:   slack,
 		}
-		p.Accum = append(p.Accum, AccumChoice{Mode: m, Rows: p.Dims[m], Choice: accum.Choose(in, c)})
+		p.Accum = append(p.Accum, AccumChoice{Mode: order[m], Rows: p.Dims[m], Choice: accum.Choose(in, c)})
 	}
 }
 
-// AccumPerMode flattens the plan's accumulation table into the per-mode
+// AccumPerMode flattens the plan's accumulation table into the per-position
 // strategy slice engine constructors accept (accum.Config.PerMode).
 func (p *Plan) AccumPerMode() []accum.Strategy {
 	if len(p.Accum) == 0 {

@@ -65,16 +65,13 @@ func TestPlanAccumBudgetForcesScatter(t *testing.T) {
 	}
 }
 
-// A forced Options.Accum overrides the model's per-mode picks but keeps the
-// cost evidence for the audit ledger.
+// The per-mode table the engine receives is the plan's, and the plan keeps
+// the cost evidence for the audit ledger.
 func TestPlanAccumOverride(t *testing.T) {
-	plan := shortModePlan(t, Options{Rank: 16, Workers: 8, Accum: accum.Privatize})
+	plan := shortModePlan(t, Options{Rank: 16, Workers: 8})
 	for _, a := range plan.Accum {
-		if a.Strategy != accum.Privatize {
-			t.Errorf("mode %d: forced privatize but plan says %s", a.Mode, a.Strategy)
-		}
 		if a.ScatterNS <= 0 || a.PrivatizeNS <= 0 {
-			t.Errorf("mode %d: override dropped the cost evidence", a.Mode)
+			t.Errorf("mode %d: plan dropped the cost evidence", a.Mode)
 		}
 	}
 	per := plan.AccumPerMode()

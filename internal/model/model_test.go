@@ -186,8 +186,8 @@ func TestSelectFallbackWhenNothingFits(t *testing.T) {
 
 func TestSelectExactMode(t *testing.T) {
 	x := tensor.RandomClustered(4, 8, 300, 0.8, 95)
-	a := Select(x, Options{Rank: 8, Exact: true})
-	b := Select(x, Options{Rank: 8, SketchK: 1 << 15})
+	a := SelectWithEstimator(NewExactEstimator(x), Options{Rank: 8})
+	b := SelectWithEstimator(NewEstimator(x, 1<<15), Options{Rank: 8})
 	if !a.Chosen.Strategy.Equal(b.Chosen.Strategy) {
 		t.Errorf("exact and oversized-sketch selection disagree: %s vs %s", a.Chosen.Strategy, b.Chosen.Strategy)
 	}

@@ -28,12 +28,6 @@ type PartitionOptions struct {
 	// Seed drives the randomized partitioners (random placement, greedy
 	// visit order).
 	Seed int64
-	// Coeffs supplies the calibrated machine constants; the zero value uses
-	// built-in defaults so hermetic tests need no calibration.
-	Coeffs Coeffs
-	// AlphaNS is the per-message latency in nanoseconds (<= 0 → 20µs, a
-	// loopback-TCP-flavored default).
-	AlphaNS float64
 }
 
 // PartitionCandidate is one scored partitioner.
@@ -61,9 +55,10 @@ type PartitionPlan struct {
 	Chosen     PartitionCandidate
 }
 
-// defaults for a zero Coeffs, in the units Calibrate produces. Roughly a
-// 1 GHz scalar FMA pipe and 10 GB/s of streaming bandwidth — pessimistic
-// constants are fine because only the ranking matters.
+// The partition model's machine constants, in the units Calibrate
+// produces. Roughly a 1 GHz scalar FMA pipe, 10 GB/s of streaming bandwidth
+// and a loopback-TCP-flavored 20µs per message — pessimistic constants are
+// fine because only the ranking matters.
 const (
 	defaultNsPerOp   = 1.0
 	defaultNsPerByte = 0.1
@@ -86,19 +81,6 @@ func SelectPartition(x *tensor.COO, opt PartitionOptions) (*PartitionPlan, error
 	if rank <= 0 {
 		rank = 16
 	}
-	nsPerOp := opt.Coeffs.NsPerOp
-	if nsPerOp <= 0 {
-		nsPerOp = defaultNsPerOp
-	}
-	nsPerByte := opt.Coeffs.NsPerByte
-	if nsPerByte <= 0 {
-		nsPerByte = defaultNsPerByte
-	}
-	alpha := opt.AlphaNS
-	if alpha <= 0 {
-		alpha = defaultAlphaNS
-	}
-
 	parts := []*dist.Partition{
 		dist.RandomPartition(x, opt.Procs, opt.Seed),
 		dist.MediumGrainPartition(x, opt.Procs),
@@ -111,9 +93,9 @@ func SelectPartition(x *tensor.COO, opt PartitionOptions) (*PartitionPlan, error
 
 	plan := &PartitionPlan{
 		Procs: opt.Procs, Rank: rank, NNZ: x.NNZ(), Order: x.Order(),
-		AlphaNS: alpha, NsPerOp: nsPerOp, NsPerByte: nsPerByte,
+		AlphaNS: defaultAlphaNS, NsPerOp: defaultNsPerOp, NsPerByte: defaultNsPerByte,
 	}
-	cm := dist.CostModel{NsPerOp: nsPerOp, AlphaNs: alpha, BetaNsByte: nsPerByte}
+	cm := dist.CostModel{NsPerOp: defaultNsPerOp, AlphaNs: defaultAlphaNS, BetaNsByte: defaultNsPerByte}
 	for _, p := range parts {
 		_, stats := dist.AnalyzeComm(x, p)
 		computeNS, commNS := cm.Iteration(p, stats, x.Order(), rank)

@@ -5,9 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"adatm/internal/coo"
 	"adatm/internal/dist"
-	"adatm/internal/engine"
 	"adatm/internal/tensor"
 )
 
@@ -47,8 +45,9 @@ func TestSelectPartitionPrefersStructure(t *testing.T) {
 	}
 }
 
-// The score must be the same arithmetic dist.CostModel.PredictIteration
-// uses, so audit reconciliation can compare prediction to measurement.
+// The score must be the same arithmetic dist.CostModel.Iteration uses on
+// the partition's own communication accounting, so audit reconciliation
+// can compare prediction to measurement.
 func TestSelectPartitionMirrorsCostModel(t *testing.T) {
 	x := tensor.RandomClustered(3, 20, 800, 0.6, 631)
 	plan, err := SelectPartition(x, PartitionOptions{Procs: 4, Rank: 8, Seed: 2})
@@ -57,8 +56,9 @@ func TestSelectPartitionMirrorsCostModel(t *testing.T) {
 	}
 	cm := dist.CostModel{NsPerOp: plan.NsPerOp, AlphaNs: plan.AlphaNS, BetaNsByte: plan.NsPerByte}
 	for _, cand := range plan.Candidates {
-		c := dist.NewCluster(x, cand.Part, func(s *tensor.COO) engine.Engine { return coo.New(s, 1) })
-		want := c.PredictIteration(plan.Rank, cm)
+		_, stats := dist.AnalyzeComm(x, cand.Part)
+		computeNS, commNS := cm.Iteration(cand.Part, stats, x.Order(), plan.Rank)
+		want := time.Duration(computeNS + commNS)
 		if got := time.Duration(cand.PredNS); got != want {
 			t.Errorf("%s: plan predicts %v, dist.CostModel predicts %v", cand.Name, got, want)
 		}

@@ -58,7 +58,7 @@ func SelectPermuted(x *tensor.COO, opt Options, perms map[string][]int) *Plan {
 	orders := make([]sweepOrder, len(names))
 	for i, name := range names {
 		perm := perms[name]
-		orders[i] = sweepOrder{prefix: name + "/", est: newEstimator(x.PermuteModes(perm), opt)}
+		orders[i] = sweepOrder{prefix: name + "/", est: NewEstimator(x.PermuteModes(perm), 0)}
 		if !slices.IsSorted(perm) { // the one sorted permutation is the natural order
 			orders[i].modes = slices.Clone(perm)
 		}

@@ -76,35 +76,18 @@ type Options struct {
 	// Budget caps predicted auxiliary memory (index + peak value bytes);
 	// <= 0 disables the cap.
 	Budget int64
-	// SketchK is the bottom-k sketch size (<= 0 → 1024). Ignored when
-	// Exact is set.
-	SketchK int
-	// Exact uses exact distinct counting instead of sketching (slower; for
-	// validation).
-	Exact bool
 	// Workers is the parallel width the kernels will run with; used by the
 	// accumulation model (<= 0 → GOMAXPROCS).
 	Workers int
-	// Accum forces one accumulation backend for every mode; accum.Auto
-	// (the zero value) lets the model decide per mode.
-	Accum accum.Strategy
 }
 
 // Select runs the model-driven selection for x over the natural mode
-// order: estimate the projection sizes, enumerate the candidate strategy
-// family (flat, every two-group split, balanced binary, and the DP-optimal
-// binary tree), score each with the cost model, and choose the cheapest
-// feasible candidate.
+// order: estimate the projection sizes with the default sketch, enumerate
+// the candidate strategy family (flat, every two-group split, balanced
+// binary, and the DP-optimal binary tree), score each with the cost model,
+// and choose the cheapest feasible candidate.
 func Select(x *tensor.COO, opt Options) *Plan {
-	return SelectWithEstimator(newEstimator(x, opt), opt)
-}
-
-// newEstimator builds the estimator opt asks for: exact or sketched.
-func newEstimator(x *tensor.COO, opt Options) *Estimator {
-	if opt.Exact {
-		return NewExactEstimator(x)
-	}
-	return NewEstimator(x, opt.SketchK)
+	return SelectWithEstimator(NewEstimator(x, 0), opt)
 }
 
 // SelectWithEstimator is Select with a prebuilt estimator (so callers can
@@ -194,7 +177,6 @@ func choose(orders []sweepOrder, opt Options) *Plan {
 	}
 	plan.decideBuffers()
 	fillAccum(plan, plan.Workers, accum.DefaultCosts)
-	applyAccumOverride(plan, opt.Accum)
 	return plan
 }
 
@@ -226,17 +208,6 @@ func (p *Plan) AuxBytes() int64 {
 		b += p.Chosen.Pred.StreamBytes
 	}
 	return b
-}
-
-// applyAccumOverride pins every mode's accumulation strategy to a forced
-// backend, keeping the model's predictions as evidence in the plan.
-func applyAccumOverride(p *Plan, s accum.Strategy) {
-	if s == accum.Auto {
-		return
-	}
-	for i := range p.Accum {
-		p.Accum[i].Strategy = s
-	}
 }
 
 func dedupCandidates(cs []Candidate) []Candidate {

@@ -149,7 +149,7 @@ func PredictTime(est *Estimator, s *memo.Strategy, rank int, c Coeffs) time.Dura
 // instead of raw op counts. The candidate set and feasibility rules are
 // identical; only the ordering criterion changes.
 func SelectByTime(x *tensor.COO, opt Options, c Coeffs) *Plan {
-	est := newEstimator(x, opt)
+	est := NewEstimator(x, 0)
 	plan := SelectWithEstimator(est, opt)
 	// Re-rank by predicted time; re-choose the cheapest feasible.
 	plan.ByTime = true
@@ -183,7 +183,6 @@ func SelectByTime(x *tensor.COO, opt Options, c Coeffs) *Plan {
 	// time-ranked choice.
 	plan.decideBuffers()
 	fillAccum(plan, plan.Workers, c.AccumCosts())
-	applyAccumOverride(plan, opt.Accum)
 	return plan
 }
 

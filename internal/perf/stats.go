@@ -1,34 +1,19 @@
-// Package perf is the performance-trajectory subsystem: a registry of named,
-// seeded benchmark scenarios, a repeated-sample runner with an environment
-// fingerprint, robust summary statistics with a benchstat-style significance
-// test, a versioned on-disk result format, and a baseline comparison that
-// turns two result files into a regression verdict.
+// Package perf is the statistics and file format behind cmd/perfgate: the
+// versioned result file that holds perfbench's reports with an environment
+// fingerprint, a Mann–Whitney significance test, and the baseline
+// comparison that turns two result files into a regression verdict.
 //
 // The paper's claim — the cost model picks the fastest configuration — is
 // only checkable over time if the underlying measurements are trustworthy
-// and comparable across commits. Everything here is dependency-free and
-// deterministic given a seed, so two runs of the same binary on the same
-// machine are comparable sample sets, not anecdotes.
+// and comparable across commits. Everything here is dependency-free, and a
+// verdict rests on per-seed sample sets compared rank by rank, not on
+// single anecdotes.
 package perf
 
 import (
 	"math"
 	"sort"
 )
-
-// Summary is the robust description of one scenario's sample set. Median and
-// MAD (median absolute deviation) are used instead of mean/stddev because
-// bench samples on a shared machine are contaminated by one-sided noise
-// (interference only ever adds time): the median ignores a minority of slow
-// outliers, and the MAD is a dispersion estimate that a single 10x outlier
-// cannot poison.
-type Summary struct {
-	N        int     `json:"n"`
-	MedianNS float64 `json:"median_ns"`
-	MADNS    float64 `json:"mad_ns"`
-	MinNS    float64 `json:"min_ns"`
-	MaxNS    float64 `json:"max_ns"`
-}
 
 // Median returns the median of xs (0 for an empty slice). xs is not mutated.
 func Median(xs []float64) float64 {
@@ -54,22 +39,6 @@ func MAD(xs []float64, med float64) float64 {
 		dev[i] = math.Abs(x - med)
 	}
 	return Median(dev)
-}
-
-// Summarize computes the robust summary of one sample set.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if len(xs) == 0 {
-		return s
-	}
-	s.MedianNS = Median(xs)
-	s.MADNS = MAD(xs, s.MedianNS)
-	s.MinNS, s.MaxNS = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		s.MinNS = math.Min(s.MinNS, x)
-		s.MaxNS = math.Max(s.MaxNS, x)
-	}
-	return s
 }
 
 // exactMax bounds the sample sizes for which the exact Mann–Whitney null

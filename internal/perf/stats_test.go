@@ -39,16 +39,6 @@ func TestMAD(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{10, 30, 20})
-	if s.N != 3 || s.MedianNS != 20 || s.MinNS != 10 || s.MaxNS != 30 {
-		t.Errorf("Summarize = %+v", s)
-	}
-	if got := Summarize(nil); got.N != 0 || got.MedianNS != 0 {
-		t.Errorf("empty Summarize = %+v", got)
-	}
-}
-
 // samplesWithU builds tie-free sample pairs (xs of size n, ys of size m)
 // whose Mann–Whitney U statistic (count of x>y pairs) is exactly u.
 func samplesWithU(n, m, u int) (xs, ys []float64) {

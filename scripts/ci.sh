@@ -75,14 +75,15 @@ go test -race -count=1 -run 'TestSwamp|TestServerIters' ./internal/health/ ./int
 # construction.
 go test -race -count=1 -run 'TestDistRun|TestDistFault|TestDistributedALS|TestTransport' ./internal/dist/
 
-# The TCP frame decoder parses bytes from peers, and the model, checkpoint,
-# decision-ledger and bench-result decoders parse files (the last also
-# perfbench's report lines): a short fuzz run of
+# The TCP frame decoder parses bytes from peers, and the .tns, model,
+# checkpoint, decision-ledger and bench-result decoders parse files (the last
+# also perfbench's report lines): a short fuzz run of
 # each on every CI pass (the `make fuzz` target runs them longer). The
 # checkpoint run caps minimization (Go's default budget is 60 s per new
 # input), so its seconds go to new inputs. The streamed kernel's fuzz run
 # holds its AVX2 body to the portable one, bit for bit or panic for panic,
 # on random shapes, special values and out-of-range indices.
+go test -run '^$' -fuzz '^FuzzReadTNS$' -fuzztime 10s ./internal/tensor/
 go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 10s ./internal/dist/
 go test -run '^$' -fuzz '^FuzzReadModel$' -fuzztime 10s ./internal/cpd/
 go test -run '^$' -fuzz '^FuzzCheckpointRead$' -fuzztime 10s -fuzzminimizetime 1s ./internal/ckpt/
