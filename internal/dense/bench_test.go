@@ -5,14 +5,23 @@ import (
 	"testing"
 )
 
+// shape is a factor shape the dense benchmarks run at: rows × R, and the
+// Workers value passed to the kernel (0 = every core). 1024×16 at two
+// workers is memo-zipf4's factor and setting, and 65536×16 is coo-short3's
+// long mode.
+type shape struct{ rows, cols, workers int }
+
+// BenchmarkGram times the Gram through a reused GramScratch, as the ALS
+// loop takes it once per mode update.
 func BenchmarkGram(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	for _, shape := range [][2]int{{10000, 16}, {100000, 16}, {10000, 64}} {
-		a := Random(shape[0], shape[1], rng)
-		out := New(shape[1], shape[1])
-		b.Run(benchName(shape[0], shape[1]), func(b *testing.B) {
+	for _, sh := range []shape{{1024, 16, 2}, {10000, 16, 0}, {65536, 16, 0}, {100000, 16, 0}, {10000, 64, 0}} {
+		a := Random(sh.rows, sh.cols, rng)
+		out := New(sh.cols, sh.cols)
+		var s GramScratch
+		b.Run(shapeName(sh.rows, sh.cols, sh.workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				Gram(a, out, 0)
+				s.Gram(a, out, sh.workers)
 			}
 		})
 	}
@@ -22,7 +31,7 @@ func BenchmarkSymEig(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{16, 64} {
 		a := randomSPD(n, rng)
-		b.Run(benchName(n, n), func(b *testing.B) {
+		b.Run(shapeName(n, n, 0), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				SymEig(a)
 			}
@@ -30,20 +39,33 @@ func BenchmarkSymEig(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveSPDInPlace times the solve through a reused SPDSolver, as
+// the ALS loop runs it once per mode update. Each iteration first restores
+// the right-hand side, so the copy is part of the time.
 func BenchmarkSolveSPDInPlace(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	a := randomSPD(16, rng)
-	m := Random(50000, 16, rng)
-	work := m.Clone()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		work.CopyFrom(m)
-		SolveSPDInPlace(a, work, 0)
+	for _, sh := range []shape{{1024, 16, 2}, {50000, 16, 0}, {65536, 16, 0}} {
+		a := randomSPD(sh.cols, rng)
+		m := Random(sh.rows, sh.cols, rng)
+		work := m.Clone()
+		var s SPDSolver
+		b.Run(shapeName(sh.rows, sh.cols, sh.workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				work.CopyFrom(m)
+				s.Solve(a, work, sh.workers)
+			}
+		})
 	}
 }
 
-func benchName(r, c int) string {
-	return itoa(r) + "x" + itoa(c)
+// shapeName is "rows x cols", with "w<workers>" appended when the
+// benchmark fixes the worker count.
+func shapeName(r, c, workers int) string {
+	name := itoa(r) + "x" + itoa(c)
+	if workers > 0 {
+		name += "w" + itoa(workers)
+	}
+	return name
 }
 
 func itoa(v int) string {

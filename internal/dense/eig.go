@@ -24,7 +24,7 @@ func SymEig(a *Matrix) (w []float64, v *Matrix) {
 		off := 0.0
 		for p := 0; p < n; p++ {
 			for q := p + 1; q < n; q++ {
-				off += s.At(p, q) * s.At(p, q)
+				off += float64(s.At(p, q) * s.At(p, q))
 			}
 		}
 		if off <= 1e-30*(1+s.FrobeniusNorm()) {
@@ -41,28 +41,28 @@ func SymEig(a *Matrix) (w []float64, v *Matrix) {
 				tau := (aqq - app) / (2 * apq)
 				var t float64
 				if tau >= 0 {
-					t = 1 / (tau + math.Sqrt(1+tau*tau))
+					t = 1 / (tau + math.Sqrt(1+float64(tau*tau)))
 				} else {
-					t = -1 / (-tau + math.Sqrt(1+tau*tau))
+					t = -1 / (-tau + math.Sqrt(1+float64(tau*tau)))
 				}
-				c := 1 / math.Sqrt(1+t*t)
+				c := 1 / math.Sqrt(1+float64(t*t))
 				sn := t * c
 				// Apply the rotation to rows/columns p and q of s.
 				for k := 0; k < n; k++ {
 					skp, skq := s.At(k, p), s.At(k, q)
-					s.Set(k, p, c*skp-sn*skq)
-					s.Set(k, q, sn*skp+c*skq)
+					s.Set(k, p, float64(c*skp)-float64(sn*skq))
+					s.Set(k, q, float64(sn*skp)+float64(c*skq))
 				}
 				for k := 0; k < n; k++ {
 					spk, sqk := s.At(p, k), s.At(q, k)
-					s.Set(p, k, c*spk-sn*sqk)
-					s.Set(q, k, sn*spk+c*sqk)
+					s.Set(p, k, float64(c*spk)-float64(sn*sqk))
+					s.Set(q, k, float64(sn*spk)+float64(c*sqk))
 				}
 				// Accumulate eigenvectors.
 				for k := 0; k < n; k++ {
 					vkp, vkq := v.At(k, p), v.At(k, q)
-					v.Set(k, p, c*vkp-sn*vkq)
-					v.Set(k, q, sn*vkp+c*vkq)
+					v.Set(k, p, float64(c*vkp)-float64(sn*vkq))
+					v.Set(k, q, float64(sn*vkp)+float64(c*vkq))
 				}
 			}
 		}
@@ -111,7 +111,7 @@ func PseudoInverseSym(a *Matrix, tol float64) *Matrix {
 				continue
 			}
 			for c := 0; c < n; c++ {
-				inv.Data[r*n+c] += vr * v.At(c, i)
+				inv.Data[r*n+c] += float64(vr * v.At(c, i))
 			}
 		}
 	}
@@ -140,7 +140,7 @@ func choleskyInto(a, l *Matrix) bool {
 	for j := 0; j < n; j++ {
 		d := a.At(j, j)
 		for k := 0; k < j; k++ {
-			d -= l.At(j, k) * l.At(j, k)
+			d -= float64(l.At(j, k) * l.At(j, k))
 		}
 		if d <= 0 {
 			return false
@@ -150,7 +150,7 @@ func choleskyInto(a, l *Matrix) bool {
 		for i := j + 1; i < n; i++ {
 			s := a.At(i, j)
 			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
+				s -= float64(l.At(i, k) * l.At(j, k))
 			}
 			l.Set(i, j, s/ljj)
 		}
@@ -168,12 +168,14 @@ func SolveSPDInPlace(a *Matrix, b *Matrix, workers int) {
 	s.Solve(a, b, workers)
 }
 
-// SPDSolver keeps SolveSPDInPlace's Cholesky factor and row kernel between
-// calls, so a loop of same-size solves allocates nothing (the
-// pseudoinverse fallback for a rank-deficient a still allocates). The zero
-// value is ready to use; a solver serves one call at a time.
+// SPDSolver keeps SolveSPDInPlace's Cholesky factor, its transpose and
+// the row kernel between calls, so a loop of same-size solves allocates
+// nothing (the pseudoinverse fallback for a rank-deficient a still
+// allocates). The zero value is ready to use; a solver serves one call at a
+// time.
 type SPDSolver struct {
 	l    *Matrix
+	lt   *Matrix // upper triangle of Lᵀ, so the backward pass reads rows
 	b    *Matrix
 	body func(lo, hi int)
 }
@@ -185,7 +187,7 @@ func (s *SPDSolver) Solve(a *Matrix, b *Matrix, workers int) {
 		panic("dense: SolveSPDInPlace shape mismatch")
 	}
 	if s.l == nil || s.l.Rows != n {
-		s.l = New(n, n)
+		s.l, s.lt = New(n, n), New(n, n)
 	}
 	if !choleskyInto(a, s.l) {
 		// Rank-deficient H: fall back to the pseudoinverse product.
@@ -193,6 +195,11 @@ func (s *SPDSolver) Solve(a *Matrix, b *Matrix, workers int) {
 		tmp := MatMul(b, pinv, nil, workers)
 		b.CopyFrom(tmp)
 		return
+	}
+	for i := 0; i < n; i++ {
+		for k := i; k < n; k++ {
+			s.lt.Data[i*n+k] = s.l.Data[k*n+i]
+		}
 	}
 	if s.body == nil {
 		s.body = s.solveRows
@@ -204,28 +211,60 @@ func (s *SPDSolver) Solve(a *Matrix, b *Matrix, workers int) {
 
 // solveRows solves rows [lo, hi) of the current right-hand side: per row,
 // (L Lᵀ) x = rowᵀ (a is symmetric) by a forward then a backward
-// substitution.
+// substitution. Four rows go through each pass together, one dependency
+// chain per row, and the rows left over go one at a time. Either way each
+// row takes the same operations in the same order.
 func (s *SPDSolver) solveRows(lo, hi int) {
-	l := s.l
-	n := l.Rows
-	for r := lo; r < hi; r++ {
-		row := s.b.Row(r)
+	n := s.l.Rows
+	l, lt := s.l.Data, s.lt.Data
+	r := lo
+	for ; r+4 <= hi; r += 4 {
+		x0, x1, x2, x3 := s.b.Row(r), s.b.Row(r+1), s.b.Row(r+2), s.b.Row(r+3)
 		// Forward solve L y = row.
 		for i := 0; i < n; i++ {
-			v := row[i]
-			li := l.Row(i)
-			for k := 0; k < i; k++ {
-				v -= li[k] * row[k]
+			li := l[i*n : i*n+i+1]
+			v0, v1, v2, v3 := x0[i], x1[i], x2[i], x3[i]
+			for k, lk := range li[:i] {
+				v0 -= float64(lk * x0[k])
+				v1 -= float64(lk * x1[k])
+				v2 -= float64(lk * x2[k])
+				v3 -= float64(lk * x3[k])
 			}
-			row[i] = v / li[i]
+			d := li[i]
+			x0[i], x1[i], x2[i], x3[i] = v0/d, v1/d, v2/d, v3/d
 		}
-		// Backward solve Lᵀ x = y.
+		// Backward solve Lᵀ x = y, reading column i of L as row i of Lᵀ.
 		for i := n - 1; i >= 0; i-- {
-			v := row[i]
+			ti := lt[i*n : (i+1)*n]
+			v0, v1, v2, v3 := x0[i], x1[i], x2[i], x3[i]
 			for k := i + 1; k < n; k++ {
-				v -= l.At(k, i) * row[k]
+				tk := ti[k]
+				v0 -= float64(tk * x0[k])
+				v1 -= float64(tk * x1[k])
+				v2 -= float64(tk * x2[k])
+				v3 -= float64(tk * x3[k])
 			}
-			row[i] = v / l.At(i, i)
+			d := ti[i]
+			x0[i], x1[i], x2[i], x3[i] = v0/d, v1/d, v2/d, v3/d
+		}
+	}
+	for ; r < hi; r++ {
+		x := s.b.Row(r)
+		for i := 0; i < n; i++ {
+			li := l[i*n : i*n+i+1]
+			v := x[i]
+			for k, lk := range li[:i] {
+				v -= float64(lk * x[k])
+			}
+			x[i] = v / li[i]
+		}
+		for i := n - 1; i >= 0; i-- {
+			ti := lt[i*n : (i+1)*n]
+			v := x[i]
+			for k := i + 1; k < n; k++ {
+				v -= float64(ti[k] * x[k])
+			}
+			x[i] = v / ti[i]
 		}
 	}
 }

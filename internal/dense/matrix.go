@@ -4,8 +4,15 @@
 // Moore–Penrose pseudoinverse of small symmetric matrices.
 //
 // Factor matrices in CP-ALS are tall and skinny (I_n × R with R ≤ 256), and
-// everything quadratic in R happens on R × R matrices, so simple cache-aware
-// loops are sufficient; there is no blocking or SIMD here by design.
+// everything quadratic in R happens on R × R matrices. The two kernels the
+// ALS loop runs on every mode update over a whole factor are blocked for
+// registers: the Gram computes the upper triangle four columns at a time
+// over cache-sized row chunks and mirrors it, and the SPD solve substitutes
+// four right-hand-side rows per pass against a kept transpose of L. Both are
+// pure Go and bit-identical to row-at-a-time loops: every output element
+// keeps its association, and every product is rounded by a float64
+// conversion so that no architecture fuses it into an FMA (scripts/ci.sh
+// checks the arm64 build). There is no SIMD here.
 package dense
 
 import (
@@ -135,7 +142,7 @@ func (m *Matrix) MaxAbsDiff(n *Matrix) float64 {
 func (m *Matrix) FrobeniusNorm() float64 {
 	s := 0.0
 	for _, v := range m.Data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }
@@ -206,25 +213,68 @@ func (s *GramScratch) Gram(a *Matrix, out *Matrix, workers int) *Matrix {
 			out.Data[i] += v
 		}
 	}
+	// Every sum starts at +0 and so never ends at -0, and a product with
+	// a zero factor adds a signed zero, which changes no such sum: (q, p)
+	// and (p, q) are equal bit for bit whichever of the two entries the
+	// rows skipped.
+	for p := 1; p < c; p++ {
+		for q := 0; q < p; q++ {
+			out.Data[p*c+q] = out.Data[q*c+p]
+		}
+	}
 	return out
 }
 
+// gramChunk is the byte size of the row chunks accumulate streams: small
+// enough that a chunk stays in L1 across its passes.
+const gramChunk = 16 << 10
+
 // accumulate adds rows [lo, hi) of the current matrix's AᵀA into the
-// worker's accumulator.
+// worker's accumulator, in the entries (p, q) with q in or after the
+// four-column block that holds p; Gram mirrors the upper triangle into the
+// lower one. The rows go in chunks that stay in cache. Within a chunk,
+// each (p, block) pair keeps its four sums in registers while it streams
+// the rows in order, so every entry adds the same products in the same
+// order as a row-at-a-time loop, skipping the rows whose entry p is zero.
+// Columns past the last full block take one sum each.
 func (s *GramScratch) accumulate(worker, lo, hi int) {
 	a, acc := s.a, s.acc[worker]
 	c := a.Cols
-	for i := lo; i < hi; i++ {
-		row := a.Row(i)
-		for p := 0; p < c; p++ {
-			rp := row[p]
-			if rp == 0 {
-				continue
+	step := max(1, gramChunk/(8*c)) * c
+	for base := lo * c; base < hi*c; base += step {
+		gramRows(acc, a.Data[base:min(base+step, hi*c)], c)
+	}
+}
+
+// gramRows is accumulate's pass over one chunk of whole rows of width c.
+func gramRows(acc, rows []float64, c int) {
+	full := c &^ 3
+	for p := 0; p < c; p++ {
+		accRow := acc[p*c : (p+1)*c]
+		q := p &^ 3
+		for ; q < full; q += 4 {
+			s0, s1, s2, s3 := accRow[q], accRow[q+1], accRow[q+2], accRow[q+3]
+			for i := 0; i < len(rows); i += c {
+				rp := rows[i+p]
+				if rp == 0 {
+					continue
+				}
+				x := rows[i+q : i+q+4 : i+q+4]
+				s0 += float64(rp * x[0])
+				s1 += float64(rp * x[1])
+				s2 += float64(rp * x[2])
+				s3 += float64(rp * x[3])
 			}
-			accRow := acc[p*c : (p+1)*c]
-			for q := 0; q < c; q++ {
-				accRow[q] += rp * row[q]
+			accRow[q], accRow[q+1], accRow[q+2], accRow[q+3] = s0, s1, s2, s3
+		}
+		for ; q < c; q++ {
+			sum := accRow[q]
+			for i := 0; i < len(rows); i += c {
+				if rp := rows[i+p]; rp != 0 {
+					sum += float64(rp * rows[i+q])
+				}
 			}
+			accRow[q] = sum
 		}
 	}
 }
@@ -288,7 +338,7 @@ func MatMul(a, b, out *Matrix, workers int) *Matrix {
 				}
 				brow := b.Row(k)
 				for j, bv := range brow {
-					orow[j] += av * bv
+					orow[j] += float64(av * bv)
 				}
 			}
 		}
@@ -302,7 +352,7 @@ func ColumnNorms(m *Matrix) []float64 {
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j, v := range row {
-			norms[j] += v * v
+			norms[j] += float64(v * v)
 		}
 	}
 	for j := range norms {

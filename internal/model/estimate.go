@@ -22,7 +22,7 @@ func rangeID(lo, hi, n int) int { return lo*n + hi - 1 }
 
 // NewEstimator builds the range table with bottom-k sketches of size k
 // (k <= 0 selects the default 1024). The pass costs O(nnz · N²) hash
-// operations and O(N² · k) memory.
+// operations and O(N² · k) memory, plus one bit per index of every mode.
 func NewEstimator(x *tensor.COO, k int) *Estimator {
 	if k <= 0 {
 		k = 1024
@@ -35,11 +35,28 @@ func NewEstimator(x *tensor.COO, k int) *Estimator {
 			sketches[rangeID(lo, hi, n)] = newKMV(k)
 		}
 	}
+	// A single-mode range hashes one index injectively (mix64 is a
+	// bijection), and offering a hash the sketch has already seen changes
+	// nothing, so each index goes to its [lo, lo+1) sketch on its first
+	// occurrence only: one bit per index of each mode.
+	seen := make([][]uint64, n)
+	for m := range seen {
+		seen[m] = make([]uint64, (x.Dims[m]+63)/64)
+	}
 	nnz := x.NNZ()
 	for t := 0; t < nnz; t++ {
 		for lo := 0; lo < n; lo++ {
-			h := uint64(0x9e3779b97f4a7c15)
-			for hi := lo + 1; hi <= n; hi++ {
+			idx := uint32(x.Inds[lo][t])
+			h := mix64(0x9e3779b97f4a7c15 ^ (uint64(idx) + 0x632be59bd9b4e019))
+			first := true // an index outside the mode's bits is always offered
+			if w, bit := int(idx/64), uint64(1)<<(idx%64); w < len(seen[lo]) {
+				first = seen[lo][w]&bit == 0
+				seen[lo][w] |= bit
+			}
+			if first {
+				sketches[rangeID(lo, lo+1, n)].offer(h)
+			}
+			for hi := lo + 2; hi <= n; hi++ {
 				h = mix64(h ^ (uint64(uint32(x.Inds[hi-1][t])) + 0x632be59bd9b4e019))
 				sketches[rangeID(lo, hi, n)].offer(h)
 			}

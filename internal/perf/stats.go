@@ -29,18 +29,6 @@ func Median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// MAD returns the median absolute deviation of xs around med.
-func MAD(xs []float64, med float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	dev := make([]float64, len(xs))
-	for i, x := range xs {
-		dev[i] = math.Abs(x - med)
-	}
-	return Median(dev)
-}
-
 // exactMax bounds the sample sizes for which the exact Mann–Whitney null
 // distribution is computed (DP table is O(n·m·(n·m)) floats). Beyond it the
 // normal approximation is used, which is accurate there anyway.

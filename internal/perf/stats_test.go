@@ -31,14 +31,6 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestMAD(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 100}
-	med := Median(xs) // 3
-	if got := MAD(xs, med); got != 1 {
-		t.Errorf("MAD = %v, want 1 (deviations 2,1,0,1,97 -> median 1)", got)
-	}
-}
-
 // samplesWithU builds tie-free sample pairs (xs of size n, ys of size m)
 // whose Mann–Whitney U statistic (count of x>y pairs) is exactly u.
 func samplesWithU(n, m, u int) (xs, ys []float64) {

@@ -21,13 +21,14 @@ go test -race ./cmd/...
 # facade change could break the benchmark unseen.
 (cd perfbench && go vet ./... && go test ./...)
 
-# The fused Hadamard kernels are pinned bit for bit to the unfused
-# multiply-then-add chain, which holds only if no product is contracted
-# with its add into one FMA instruction. The amd64 compiler never does
-# that; the arm64 one does unless a float64 conversion forbids it, so the
-# arm64 build of the kernel package must contain no fused multiply-add.
-# arm64 has no assembly body, so this build also proves that the
-# portable-only kernel package compiles.
+# The fused Hadamard kernels, and the dense layer's blocked Gram and
+# four-row solve, are pinned bit for bit to the unfused multiply-then-add
+# chain, which holds only if no product is contracted with its add into
+# one FMA instruction. The amd64 compiler never does that; the arm64 one
+# does unless a float64 conversion forbids it, so the arm64 builds of the
+# kernel and dense packages must contain no fused multiply-add. arm64 has
+# no assembly body, so this build also proves that the portable-only
+# kernel package compiles.
 #
 # On amd64, StreamAccum's AVX2 body is hand-written and must contain no
 # fused multiply-add either. `go tool objdump` cannot decode VEX
@@ -35,11 +36,13 @@ go test -race ./cmd/...
 # assembly source, which the assembler encodes as written, and, where
 # binutils is installed, the kernel package's code in a linked amd64 binary.
 fmadir=$(mktemp -d)
-GOARCH=arm64 go build -o "$fmadir/kernel.a" ./internal/kernel/
-if go tool objdump "$fmadir/kernel.a" | grep -E 'F(N)?M(ADD|SUB)D'; then
-	echo "internal/kernel: FMA contraction in the arm64 build" >&2
-	exit 1
-fi
+for pkg in kernel dense; do
+	GOARCH=arm64 go build -o "$fmadir/$pkg.a" ./internal/$pkg/
+	if go tool objdump "$fmadir/$pkg.a" | grep -E 'F(N)?M(ADD|SUB)D'; then
+		echo "internal/$pkg: FMA contraction in the arm64 build" >&2
+		exit 1
+	fi
+done
 if grep -inE 'VF(N)?M(ADD|SUB)' internal/kernel/*.s; then
 	echo "internal/kernel: fused multiply-add in the amd64 assembly" >&2
 	exit 1
