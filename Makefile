@@ -81,6 +81,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzValidateLedger$$' -fuzztime 30s ./internal/audit/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 30s ./internal/perf/
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamAccum$$' -fuzztime 30s ./internal/kernel/
+	$(GO) test -run '^$$' -fuzz '^FuzzGatherAccum$$' -fuzztime 30s ./internal/kernel/
 
 experiments:
 	$(GO) run ./cmd/adabench

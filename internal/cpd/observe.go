@@ -53,10 +53,15 @@ type observer interface {
 
 // newObservers assembles the observer list from opt. Iterations go to the
 // list in order and the end goes in reverse, as deferred calls run, so the
-// steady-allocation read, last in the list, follows every observer that
-// sizes buffers in the first iteration and precedes, at the end, the audit
-// reconcile and the final checkpoint write, which both allocate. first is
-// the run's first iteration (past 1 on Resume); rs is Result.Stats.
+// steady-allocation read follows every observer that sizes buffers in the
+// first iteration and precedes, at the end, the audit reconcile and the
+// final checkpoint write, which both allocate. Progress, the caller's
+// callback, comes after it: that read stops the world, and restarting the
+// world may start an OS thread, whose runtime structures are heap
+// allocations. Ahead of Progress, that happens before anything a Progress
+// callback measures from the first iteration on (alloc_test.go's
+// zero-allocation pin does). first is the run's first iteration (past 1 on
+// Resume); rs is Result.Stats.
 func newObservers(x *tensor.COO, eng engine.Engine, opt Options, rs *RunStats, first int, sweep []int) ([]observer, error) {
 	var list []observer
 	if opt.Metrics != nil {
@@ -75,14 +80,14 @@ func newObservers(x *tensor.COO, eng engine.Engine, opt Options, rs *RunStats, f
 		}
 		list = append(list, cw)
 	}
-	if opt.Progress != nil {
-		list = append(list, progress(opt.Progress))
-	}
 	if opt.Audit != nil {
 		list = append(list, &auditReconcile{rec: opt.Audit, eng: eng, base: eng.Stats(), first: first})
 	}
 	if rs != nil {
 		list = append(list, &collectStats{rs: rs, eng: eng, first: first})
+	}
+	if opt.Progress != nil {
+		list = append(list, progress(opt.Progress))
 	}
 	return list, nil
 }

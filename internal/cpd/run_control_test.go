@@ -3,7 +3,9 @@ package cpd
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"adatm/internal/coo"
@@ -118,53 +120,73 @@ func TestRunProgressStop(t *testing.T) {
 	factorsConsistent(t, res)
 }
 
+// TestRunCollectStats checks the CollectStats breakdown. Every section of
+// the loop must run inside a phase: the phase clock's own counts must equal
+// the loop's sections, one Gram for the initial Grams, one Fit for the
+// tensor norm, and per iteration one MTTKRP, Gram (H), Solve, Normalize
+// and Gram (the updated factor's) per mode plus one Fit. The phases must
+// also cover at least 80 % of the run's wall clock, in at least one of
+// three runs: a missing phase falls short in every run, while a run the
+// host's scheduler stalls outside the phases falls short only by chance.
 func TestRunCollectStats(t *testing.T) {
 	x := tensor.RandomClustered(3, 60, 30000, 0.6, 44)
-	res, err := Run(x, coo.New(x, 1), Options{
-		Rank: 8, MaxIters: 10, Tol: 1e-15, Seed: 5, CollectStats: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := res.Stats
-	if rs == nil {
-		t.Fatal("Stats nil with CollectStats")
-	}
 	n := x.Order()
-	wantCalls := int64(res.Iters * n)
-	if got := rs.Phases[PhaseMTTKRP].Count; got != wantCalls {
-		t.Errorf("MTTKRP count = %d, want %d", got, wantCalls)
-	}
-	// COO op model: nnz·N·R per call.
-	wantOps := wantCalls * int64(x.NNZ()) * int64(n) * 8
-	if got := rs.Phases[PhaseMTTKRP].Ops; got != wantOps {
-		t.Errorf("MTTKRP ops = %d, want %d", got, wantOps)
-	}
-	var modeSum PhaseStats
-	for _, mp := range rs.ModeMTTKRP {
-		modeSum.Time += mp.Time
-		modeSum.Count += mp.Count
-		modeSum.Ops += mp.Ops
-	}
-	if modeSum != rs.Phases[PhaseMTTKRP] {
-		t.Errorf("per-mode MTTKRP sum %+v != phase total %+v", modeSum, rs.Phases[PhaseMTTKRP])
-	}
-	for _, p := range []Phase{PhaseGram, PhaseSolve, PhaseNormalize, PhaseFit} {
-		if rs.Phases[p].Count == 0 || rs.Phases[p].Time < 0 {
-			t.Errorf("phase %s not populated: %+v", p, rs.Phases[p])
+	var covered []string
+	for attempt := 0; attempt < 3; attempt++ {
+		res, err := Run(x, coo.New(x, 1), Options{
+			Rank: 8, MaxIters: 10, Tol: 1e-15, Seed: 5, CollectStats: true,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		rs := res.Stats
+		if rs == nil {
+			t.Fatal("Stats nil with CollectStats")
+		}
+		sections := int64(res.Iters * n)
+		want := map[Phase]int64{
+			PhaseMTTKRP:    sections,
+			PhaseGram:      1 + 2*sections,
+			PhaseSolve:     sections,
+			PhaseNormalize: sections,
+			PhaseFit:       1 + int64(res.Iters),
+		}
+		for p, c := range want {
+			if got := rs.Phases[p].Count; got != c {
+				t.Errorf("phase %s ran %d sections, want %d", p, got, c)
+			}
+			if rs.Phases[p].Time <= 0 {
+				t.Errorf("phase %s has no time: %+v", p, rs.Phases[p])
+			}
+		}
+		// COO op model: nnz·N·R per call.
+		wantOps := sections * int64(x.NNZ()) * int64(n) * 8
+		if got := rs.Phases[PhaseMTTKRP].Ops; got != wantOps {
+			t.Errorf("MTTKRP ops = %d, want %d", got, wantOps)
+		}
+		var modeSum PhaseStats
+		for _, mp := range rs.ModeMTTKRP {
+			modeSum.Time += mp.Time
+			modeSum.Count += mp.Count
+			modeSum.Ops += mp.Ops
+		}
+		if modeSum != rs.Phases[PhaseMTTKRP] {
+			t.Errorf("per-mode MTTKRP sum %+v != phase total %+v", modeSum, rs.Phases[PhaseMTTKRP])
+		}
+		if rs.SteadyIters != int64(res.Iters)-1 {
+			t.Errorf("SteadyIters = %d, want %d", rs.SteadyIters, res.Iters-1)
+		}
+		// The phases never overlap, so their sum cannot pass the wall clock.
+		sum := rs.PhaseTimeSum()
+		if sum > res.TotalTime {
+			t.Errorf("phase sum %v exceeds TotalTime %v", sum, res.TotalTime)
+		}
+		if t.Failed() || float64(sum) >= 0.80*float64(res.TotalTime) {
+			return
+		}
+		covered = append(covered, fmt.Sprintf("%v of %v", sum, res.TotalTime))
 	}
-	// The phase breakdown must account for (almost) all of the wall clock.
-	sum := rs.PhaseTimeSum()
-	if sum > res.TotalTime {
-		t.Errorf("phase sum %v exceeds TotalTime %v", sum, res.TotalTime)
-	}
-	if float64(sum) < 0.80*float64(res.TotalTime) {
-		t.Errorf("phase sum %v covers <80%% of TotalTime %v", sum, res.TotalTime)
-	}
-	if rs.SteadyIters != int64(res.Iters)-1 {
-		t.Errorf("SteadyIters = %d, want %d", rs.SteadyIters, res.Iters-1)
-	}
+	t.Errorf("phase sum covers <80%% of TotalTime in every run: %s", strings.Join(covered, ", "))
 }
 
 // Results must be bit-identical with and without stats collection: the

@@ -125,22 +125,6 @@ func BenchmarkKernelHadamardAccum(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelHadamardAccumVec(b *testing.B) {
-	for _, r := range benchRanks {
-		for k := 1; k <= 6; k++ {
-			dst, base, _, _ := benchVecs(r)
-			rows := benchRows(r, k)
-			b.Run(fmt.Sprintf("r%d/k%d", r, k), func(b *testing.B) {
-				b.ReportAllocs()
-				b.SetBytes(int64(r) * 8 * int64(k+1))
-				for i := 0; i < b.N; i++ {
-					HadamardAccumVec(dst, base, rows)
-				}
-			})
-		}
-	}
-}
-
 // streamBench is one first-level contraction's input: nnz nonzeros in
 // reduction groups of one to three (a Zipf order-4 tensor's children of the
 // root average about 1.15 nonzeros per group), k factors of 1024 rows at
@@ -217,5 +201,102 @@ func BenchmarkKernelStreamAccum(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// gatherBench is one leaf contraction's input at memo-zipf4's leaf shape:
+// 16.7k parent rows of rank r, each reduced into one leaf element, in runs
+// of 8 to 24 entries (16 on average), k factors of 1024 rows, and random
+// row indices. elems lists the parent elements in order (a leaf that reads
+// its parent in sequence) or shuffled (one that gathers it).
+type gatherBench struct {
+	dst, base []float64
+	ptr       []int
+	elems     []int32
+	idx       [][]int32
+	facs      [][]float64
+}
+
+func newGatherBench(r, k int, shuffled bool) *gatherBench {
+	rng := rand.New(rand.NewSource(int64(10*k + r)))
+	const parents, rows = 16700, 1024
+	gb := &gatherBench{base: randVec(parents*r, rng), elems: make([]int32, parents),
+		idx: make([][]int32, k), facs: make([][]float64, k)}
+	for e := range gb.elems {
+		gb.elems[e] = int32(e)
+	}
+	if shuffled {
+		rng.Shuffle(parents, func(a, b int) { gb.elems[a], gb.elems[b] = gb.elems[b], gb.elems[a] })
+	}
+	for m := range gb.facs {
+		gb.facs[m] = randVec(rows*r, rng)
+		gb.idx[m] = make([]int32, parents)
+		for pe := range gb.idx[m] {
+			gb.idx[m][pe] = int32(rng.Intn(rows))
+		}
+	}
+	for e := 0; e < parents; e = min(parents, e+8+rng.Intn(17)) {
+		gb.ptr = append(gb.ptr, e)
+	}
+	gb.ptr = append(gb.ptr, parents)
+	gb.dst = make([]float64, (len(gb.ptr)-1)*r)
+	return gb
+}
+
+// perEntryAccum is the loop GatherAccum replaced, kept as the benchmark's
+// reference: per entry, point rows at the gathered factor rows, then run
+// one fused multiply-add chain over the parent's row (FMAInto at one
+// factor, accumVec2 and accumVec3 at two and three).
+func perEntryAccum(dst, base []float64, elems []int32, idx [][]int32, facs, rows [][]float64) {
+	r := len(dst)
+	for _, pe := range elems {
+		for m := range rows {
+			o := int(idx[m][pe]) * r
+			rows[m] = facs[m][o : o+r]
+		}
+		b := base[int(pe)*r:][:r]
+		switch len(rows) {
+		case 1:
+			FMAInto(dst, b, rows[0])
+		case 2:
+			accumVec2(dst, b, rows[0], rows[1])
+		case 3:
+			accumVec3(dst, b, rows[0], rows[1], rows[2])
+		}
+	}
+}
+
+// BenchmarkKernelGatherAccum compares the gathered kernel as dispatched
+// (gathered: the AVX2 body on a CPU with AVX2), its portable body, and the
+// per-entry loop it replaced (per-entry), over one leaf contraction of
+// gatherBench's shape at R = 8, 16 and 32 and one to three factors, with
+// the parent elements in order and shuffled. Run with -cpu 1.
+func BenchmarkKernelGatherAccum(b *testing.B) {
+	for _, order := range []string{"sorted", "shuffled"} {
+		for _, r := range []int{8, 16, 32} {
+			for k := 1; k <= 3; k++ {
+				gb := newGatherBench(r, k, order == "shuffled")
+				rows := make([][]float64, k)
+				for _, body := range []struct {
+					name string
+					fn   func(dst, base []float64, elems []int32, idx [][]int32, facs [][]float64)
+				}{
+					{"portable", gatherAccumGeneric},
+					{"gathered", GatherAccum},
+					{"per-entry", func(dst, base []float64, elems []int32, idx [][]int32, facs [][]float64) {
+						perEntryAccum(dst, base, elems, idx, facs, rows)
+					}},
+				} {
+					b.Run(fmt.Sprintf("%s/r%d/k%d/%s", order, r, k, body.name), func(b *testing.B) {
+						b.ReportAllocs()
+						for i := 0; i < b.N; i++ {
+							for g := 0; g+1 < len(gb.ptr); g++ {
+								body.fn(gb.dst[g*r:(g+1)*r], gb.base, gb.elems[gb.ptr[g]:gb.ptr[g+1]], gb.idx, gb.facs)
+							}
+						}
+					})
+				}
+			}
+		}
 	}
 }

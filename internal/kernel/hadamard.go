@@ -1,10 +1,10 @@
 package kernel
 
 // The fused Hadamard-accumulate kernels are the inner loop of every sparse
-// MTTKRP engine: one nonzero's value (or one parent element's cached R-row)
-// is multiplied by k factor rows and the product is accumulated into an
-// output row in a single pass over the rank dimension, with no temporary
-// R-vector.
+// MTTKRP engine: one nonzero's value (HadamardAccum, StreamAccum) or one
+// parent element's cached R-row (GatherAccum) is multiplied by k factor
+// rows and the product is accumulated into an output row in a single pass
+// over the rank dimension, with no temporary R-vector.
 //
 // Association. The product associates strictly left to right, ((v·a)·b)·c…,
 // and is added to dst once at the end. That is the order of the unfused
@@ -27,22 +27,25 @@ package kernel
 // (hadamardBlocked): a single loop with an inner loop over the rows for
 // each j is markedly slower than the chain it replaces.
 //
-// StreamAccum has two bodies. The portable one (streamAccumGeneric) takes
-// the columns in blocks of 8, then 4, then one at a time. On amd64, when
-// CPUID reports AVX2 and XCR0 shows the OS saving the YMM state (hasAVX2,
-// set once at package initialization), an assembly body runs instead
-// (stream_amd64.s): blocks of 16 columns in four YMM accumulators, loaded
-// from dst once per block and stored once, then blocks of 4, then a scalar
-// tail. Per nonzero it broadcasts the value, multiplies it by the first
-// factor's row and then by each later row in k order (VMULPD), and adds
-// the product once (VADDPD). Each lane thus does for its column exactly
-// the IEEE multiplies and add of the portable body, in the same order and
-// with no fused multiply-add, so the two bodies agree bit for bit. Bounds:
-// the Go wrapper checks the factor and index counts and the index lengths;
-// the assembly checks every row, idx·R·8 + blockEnd ≤ len(facs[k])·8,
-// with the index loaded zero-extended, so a negative index becomes a huge
-// row and fails the check instead of reading before the factor. A failed
-// check returns false, and the wrapper panics as the portable body would.
+// StreamAccum and GatherAccum each have two bodies. The portable ones
+// (streamAccumGeneric, gatherAccumGeneric) take the columns in blocks of
+// 8, then 4, then one at a time. On amd64, when CPUID reports AVX2 and
+// XCR0 shows the OS saving the YMM state (hasAVX2, set once at package
+// initialization), an assembly body runs instead (stream_amd64.s): blocks
+// of 16 columns in four YMM accumulators, loaded from dst once per block
+// and stored once, then blocks of 4, then a scalar tail. Per entry it
+// starts the running product from the broadcast value times the first
+// factor's row (StreamAccum) or from the parent's row (GatherAccum),
+// multiplies it by each further row in k order (VMULPD), and adds the
+// product once (VADDPD). Each lane thus does for its column exactly the
+// IEEE multiplies and add of the portable body, in the same order and with
+// no fused multiply-add, so the two bodies agree bit for bit. Bounds: the
+// Go wrappers check the factor and index counts and the index lengths; the
+// assembly checks every factor row, idx·R·8 + blockEnd ≤ len(facs[k])·8,
+// and every parent row whole, pe·R·8 + R·8 ≤ len(base)·8, with each index
+// loaded zero-extended, so a negative index becomes a huge row and fails
+// the check instead of reading before the array. A failed check returns
+// false, and the wrapper panics as the portable body would.
 
 // HadamardAccum writes dst[j] += v · Π_k rows[k][j] in one pass: the
 // broadcast of the scalar, the k Hadamard multiplies, and the accumulation
@@ -63,28 +66,7 @@ func HadamardAccum(dst []float64, v float64, rows [][]float64) {
 	case 4:
 		accum4(dst, v, rows[0], rows[1], rows[2], rows[3])
 	default:
-		hadamardBlocked(dst, v, nil, rows)
-	}
-}
-
-// HadamardAccumVec writes dst[j] += base[j] · Π_k rows[k][j] in one pass,
-// the vector-base variant of HadamardAccum (the base is a parent element's
-// cached R-row rather than a broadcast nonzero value). rows may be empty,
-// in which case it degenerates to AddInto(dst, base).
-func HadamardAccumVec(dst, base []float64, rows [][]float64) {
-	switch len(rows) {
-	case 0:
-		AddInto(dst, base)
-	case 1:
-		FMAInto(dst, base, rows[0])
-	case 2:
-		accumVec2(dst, base, rows[0], rows[1])
-	case 3:
-		accumVec3(dst, base, rows[0], rows[1], rows[2])
-	case 4:
-		accumVec4(dst, base, rows[0], rows[1], rows[2], rows[3])
-	default:
-		hadamardBlocked(dst, 0, base, rows)
+		hadamardBlocked(dst, v, rows)
 	}
 }
 
@@ -92,22 +74,17 @@ func HadamardAccumVec(dst, base []float64, rows [][]float64) {
 // block of the more-than-four-rows path.
 const hadamardBlock = 32
 
-// hadamardBlocked is the body of both kernels above four rows. Per block of
-// at most hadamardBlock columns, the running product is formed from v (or
-// from base when it is non-nil) and the rows four at a time; the last one
-// to four rows are fused with the add into dst.
-func hadamardBlocked(dst []float64, v float64, base []float64, rows [][]float64) {
+// hadamardBlocked is HadamardAccum's body above four rows. Per block of at
+// most hadamardBlock columns, the running product is formed from v and the
+// rows four at a time; the last one to four rows are fused with the add
+// into dst.
+func hadamardBlocked(dst []float64, v float64, rows [][]float64) {
 	var buf [hadamardBlock]float64
 	last := rows[(len(rows)-1)/4*4:]
 	head := rows[:len(rows)-len(last)]
 	for lo := 0; lo < len(dst); lo += hadamardBlock {
 		t := buf[:min(hadamardBlock, len(dst)-lo)]
-		if base == nil {
-			prod4(t, v, head[:4], lo)
-		} else {
-			copy(t, base[lo:])
-			mul4(t, head[:4], lo)
-		}
+		prod4(t, v, head[:4], lo)
 		for g := 4; g < len(head); g += 4 {
 			mul4(t, head[g:g+4], lo)
 		}
@@ -296,5 +273,81 @@ func streamAccumGeneric(dst, vals []float64, idx [][]int32, facs [][]float64) {
 			a += p
 		}
 		dst[j] = a
+	}
+}
+
+// gatherAccumGeneric is GatherAccum's portable body, and the reference for
+// its AVX2 body. It writes
+// dst[j] += Σ_e base[elems[e]·R + j] · Π_k facs[k][idx[k][elems[e]]·R + j]
+// with R = len(dst): one element's run of reduction entries, taken in order
+// e, each contributing its parent element's row of base times one row per
+// factor. base and every facs[k] are row-major with row stride R, and
+// idx[k] holds the parent elements' row indices into facs[k]. facs may be
+// empty, which sums the parent rows.
+//
+// It is the gathered form of dst += base-row · Π_k factor-rows, one entry
+// at a time through FMAInto or a fused four-row body, and it is
+// bit-identical to that loop: every term associates ((b·a)·c)… left to
+// right and is then added once, in entry order. The loop nest is
+// streamAccumGeneric's: per block of columns the accumulators and running
+// products stay in local variables across the whole run.
+func gatherAccumGeneric(dst, base []float64, elems []int32, idx [][]int32, facs [][]float64) {
+	r := len(dst)
+	j := 0
+	for ; j+8 <= r; j += 8 {
+		d := (*[8]float64)(dst[j:])
+		a0, a1, a2, a3, a4, a5, a6, a7 := d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]
+		for _, pe := range elems {
+			b := (*[8]float64)(base[int(pe)*r+j:])
+			p0, p1, p2, p3, p4, p5, p6, p7 := b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]
+			for m, fac := range facs {
+				f := (*[8]float64)(fac[int(idx[m][pe])*r+j:])
+				p0, p1, p2, p3 = float64(p0*f[0]), float64(p1*f[1]), float64(p2*f[2]), float64(p3*f[3])
+				p4, p5, p6, p7 = float64(p4*f[4]), float64(p5*f[5]), float64(p6*f[6]), float64(p7*f[7])
+			}
+			a0, a1, a2, a3 = a0+p0, a1+p1, a2+p2, a3+p3
+			a4, a5, a6, a7 = a4+p4, a5+p5, a6+p6, a7+p7
+		}
+		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = a0, a1, a2, a3, a4, a5, a6, a7
+	}
+	for ; j+4 <= r; j += 4 {
+		d := (*[4]float64)(dst[j:])
+		a0, a1, a2, a3 := d[0], d[1], d[2], d[3]
+		for _, pe := range elems {
+			b := (*[4]float64)(base[int(pe)*r+j:])
+			p0, p1, p2, p3 := b[0], b[1], b[2], b[3]
+			for m, fac := range facs {
+				f := (*[4]float64)(fac[int(idx[m][pe])*r+j:])
+				p0, p1, p2, p3 = float64(p0*f[0]), float64(p1*f[1]), float64(p2*f[2]), float64(p3*f[3])
+			}
+			a0, a1, a2, a3 = a0+p0, a1+p1, a2+p2, a3+p3
+		}
+		d[0], d[1], d[2], d[3] = a0, a1, a2, a3
+	}
+	for ; j < r; j++ {
+		a := dst[j]
+		for _, pe := range elems {
+			p := base[int(pe)*r+j]
+			for m, fac := range facs {
+				p = float64(p * fac[int(idx[m][pe])*r+j])
+			}
+			a += p
+		}
+		dst[j] = a
+	}
+}
+
+// checkGather panics unless GatherAccum has one index array per factor,
+// each with an entry for every row of base (R = r ≥ 1). The AVX2 body
+// relies on it to load idx[k][pe] for any pe whose parent row lies in
+// base; both bodies run behind it, so they reject the same inputs.
+func checkGather(r int, base []float64, idx [][]int32, facs [][]float64) {
+	if len(idx) < len(facs) {
+		panic("kernel: GatherAccum needs one index array per factor")
+	}
+	for k := range facs {
+		if len(idx[k]) < len(base)/r {
+			panic("kernel: GatherAccum index array shorter than base's rows")
+		}
 	}
 }

@@ -168,22 +168,17 @@ func randSpecialVec(n int, rng *rand.Rand) []float64 {
 	return v
 }
 
-// checkAgainstChain runs one fused kernel (base == nil: HadamardAccum with
-// v; otherwise HadamardAccumVec) and the chain on copies of dst, and
+// checkAgainstChain runs HadamardAccum and the chain on copies of dst, and
 // requires the same bits.
-func checkAgainstChain(t *testing.T, dst []float64, v float64, base []float64, rows [][]float64) {
+func checkAgainstChain(t *testing.T, dst []float64, v float64, rows [][]float64) {
 	t.Helper()
 	got := append([]float64(nil), dst...)
 	want := append([]float64(nil), dst...)
-	if base == nil {
-		HadamardAccum(got, v, rows)
-	} else {
-		HadamardAccumVec(got, base, rows)
-	}
-	hadamardChain(want, v, base, rows)
+	HadamardAccum(got, v, rows)
+	hadamardChain(want, v, nil, rows)
 	for j := range got {
 		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-			t.Fatalf("n=%d k=%d vec=%v: [%d] = %v (%#x), chain gives %v (%#x)", len(dst), len(rows), base != nil,
+			t.Fatalf("n=%d k=%d: [%d] = %v (%#x), chain gives %v (%#x)", len(dst), len(rows),
 				j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
 		}
 	}
@@ -205,30 +200,14 @@ func TestHadamardAccum(t *testing.T) {
 				for i := range rows {
 					rows[i] = randSpecialVec(n, rng)
 				}
-				checkAgainstChain(t, randSpecialVec(n, rng), rng.NormFloat64()*1e3, nil, rows)
+				checkAgainstChain(t, randSpecialVec(n, rng), rng.NormFloat64()*1e3, rows)
 			}
 		}
 	}
 }
 
-// TestHadamardAccumVec is TestHadamardAccum for the vector-base kernel.
-func TestHadamardAccumVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, n := range chainLengths {
-		for k := 0; k <= 6; k++ {
-			for trial := 0; trial < 10; trial++ {
-				rows := make([][]float64, k)
-				for i := range rows {
-					rows[i] = randSpecialVec(n, rng)
-				}
-				checkAgainstChain(t, randSpecialVec(n, rng), 0, randSpecialVec(n, rng), rows)
-			}
-		}
-	}
-}
-
-// streamBodies lists StreamAccum's bodies this host runs: the portable one,
-// and the AVX2 one when the CPU has it.
+// streamBodies lists the bodies of StreamAccum and GatherAccum this host
+// runs: the portable one, and the AVX2 one when the CPU has it.
 func streamBodies(t testing.TB) []bool {
 	if !hasAVX2 {
 		t.Logf("no AVX2 on this CPU or OS: only the portable body runs")
@@ -436,6 +415,223 @@ func FuzzStreamAccum(f *testing.F) {
 	})
 }
 
+// gatherAccumWith runs GatherAccum with its AVX2 body selected (avx, which
+// only a CPU with AVX2 may ask for) or the portable one, and reports whether
+// it panicked.
+func gatherAccumWith(avx bool, dst, base []float64, elems []int32, idx [][]int32, facs [][]float64) (panicked bool) {
+	saved := hasAVX2
+	hasAVX2 = avx
+	defer func() {
+		hasAVX2 = saved
+		panicked = recover() != nil
+	}()
+	GatherAccum(dst, base, elems, idx, facs)
+	return false
+}
+
+// TestGatherAccum pins both bodies of the gathered kernel bit for bit to
+// the chain run once per entry on the gathered rows (the parent's row
+// copied, then each factor row multiplied in, then added), in entry order,
+// at 0–6 factors and runs of 0–9 entries over 5 parent rows: every length
+// of chainLengths covers the AVX2 body's 16- and 4-column blocks and scalar
+// tail, and the portable body's 8- and 4-column blocks and tail, with
+// signed zeros and extremes in the parent rows and the factors.
+func TestGatherAccum(t *testing.T) {
+	for _, avx := range streamBodies(t) {
+		rng := rand.New(rand.NewSource(8))
+		for _, n := range chainLengths {
+			for k := 0; k <= 6; k++ {
+				for trial := 0; trial < 10; trial++ {
+					const parents, rows = 5, 4
+					base := randSpecialVec(parents*n, rng)
+					facs := make([][]float64, k)
+					idx := make([][]int32, k)
+					for m := range facs {
+						facs[m] = randSpecialVec(rows*n, rng)
+						idx[m] = make([]int32, parents)
+						for pe := range idx[m] {
+							idx[m][pe] = int32(rng.Intn(rows))
+						}
+					}
+					elems := make([]int32, rng.Intn(10))
+					for e := range elems {
+						elems[e] = int32(rng.Intn(parents))
+					}
+					got := randSpecialVec(n, rng)
+					want := append([]float64(nil), got...)
+					if gatherAccumWith(avx, got, base, elems, idx, facs) {
+						t.Fatalf("%s n=%d k=%d run=%d: panicked on valid input", bodyName(avx), n, k, len(elems))
+					}
+					fr := make([][]float64, k)
+					for _, pe := range elems {
+						for m := range fr {
+							o := int(idx[m][pe]) * n
+							fr[m] = facs[m][o : o+n]
+						}
+						hadamardChain(want, 0, base[int(pe)*n:int(pe+1)*n], fr)
+					}
+					for j := range got {
+						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+							t.Fatalf("%s n=%d k=%d run=%d: [%d] = %v, per-entry chain gives %v", bodyName(avx), n, k, len(elems), j, got[j], want[j])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGatherAccumBounds requires both bodies to panic, not to read stray
+// memory, in each kind of column block (R = 1, 4 and 16 run only the
+// scalar tail, only 4-column blocks and only 16-column blocks; R = 21 runs
+// all three): on a parent index of −1, of the most negative int32, equal
+// to base's row count, or naming a row that base holds only in part; and,
+// in the first and the last factor, on a row index of −1, of the most
+// negative int32 or equal to the factor's row count, and on an index array
+// shorter than base's row count.
+func TestGatherAccumBounds(t *testing.T) {
+	const parents, rows = 3, 2
+	for _, avx := range streamBodies(t) {
+		for _, r := range []int{1, 4, 16, 21} {
+			for _, k := range []int{1, 3} {
+				for _, m := range []int{0, k - 1} {
+					type input struct {
+						base  []float64
+						elems []int32
+						idx   [][]int32
+					}
+					cases := map[string]func(in *input){
+						"parent -1":       func(in *input) { in.elems[1] = -1 },
+						"parent MinInt32": func(in *input) { in.elems[1] = math.MinInt32 },
+						"parent = rows":   func(in *input) { in.elems[1] = parents },
+						"parent partial": func(in *input) {
+							in.base = append(in.base, make([]float64, r-1)...)
+							in.elems[1] = parents
+						},
+						"index -1":       func(in *input) { in.idx[m][1] = -1 },
+						"index MinInt32": func(in *input) { in.idx[m][1] = math.MinInt32 },
+						"index = rows":   func(in *input) { in.idx[m][1] = rows },
+						"short index":    func(in *input) { in.idx[m] = in.idx[m][:parents-1] },
+					}
+					for name, corrupt := range cases {
+						in := input{base: make([]float64, parents*r), elems: []int32{0, 1, 2}}
+						facs := make([][]float64, k)
+						in.idx = make([][]int32, k)
+						for f := range facs {
+							facs[f] = make([]float64, rows*r)
+							in.idx[f] = []int32{0, 1, 1}
+						}
+						corrupt(&in)
+						if !gatherAccumWith(avx, make([]float64, r), in.base, in.elems, in.idx, facs) {
+							t.Errorf("%s R=%d k=%d factor %d, %s: no panic", bodyName(avx), r, k, m, name)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzGatherAccum draws R, the factor count (zero included), the run
+// length, the parent and factor row counts, the parent rows, factor values
+// and dst (infinities, signed zeros, subnormals and extremes included), and
+// the parent and row indices (some negative or past the last row, some
+// index arrays short, some parent arrays with a partial last row) from the
+// input, and requires both bodies to give the same bits or both to panic.
+// It skips on a CPU without AVX2. NaN arises only from the arithmetic, as
+// in FuzzStreamAccum.
+func FuzzGatherAccum(f *testing.F) {
+	f.Add(uint32(16|1<<8|5<<16|3<<24), []byte{1, 2, 3, 250, 40, 7})
+	f.Add(uint32(21|2<<8|9<<16|2<<24), []byte{0, 3, 9, 200, 33, 17, 64, 128})
+	f.Add(uint32(64|4<<8|11<<16|1<<24), []byte{255, 254, 5})
+	f.Add(uint32(7|0<<8|4<<16|0xb<<24), []byte{252, 6, 1, 253})
+	f.Fuzz(func(t *testing.T, shape uint32, data []byte) {
+		if !hasAVX2 {
+			t.Skip("no AVX2 on this CPU or OS: there is one body")
+		}
+		special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+			5e-324, -math.MaxFloat64, 1e300, 1e-300}
+		pos := 0
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[pos%len(data)]
+			pos++
+			return b
+		}
+		value := func() float64 {
+			b := next()
+			if int(b) < len(special) {
+				return special[b]
+			}
+			return float64(int8(b)) / 7
+		}
+		// index draws a row index below n, or now and then −1, n or the
+		// most negative int32.
+		index := func(n int) int32 {
+			switch b := next(); b {
+			case 255:
+				return -1
+			case 254:
+				return int32(n)
+			case 252:
+				return math.MinInt32
+			default:
+				return int32(int(b) % n)
+			}
+		}
+		r := 1 + int(shape%70)
+		k := int(shape >> 8 % 6)
+		run := int(shape >> 16 % 12)
+		parents := 1 + int(shape>>24%4)
+		rows := 1 + int(shape>>26%4)
+		base := make([]float64, parents*r+int(shape>>28%2)*(r-1))
+		for j := range base {
+			base[j] = value()
+		}
+		facs := make([][]float64, k)
+		idx := make([][]int32, k)
+		for m := range facs {
+			facs[m] = make([]float64, rows*r)
+			for j := range facs[m] {
+				facs[m][j] = value()
+			}
+			n := parents
+			if next() == 253 {
+				n = int(next()) % parents
+			}
+			idx[m] = make([]int32, n)
+			for pe := range idx[m] {
+				idx[m][pe] = index(rows)
+			}
+		}
+		elems := make([]int32, run)
+		for e := range elems {
+			elems[e] = index(parents)
+		}
+		dst := make([]float64, r)
+		for j := range dst {
+			dst[j] = value()
+		}
+		port := append([]float64(nil), dst...)
+		pAVX := gatherAccumWith(true, dst, base, elems, idx, facs)
+		pPort := gatherAccumWith(false, port, base, elems, idx, facs)
+		if pAVX != pPort {
+			t.Fatalf("R=%d k=%d run=%d: avx2 panicked %v, portable panicked %v", r, k, run, pAVX, pPort)
+		}
+		if pAVX {
+			return
+		}
+		for j := range dst {
+			if math.Float64bits(dst[j]) != math.Float64bits(port[j]) {
+				t.Fatalf("R=%d k=%d run=%d: [%d] avx2 %v (%#x), portable %v (%#x)", r, k, run, j,
+					dst[j], math.Float64bits(dst[j]), port[j], math.Float64bits(port[j]))
+			}
+		}
+	})
+}
+
 func TestArena(t *testing.T) {
 	a := NewArena(3, 2)
 	if a.Workers() != 3 {
@@ -505,10 +701,9 @@ func TestPrimitivesAllocFree(t *testing.T) {
 		FMAInto(dst, a, b)
 		Axpy(dst, 2, a)
 		HadamardAccum(dst, 2, rows)
-		HadamardAccumVec(dst, a, rows)
 		HadamardAccum(dst, 2, rows6)
-		HadamardAccumVec(dst, a, rows6)
 		StreamAccum(dst, a[:3], [][]int32{{0, 0, 0}, {0, 0, 0}}, rows)
+		GatherAccum(dst, a, []int32{0, 0}, [][]int32{{0}, {0}}, rows)
 	}); n != 0 {
 		t.Errorf("primitives allocate %v/op", n)
 	}

@@ -1,8 +1,8 @@
 package kernel
 
-// hasAVX2 selects StreamAccum's AVX2 body. It is set once at package
-// initialization from the CPU and OS feature bits; tests clear it to run
-// the portable body.
+// hasAVX2 selects the AVX2 bodies of StreamAccum and GatherAccum. It is
+// set once at package initialization from the CPU and OS feature bits;
+// tests clear it to run the portable bodies.
 var hasAVX2 bool
 
 // init sets hasAVX2. It is an init function, not an initializer
@@ -64,5 +64,35 @@ func StreamAccum(dst, vals []float64, idx [][]int32, facs [][]float64) {
 	}
 	if !streamAccumAVX2(dst, vals, idx, facs) {
 		panic("kernel: StreamAccum row index out of range")
+	}
+}
+
+// gatherAccumAVX2 is GatherAccum's AVX2 body (stream_amd64.s). It returns
+// false, possibly after updating some column blocks of dst, when a parent
+// row lies past the end of base or a row index puts a factor row past the
+// end of its factor. The caller has checked len(dst) ≥ 1 and, through
+// checkGather, the index arrays.
+//
+//go:noescape
+func gatherAccumAVX2(dst, base []float64, elems []int32, idx [][]int32, facs [][]float64) bool
+
+// GatherAccum writes
+// dst[j] += Σ_e base[elems[e]·R + j] · Π_k facs[k][idx[k][elems[e]]·R + j]
+// with R = len(dst); see gatherAccumGeneric for the contract. On a CPU with
+// AVX2 it runs an assembly body that is bit-identical to the portable one.
+// It panics on fewer index arrays than factors, on an index array shorter
+// than base's row count, and on a parent or row index outside its array,
+// and never reads past one.
+func GatherAccum(dst, base []float64, elems []int32, idx [][]int32, facs [][]float64) {
+	if len(dst) == 0 {
+		return
+	}
+	checkGather(len(dst), base, idx, facs)
+	if !hasAVX2 {
+		gatherAccumGeneric(dst, base, elems, idx, facs)
+		return
+	}
+	if !gatherAccumAVX2(dst, base, elems, idx, facs) {
+		panic("kernel: GatherAccum row index out of range")
 	}
 }

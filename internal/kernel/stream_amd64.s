@@ -12,13 +12,14 @@
 // broadcast value, Y5–Y8 (X5) the running product.
 
 // ROW leaves in R14 the address of factor m's data and in AX the byte
-// offset of row idx[m][e] at the current block, and jumps to fail unless
-// the block's end, end bytes past that offset, lies inside facs[m]. The
-// index is zero-extended: a negative int32 becomes a row past every factor
-// and fails the check.
-#define ROW(end) \
+// offset of row idx[m][i] at the current block, where i is held in
+// register ent (the nonzero e of streamAccumAVX2, the parent element pe of
+// gatherAccumAVX2), and jumps to fail unless the block's end, end bytes
+// past that offset, lies inside facs[m]. The index is zero-extended: a
+// negative int32 becomes a row past every factor and fails the check.
+#define ROW(ent, end) \
 	MOVQ    (BX)(R13*1), AX; \
-	MOVLQZX (AX)(R12*4), AX; \
+	MOVLQZX (AX)(ent*4), AX; \
 	IMULQ   R10, AX; \
 	ADDQ    R11, AX; \
 	LEAQ    end(AX), R14; \
@@ -56,7 +57,7 @@ nz16:
 	JEQ     store16
 	VBROADCASTSD (SI)(R12*8), Y4
 	XORQ    R13, R13
-	ROW(128)
+	ROW(R12, 128)
 	VMULPD  0(R14)(AX*1), Y4, Y5
 	VMULPD  32(R14)(AX*1), Y4, Y6
 	VMULPD  64(R14)(AX*1), Y4, Y7
@@ -66,7 +67,7 @@ nz16:
 fac16:
 	CMPQ    R13, R9
 	JEQ     add16
-	ROW(128)
+	ROW(R12, 128)
 	VMULPD  0(R14)(AX*1), Y5, Y5
 	VMULPD  32(R14)(AX*1), Y6, Y6
 	VMULPD  64(R14)(AX*1), Y7, Y7
@@ -102,14 +103,14 @@ nz4:
 	JEQ     store4
 	VBROADCASTSD (SI)(R12*8), Y4
 	XORQ    R13, R13
-	ROW(32)
+	ROW(R12, 32)
 	VMULPD  (R14)(AX*1), Y4, Y5
 	ADDQ    $24, R13
 
 fac4:
 	CMPQ    R13, R9
 	JEQ     add4
-	ROW(32)
+	ROW(R12, 32)
 	VMULPD  (R14)(AX*1), Y5, Y5
 	ADDQ    $24, R13
 	JMP     fac4
@@ -135,14 +136,14 @@ nz1:
 	JEQ     store1
 	VMOVSD  (SI)(R12*8), X4
 	XORQ    R13, R13
-	ROW(8)
+	ROW(R12, 8)
 	VMULSD  (R14)(AX*1), X4, X5
 	ADDQ    $24, R13
 
 fac1:
 	CMPQ    R13, R9
 	JEQ     add1
-	ROW(8)
+	ROW(R12, 8)
 	VMULSD  (R14)(AX*1), X5, X5
 	ADDQ    $24, R13
 	JMP     fac1
@@ -165,6 +166,165 @@ done:
 fail:
 	VZEROUPPER
 	MOVB    $0, ret+96(FP)
+	RET
+
+// Registers of gatherAccumAVX2, where they differ from streamAccumAVX2's:
+//
+//	SI   base		R12  address of elems[e]	CX   end of elems
+//	R15  parent element pe = elems[e]
+//
+// Y5–Y8 (X5 in the tail) start from the parent's row; Y4 is unused.
+
+// func gatherAccumAVX2(dst, base []float64, elems []int32, idx [][]int32, facs [][]float64) bool
+TEXT ·gatherAccumAVX2(SB), NOSPLIT, $0-121
+
+// PARENT loads the parent element elems[e] into R15, zero-extended, and
+// leaves in AX the byte offset of its row at the current block. It jumps
+// to fail unless the whole row, R·8 bytes from pe·R·8, lies inside base:
+// that also puts pe below base's row count, so the caller's index length
+// check covers the loads idx[k][pe]. It is defined inside the function
+// because it reads the argument base_len.
+#define PARENT \
+	MOVLQZX (R12), R15; \
+	MOVQ    R15, AX; \
+	IMULQ   R10, AX; \
+	LEAQ    (AX)(R10*1), R8; \
+	SHRQ    $3, R8; \
+	CMPQ    R8, base_len+32(FP); \
+	JHI     fail; \
+	ADDQ    R11, AX
+
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    dst_len+8(FP), R10
+	MOVQ    base_base+24(FP), SI
+	MOVQ    elems_base+48(FP), CX
+	MOVQ    elems_len+56(FP), R8
+	LEAQ    (CX)(R8*4), CX
+	MOVQ    idx_base+72(FP), BX
+	MOVQ    facs_base+96(FP), DX
+	MOVQ    facs_len+104(FP), R9
+	IMUL3Q  $24, R9, R9
+	SHLQ    $3, R10
+	XORQ    R11, R11
+
+block16:
+	LEAQ    128(R11), R8
+	CMPQ    R8, R10
+	JHI     block4
+	VMOVUPD 0(DI)(R11*1), Y0
+	VMOVUPD 32(DI)(R11*1), Y1
+	VMOVUPD 64(DI)(R11*1), Y2
+	VMOVUPD 96(DI)(R11*1), Y3
+	MOVQ    elems_base+48(FP), R12
+
+el16:
+	CMPQ    R12, CX
+	JEQ     store16
+	PARENT
+	VMOVUPD 0(SI)(AX*1), Y5
+	VMOVUPD 32(SI)(AX*1), Y6
+	VMOVUPD 64(SI)(AX*1), Y7
+	VMOVUPD 96(SI)(AX*1), Y8
+	XORQ    R13, R13
+
+fac16:
+	CMPQ    R13, R9
+	JEQ     add16
+	ROW(R15, 128)
+	VMULPD  0(R14)(AX*1), Y5, Y5
+	VMULPD  32(R14)(AX*1), Y6, Y6
+	VMULPD  64(R14)(AX*1), Y7, Y7
+	VMULPD  96(R14)(AX*1), Y8, Y8
+	ADDQ    $24, R13
+	JMP     fac16
+
+add16:
+	VADDPD  Y5, Y0, Y0
+	VADDPD  Y6, Y1, Y1
+	VADDPD  Y7, Y2, Y2
+	VADDPD  Y8, Y3, Y3
+	ADDQ    $4, R12
+	JMP     el16
+
+store16:
+	VMOVUPD Y0, 0(DI)(R11*1)
+	VMOVUPD Y1, 32(DI)(R11*1)
+	VMOVUPD Y2, 64(DI)(R11*1)
+	VMOVUPD Y3, 96(DI)(R11*1)
+	ADDQ    $128, R11
+	JMP     block16
+
+block4:
+	LEAQ    32(R11), R8
+	CMPQ    R8, R10
+	JHI     tail
+	VMOVUPD (DI)(R11*1), Y0
+	MOVQ    elems_base+48(FP), R12
+
+el4:
+	CMPQ    R12, CX
+	JEQ     store4
+	PARENT
+	VMOVUPD (SI)(AX*1), Y5
+	XORQ    R13, R13
+
+fac4:
+	CMPQ    R13, R9
+	JEQ     add4
+	ROW(R15, 32)
+	VMULPD  (R14)(AX*1), Y5, Y5
+	ADDQ    $24, R13
+	JMP     fac4
+
+add4:
+	VADDPD  Y5, Y0, Y0
+	ADDQ    $4, R12
+	JMP     el4
+
+store4:
+	VMOVUPD Y0, (DI)(R11*1)
+	ADDQ    $32, R11
+	JMP     block4
+
+tail:
+	CMPQ    R11, R10
+	JEQ     done
+	VMOVSD  (DI)(R11*1), X0
+	MOVQ    elems_base+48(FP), R12
+
+el1:
+	CMPQ    R12, CX
+	JEQ     store1
+	PARENT
+	VMOVSD  (SI)(AX*1), X5
+	XORQ    R13, R13
+
+fac1:
+	CMPQ    R13, R9
+	JEQ     add1
+	ROW(R15, 8)
+	VMULSD  (R14)(AX*1), X5, X5
+	ADDQ    $24, R13
+	JMP     fac1
+
+add1:
+	VADDSD  X5, X0, X0
+	ADDQ    $4, R12
+	JMP     el1
+
+store1:
+	VMOVSD  X0, (DI)(R11*1)
+	ADDQ    $8, R11
+	JMP     tail
+
+done:
+	VZEROUPPER
+	MOVB    $1, ret+120(FP)
+	RET
+
+fail:
+	VZEROUPPER
+	MOVB    $0, ret+120(FP)
 	RET
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

@@ -10,3 +10,14 @@ var hasAVX2 = false
 func StreamAccum(dst, vals []float64, idx [][]int32, facs [][]float64) {
 	streamAccumGeneric(dst, vals, idx, facs)
 }
+
+// GatherAccum writes
+// dst[j] += Σ_e base[elems[e]·R + j] · Π_k facs[k][idx[k][elems[e]]·R + j]
+// with R = len(dst); see gatherAccumGeneric for the contract.
+func GatherAccum(dst, base []float64, elems []int32, idx [][]int32, facs [][]float64) {
+	if len(dst) == 0 {
+		return
+	}
+	checkGather(len(dst), base, idx, facs)
+	gatherAccumGeneric(dst, base, elems, idx, facs)
+}

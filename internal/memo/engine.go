@@ -42,8 +42,9 @@ type Engine struct {
 
 	// Per-worker scratch for the kernels, sized workers × maxDelta at
 	// construction so the numeric phase allocates nothing: factor rows for
-	// the fused Hadamard-accumulate kernel, index slices for the streamed
-	// one.
+	// the fused Hadamard-accumulate kernel, which serves only the root's
+	// children the engine does not stream, and index slices for the
+	// streamed one.
 	rowsBuf [][][]float64
 	idxBuf  [][][]tensor.Index
 	// Call-scoped compute inputs plus a method value bound once at
@@ -111,7 +112,10 @@ type Config struct {
 	// read every nonzero run sequentially. It costs
 	// parentElems·(8 + 4·|δ| − 4) extra index bytes per such child and
 	// carries the cost model's decision (model.Plan.Stream); without it,
-	// and always for leaves, root children gather through redElems.
+	// and always for leaves, root children gather their factor rows through
+	// redElems, one nonzero at a time. Deeper nodes are not streamed: they
+	// run the gathered kernel (kernel.GatherAccum) over their parent's
+	// cached rows.
 	StreamRoot bool
 	// Accum is the output-accumulation policy for the leaf contraction
 	// (LockFree is forced on — the scatter baseline here takes no locks).
@@ -419,11 +423,12 @@ func (e *Engine) runChunk(worker, lo, hi int) {
 // reduceInto accumulates t's reduction entries [a, b), which all belong to
 // one element of t, into out. A streamed child of the root hands the whole
 // run to the streamed kernel: values and delta indices are contiguous in
-// reduction order. Otherwise each entry is gathered through redElems, and
-// its factor rows multiply the nonzero value (a child of the root whose
-// stream bytes the cost model declined) or the parent element's cached
-// R-row (deeper nodes). Every path adds the entries in reduction order with
-// the same association, so both layouts give the same bits.
+// reduction order. A deeper node hands it to the gathered kernel, which
+// reads each entry's parent element through redElems and multiplies the
+// parent's cached R-row by its factor rows. A child of the root whose
+// stream bytes the cost model declined gathers each entry's factor rows
+// and multiplies the nonzero value. Every path adds the entries in
+// reduction order with the same association, so all give the same bits.
 func (e *Engine) reduceInto(worker int, t *node, out []float64, a, b int64) {
 	p := t.parent
 	if t.sVals != nil {
@@ -434,29 +439,19 @@ func (e *Engine) reduceInto(worker int, t *node, out []float64, a, b int64) {
 		kernel.StreamAccum(out, t.sVals[a:b], idx, t.facData)
 		return
 	}
-	rows := e.rowsBuf[worker][:len(t.delta)]
-	if p.parent == nil {
-		vals := e.x.Vals
-		for ei := a; ei < b; ei++ {
-			pe := int(t.redElems[ei])
-			gatherRows(t, rows, pe, len(out))
-			kernel.HadamardAccum(out, vals[pe], rows)
-		}
+	if p.parent != nil {
+		kernel.GatherAccum(out, p.vals.Data, t.redElems[a:b], t.deltaIdx, t.facData)
 		return
 	}
+	rows := e.rowsBuf[worker][:len(t.delta)]
+	vals := e.x.Vals
 	for ei := a; ei < b; ei++ {
 		pe := int(t.redElems[ei])
-		gatherRows(t, rows, pe, len(out))
-		kernel.HadamardAccumVec(out, p.vals.Row(pe), rows)
-	}
-}
-
-// gatherRows points rows[k] at the factor row of delta mode k that parent
-// element pe indexes.
-func gatherRows(t *node, rows [][]float64, pe, r int) {
-	for k := range rows {
-		o := int(t.deltaIdx[k][pe]) * r
-		rows[k] = t.facData[k][o : o+r]
+		for k := range rows {
+			o := int(t.deltaIdx[k][pe]) * len(out)
+			rows[k] = t.facData[k][o : o+len(out)]
+		}
+		kernel.HadamardAccum(out, vals[pe], rows)
 	}
 }
 
