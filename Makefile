@@ -82,6 +82,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 30s ./internal/perf/
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamAccum$$' -fuzztime 30s ./internal/kernel/
 	$(GO) test -run '^$$' -fuzz '^FuzzGatherAccum$$' -fuzztime 30s ./internal/kernel/
+	$(GO) test -run '^$$' -fuzz '^FuzzScatterAccum$$' -fuzztime 30s ./internal/kernel/
 
 experiments:
 	$(GO) run ./cmd/adabench

@@ -10,8 +10,12 @@ import (
 
 // BenchmarkCOOMTTKRP times one ALS-pattern sweep (an MTTKRP into every
 // mode) of the single-worker COO engine at R = 16 over tensor orders 3–8,
-// i.e. 2–7 factor rows per nonzero: orders 3–5 run the fused kernel bodies
-// and orders 6–8 the blocked path. Run it on one core:
+// i.e. 2–7 factor rows per nonzero. At one worker the model resolves every
+// mode of these tensors to the privatized output, so each MTTKRP is one
+// kernel.ScatterAccum call over every nonzero: on a CPU with AVX2 its
+// assembly body at every order; otherwise the fused two- to four-row
+// bodies at orders 3–5 and the blocked path at orders 6–8. Run it on one
+// core:
 //
 //	go test -run '^$' -bench COOMTTKRP -cpu 1 ./internal/coo/
 func BenchmarkCOOMTTKRP(b *testing.B) {

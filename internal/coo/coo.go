@@ -3,7 +3,9 @@
 // accumulated into the output row selected by the target-mode index. This is
 // the algorithm used by coordinate-format tensor libraries (Tensor Toolbox
 // style) and is the "no reuse, no compression" end of the design space the
-// paper improves on: N·(N−1)·R·nnz multiply–adds per ALS iteration.
+// paper improves on: N·(N−1)·R·nnz multiply–adds per ALS iteration. The
+// stream runs on kernel.ScatterAccum, whose AVX2 body takes a whole chunk
+// of nonzeros per call.
 package coo
 
 import (
@@ -23,12 +25,14 @@ type Engine struct {
 	x       *tensor.COO
 	workers int
 	stripes *par.Stripes
-	// rowsBuf holds per-worker scratch for the N−1 factor rows a nonzero
-	// gathers, sized at construction so the kernel allocates nothing.
-	rowsBuf [][][]float64
-	res     *accum.Resolver
-	pool    *accum.Pool
-	ctr     engine.Counters
+	// idxBuf holds per-worker slice headers for the N−1 non-target index
+	// columns, cut to the worker's chunk (or, under the stripe lock, to one
+	// nonzero) before each kernel call; sized at construction so the
+	// kernel allocates nothing.
+	idxBuf [][][]int32
+	res    *accum.Resolver
+	pool   *accum.Pool
+	ctr    engine.Counters
 	// body is the bound worker body (allocated once so MTTKRP passes a stored
 	// func value, not a per-call closure — the zero-alloc steady state); the
 	// cur* fields are its call-scoped inputs, set before the parallel region
@@ -38,11 +42,18 @@ type Engine struct {
 	curOut  *dense.Matrix
 	curPool *accum.Pool
 	// curInds and curData hold the non-target modes' index columns and
-	// factor data in mode order, so the per-nonzero gather reaches each row
-	// in one step.
+	// factor data in mode order: the kernel's index arrays (once cut to a
+	// chunk) and factors.
 	curInds [][]tensor.Index
 	curData [][]float64
 }
+
+// idxPad is the number of unused slice headers (72 bytes) on each side of
+// a worker's idxBuf headers, so no other allocation shares a 64-byte cache
+// line with them. The striped-lock path rewrites them per nonzero, and with
+// two workers' headers in one line that false sharing made the two-worker
+// scatter about three times slower (BenchmarkMTTKRPAccum long256k).
+const idxPad = 3
 
 // New builds a COO engine over x. workers <= 0 selects GOMAXPROCS. The
 // accumulation backend is model-resolved per mode (accum.Auto).
@@ -59,14 +70,15 @@ func NewWithAccum(x *tensor.COO, workers int, cfg accum.Config) *Engine {
 	e := &Engine{
 		x:       x,
 		workers: workers,
-		rowsBuf: make([][][]float64, w),
+		idxBuf:  make([][][]int32, w),
 		res:     accum.NewResolver(x.Order(), cfg),
 		pool:    accum.NewPool(w),
 		curInds: make([][]tensor.Index, max(x.Order()-1, 0)),
 		curData: make([][]float64, max(x.Order()-1, 0)),
 	}
-	for i := range e.rowsBuf {
-		e.rowsBuf[i] = make([][]float64, len(e.curData))
+	for i := range e.idxBuf {
+		n := len(e.curData)
+		e.idxBuf[i] = make([][]int32, n+2*idxPad)[idxPad : idxPad+n : idxPad+n]
 	}
 	e.body = e.runChunk
 	return e
@@ -90,7 +102,7 @@ func (e *Engine) ResetStats() { e.ctr.Reset() }
 
 // Instrument implements engine.Instrumentable. The COO kernel splits
 // nonzeros evenly across workers, so its chunk-imbalance gauge is the
-// definitional 1.0, and it streams each nonzero through the fused kernel
+// definitional 1.0, and it streams each chunk through the scattered kernel
 // with no scratch arena, so its arena series are the definitional 0 — all
 // exported anyway so dashboards see every engine on the same axis.
 func (e *Engine) Instrument(_ *obs.Tracer, reg *obs.Registry) {
@@ -147,33 +159,33 @@ func (e *Engine) MTTKRP(mode int, factors []*dense.Matrix, out *dense.Matrix) er
 	return nil
 }
 
-// runChunk streams nonzeros [lo, hi) through the fused Hadamard kernel:
-// each nonzero gathers its N−1 non-target factor rows, and one pass over R
-// multiplies them with the value and accumulates the product into the
-// output row — the privatized copy when curPool is set, the shared output
-// under its stripe lock otherwise.
+// runChunk streams nonzeros [lo, hi) through the scattered kernel: for
+// each nonzero, the value times its N−1 non-target factor rows is added to
+// its output row in one pass over R (kernel.ScatterAccum). On the
+// privatized path (curPool set) one call covers the whole chunk, into the
+// worker's private copy; on the shared output each nonzero is one call
+// under its row's stripe lock.
 func (e *Engine) runChunk(worker, lo, hi int) {
 	x := e.x
 	out, inds, data := e.curOut, e.curInds, e.curData
 	r := out.Cols
 	target := x.Inds[e.curMode]
-	stripes := e.stripes
-	rows := e.rowsBuf[worker]
-	var priv *dense.Matrix
+	idx := e.idxBuf[worker]
 	if e.curPool != nil {
-		priv = e.curPool.Acquire(worker)
-	}
-	for k := lo; k < hi; k++ {
 		for g, ind := range inds {
-			j := int(ind[k]) * r
-			rows[g] = data[g][j : j+r]
+			idx[g] = ind[lo:hi]
 		}
-		i := target[k]
-		if priv != nil {
-			kernel.HadamardAccum(priv.Row(int(i)), x.Vals[k], rows)
-		} else {
+		priv := e.curPool.Acquire(worker)
+		kernel.ScatterAccum(priv.Data, r, target[lo:hi], x.Vals[lo:hi], idx, data)
+	} else {
+		stripes := e.stripes
+		for k := lo; k < hi; k++ {
+			for g, ind := range inds {
+				idx[g] = ind[k : k+1]
+			}
+			i := target[k]
 			stripes.Lock(i)
-			kernel.HadamardAccum(out.Row(int(i)), x.Vals[k], rows)
+			kernel.ScatterAccum(out.Data, r, target[k:k+1], x.Vals[k:k+1], idx, data)
 			stripes.Unlock(i)
 		}
 	}

@@ -300,3 +300,63 @@ func BenchmarkKernelGatherAccum(b *testing.B) {
 		}
 	}
 }
+
+// scatterBench is one COO chunk's input: nnz nonzeros of an order-(k+1)
+// tensor, k factors of 2048 rows at rank r, and random targets and row
+// indices, the last into factors of 2048 rows.
+type scatterBench struct {
+	out, vals []float64
+	target    []int32
+	idx       [][]int32
+	facs      [][]float64
+}
+
+func newScatterBench(r, k, nnz int) *scatterBench {
+	rng := rand.New(rand.NewSource(int64(100*k + r)))
+	const rows = 2048
+	sb := &scatterBench{out: make([]float64, rows*r), vals: randVec(nnz, rng),
+		target: make([]int32, nnz), idx: make([][]int32, k), facs: make([][]float64, k)}
+	for e := range sb.target {
+		sb.target[e] = int32(rng.Intn(rows))
+	}
+	for m := range sb.facs {
+		sb.facs[m] = randVec(rows*r, rng)
+		sb.idx[m] = make([]int32, nnz)
+		for e := range sb.idx[m] {
+			sb.idx[m][e] = int32(rng.Intn(rows))
+		}
+	}
+	return sb
+}
+
+// BenchmarkKernelScatterAccum compares the scattered kernel as dispatched
+// (scattered: the AVX2 body on a CPU with AVX2), its portable body, and
+// the per-nonzero loop the COO engine ran before it (per-nonzero), over
+// one chunk of 16k nonzeros at tensor orders 3–8 (2–7 factors) and
+// R = 8, 16, 17 and 32. Run with -cpu 1.
+func BenchmarkKernelScatterAccum(b *testing.B) {
+	const nnz = 1 << 14
+	for order := 3; order <= 8; order++ {
+		for _, r := range []int{8, 16, 17, 32} {
+			sb := newScatterBench(r, order-1, nnz)
+			rows := make([][]float64, order-1)
+			for _, body := range []struct {
+				name string
+				fn   func(out []float64, r int, target []int32, vals []float64, idx [][]int32, facs [][]float64)
+			}{
+				{"scattered", ScatterAccum},
+				{"portable", scatterAccumGeneric},
+				{"per-nonzero", func(out []float64, r int, target []int32, vals []float64, idx [][]int32, facs [][]float64) {
+					perNonzeroScatter(out, r, target, vals, idx, facs, rows)
+				}},
+			} {
+				b.Run(fmt.Sprintf("order%d/r%d/%s", order, r, body.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						body.fn(sb.out, r, sb.target, sb.vals, sb.idx, sb.facs)
+					}
+				})
+			}
+		}
+	}
+}

@@ -1,10 +1,13 @@
 package kernel
 
 // The fused Hadamard-accumulate kernels are the inner loop of every sparse
-// MTTKRP engine: one nonzero's value (HadamardAccum, StreamAccum) or one
-// parent element's cached R-row (GatherAccum) is multiplied by k factor
-// rows and the product is accumulated into an output row in a single pass
-// over the rank dimension, with no temporary R-vector.
+// MTTKRP engine: one nonzero's value (HadamardAccum, StreamAccum,
+// ScatterAccum) or one parent element's cached R-row (GatherAccum) is
+// multiplied by k factor rows and the product is accumulated into an
+// output row in a single pass over the rank dimension, with no temporary
+// R-vector. StreamAccum sums a group of nonzeros into one row, GatherAccum
+// a run of parent rows into one row, and ScatterAccum adds each nonzero of
+// a chunk into its own target row.
 //
 // Association. The product associates strictly left to right, ((v·a)·b)·c…,
 // and is added to dst once at the end. That is the order of the unfused
@@ -22,30 +25,36 @@ package kernel
 //
 // Shape. One to four rows run 4-wide unrolled bodies; four rows also have
 // a fixed-size body at R = 16, the rank of the order-5 benchmark workload,
-// where it is measured faster. More rows (tensor order ≥ 6) are folded four
-// at a time into a stack-local block of the running product
-// (hadamardBlocked): a single loop with an inner loop over the rows for
-// each j is markedly slower than the chain it replaces.
+// where it measured faster when that workload ran it (on a CPU with AVX2
+// it now runs ScatterAccum's assembly body instead). More rows (tensor
+// order ≥ 6) are folded four at a time into a stack-local block of the
+// running product (hadamardBlocked): a single loop with an inner loop over
+// the rows for each j is markedly slower than the chain it replaces.
 //
-// StreamAccum and GatherAccum each have two bodies. The portable ones
-// (streamAccumGeneric, gatherAccumGeneric) take the columns in blocks of
-// 8, then 4, then one at a time. On amd64, when CPUID reports AVX2 and
-// XCR0 shows the OS saving the YMM state (hasAVX2, set once at package
-// initialization), an assembly body runs instead (stream_amd64.s): blocks
-// of 16 columns in four YMM accumulators, loaded from dst once per block
-// and stored once, then blocks of 4, then a scalar tail. Per entry it
-// starts the running product from the broadcast value times the first
-// factor's row (StreamAccum) or from the parent's row (GatherAccum),
-// multiplies it by each further row in k order (VMULPD), and adds the
+// StreamAccum, GatherAccum and ScatterAccum each have two bodies. The
+// portable streamAccumGeneric takes the columns in blocks of 8, then 4,
+// then one at a time, with the accumulators in locals across the group;
+// gatherAccumGeneric and scatterAccumGeneric run one entry or nonzero at a
+// time through the fused chain of its row count. On amd64, when CPUID
+// reports AVX2 and XCR0 shows the OS saving the YMM state (hasAVX2, set
+// once at package initialization), an assembly body runs instead
+// (stream_amd64.s): blocks of 16 columns in four YMM registers, then
+// blocks of 4, then a scalar tail. StreamAccum and GatherAccum keep the
+// block's accumulators in registers across the group or run, loaded from
+// dst once per block and stored once; ScatterAccum loads and stores each
+// nonzero's target block, since consecutive nonzeros target different
+// rows. Per entry the body starts the running product from the broadcast
+// value (StreamAccum, ScatterAccum) or from the parent's row (GatherAccum),
+// multiplies it by each factor row in k order (VMULPD), and adds the
 // product once (VADDPD). Each lane thus does for its column exactly the
 // IEEE multiplies and add of the portable body, in the same order and with
 // no fused multiply-add, so the two bodies agree bit for bit. Bounds: the
 // Go wrappers check the factor and index counts and the index lengths; the
 // assembly checks every factor row, idx·R·8 + blockEnd ≤ len(facs[k])·8,
-// and every parent row whole, pe·R·8 + R·8 ≤ len(base)·8, with each index
-// loaded zero-extended, so a negative index becomes a huge row and fails
-// the check instead of reading before the array. A failed check returns
-// false, and the wrapper panics as the portable body would.
+// and every parent or target row whole, i·R·8 + R·8 ≤ len(base or out)·8,
+// with each index loaded zero-extended, so a negative index becomes a huge
+// row and fails the check instead of reading before the array. A failed
+// check returns false, and the wrapper panics as the portable body would.
 
 // HadamardAccum writes dst[j] += v · Π_k rows[k][j] in one pass: the
 // broadcast of the scalar, the k Hadamard multiplies, and the accumulation
@@ -285,13 +294,48 @@ func streamAccumGeneric(dst, vals []float64, idx [][]int32, facs [][]float64) {
 // idx[k] holds the parent elements' row indices into facs[k]. facs may be
 // empty, which sums the parent rows.
 //
-// It is the gathered form of dst += base-row · Π_k factor-rows, one entry
-// at a time through FMAInto or a fused four-row body, and it is
-// bit-identical to that loop: every term associates ((b·a)·c)… left to
-// right and is then added once, in entry order. The loop nest is
-// streamAccumGeneric's: per block of columns the accumulators and running
-// products stay in local variables across the whole run.
+// At zero to four factors it runs one entry at a time: the parent's row
+// times the factor rows is added into dst by the fused chain of that many
+// rows (AddInto, FMAInto, accumVec2–4), with each entry's parent and row
+// offsets computed once. Every row is sliced with its array's length as the
+// capacity bound. Above four factors gatherAccumBlocked runs. Both
+// associate every term ((b·a)·c)… left to right and add it once, in entry
+// order, so they are bit-identical to each other and to the unfused chain.
 func gatherAccumGeneric(dst, base []float64, elems []int32, idx [][]int32, facs [][]float64) {
+	if len(facs) > 4 {
+		gatherAccumBlocked(dst, base, elems, idx, facs)
+		return
+	}
+	r := len(dst)
+	row := func(m int, pe int32) []float64 {
+		o := int(idx[m][pe]) * r
+		return facs[m][o : o+r : len(facs[m])]
+	}
+	for _, pe := range elems {
+		o := int(pe) * r
+		b := base[o : o+r : len(base)]
+		switch len(facs) {
+		case 0:
+			AddInto(dst, b)
+		case 1:
+			FMAInto(dst, b, row(0, pe))
+		case 2:
+			accumVec2(dst, b, row(0, pe), row(1, pe))
+		case 3:
+			accumVec3(dst, b, row(0, pe), row(1, pe), row(2, pe))
+		case 4:
+			accumVec4(dst, b, row(0, pe), row(1, pe), row(2, pe), row(3, pe))
+		}
+	}
+}
+
+// gatherAccumBlocked is gatherAccumGeneric's body above four factors. Its
+// loop nest is streamAccumGeneric's: per block of 8, then 4, then one
+// column, the accumulators and running products stay in local variables
+// across the whole run. (At four factors and fewer the per-entry chain
+// measured faster at every R from 8 to 32: each block reloads every
+// entry's parent and row indices.)
+func gatherAccumBlocked(dst, base []float64, elems []int32, idx [][]int32, facs [][]float64) {
 	r := len(dst)
 	j := 0
 	for ; j+8 <= r; j += 8 {
@@ -348,6 +392,98 @@ func checkGather(r int, base []float64, idx [][]int32, facs [][]float64) {
 	for k := range facs {
 		if len(idx[k]) < len(base)/r {
 			panic("kernel: GatherAccum index array shorter than base's rows")
+		}
+	}
+}
+
+// scatterAccumGeneric is ScatterAccum's portable body, and the reference
+// for its AVX2 body. It writes
+// out[target[e]·R + j] += vals[e] · Π_k facs[k][idx[k][e]·R + j]
+// for each nonzero e in order: one HadamardAccum per nonzero, on the
+// nonzero's target row of out and its factor rows. out and every facs[k]
+// are row-major with row stride R = r, target holds the nonzeros' output
+// rows and idx[k] their row indices into facs[k]. facs may be empty, which
+// adds each value to its target row.
+//
+// HadamardAccum's dispatch on the row count is taken once per call, not
+// per nonzero, so at one to four factors the rows go straight to the fused
+// body as slices, with no row-slice array in between (scatterAccumBlocked
+// takes more factors); the bodies and so the bits are HadamardAccum's.
+// Every row is sliced with len(out) or len(facs[k]) as its capacity bound,
+// so a row past the length panics even where the capacity would hold it.
+func scatterAccumGeneric(out []float64, r int, target []int32, vals []float64, idx [][]int32, facs [][]float64) {
+	if len(facs) > 4 {
+		scatterAccumBlocked(out, r, target, vals, idx, facs)
+		return
+	}
+	row := func(k, e int) []float64 {
+		o := int(idx[k][e]) * r
+		return facs[k][o : o+r : len(facs[k])]
+	}
+	for e, v := range vals {
+		t := int(target[e]) * r
+		dst := out[t : t+r : len(out)]
+		switch len(facs) {
+		case 0:
+			for j := range dst {
+				dst[j] += v
+			}
+		case 1:
+			Axpy(dst, v, row(0, e))
+		case 2:
+			accum2(dst, v, row(0, e), row(1, e))
+		case 3:
+			accum3(dst, v, row(0, e), row(1, e), row(2, e))
+		case 4:
+			accum4(dst, v, row(0, e), row(1, e), row(2, e), row(3, e))
+		}
+	}
+}
+
+// scatterRows is the number of factors whose row slices
+// scatterAccumBlocked gathers into a stack array; more (tensor order above
+// scatterRows+1) take a heap slice per call.
+const scatterRows = 16
+
+// scatterAccumBlocked is scatterAccumGeneric's body above four factors:
+// per nonzero it points a row slice per factor at the factor rows and runs
+// hadamardBlocked on them.
+func scatterAccumBlocked(out []float64, r int, target []int32, vals []float64, idx [][]int32, facs [][]float64) {
+	var buf [scatterRows][]float64
+	var rows [][]float64
+	if len(facs) <= len(buf) {
+		rows = buf[:len(facs)]
+	} else {
+		rows = make([][]float64, len(facs))
+	}
+	for e, v := range vals {
+		for k, fac := range facs {
+			o := int(idx[k][e]) * r
+			rows[k] = fac[o : o+r : len(fac)]
+		}
+		t := int(target[e]) * r
+		hadamardBlocked(out[t:t+r:len(out)], v, rows)
+	}
+}
+
+// checkScatter panics unless ScatterAccum has R ≥ 0, one index array per
+// factor, and a target and a row index in each factor for every value. It
+// also rejects R past len(out) when there is a nonzero, whose target row
+// could then not fit; that bounds R·8 for the AVX2 body's row offsets.
+// Both bodies run behind it, so they reject the same inputs.
+func checkScatter(out []float64, r int, target []int32, vals []float64, idx [][]int32, facs [][]float64) {
+	if r < 0 || r > len(out) && len(vals) > 0 {
+		panic("kernel: ScatterAccum target row out of range")
+	}
+	if len(target) < len(vals) {
+		panic("kernel: ScatterAccum target array shorter than vals")
+	}
+	if len(idx) < len(facs) {
+		panic("kernel: ScatterAccum needs one index array per factor")
+	}
+	for k := range facs {
+		if len(idx[k]) < len(vals) {
+			panic("kernel: ScatterAccum index array shorter than vals")
 		}
 	}
 }

@@ -632,6 +632,242 @@ func FuzzGatherAccum(f *testing.F) {
 	})
 }
 
+// scatterAccumWith runs ScatterAccum with its AVX2 body selected (avx,
+// which only a CPU with AVX2 may ask for) or the portable one, and reports
+// whether it panicked.
+func scatterAccumWith(avx bool, out []float64, r int, target []int32, vals []float64, idx [][]int32, facs [][]float64) (panicked bool) {
+	saved := hasAVX2
+	hasAVX2 = avx
+	defer func() {
+		hasAVX2 = saved
+		panicked = recover() != nil
+	}()
+	ScatterAccum(out, r, target, vals, idx, facs)
+	return false
+}
+
+// perNonzeroScatter is the loop ScatterAccum replaced in the COO engine,
+// kept as the tests' and the benchmark's reference: per nonzero, point rows
+// at its factor rows, then run one HadamardAccum on its target row of out.
+func perNonzeroScatter(out []float64, r int, target []int32, vals []float64, idx [][]int32, facs, rows [][]float64) {
+	for e, v := range vals {
+		for k := range rows {
+			o := int(idx[k][e]) * r
+			rows[k] = facs[k][o : o+r]
+		}
+		t := int(target[e]) * r
+		HadamardAccum(out[t:t+r], v, rows)
+	}
+}
+
+// TestScatterAccum pins both bodies of the scattered kernel bit for bit to
+// one HadamardAccum call per nonzero, in nonzero order, at 0–6 factors and
+// chunks of 0–9 nonzeros, whose targets are drawn from 3 output rows (so
+// they repeat) or are distinct: every length of chainLengths covers the
+// AVX2 body's 16- and 4-column blocks and scalar tail, with signed zeros
+// and extremes in the values, the factors and out.
+func TestScatterAccum(t *testing.T) {
+	for _, avx := range streamBodies(t) {
+		rng := rand.New(rand.NewSource(10))
+		for _, n := range chainLengths {
+			for k := 0; k <= 6; k++ {
+				for trial := 0; trial < 10; trial++ {
+					const rows = 5
+					nnz := rng.Intn(10)
+					outRows := 3
+					target := make([]int32, nnz)
+					distinct := trial%2 == 1
+					if distinct {
+						outRows = 12
+						for e, t := range rng.Perm(outRows)[:nnz] {
+							target[e] = int32(t)
+						}
+					} else {
+						for e := range target {
+							target[e] = int32(rng.Intn(outRows))
+						}
+					}
+					facs := make([][]float64, k)
+					idx := make([][]int32, k)
+					for m := range facs {
+						facs[m] = randSpecialVec(rows*n, rng)
+						idx[m] = make([]int32, nnz)
+						for e := range idx[m] {
+							idx[m][e] = int32(rng.Intn(rows))
+						}
+					}
+					vals := randSpecialVec(nnz, rng)
+					got := randSpecialVec(outRows*n, rng)
+					want := append([]float64(nil), got...)
+					if scatterAccumWith(avx, got, n, target, vals, idx, facs) {
+						t.Fatalf("%s n=%d k=%d nnz=%d: panicked on valid input", bodyName(avx), n, k, nnz)
+					}
+					perNonzeroScatter(want, n, target, vals, idx, facs, make([][]float64, k))
+					for j := range got {
+						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+							t.Fatalf("%s n=%d k=%d nnz=%d distinct=%v: [%d] = %v, per-nonzero loop gives %v",
+								bodyName(avx), n, k, nnz, distinct, j, got[j], want[j])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestScatterAccumBounds requires both bodies to panic, not to read or
+// write stray memory, in each kind of column block (R = 1, 4 and 16 run
+// only the scalar tail, only 4-column blocks and only 16-column blocks;
+// R = 21 runs all three): on a target of −1, of the most negative int32,
+// equal to out's row count, or naming a row that out holds only in part;
+// on a target array shorter than vals; and, in the first and the last
+// factor, on a row index of −1, of the most negative int32 or equal to the
+// factor's row count, and on an index array shorter than vals.
+func TestScatterAccumBounds(t *testing.T) {
+	const outRows, rows = 3, 2
+	for _, avx := range streamBodies(t) {
+		for _, r := range []int{1, 4, 16, 21} {
+			for _, k := range []int{1, 3} {
+				for _, m := range []int{0, k - 1} {
+					type input struct {
+						out    []float64
+						target []int32
+						idx    [][]int32
+					}
+					cases := map[string]func(in *input){
+						"target -1":       func(in *input) { in.target[1] = -1 },
+						"target MinInt32": func(in *input) { in.target[1] = math.MinInt32 },
+						"target = rows":   func(in *input) { in.target[1] = outRows },
+						"target partial": func(in *input) {
+							in.out = append(in.out, make([]float64, r-1)...)
+							in.target[1] = outRows
+						},
+						"short target":   func(in *input) { in.target = in.target[:2] },
+						"index -1":       func(in *input) { in.idx[m][1] = -1 },
+						"index MinInt32": func(in *input) { in.idx[m][1] = math.MinInt32 },
+						"index = rows":   func(in *input) { in.idx[m][1] = rows },
+						"short index":    func(in *input) { in.idx[m] = in.idx[m][:2] },
+					}
+					for name, corrupt := range cases {
+						in := input{out: make([]float64, outRows*r), target: []int32{0, 2, 1}}
+						facs := make([][]float64, k)
+						in.idx = make([][]int32, k)
+						for f := range facs {
+							facs[f] = make([]float64, rows*r)
+							in.idx[f] = []int32{0, 1, 1}
+						}
+						corrupt(&in)
+						if !scatterAccumWith(avx, in.out, r, in.target, []float64{1, 2, 3}, in.idx, facs) {
+							t.Errorf("%s R=%d k=%d factor %d, %s: no panic", bodyName(avx), r, k, m, name)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzScatterAccum draws R, the factor count (zero included), the chunk
+// size, the output and factor row counts, values, factors and out
+// (infinities, signed zeros, subnormals and extremes included), and the
+// targets and row indices (some negative or past the last row, some arrays
+// short, some outputs with a partial last row) from the input, and
+// requires both bodies to give the same bits or both to panic. It skips on
+// a CPU without AVX2. NaN arises only from the arithmetic, as in
+// FuzzStreamAccum.
+func FuzzScatterAccum(f *testing.F) {
+	f.Add(uint32(16|1<<8|5<<16|3<<24), []byte{1, 2, 3, 250, 40, 7})
+	f.Add(uint32(21|2<<8|9<<16|2<<24), []byte{0, 3, 9, 200, 33, 17, 64, 128})
+	f.Add(uint32(64|4<<8|11<<16|1<<24), []byte{255, 254, 5})
+	f.Add(uint32(7|0<<8|4<<16|0xb<<24), []byte{252, 6, 1, 253})
+	f.Fuzz(func(t *testing.T, shape uint32, data []byte) {
+		if !hasAVX2 {
+			t.Skip("no AVX2 on this CPU or OS: there is one body")
+		}
+		special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+			5e-324, -math.MaxFloat64, 1e300, 1e-300}
+		pos := 0
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[pos%len(data)]
+			pos++
+			return b
+		}
+		value := func() float64 {
+			b := next()
+			if int(b) < len(special) {
+				return special[b]
+			}
+			return float64(int8(b)) / 7
+		}
+		// index draws a row index below n, or now and then −1, n or the
+		// most negative int32.
+		index := func(n int) int32 {
+			switch b := next(); b {
+			case 255:
+				return -1
+			case 254:
+				return int32(n)
+			case 252:
+				return math.MinInt32
+			default:
+				return int32(int(b) % n)
+			}
+		}
+		// indices draws nnz indices below n, or now and then fewer.
+		indices := func(nnz, n int) []int32 {
+			if next() == 253 && nnz > 0 {
+				nnz = int(next()) % nnz
+			}
+			s := make([]int32, nnz)
+			for e := range s {
+				s[e] = index(n)
+			}
+			return s
+		}
+		r := int(shape % 70)
+		k := int(shape >> 8 % 6)
+		nnz := int(shape >> 16 % 12)
+		outRows := 1 + int(shape>>24%4)
+		rows := 1 + int(shape>>26%4)
+		out := make([]float64, outRows*r+int(shape>>28%2)*max(r-1, 0))
+		for j := range out {
+			out[j] = value()
+		}
+		facs := make([][]float64, k)
+		idx := make([][]int32, k)
+		for m := range facs {
+			facs[m] = make([]float64, rows*r)
+			for j := range facs[m] {
+				facs[m][j] = value()
+			}
+			idx[m] = indices(nnz, rows)
+		}
+		target := indices(nnz, outRows)
+		vals := make([]float64, nnz)
+		for e := range vals {
+			vals[e] = value()
+		}
+		port := append([]float64(nil), out...)
+		pAVX := scatterAccumWith(true, out, r, target, vals, idx, facs)
+		pPort := scatterAccumWith(false, port, r, target, vals, idx, facs)
+		if pAVX != pPort {
+			t.Fatalf("R=%d k=%d nnz=%d: avx2 panicked %v, portable panicked %v", r, k, nnz, pAVX, pPort)
+		}
+		if pAVX {
+			return
+		}
+		for j := range out {
+			if math.Float64bits(out[j]) != math.Float64bits(port[j]) {
+				t.Fatalf("R=%d k=%d nnz=%d: [%d] avx2 %v (%#x), portable %v (%#x)", r, k, nnz, j,
+					out[j], math.Float64bits(out[j]), port[j], math.Float64bits(port[j]))
+			}
+		}
+	})
+}
+
 func TestArena(t *testing.T) {
 	a := NewArena(3, 2)
 	if a.Workers() != 3 {

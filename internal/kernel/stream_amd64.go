@@ -1,15 +1,19 @@
 package kernel
 
-// hasAVX2 selects the AVX2 bodies of StreamAccum and GatherAccum. It is
-// set once at package initialization from the CPU and OS feature bits;
-// tests clear it to run the portable bodies.
+// hasAVX2 selects the AVX2 bodies of StreamAccum, GatherAccum and
+// ScatterAccum. It is set once at package initialization from the CPU and
+// OS feature bits; tests clear it to run the portable bodies.
 var hasAVX2 bool
 
 // init sets hasAVX2. It is an init function, not an initializer
 // expression: an initializer makes the compiler emit a package init
 // function ahead of the package's other code, which moves every kernel by
-// 32 bytes, and dist-order5's four-row body measured about 5 % slower at
-// that offset.
+// 32 bytes. The choice was made when dist-order5 ran the four-row Go body
+// (accum4), which measured about 5 % slower at that offset. Both benchmark
+// workloads now run assembly bodies (dist-order5 scatterAccumAVX2,
+// memo-zipf4 streamAccumAVX2 and gatherAccumAVX2), and what the init
+// keeps is the layout those were measured at: moving code by 32 bytes has
+// shifted either workload's decompose time by 5–10 % before.
 func init() { hasAVX2 = detectAVX2() }
 
 // detectAVX2 reports whether the CPU implements AVX2 and the OS saves the
@@ -94,5 +98,32 @@ func GatherAccum(dst, base []float64, elems []int32, idx [][]int32, facs [][]flo
 	}
 	if !gatherAccumAVX2(dst, base, elems, idx, facs) {
 		panic("kernel: GatherAccum row index out of range")
+	}
+}
+
+// scatterAccumAVX2 is ScatterAccum's AVX2 body (stream_amd64.s). It returns
+// false, possibly after updating the rows of earlier nonzeros and some
+// column blocks of the current one, when a target row lies past the end of
+// out or a row index puts a factor row past the end of its factor. The
+// caller has checked the arrays through checkScatter.
+//
+//go:noescape
+func scatterAccumAVX2(out []float64, r int, target []int32, vals []float64, idx [][]int32, facs [][]float64) bool
+
+// ScatterAccum writes
+// out[target[e]·R + j] += vals[e] · Π_k facs[k][idx[k][e]·R + j]
+// for each nonzero e in order, with R = r; see scatterAccumGeneric for the
+// contract. On a CPU with AVX2 it runs an assembly body that is
+// bit-identical to the portable one. It panics on R < 0, on a target or
+// index array shorter than vals, on fewer index arrays than factors, and on
+// a target or row index outside its array, and never reads past one.
+func ScatterAccum(out []float64, r int, target []int32, vals []float64, idx [][]int32, facs [][]float64) {
+	checkScatter(out, r, target, vals, idx, facs)
+	if !hasAVX2 {
+		scatterAccumGeneric(out, r, target, vals, idx, facs)
+		return
+	}
+	if !scatterAccumAVX2(out, r, target, vals, idx, facs) {
+		panic("kernel: ScatterAccum row index out of range")
 	}
 }

@@ -327,6 +327,137 @@ fail:
 	MOVB    $0, ret+120(FP)
 	RET
 
+// Registers of scatterAccumAVX2, where they differ from streamAccumAVX2's:
+//
+//	DI   out		R10  R·8 (row stride)	R11  column byte offset
+//	R15  address of the nonzero's target row
+//
+// Y4 (X4) holds the broadcast value, Y5–Y8 (X5) the running product, and
+// Y0–Y3 (X0) the target row's block, loaded and stored once per nonzero.
+
+// func scatterAccumAVX2(out []float64, r int, target []int32, vals []float64, idx [][]int32, facs [][]float64) bool
+TEXT ·scatterAccumAVX2(SB), NOSPLIT, $0-129
+	MOVQ    out_base+0(FP), DI
+	MOVQ    r+24(FP), R10
+	MOVQ    vals_base+56(FP), SI
+	MOVQ    vals_len+64(FP), CX
+	MOVQ    idx_base+80(FP), BX
+	MOVQ    facs_base+104(FP), DX
+	MOVQ    facs_len+112(FP), R9
+	IMUL3Q  $24, R9, R9
+	SHLQ    $3, R10
+	XORQ    R12, R12
+
+// Per nonzero: load the target t = target[e], zero-extended, and fail
+// unless its whole row, R·8 bytes from t·R·8, lies inside out.
+nz:
+	CMPQ    R12, CX
+	JEQ     done
+	MOVQ    target_base+32(FP), R8
+	MOVLQZX (R8)(R12*4), R15
+	IMULQ   R10, R15
+	LEAQ    (R15)(R10*1), R8
+	SHRQ    $3, R8
+	CMPQ    R8, out_len+8(FP)
+	JHI     fail
+	ADDQ    DI, R15
+	VBROADCASTSD (SI)(R12*8), Y4
+	XORQ    R11, R11
+
+block16:
+	LEAQ    128(R11), R8
+	CMPQ    R8, R10
+	JHI     block4
+	VMOVAPD Y4, Y5
+	VMOVAPD Y4, Y6
+	VMOVAPD Y4, Y7
+	VMOVAPD Y4, Y8
+	XORQ    R13, R13
+
+fac16:
+	CMPQ    R13, R9
+	JEQ     add16
+	ROW(R12, 128)
+	VMULPD  0(R14)(AX*1), Y5, Y5
+	VMULPD  32(R14)(AX*1), Y6, Y6
+	VMULPD  64(R14)(AX*1), Y7, Y7
+	VMULPD  96(R14)(AX*1), Y8, Y8
+	ADDQ    $24, R13
+	JMP     fac16
+
+add16:
+	VMOVUPD 0(R15)(R11*1), Y0
+	VMOVUPD 32(R15)(R11*1), Y1
+	VMOVUPD 64(R15)(R11*1), Y2
+	VMOVUPD 96(R15)(R11*1), Y3
+	VADDPD  Y5, Y0, Y0
+	VADDPD  Y6, Y1, Y1
+	VADDPD  Y7, Y2, Y2
+	VADDPD  Y8, Y3, Y3
+	VMOVUPD Y0, 0(R15)(R11*1)
+	VMOVUPD Y1, 32(R15)(R11*1)
+	VMOVUPD Y2, 64(R15)(R11*1)
+	VMOVUPD Y3, 96(R15)(R11*1)
+	ADDQ    $128, R11
+	JMP     block16
+
+block4:
+	LEAQ    32(R11), R8
+	CMPQ    R8, R10
+	JHI     tail
+	VMOVAPD Y4, Y5
+	XORQ    R13, R13
+
+fac4:
+	CMPQ    R13, R9
+	JEQ     add4
+	ROW(R12, 32)
+	VMULPD  (R14)(AX*1), Y5, Y5
+	ADDQ    $24, R13
+	JMP     fac4
+
+add4:
+	VMOVUPD (R15)(R11*1), Y0
+	VADDPD  Y5, Y0, Y0
+	VMOVUPD Y0, (R15)(R11*1)
+	ADDQ    $32, R11
+	JMP     block4
+
+tail:
+	CMPQ    R11, R10
+	JEQ     next
+	VMOVAPD X4, X5
+	XORQ    R13, R13
+
+fac1:
+	CMPQ    R13, R9
+	JEQ     add1
+	ROW(R12, 8)
+	VMULSD  (R14)(AX*1), X5, X5
+	ADDQ    $24, R13
+	JMP     fac1
+
+add1:
+	VMOVSD  (R15)(R11*1), X0
+	VADDSD  X5, X0, X0
+	VMOVSD  X0, (R15)(R11*1)
+	ADDQ    $8, R11
+	JMP     tail
+
+next:
+	INCQ    R12
+	JMP     nz
+
+done:
+	VZEROUPPER
+	MOVB    $1, ret+128(FP)
+	RET
+
+fail:
+	VZEROUPPER
+	MOVB    $0, ret+128(FP)
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

@@ -21,3 +21,12 @@ func GatherAccum(dst, base []float64, elems []int32, idx [][]int32, facs [][]flo
 	checkGather(len(dst), base, idx, facs)
 	gatherAccumGeneric(dst, base, elems, idx, facs)
 }
+
+// ScatterAccum writes
+// out[target[e]·R + j] += vals[e] · Π_k facs[k][idx[k][e]·R + j]
+// for each nonzero e in order, with R = r; see scatterAccumGeneric for the
+// contract.
+func ScatterAccum(out []float64, r int, target []int32, vals []float64, idx [][]int32, facs [][]float64) {
+	checkScatter(out, r, target, vals, idx, facs)
+	scatterAccumGeneric(out, r, target, vals, idx, facs)
+}

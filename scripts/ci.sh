@@ -30,11 +30,14 @@ go test -race ./cmd/...
 # no assembly body, so this build also proves that the portable-only
 # kernel package compiles.
 #
-# On amd64, the AVX2 bodies of StreamAccum and GatherAccum are hand-written
-# (both in stream_amd64.s) and must contain no fused multiply-add either. `go tool objdump` cannot decode VEX
-# instructions (it prints a VFMADD231SD as a MOVL), so the check reads the
-# assembly source, which the assembler encodes as written, and, where
-# binutils is installed, the kernel package's code in a linked amd64 binary.
+# On amd64, the AVX2 bodies of StreamAccum, GatherAccum and ScatterAccum
+# are hand-written (all in stream_amd64.s) and must contain no fused
+# multiply-add either. `go tool objdump` cannot decode VEX instructions (it
+# prints a VFMADD231SD as a MOVL), so the check reads the assembly source,
+# which the assembler encodes as written, and, where binutils is installed,
+# the kernel package's code in a linked amd64 binary: every symbol of the
+# package, so each assembly body (streamAccumAVX2, gatherAccumAVX2 and
+# scatterAccumAVX2) is scanned.
 fmadir=$(mktemp -d)
 for pkg in kernel dense; do
 	GOARCH=arm64 go build -o "$fmadir/$pkg.a" ./internal/$pkg/
@@ -83,10 +86,10 @@ go test -race -count=1 -run 'TestDistRun|TestDistFault|TestDistributedALS|TestTr
 # also perfbench's report lines): a short fuzz run of
 # each on every CI pass (the `make fuzz` target runs them longer). The
 # checkpoint run caps minimization (Go's default budget is 60 s per new
-# input), so its seconds go to new inputs. The streamed and gathered
-# kernels' fuzz runs hold each AVX2 body to its portable one, bit for bit
-# or panic for panic, on random shapes, special values and out-of-range
-# indices.
+# input), so its seconds go to new inputs. The streamed, gathered and
+# scattered kernels' fuzz runs hold each AVX2 body to its portable one, bit
+# for bit or panic for panic, on random shapes, special values and
+# out-of-range indices.
 go test -run '^$' -fuzz '^FuzzReadTNS$' -fuzztime 10s ./internal/tensor/
 go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 10s ./internal/dist/
 go test -run '^$' -fuzz '^FuzzReadModel$' -fuzztime 10s ./internal/cpd/
@@ -95,6 +98,7 @@ go test -run '^$' -fuzz '^FuzzValidateLedger$' -fuzztime 10s ./internal/audit/
 go test -run '^$' -fuzz '^FuzzDecodeResult$' -fuzztime 10s ./internal/perf/
 go test -run '^$' -fuzz '^FuzzStreamAccum$' -fuzztime 10s ./internal/kernel/
 go test -run '^$' -fuzz '^FuzzGatherAccum$' -fuzztime 10s ./internal/kernel/
+go test -run '^$' -fuzz '^FuzzScatterAccum$' -fuzztime 10s ./internal/kernel/
 
 # The order-aware path end to end: quick E16 selects over several mode
 # orders and times the chosen ordered engine, and the modelpick example
