@@ -216,7 +216,8 @@ func EngineKinds() []EngineKind {
 	return []EngineKind{EngineCOO, EngineCSF, EngineCSFOne, EngineHiCOO, EngineMemoFlat, EngineMemoTwoGroup, EngineMemoBalanced, EngineAdaptive}
 }
 
-// Options configures Decompose.
+// Options configures every CP-ALS run: Decompose on one node or, with
+// Procs > 1, sharded.
 type Options struct {
 	// Rank is the number of rank-one components (required).
 	Rank int
@@ -226,13 +227,15 @@ type Options struct {
 	Tol float64
 	// Seed drives the random factor initialization.
 	Seed int64
-	// Workers is the parallel width (<= 0: GOMAXPROCS).
+	// Workers is the parallel width (<= 0: GOMAXPROCS), per process in a
+	// sharded run.
 	Workers int
-	// Engine selects the MTTKRP kernel (default EngineAdaptive).
+	// Engine selects the MTTKRP kernel (default EngineAdaptive; a sharded
+	// run's shards default to EngineCOO, see DecomposeDist).
 	Engine EngineKind
 	// MemoryBudget caps the adaptive engine's predicted auxiliary bytes
-	// (<= 0: unbounded). See EngineConfig.MemoryBudget for its effect on
-	// the other engines.
+	// (<= 0: unbounded), per process in a sharded run. See
+	// EngineConfig.MemoryBudget for its effect on the other engines.
 	MemoryBudget int64
 	// TrackFit retains the per-iteration fit trajectory in the result.
 	TrackFit bool
@@ -254,35 +257,60 @@ type Options struct {
 	Ctx context.Context
 	// Progress is invoked after every completed iteration, the converging
 	// one included; returning false stops the run early with a valid
-	// Result (a converging iteration still ends the run converged).
+	// Result (a converging iteration still ends the run converged). A
+	// sharded run calls it on process 0, and every process stops with it.
 	Progress func(IterStats) bool
 	// CollectStats attaches a per-phase RunStats breakdown to the Result.
 	CollectStats bool
 	// Tracer, when non-nil, records phase and per-mode MTTKRP spans for
-	// Chrome-trace export. Engines built by Decompose are instrumented
-	// automatically; with DecomposeWith, call Instrument yourself.
+	// Chrome-trace export. Engines built by Decompose on one node are
+	// instrumented automatically; with DecomposeWith, call Instrument
+	// yourself.
 	Tracer *Tracer
 	// Metrics, when non-nil, receives the run's counters, gauges, and
 	// latency histograms for /metrics scraping.
 	Metrics *Metrics
 	// Audit, when non-nil, receives the cost model's selection decision
 	// (when the adaptive engine runs the model) and, at run end, the
-	// reconciliation of that decision against the measured counters. Build
-	// one with NewAuditRecorder.
+	// reconciliation of that decision against the measured counters; a
+	// sharded run records its partition decision instead. Build one with
+	// NewAuditRecorder.
 	Audit *AuditRecorder
 	// Checkpoint, when non-nil, writes crash-safe checkpoints during the
 	// run (atomic temp-file+rename protocol, rolling retention). A killed
-	// run restarts from the newest checkpoint with Resume.
+	// run restarts from the newest checkpoint with Resume. A sharded run
+	// refuses it.
 	Checkpoint *CheckpointConfig
 	// Health, when non-nil, observes every iteration's numerical state and
 	// maintains a debounced convergence-health verdict (swamp/stall/
 	// conditioning detection) fanned out to the probe's configured sinks.
 	// Build one with NewHealthProbe.
 	Health *HealthProbe
+	// Procs is the simulated process count: above 1, Decompose runs
+	// sharded (see DecomposeDist, which also takes <= 0 as 2).
+	Procs int
+	// Partition picks a sharded run's nonzero partitioner: PartitionAuto
+	// (default, model-driven), PartitionRandom, PartitionMediumGrain, or
+	// PartitionFineGreedy.
+	Partition string
+	// Transport picks a sharded run's wire: TransportChan (default) or
+	// TransportTCP.
+	Transport string
+	// Fault, when non-nil, enables fault injection on the TCP transport.
+	Fault *DistFault
 }
 
-// Decompose computes a rank-R CP decomposition of x.
+// Decompose computes a rank-R CP decomposition of x, sharded over
+// opt.Procs processes when Procs > 1 (DecomposeDist also returns the
+// sharded run's communication accounting).
 func Decompose(x *Tensor, opt Options) (*Result, error) {
+	if opt.Procs > 1 {
+		dres, err := DecomposeDist(x, opt)
+		if err != nil {
+			return nil, err
+		}
+		return &dres.Result, nil
+	}
 	eng, err := engineFor(x, opt)
 	if err != nil {
 		return nil, err
@@ -339,9 +367,21 @@ func cpdOptions(opt Options) cpd.Options {
 }
 
 // DecomposeWith runs CP-ALS with a caller-provided engine (for custom
-// strategies or instrumentation).
+// strategies or instrumentation), on one node.
 func DecomposeWith(x *Tensor, eng Engine, opt Options) (*Result, error) {
+	if err := oneNode("DecomposeWith", opt); err != nil {
+		return nil, err
+	}
 	return cpd.Run(x, eng, cpdOptions(opt))
+}
+
+// oneNode refuses Procs > 1 on an entry point that only runs on one node,
+// rather than quietly running unsharded.
+func oneNode(entry string, opt Options) error {
+	if opt.Procs > 1 {
+		return fmt.Errorf("adatm: %s runs on one node only, not Procs = %d", entry, opt.Procs)
+	}
+	return nil
 }
 
 // Resume restarts an interrupted checkpointed run from the newest valid
@@ -349,8 +389,11 @@ func DecomposeWith(x *Tensor, eng Engine, opt Options) (*Result, error) {
 // trajectory-determining options (rank, ridge, constraints, mode order)
 // must match the checkpointed run — a fingerprint mismatch is refused.
 // The run continues exactly where it stopped: a resumed run reaches the
-// same fit as an uninterrupted one.
+// same fit as an uninterrupted one. A sharded run cannot resume.
 func Resume(x *Tensor, opt Options) (*Result, error) {
+	if err := oneNode("Resume", opt); err != nil {
+		return nil, err
+	}
 	if opt.Checkpoint == nil || opt.Checkpoint.Dir == "" {
 		return nil, fmt.Errorf("adatm: Resume requires Options.Checkpoint.Dir")
 	}
@@ -564,9 +607,12 @@ func PlanPermutedFor(x *Tensor, rank int, budget int64) *Plan {
 // DecomposePermuted is Decompose with order-aware adaptive selection: it
 // picks the best (mode order, strategy) pair, builds the adaptive engine
 // for that plan exactly as Decompose does for a natural-order one, and
-// sweeps the modes in the chosen order. opt.Engine and opt.ModeOrder are
-// ignored.
+// sweeps the modes in the chosen order, on one node. opt.Engine and
+// opt.ModeOrder are ignored.
 func DecomposePermuted(x *Tensor, opt Options) (*Result, error) {
+	if err := oneNode("DecomposePermuted", opt); err != nil {
+		return nil, err
+	}
 	if err := checkTensor(x); err != nil {
 		return nil, err
 	}

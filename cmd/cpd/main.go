@@ -9,6 +9,7 @@
 //	cpd -in tensor.tns -plan                         # print the model's plan only
 //	cpd -in tensor.tns -rank 16 -checkpoint ck       # crash-safe checkpoints
 //	cpd -in tensor.tns -rank 16 -checkpoint ck -resume   # continue a killed run
+//	cpd -in tensor.tns -rank 16 -procs 4             # sharded over 4 simulated processes
 package main
 
 import (
@@ -63,7 +64,7 @@ func main() {
 		procs      = flag.Int("procs", 1, "simulated process count; > 1 runs the distributed sharded solver")
 		partition  = flag.String("partition", "auto", "with -procs > 1: nonzero partitioner: auto (model decides), random, medium-grain, fine-greedy")
 		transport  = flag.String("transport", "chan", "with -procs > 1: transport: chan (deterministic in-process), tcp (loopback TCP)")
-		ckptDir    = flag.String("checkpoint", "", "write crash-safe checkpoints to this directory during the run (standard CP-ALS only)")
+		ckptDir    = flag.String("checkpoint", "", "write crash-safe checkpoints to this directory during the run (single-node CP-ALS only)")
 		ckptEvery  = flag.String("ckpt-every", "1", "checkpoint cadence: an iteration count (e.g. 5) or a wall-clock duration (e.g. 30s)")
 		ckptKeep   = flag.Int("ckpt-retain", 3, "rolling retention: keep this many newest checkpoints (0 = keep all)")
 		resume     = flag.Bool("resume", false, "resume from the newest checkpoint in -checkpoint instead of starting fresh")
@@ -114,28 +115,15 @@ func main() {
 	}
 
 	if *procs > 1 {
-		// DistOptions carries only the plain CP-ALS knobs, and a sharded run
-		// has no APR, completion or checkpoint path.
+		// CP-APR and completion fit other objectives, with no sharded loop.
 		for _, bad := range []struct {
 			set  bool
 			flag string
-		}{
-			{*apr, "-apr"}, {*complete, "-complete"}, {*nonneg, "-nonneg"},
-			{*ridge != 0, "-ridge"}, {*ckptDir != "", "-checkpoint"}, {*resume, "-resume"},
-			{*healthRun, "-health"}, {*healthFile != "", "-healthfile"},
-			{*timeout != 0, "-timeout"},
-		} {
+		}{{*apr, "-apr"}, {*complete, "-complete"}} {
 			if bad.set {
 				fatal(fmt.Errorf("%s is not supported with -procs > 1", bad.flag))
 			}
 		}
-		runDist(x, obsst, distFlags{
-			rank: *rank, iters: *iters, tol: *tol, seed: *seed, workers: *workers,
-			procs: *procs, partition: *partition, transport: *transport,
-			engine: *engName, fittrace: *fittrace, jsonOut: *jsonOut,
-			outPfx: *outPfx, modelPath: *modelPath,
-		})
-		return
 	}
 
 	if *apr {
@@ -191,8 +179,8 @@ func main() {
 	opt := adatm.Options{
 		Rank: *rank, MaxIters: *iters, Tol: *tol, Seed: *seed, Workers: *workers,
 		Engine: adatm.EngineKind(*engName), MemoryBudget: budgetBytes, TrackFit: *fittrace,
-		Ridge: *ridge, NonNegative: *nonneg,
-		CollectStats: *jsonOut,
+		Ridge: *ridge, NonNegative: *nonneg, CollectStats: *jsonOut,
+		Procs: *procs, Partition: *partition, Transport: *transport,
 	}
 	obsst.options(&opt)
 	if *ckptDir != "" {
@@ -234,9 +222,15 @@ func main() {
 	}
 	opt.Progress = obsst.progress(*engName, *rank, opt.Progress)
 	var res *adatm.Result
-	if *resume {
+	var dres *adatm.DistResult // the sharded run's communication accounting
+	switch {
+	case *resume:
 		res, err = adatm.Resume(x, opt)
-	} else {
+	case *procs > 1:
+		if dres, err = adatm.DecomposeDist(x, opt); dres != nil {
+			res = &dres.Result
+		}
+	default:
 		res, err = adatm.Decompose(x, opt)
 	}
 	if err != nil {
@@ -263,6 +257,10 @@ func main() {
 		fmt.Printf("engine=%s rank=%d iters=%d converged=%v fit=%.6f\n", *engName, *rank, res.Iters, res.Converged, res.Fit)
 		fmt.Printf("total=%v mttkrp=%v (%.0f%%)\n", res.TotalTime.Round(1e6), res.MTTKRPTime.Round(1e6),
 			100*float64(res.MTTKRPTime)/float64(res.TotalTime))
+		if dres != nil {
+			fmt.Printf("dist procs=%d partition=%s transport=%s volume=%dB/iter messages=%d retries=%d\n",
+				*procs, *partition, *transport, dres.Comm.VolumeBytes(*rank), dres.Messages, dres.Retries)
+		}
 		fmt.Printf("lambda=%v\n", res.Lambda)
 		if *healthRun {
 			if s := obsst.healthSummary(); s != nil {

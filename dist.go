@@ -32,7 +32,7 @@ type (
 	PartitionPlan = model.PartitionPlan
 )
 
-// Partition names accepted by DistOptions.Partition.
+// Partition names accepted by Options.Partition.
 const (
 	// PartitionAuto lets the cost model choose (the default).
 	PartitionAuto = "auto"
@@ -44,7 +44,7 @@ const (
 	PartitionFineGreedy = "fine-greedy"
 )
 
-// Transport names accepted by DistOptions.Transport.
+// Transport names accepted by Options.Transport.
 const (
 	// TransportChan is the deterministic in-process transport (default).
 	TransportChan = "chan"
@@ -53,45 +53,9 @@ const (
 	TransportTCP = "tcp"
 )
 
-// DistOptions configures DecomposeDist.
-type DistOptions struct {
-	// Rank is the number of rank-one components (required).
-	Rank int
-	// MaxIters bounds the ALS iterations (default 50).
-	MaxIters int
-	// Tol is the convergence threshold on the fit change (default 1e-5).
-	Tol float64
-	// Seed drives the random factor initialization (shared with the
-	// single-node solver: same seed, same trajectory).
-	Seed int64
-	// Workers is the per-process parallel width for dense kernels.
-	Workers int
-	// Procs is the simulated process count (default 2).
-	Procs int
-	// Partition picks the nonzero partitioner: PartitionAuto (default,
-	// model-driven), PartitionRandom, PartitionMediumGrain, or
-	// PartitionFineGreedy.
-	Partition string
-	// Transport picks the wire: TransportChan (default) or TransportTCP.
-	Transport string
-	// Engine is the per-shard MTTKRP kernel kind (default EngineCOO).
-	// Empty shards always fall back to the streaming COO kernel.
-	Engine EngineKind
-	// TrackFit retains the per-iteration fit trajectory.
-	TrackFit bool
-	// Init supplies initial factor matrices; nil selects the Seed-derived
-	// random initialization.
-	Init []*Matrix
-	// Fault, when non-nil, enables fault injection on the TCP transport.
-	Fault *DistFault
-	// Metrics, when non-nil, receives the adatm_dist_* series and, from
-	// process 0's loop, the same adatm_cpd_* series a single-node run
-	// exports.
-	Metrics *Metrics
-	// Audit, when non-nil, records the partition decision in the ledger
-	// (a "dist.partition" event with the scored candidates).
-	Audit *AuditRecorder
-}
+// DistOptions is an alias of Options, kept while the benchmark harness in
+// perfbench/ still names it (ROADMAP item 6).
+type DistOptions = Options
 
 // PartitionPlanFor scores the partitioner family for x at the given process
 // count and rank and returns the plan (call PartitionPlan.String for a
@@ -101,36 +65,40 @@ func PartitionPlanFor(x *Tensor, procs, rank int, seed int64) (*PartitionPlan, e
 }
 
 // DecomposeDist computes a rank-R CP decomposition of x over opt.Procs
-// simulated processes. The returned DistResult matches what Decompose
-// produces for the same options to within float reassociation of the
-// distributed reductions (see DESIGN.md §2j); convert it with
-// DistResultToResult to reuse Result-based reporting.
-func DecomposeDist(x *Tensor, opt DistOptions) (*DistResult, error) {
-	if x == nil {
-		return nil, fmt.Errorf("adatm: nil tensor")
-	}
-	if err := x.Validate(); err != nil {
-		return nil, fmt.Errorf("adatm: %w", err)
+// simulated processes (<= 0: 2) and returns it with the run's
+// communication accounting; Decompose with Procs > 1 runs the same and
+// returns the Result alone. The Result matches what Decompose produces on
+// one node to within float reassociation of the distributed reductions
+// (see DESIGN.md §2j). Each shard gets its own engine of kind opt.Engine
+// (default EngineCOO; an empty shard always coo) under opt.MemoryBudget
+// as a per-process cap. opt.Audit records the partition decision;
+// Checkpoint is refused.
+func DecomposeDist(x *Tensor, opt Options) (*DistResult, error) {
+	if err := checkTensor(x); err != nil {
+		return nil, err
 	}
 	if opt.Procs <= 0 {
 		opt.Procs = 2
 	}
-	part, err := selectPartition(x, &opt)
+	part, err := selectPartition(x, opt)
 	if err != nil {
 		return nil, err
 	}
 
 	kind := opt.Engine
 	if kind == "" {
+		// Shards stay coo until adaptive shards pay end to end on the
+		// sharded shape (ROADMAP item 1).
 		kind = EngineCOO
 	}
+	cfg := EngineConfig{Rank: opt.Rank, Workers: opt.Workers, MemoryBudget: opt.MemoryBudget}
 	var engErr error
 	cluster := dist.NewCluster(x, part, func(shard *tensor.COO) Engine {
 		k := kind
 		if shard.NNZ() == 0 {
 			k = EngineCOO
 		}
-		eng, err := NewEngine(shard, k, EngineConfig{Rank: opt.Rank, Workers: opt.Workers})
+		eng, err := NewEngine(shard, k, cfg)
 		if err != nil && engErr == nil {
 			engErr = err
 		}
@@ -140,24 +108,22 @@ func DecomposeDist(x *Tensor, opt DistOptions) (*DistResult, error) {
 		return nil, engErr
 	}
 
-	tr, err := buildTransport(&opt)
+	tr, err := buildTransport(opt)
 	if err != nil {
 		return nil, err
 	}
 	defer tr.Close()
 
-	return cpd.RunDist(x, cluster, tr, cpd.Options{
-		Rank: opt.Rank, MaxIters: opt.MaxIters, Tol: opt.Tol,
-		Seed: opt.Seed, Workers: opt.Workers,
-		Init: opt.Init, TrackFit: opt.TrackFit, Metrics: opt.Metrics,
-	})
+	copt := cpdOptions(opt)
+	copt.Audit = nil // recorded above, as the partition decision
+	return cpd.RunDist(x, cluster, tr, copt)
 }
 
-// selectPartition resolves DistOptions.Partition: the model's choice for
+// selectPartition resolves Options.Partition: the model's choice for
 // PartitionAuto, the named partitioner otherwise. In both cases the scored
 // plan is recorded through the audit recorder so the ledger carries the
 // evidence (and, for a forced partitioner, what the model would have done).
-func selectPartition(x *Tensor, opt *DistOptions) (*dist.Partition, error) {
+func selectPartition(x *Tensor, opt Options) (*dist.Partition, error) {
 	name := opt.Partition
 	if name == "" {
 		name = PartitionAuto
@@ -188,14 +154,12 @@ func selectPartition(x *Tensor, opt *DistOptions) (*dist.Partition, error) {
 	default:
 		return nil, fmt.Errorf("adatm: unknown partition %q (want auto, random, medium-grain, fine-greedy)", name)
 	}
-	if opt.Audit != nil {
-		opt.Audit.RecordPartition(dec)
-	}
+	opt.Audit.RecordPartition(dec)
 	return part, nil
 }
 
-// buildTransport resolves DistOptions.Transport.
-func buildTransport(opt *DistOptions) (dist.Transport, error) {
+// buildTransport resolves Options.Transport.
+func buildTransport(opt Options) (dist.Transport, error) {
 	switch opt.Transport {
 	case "", TransportChan:
 		if opt.Fault != nil {
@@ -211,14 +175,4 @@ func buildTransport(opt *DistOptions) (dist.Transport, error) {
 	default:
 		return nil, fmt.Errorf("adatm: unknown transport %q (want chan, tcp)", opt.Transport)
 	}
-}
-
-// DistResultToResult returns the solver Result embedded in a distributed
-// result, so Result-based reporting (model save, reconstruction, CLI
-// summaries) applies unchanged.
-func DistResultToResult(r *DistResult) *Result {
-	if r == nil {
-		return nil
-	}
-	return &r.Result
 }

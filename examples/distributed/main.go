@@ -26,16 +26,17 @@ func main() {
 	}
 	fmt.Print("\n", plan.String())
 
-	// Same seed on both paths: the sharded run is the single-node ALS loop
-	// per process plus a row exchange, so only float reassociation of the
-	// distributed sums separates the two fits.
-	shared, err := adatm.Decompose(x, adatm.Options{Rank: rank, MaxIters: 6, Tol: 1e-12, Seed: 7, Engine: adatm.EngineCSF})
+	// Same options on both paths but Procs: the sharded run is the
+	// single-node ALS loop per process plus a row exchange, so only float
+	// reassociation of the distributed sums separates the two fits.
+	// DecomposeDist is Decompose plus the run's communication accounting.
+	opt := adatm.Options{Rank: rank, MaxIters: 6, Tol: 1e-12, Seed: 7, Engine: adatm.EngineCSF}
+	shared, err := adatm.Decompose(x, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	distributed, err := adatm.DecomposeDist(x, adatm.DistOptions{
-		Rank: rank, MaxIters: 6, Tol: 1e-12, Seed: 7, Procs: procs,
-	})
+	opt.Procs = procs
+	distributed, err := adatm.DecomposeDist(x, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,7 +28,8 @@ type Engine struct {
 	// idxBuf holds per-worker slice headers for the N−1 non-target index
 	// columns, cut to the worker's chunk (or, under the stripe lock, to one
 	// nonzero) before each kernel call; sized at construction so the
-	// kernel allocates nothing.
+	// kernel allocates nothing, and padded (par.PerWorker) because the
+	// striped path rewrites it per nonzero.
 	idxBuf [][][]int32
 	res    *accum.Resolver
 	pool   *accum.Pool
@@ -48,13 +49,6 @@ type Engine struct {
 	curData [][]float64
 }
 
-// idxPad is the number of unused slice headers (72 bytes) on each side of
-// a worker's idxBuf headers, so no other allocation shares a 64-byte cache
-// line with them. The striped-lock path rewrites them per nonzero, and with
-// two workers' headers in one line that false sharing made the two-worker
-// scatter about three times slower (BenchmarkMTTKRPAccum long256k).
-const idxPad = 3
-
 // New builds a COO engine over x. workers <= 0 selects GOMAXPROCS. The
 // accumulation backend is model-resolved per mode (accum.Auto).
 func New(x *tensor.COO, workers int) *Engine {
@@ -70,15 +64,11 @@ func NewWithAccum(x *tensor.COO, workers int, cfg accum.Config) *Engine {
 	e := &Engine{
 		x:       x,
 		workers: workers,
-		idxBuf:  make([][][]int32, w),
+		idxBuf:  par.PerWorker[[]int32](w, max(x.Order()-1, 0)),
 		res:     accum.NewResolver(x.Order(), cfg),
 		pool:    accum.NewPool(w),
 		curInds: make([][]tensor.Index, max(x.Order()-1, 0)),
 		curData: make([][]float64, max(x.Order()-1, 0)),
-	}
-	for i := range e.idxBuf {
-		n := len(e.curData)
-		e.idxBuf[i] = make([][]int32, n+2*idxPad)[idxPad : idxPad+n : idxPad+n]
 	}
 	e.body = e.runChunk
 	return e

@@ -250,7 +250,8 @@ func run(x *tensor.COO, eng engine.Engine, opt Options, rs *resumeState, ex exch
 	h := dense.New(r, r)
 	had := dense.New(r, r)    // ∘ₙ W⁽ⁿ⁾ scratch of the fit
 	inv := make([]float64, r) // reciprocal column norms
-	inner := make([]float64, 1)
+	// The one-float all-reduce buffer: ⟨X, X̂⟩, then the stop vote.
+	scalar := make([]float64, 1)
 	// The solver keeps h's Cholesky factor between modes.
 	var solver dense.SPDSolver
 
@@ -374,11 +375,11 @@ loop:
 		}
 
 		clock.start()
-		inner[0] = innerProduct(lambda, lastM, lastU)
-		if err := ex.AllReduce(inner, dist.TagFit, -1, iter); err != nil {
+		scalar[0] = innerProduct(lambda, lastM, lastU)
+		if err := ex.AllReduce(scalar, dist.TagFit, -1, iter); err != nil {
 			return nil, err
 		}
-		fit := computeFit(normX, lambda, grams, had, inner[0])
+		fit := computeFit(normX, lambda, grams, had, scalar[0])
 		clock.tick(PhaseFit)
 		if math.IsNaN(fit) || math.IsInf(fit, 0) {
 			why, endErr = exitFailed, &NonFiniteError{Iter: iter, Mode: -1}
@@ -408,6 +409,19 @@ loop:
 		if math.Abs(fit-prevFit) < tol {
 			res.Converged = true
 			break
+		}
+		// A Progress callback runs on the watched process alone, so a
+		// sharded run votes: every process all-reduces process 0's stop
+		// flag (the others contribute 0) and all stop at this iteration.
+		if opt.Progress != nil {
+			scalar[0] = 0
+			if stop {
+				scalar[0] = 1
+			}
+			if err := ex.AllReduce(scalar, dist.TagStop, -1, iter); err != nil {
+				return nil, err
+			}
+			stop = scalar[0] > 0
 		}
 		if stop {
 			res.Stopped = true

@@ -35,15 +35,16 @@ type DistResult struct {
 //
 // λ, the Grams and the fit are replicated, so process 0 alone is watched:
 // its loop alone builds the phase clock (CollectStats, Tracer, Metrics) and
-// the observers (Health, the metrics tick). Checkpoint, Audit and Progress
-// are rejected. Every process checks Ctx; on the first error
-// the transport is closed and the root-cause error returned, with no
-// Result. The Result's Factors are gathered from the row owners, its
+// the observers (Health, the metrics tick, Progress). Progress adds one
+// scalar all-reduce per iteration, a stop vote, so every process stops
+// where process 0's callback says. Checkpoint and Audit are rejected.
+// Every process checks Ctx; on the first error the transport is closed and
+// the root-cause error returned, with no Result. The Result's Factors are gathered from the row owners, its
 // MTTKRPTime is summed over processes, and its TotalTime excludes building
 // the exchange plan.
 func RunDist(x *tensor.COO, c *dist.Cluster, tr dist.Transport, opt Options) (*DistResult, error) {
-	if opt.Checkpoint != nil || opt.Audit != nil || opt.Progress != nil {
-		return nil, errors.New("cpd: a sharded run does not support Checkpoint, Audit or Progress")
+	if opt.Checkpoint != nil || opt.Audit != nil {
+		return nil, errors.New("cpd: a sharded run does not support Checkpoint or Audit")
 	}
 	if err := checkInputs(x, opt); err != nil {
 		return nil, err

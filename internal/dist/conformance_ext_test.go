@@ -603,16 +603,19 @@ func TestDistRunMessages(t *testing.T) {
 // allocates) and on one P (with several, the per-P caches of goroutines
 // and wait-queue entries allocate by scheduling luck). Each count is the
 // least of three runs: a stray runtime allocation lands in one run, while a
-// steady one shows in every run, at least once per extra iteration.
+// steady one shows in every run, at least once per extra iteration. The
+// pin holds with and without a Progress callback, whose stop vote adds an
+// all-reduce to every iteration.
 func TestDistRunSteadyZeroAlloc(t *testing.T) {
 	x := tensor.RandomClustered(5, 40, 3000, 0.5, 1801)
 	c := dist.NewCluster(x, dist.RandomPartition(x, 2, 1), cooFactory)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var progress func(cpd.IterStats) bool
 	mallocs := func(iters int) uint64 {
 		tr := dist.NewChanTransport(2)
 		defer tr.Close()
-		opt := cpd.Options{Rank: 8, MaxIters: iters, Tol: math.SmallestNonzeroFloat64, Seed: 3, Workers: 1}
+		opt := cpd.Options{Rank: 8, MaxIters: iters, Tol: math.SmallestNonzeroFloat64, Seed: 3, Workers: 1, Progress: progress}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		res, err := cpd.RunDist(x, c, tr, opt)
@@ -626,10 +629,85 @@ func TestDistRunSteadyZeroAlloc(t *testing.T) {
 		return after.Mallocs - before.Mallocs
 	}
 	mallocs(2) // the first run sizes the shard engines' scratch
-	short := min(mallocs(5), mallocs(5), mallocs(5))
-	long := min(mallocs(10), mallocs(10), mallocs(10))
-	if short != long {
-		t.Errorf("5 iterations made %d allocations, 10 made %d: the steady sharded iteration allocates", short, long)
+	for _, name := range []string{"bare", "progress"} {
+		if name == "progress" {
+			progress = func(cpd.IterStats) bool { return true }
+		}
+		short := min(mallocs(5), mallocs(5), mallocs(5))
+		long := min(mallocs(10), mallocs(10), mallocs(10))
+		if short != long {
+			t.Errorf("%s: 5 iterations made %d allocations, 10 made %d: the steady sharded iteration allocates", name, short, long)
+		}
+	}
+}
+
+// TestDistRunProgressStopVote: at P=4, a Progress callback that returns
+// false at iteration 3 stops every process there (a process that went on
+// would wait for its peers forever), the run reports Stopped, and the
+// factors are bit-identical to a MaxIters 3 run. The vote is one scalar
+// all-reduce per iteration: 2·(P−1) messages.
+func TestDistRunProgressStopVote(t *testing.T) {
+	x, opt := conformanceFixture(t)
+	const procs = 4
+	part := dist.RandomPartition(x, procs, 1)
+	run := func(o cpd.Options) *cpd.DistResult {
+		t.Helper()
+		tr := dist.NewChanTransport(procs)
+		defer tr.Close()
+		done := make(chan struct{})
+		var res *cpd.DistResult
+		var err error
+		go func() {
+			defer close(done)
+			res, err = cpd.RunDist(x, dist.NewCluster(x, part, cooFactory), tr, o)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			tr.Close()
+			<-done
+			t.Fatal("the processes did not stop together")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	capped := opt
+	capped.MaxIters = 3
+	want := run(capped)
+
+	var calls atomic.Int32
+	o := opt
+	o.Progress = func(s cpd.IterStats) bool {
+		calls.Add(1)
+		return s.Iter < 3
+	}
+	got := run(o)
+	if got.Iters != 3 || !got.Stopped || got.Converged {
+		t.Errorf("stopped after %d iterations (Stopped %v, Converged %v), want 3 and Stopped", got.Iters, got.Stopped, got.Converged)
+	}
+	if n := calls.Load(); n != 3 {
+		t.Errorf("Progress called %d times, want 3 (process 0 alone)", n)
+	}
+	if want.Stopped {
+		t.Error("the MaxIters run reports Stopped")
+	}
+	if got.Fit != want.Fit {
+		t.Errorf("fit %.17g, MaxIters 3 run %.17g", got.Fit, want.Fit)
+	}
+	for j := range want.Lambda {
+		if got.Lambda[j] != want.Lambda[j] {
+			t.Errorf("lambda[%d] %.17g, MaxIters 3 run %.17g", j, got.Lambda[j], want.Lambda[j])
+		}
+	}
+	for m := range want.Factors {
+		if d := got.Factors[m].MaxAbsDiff(want.Factors[m]); d != 0 {
+			t.Errorf("factor %d differs from the MaxIters 3 run by %g", m, d)
+		}
+	}
+	if votes := int64(3 * 2 * (procs - 1)); got.Messages != want.Messages+votes {
+		t.Errorf("%d messages, want the MaxIters run's %d plus %d votes", got.Messages, want.Messages, votes)
 	}
 }
 
@@ -814,8 +892,8 @@ func TestDistRunObserversBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDistRunRejectsUnsupported: Checkpoint, Audit and Progress need
-// cross-process gathers or votes a sharded run does not have yet.
+// TestDistRunRejectsUnsupported: Checkpoint and Audit need cross-process
+// gathers a sharded run does not have yet.
 func TestDistRunRejectsUnsupported(t *testing.T) {
 	x, opt := conformanceFixture(t)
 	c := dist.NewCluster(x, dist.RandomPartition(x, 2, 1), cooFactory)
@@ -824,7 +902,6 @@ func TestDistRunRejectsUnsupported(t *testing.T) {
 	for name, set := range map[string]func(*cpd.Options){
 		"checkpoint": func(o *cpd.Options) { o.Checkpoint = &cpd.CheckpointConfig{Dir: t.TempDir()} },
 		"audit":      func(o *cpd.Options) { o.Audit = audit.NewRecorder(audit.Config{}) },
-		"progress":   func(o *cpd.Options) { o.Progress = func(cpd.IterStats) bool { return true } },
 	} {
 		o := opt
 		set(&o)

@@ -374,8 +374,9 @@ func (p *Endpoint) Expand(mode, iter int, own, u *dense.Matrix) error {
 // AllReduce sums v element-wise across all processes with a fixed
 // association: process 0 gathers partials in ascending process order (its
 // own partial first) and broadcasts the total. Every transport therefore
-// produces bit-identical sums. The tag (TagNorm, TagGram, TagFit) and mode
-// (−1 for the fit) name the phase for selective receive.
+// produces bit-identical sums. The tag (TagNorm, TagGram, TagFit, TagStop)
+// and mode (−1 for the fit and the stop vote) name the phase for selective
+// receive.
 func (p *Endpoint) AllReduce(v []float64, tag uint8, mode, iter int) error {
 	P := p.ex.c.Part.P
 	if P == 1 {

@@ -37,18 +37,20 @@ func (k MsgKind) String() string {
 
 // Reduce/broadcast phase tags (Message.Tag): one mode step performs two
 // all-reduces (column sums-of-squares, then the partial Gram matrix) and
-// each iteration ends with a scalar fit reduce. The tag disambiguates them
-// so selective receive never depends on arrival order.
+// each iteration ends with a scalar fit reduce, then, when the run has a
+// Progress callback, a scalar stop vote. The tag disambiguates them so
+// selective receive never depends on arrival order.
 const (
 	TagNorm uint8 = iota
 	TagGram
 	TagFit
+	TagStop
 )
 
 // Message is one unit of protocol traffic. Rows names the factor-matrix
 // rows the payload covers (fold/expand); Data is the row-major payload
 // (len(Rows)×rank values for fold/expand, a flat vector for reduce/bcast).
-// Mode is −1 for iteration-scoped phases (the fit reduce).
+// Mode is −1 for iteration-scoped phases (the fit reduce, the stop vote).
 type Message struct {
 	From, To int
 	Kind     MsgKind

@@ -118,7 +118,8 @@ type Engine struct {
 	// chunks holds equal-nnz chunk boundaries over the blocks (blocks have
 	// skewed occupancy, so element-weighted chunking balances the load);
 	// base holds per-worker decoded block-origin scratch and rowsBuf the
-	// per-worker N−1 factor rows an element gathers.
+	// per-worker N−1 factor rows an element gathers, padded (par.PerWorker)
+	// because runChunk rewrites it per nonzero.
 	chunks  []int
 	base    [][]int
 	rowsBuf [][][]float64
@@ -159,13 +160,12 @@ func NewWithAccum(x *tensor.COO, workers int, cfg accum.Config) *Engine {
 		workers: workers,
 		chunks:  par.WeightedBounds(prefix, w*8),
 		base:    make([][]int, w),
-		rowsBuf: make([][][]float64, w),
+		rowsBuf: par.PerWorker[[]float64](w, max(len(t.Dims)-1, 0)),
 		res:     accum.NewResolver(len(t.Dims), cfg),
 		pool:    accum.NewPool(w),
 	}
 	for i := range e.base {
 		e.base[i] = make([]int, len(t.Dims))
-		e.rowsBuf[i] = make([][]float64, max(len(t.Dims)-1, 0))
 	}
 	e.body = e.runChunk
 	return e

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestForCoversAllIndices(t *testing.T) {
@@ -401,5 +402,30 @@ func TestParallelSumProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPerWorkerPadded: every buffer has exactly n elements (an append
+// cannot reach into the padding) and starts at least a cache line past the
+// end of every other worker's buffer.
+func TestPerWorkerPadded(t *testing.T) {
+	checkPadded(t, PerWorker[[]float64](4, 2), 2)
+	checkPadded(t, PerWorker[int32](4, 3), 3)
+}
+
+func checkPadded[T any](t *testing.T, bufs [][]T, n int) {
+	t.Helper()
+	size := unsafe.Sizeof(*new(T))
+	for i, b := range bufs {
+		if len(b) != n || cap(b) != n {
+			t.Errorf("%T buffer %d has len %d cap %d, want %d", b, i, len(b), cap(b), n)
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+		hi := lo + uintptr(n)*size
+		for j, c := range bufs {
+			if start := uintptr(unsafe.Pointer(unsafe.SliceData(c))); j != i && start >= lo && start < hi+64 {
+				t.Errorf("%T buffer %d starts %d bytes after buffer %d ends", b, j, start-hi, i)
+			}
+		}
 	}
 }

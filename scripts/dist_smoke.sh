@@ -1,9 +1,11 @@
 #!/bin/sh
 # Distributed-solver smoke test: run cpd with -procs 2 over the TCP loopback
 # transport, scrape the adatm_dist_* series and process 0's adatm_cpd_* loop
-# series from the held debug server, and require the partition decision in
-# the audit ledger. Exercises the partition model, the real wire transport,
-# and the dist metrics wiring end to end.
+# series from the held debug server, read its /run snapshot and -progress
+# lines, and require the partition decision in the audit ledger. Exercises
+# the partition model, the real wire transport, the stop vote that carries
+# Progress, and the dist metrics wiring end to end. A sharded -checkpoint
+# must fail with the library's own error.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -26,7 +28,7 @@ grep -q "chosen" "$tmp/plan" || { echo "dist-smoke: -plan missing chosen marker"
 
 "$tmp/cpd" -in "$tmp/dist.tns" -rank 4 -iters 3 \
     -procs 2 -transport tcp \
-    -listen 127.0.0.1:0 -hold \
+    -listen 127.0.0.1:0 -hold -progress \
     -auditfile "$tmp/audit.jsonl" \
     >"$tmp/stdout" 2>"$tmp/stderr" &
 pid=$!
@@ -63,6 +65,11 @@ grep -q 'adatm_cpd_phase_seconds_count{phase="solve"}' "$tmp/metrics" \
 grep -q 'adatm_dist_messages_total{partition="[a-z-]*",transport="tcp"}' "$tmp/metrics" \
     || { echo "dist-smoke: dist series missing partition/transport labels"; grep adatm_dist "$tmp/metrics"; exit 1; }
 
+# /run carries the sharded run's iterations, and -progress printed them.
+curl -fsS "http://$addr/run" >"$tmp/run"
+grep -q '"iter": *[1-9]' "$tmp/run" || { echo "dist-smoke: /run reports no iteration"; cat "$tmp/run"; exit 1; }
+grep -q '^iter   1  fit' "$tmp/stderr" || { echo "dist-smoke: -progress printed no iteration"; cat "$tmp/stderr"; exit 1; }
+
 kill "$pid"
 wait "$pid" 2>/dev/null || true
 pid=""
@@ -75,5 +82,11 @@ grep -q 'messages=0' "$tmp/stdout" && { echo "dist-smoke: P=2 run sent no messag
 go run ./scripts/jsonlcheck "$tmp/audit.jsonl" || { echo "dist-smoke: audit ledger invalid"; cat "$tmp/audit.jsonl"; exit 1; }
 grep -q '"dist.partition"' "$tmp/audit.jsonl" || { echo "dist-smoke: ledger missing dist.partition event"; cat "$tmp/audit.jsonl"; exit 1; }
 grep -q '"partition_candidates"' "$tmp/audit.jsonl" || { echo "dist-smoke: ledger missing scored candidates"; cat "$tmp/audit.jsonl"; exit 1; }
+
+# A sharded run refuses checkpointing with the library's error, naming it.
+if "$tmp/cpd" -in "$tmp/dist.tns" -rank 4 -iters 2 -procs 2 -checkpoint "$tmp/ck" >/dev/null 2>"$tmp/ckerr"; then
+    echo "dist-smoke: -procs 2 -checkpoint succeeded"; exit 1
+fi
+grep -q 'Checkpoint' "$tmp/ckerr" || { echo "dist-smoke: -checkpoint error does not name Checkpoint"; cat "$tmp/ckerr"; exit 1; }
 
 echo "dist-smoke: OK ($(grep -c adatm_dist "$tmp/metrics") dist metric lines, $(wc -l <"$tmp/audit.jsonl") ledger records)"
