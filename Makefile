@@ -83,6 +83,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamAccum$$' -fuzztime 30s ./internal/kernel/
 	$(GO) test -run '^$$' -fuzz '^FuzzGatherAccum$$' -fuzztime 30s ./internal/kernel/
 	$(GO) test -run '^$$' -fuzz '^FuzzScatterAccum$$' -fuzztime 30s ./internal/kernel/
+	$(GO) test -run '^$$' -fuzz '^FuzzKMV$$' -fuzztime 30s ./internal/model/
 
 experiments:
 	$(GO) run ./cmd/adabench

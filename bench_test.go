@@ -278,3 +278,60 @@ func maxDim(dims []int) int {
 	}
 	return m
 }
+
+// BenchmarkSetupLayers times the set-up layers on the perfbench workloads'
+// tensors at seed 1: the estimator pass on memo-zipf4 and dist-order5, and
+// on dist-order5 (P=2, rank 16) partition scoring, forced random and auto,
+// and building the cluster of a scored partition, which reuses the
+// scoring's communication analysis.
+func BenchmarkSetupLayers(b *testing.B) {
+	tensors := []struct {
+		name string
+		x    *tensor.COO
+	}{
+		{"memo-zipf4", adatm.Generate(adatm.GenSpec{Dims: []int{1024, 1024, 1024, 1024}, NNZ: 300000,
+			Skew: []float64{0.8, 0.8, 0.8, 0.8}, Seed: 1})},
+		{"dist-order5", adatm.Generate(adatm.GenSpec{Dims: []int{2048, 2048, 2048, 2048, 2048}, NNZ: 150000,
+			Skew: []float64{0.5, 0.5, 0.5, 0.5, 0.5}, Seed: 1})},
+	}
+	for _, t := range tensors {
+		b.Run("estimator/"+t.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				model.NewEstimator(t.x, 0)
+			}
+		})
+	}
+	x := tensors[1].x
+	popt := model.PartitionOptions{Procs: 2, Rank: 16, Seed: 1}
+	for _, name := range []string{adatm.PartitionRandom, adatm.PartitionAuto} {
+		b.Run("select-partition/"+name, func(b *testing.B) {
+			o := popt
+			o.Partitioner = name
+			for i := 0; i < b.N; i++ {
+				if _, err := model.SelectPartition(x, o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("new-cluster", func(b *testing.B) {
+		o := popt
+		o.Partitioner = adatm.PartitionRandom
+		factory := func(s *tensor.COO) engine.Engine {
+			eng, err := adatm.NewEngine(s, adatm.EngineCOO, adatm.EngineConfig{Rank: 16, Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return eng
+		}
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			plan, err := model.SelectPartition(x, o)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			dist.NewCluster(x, plan.Chosen.Part, factory)
+		}
+	})
+}

@@ -72,7 +72,8 @@ func PartitionPlanFor(x *Tensor, procs, rank int, seed int64) (*PartitionPlan, e
 // (see DESIGN.md §2j). Each shard gets its own engine of kind opt.Engine
 // (default EngineCOO; an empty shard always coo) under opt.MemoryBudget
 // as a per-process cap. opt.Audit records the partition decision;
-// Checkpoint is refused.
+// Checkpoint is refused. Every refusal comes before any set-up work, so a
+// refused run scores no partition and writes no ledger record.
 func DecomposeDist(x *Tensor, opt Options) (*DistResult, error) {
 	if err := checkTensor(x); err != nil {
 		return nil, err
@@ -80,6 +81,20 @@ func DecomposeDist(x *Tensor, opt Options) (*DistResult, error) {
 	if opt.Procs <= 0 {
 		opt.Procs = 2
 	}
+	if opt.Rank <= 0 {
+		return nil, fmt.Errorf("adatm: Rank must be positive")
+	}
+	if opt.Checkpoint != nil {
+		return nil, fmt.Errorf("adatm: a sharded run does not support Checkpoint")
+	}
+	if err := model.CheckPartitioner(opt.Partition, opt.Procs, x.Order()); err != nil {
+		return nil, fmt.Errorf("adatm: %w", err)
+	}
+	tr, err := buildTransport(opt)
+	if err != nil {
+		return nil, err
+	}
+	defer tr.Close()
 	part, err := selectPartition(x, opt)
 	if err != nil {
 		return nil, err
@@ -108,54 +123,33 @@ func DecomposeDist(x *Tensor, opt Options) (*DistResult, error) {
 		return nil, engErr
 	}
 
-	tr, err := buildTransport(opt)
-	if err != nil {
-		return nil, err
-	}
-	defer tr.Close()
-
 	copt := cpdOptions(opt)
 	copt.Audit = nil // recorded above, as the partition decision
 	return cpd.RunDist(x, cluster, tr, copt)
 }
 
-// selectPartition resolves Options.Partition: the model's choice for
-// PartitionAuto, the named partitioner otherwise. In both cases the scored
-// plan is recorded through the audit recorder so the ledger carries the
-// evidence (and, for a forced partitioner, what the model would have done).
+// selectPartition resolves Options.Partition and records the scored plan
+// through the audit recorder, so the ledger carries the evidence: every
+// candidate and the model's choice for PartitionAuto; for a forced
+// partitioner, that one candidate, built and scored alone, with reason
+// user-forced.
 func selectPartition(x *Tensor, opt Options) (*dist.Partition, error) {
-	name := opt.Partition
-	if name == "" {
-		name = PartitionAuto
-	}
 	transport := opt.Transport
 	if transport == "" {
 		transport = TransportChan
 	}
-	plan, err := model.SelectPartition(x, model.PartitionOptions{Procs: opt.Procs, Rank: opt.Rank, Seed: opt.Seed})
+	plan, err := model.SelectPartition(x, model.PartitionOptions{
+		Procs: opt.Procs, Rank: opt.Rank, Seed: opt.Seed, Partitioner: opt.Partition,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("adatm: %w", err)
 	}
-	var part *dist.Partition
 	dec := audit.NewPartitionDecision(plan, transport)
-	switch name {
-	case PartitionAuto:
-		part = plan.Chosen.Part
-	case PartitionRandom, PartitionMediumGrain, PartitionFineGreedy:
-		if c := plan.Partitioner(name); c != nil {
-			part = c.Part
-		} else if name == PartitionFineGreedy {
-			// Past the feasibility gate (procs > 64 or order > 16) the
-			// greedy partitioner would panic; refuse explicitly.
-			return nil, fmt.Errorf("adatm: fine-greedy partition supports at most 64 processes and order 16")
-		}
-		dec.Chosen = name
-		dec.Reason = "user-forced"
-	default:
-		return nil, fmt.Errorf("adatm: unknown partition %q (want auto, random, medium-grain, fine-greedy)", name)
+	if opt.Partition != "" && opt.Partition != PartitionAuto {
+		dec.Reason = audit.ReasonUserForced
 	}
 	opt.Audit.RecordPartition(dec)
-	return part, nil
+	return plan.Chosen.Part, nil
 }
 
 // buildTransport resolves Options.Transport.

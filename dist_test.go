@@ -3,12 +3,18 @@ package adatm_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"adatm"
+	"adatm/internal/audit"
+	"adatm/internal/cpd"
+	"adatm/internal/dist"
+	"adatm/internal/engine"
+	"adatm/internal/tensor"
 )
 
 func TestDecomposeDistMatchesDecompose(t *testing.T) {
@@ -184,5 +190,104 @@ func TestDecomposeDistOptionValidation(t *testing.T) {
 	plan, err := adatm.PartitionPlanFor(x, 4, 3, 1)
 	if err != nil || len(plan.Candidates) == 0 || plan.String() == "" {
 		t.Errorf("PartitionPlanFor: %v %+v", err, plan)
+	}
+}
+
+// TestDecomposeDistRefusesBeforeSetup: every option a sharded run refuses,
+// and a non-positive rank, is refused before set-up, so the audited run
+// scores no partition and leaves its ledger empty.
+func TestDecomposeDistRefusesBeforeSetup(t *testing.T) {
+	x := adatm.Generate(adatm.GenSpec{Dims: []int{8, 8, 8}, NNZ: 120, Seed: 657})
+	for name, o := range map[string]adatm.Options{
+		"negative rank":       {Rank: -1},
+		"checkpoint":          {Checkpoint: &adatm.CheckpointConfig{Dir: t.TempDir()}},
+		"unknown transport":   {Transport: "bogus"},
+		"fault on chan":       {Fault: &adatm.DistFault{DropProb: 1}},
+		"unknown partition":   {Partition: "bogus"},
+		"fine-greedy at P=65": {Partition: adatm.PartitionFineGreedy, Procs: 65},
+	} {
+		var ledger bytes.Buffer
+		o.Audit = adatm.NewAuditRecorder(adatm.AuditConfig{Ledger: &ledger})
+		if o.Rank == 0 {
+			o.Rank = 3
+		}
+		if o.Procs == 0 {
+			o.Procs = 2
+		}
+		if _, err := adatm.Decompose(x, o); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if ledger.Len() != 0 {
+			t.Errorf("%s: a refused run wrote the ledger:\n%s", name, ledger.String())
+		}
+	}
+}
+
+// TestDecomposeDistForcedPartition: a forced partitioner is scored alone,
+// so its ledger record holds that one candidate with reason user-forced,
+// while auto records the whole family; and the forced run's fit is that
+// of a cluster built from the same partitioner by dist.NewCluster, which
+// analyzes its fresh partition itself, bit for bit.
+func TestDecomposeDistForcedPartition(t *testing.T) {
+	x := adatm.Generate(adatm.GenSpec{Dims: []int{14, 12, 10}, NNZ: 500, Seed: 658})
+	base := adatm.Options{Rank: 4, MaxIters: 4, Tol: 1e-14, Seed: 659, Workers: 1, Engine: adatm.EngineCOO, Procs: 2}
+	run := func(o adatm.Options) (*adatm.DistResult, *audit.Decision) {
+		t.Helper()
+		var ledger bytes.Buffer
+		o.Audit = adatm.NewAuditRecorder(adatm.AuditConfig{Ledger: &ledger})
+		res, err := adatm.DecomposeDist(x, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decs []*audit.Decision
+		for _, line := range strings.Split(strings.TrimSpace(ledger.String()), "\n") {
+			var rec audit.Record
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("ledger line %q: %v", line, err)
+			}
+			if rec.Decision != nil && rec.Decision.Kind == "partition" {
+				decs = append(decs, rec.Decision)
+			}
+		}
+		if len(decs) != 1 {
+			t.Fatalf("partition %q: %d partition decisions in the ledger, want 1", o.Partition, len(decs))
+		}
+		return res, decs[0]
+	}
+
+	if _, dec := run(base); len(dec.Partition) != 3 || dec.Reason != audit.ReasonCommOptimal {
+		t.Errorf("auto: %d candidates, reason %q", len(dec.Partition), dec.Reason)
+	}
+	for name, build := range map[string]func() *dist.Partition{
+		adatm.PartitionRandom:      func() *dist.Partition { return dist.RandomPartition(x, 2, base.Seed) },
+		adatm.PartitionMediumGrain: func() *dist.Partition { return dist.MediumGrainPartition(x, 2) },
+		adatm.PartitionFineGreedy:  func() *dist.Partition { return dist.FineGrainGreedyPartition(x, 2, base.Seed) },
+	} {
+		o := base
+		o.Partition = name
+		res, dec := run(o)
+		if len(dec.Partition) != 1 || dec.Partition[0].Name != name || dec.Chosen != name || dec.Reason != audit.ReasonUserForced {
+			t.Errorf("%s: chosen %q, reason %q, candidates %+v", name, dec.Chosen, dec.Reason, dec.Partition)
+		}
+
+		c := dist.NewCluster(x, build(), func(s *tensor.COO) engine.Engine {
+			eng, err := adatm.NewEngine(s, adatm.EngineCOO, adatm.EngineConfig{Rank: base.Rank, Workers: base.Workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return eng
+		})
+		tr := dist.NewChanTransport(2)
+		want, err := cpd.RunDist(x, c, tr, cpd.Options{
+			Rank: base.Rank, MaxIters: base.MaxIters, Tol: base.Tol, Seed: base.Seed, Workers: base.Workers,
+		})
+		tr.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Fit != want.Fit || res.Iters != want.Iters || res.Messages != want.Messages {
+			t.Errorf("%s: fit %.17g in %d iterations (%d messages), fresh cluster %.17g in %d (%d)",
+				name, res.Fit, res.Iters, res.Messages, want.Fit, want.Iters, want.Messages)
+		}
 	}
 }

@@ -22,6 +22,10 @@ import (
 // per-iteration time (slowest-process compute + α–β communication).
 const ReasonCommOptimal = "comm-optimal"
 
+// ReasonUserForced: the run named its partitioner, so the decision holds
+// that one candidate, scored alone.
+const ReasonUserForced = "user-forced"
+
 // EventPartition is the ledger event kind for a partition decision.
 const EventPartition = "dist.partition"
 

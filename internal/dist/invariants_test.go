@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"adatm/internal/engine"
 	"adatm/internal/tensor"
 )
 
@@ -197,6 +199,27 @@ func TestAnalyzeCommEmptyRowOwner(t *testing.T) {
 	}
 	if stats.TotalRows != 0 || stats.Messages != 0 {
 		t.Errorf("disjoint nonzeros need no communication: %+v", stats)
+	}
+}
+
+// Analysis runs AnalyzeComm once per partition and tensor: the cluster
+// built from a partition already analyzed (scored) takes the same row
+// owners rather than a second pass, and another tensor is analyzed afresh.
+func TestPartitionAnalysisOnce(t *testing.T) {
+	x := tensor.RandomClustered(3, 12, 300, 0.7, 623)
+	p := RandomPartition(x, 3, 1)
+	owners, stats := p.Analysis(x)
+	freshOwners, freshStats := AnalyzeComm(x, p)
+	if stats != freshStats || !reflect.DeepEqual(owners, freshOwners) {
+		t.Fatalf("Analysis %+v differs from AnalyzeComm %+v", stats, freshStats)
+	}
+	c := NewCluster(x, p, func(s *tensor.COO) engine.Engine { return nil })
+	if c.Owners != owners || c.Comm != stats {
+		t.Error("NewCluster analyzed a partition that was already analyzed")
+	}
+	y := x.Clone()
+	if o, _ := p.Analysis(y); o == owners || !reflect.DeepEqual(o, owners) {
+		t.Error("another tensor must be analyzed afresh, to the same owners")
 	}
 }
 

@@ -19,6 +19,7 @@ package dist
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"adatm/internal/tensor"
 )
@@ -28,6 +29,31 @@ type Partition struct {
 	P     int
 	Owner []int32 // Owner[k] = process owning nonzero k
 	Name  string
+
+	mu       sync.Mutex    // guards analysis
+	analysis *commAnalysis // Analysis's result, kept for its tensor
+}
+
+// commAnalysis is AnalyzeComm's result for one tensor.
+type commAnalysis struct {
+	x      *tensor.COO
+	owners *RowOwners
+	stats  CommStats
+}
+
+// Analysis returns AnalyzeComm(x, p), computed on the first call for x and
+// kept on the partition, so scoring a partition and building its cluster
+// share one pass. Owner must not change after the first call, and the
+// returned RowOwners are shared: read them, do not modify them.
+func (p *Partition) Analysis(x *tensor.COO) (*RowOwners, CommStats) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if a := p.analysis; a != nil && a.x == x {
+		return a.owners, a.stats
+	}
+	owners, stats := AnalyzeComm(x, p)
+	p.analysis = &commAnalysis{x: x, owners: owners, stats: stats}
+	return owners, stats
 }
 
 // Validate checks structural sanity.

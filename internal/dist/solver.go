@@ -18,9 +18,10 @@ type Cluster struct {
 }
 
 // NewCluster shards the tensor and builds one engine per process via the
-// factory (shard) -> engine.
+// factory (shard) -> engine. The row owners and communication accounting
+// come from p.Analysis, so a partition already scored is not analyzed again.
 func NewCluster(x *tensor.COO, p *Partition, factory func(shard *tensor.COO) engine.Engine) *Cluster {
-	owners, stats := AnalyzeComm(x, p)
+	owners, stats := p.Analysis(x)
 	c := &Cluster{X: x, Part: p, Owners: owners, Comm: stats}
 	c.Engines = make([]engine.Engine, p.P)
 	for i, s := range Shards(x, p) {

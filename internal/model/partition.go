@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -16,8 +17,8 @@ import (
 // which nonzero partitioner a sharded run should use. The score is
 // dist.CostModel.Iteration — the slowest process's compute under the
 // roofline's NsPerOp plus α–β communication over the exact fold/expand
-// volume AnalyzeComm computes — so the audit layer can later reconcile the
-// prediction against the measured run.
+// volume dist.AnalyzeComm computes — so the audit layer can later
+// reconcile the prediction against the measured run.
 
 // PartitionOptions configures SelectPartition.
 type PartitionOptions struct {
@@ -28,6 +29,9 @@ type PartitionOptions struct {
 	// Seed drives the randomized partitioners (random placement, greedy
 	// visit order).
 	Seed int64
+	// Partitioner names the one partitioner to build and score (a forced
+	// choice); empty or "auto" scores the whole family.
+	Partitioner string
 }
 
 // PartitionCandidate is one scored partitioner.
@@ -65,11 +69,45 @@ const (
 	defaultAlphaNS   = 20_000.0
 )
 
+// partitioner is one candidate SelectPartition can build.
+type partitioner struct {
+	name  string
+	build func(x *tensor.COO, procs int, seed int64) *dist.Partition
+}
+
+// partitioners is the candidate family in enumeration (tie-break) order.
+var partitioners = []partitioner{
+	{"random", dist.RandomPartition},
+	{"medium-grain", func(x *tensor.COO, procs int, _ int64) *dist.Partition {
+		return dist.MediumGrainPartition(x, procs)
+	}},
+	{"fine-greedy", dist.FineGrainGreedyPartition},
+}
+
+// CheckPartitioner reports whether SelectPartition accepts name as
+// PartitionOptions.Partitioner for an order-n tensor over procs processes.
+func CheckPartitioner(name string, procs, n int) error {
+	if name == "" || name == "auto" {
+		return nil
+	}
+	if !slices.ContainsFunc(partitioners, func(pt partitioner) bool { return pt.name == name }) {
+		return fmt.Errorf("model: unknown partition %q (want auto, random, medium-grain, fine-greedy)", name)
+	}
+	// The greedy partitioner stores process sets as 64-bit masks and
+	// per-nonzero mode loops over a fixed array.
+	if name == "fine-greedy" && (procs > 64 || n > 16) {
+		return fmt.Errorf("model: fine-greedy partition supports at most 64 processes and order 16")
+	}
+	return nil
+}
+
 // SelectPartition scores the partitioner family (random, medium-grain
-// Cartesian, fine-grain greedy) for x at the given process count and picks
-// the one with the smallest predicted per-iteration time. Ties resolve to
-// the earlier candidate in enumeration order (random, medium-grain,
-// fine-greedy), making the choice deterministic.
+// Cartesian, fine-grain greedy; fine-greedy only where CheckPartitioner
+// admits it) for x at the given process count and picks the one with the
+// smallest predicted per-iteration time. Ties resolve to the earlier
+// candidate in enumeration order (random, medium-grain, fine-greedy),
+// making the choice deterministic. A forced opt.Partitioner is built and
+// scored alone: the plan holds that one candidate.
 func SelectPartition(x *tensor.COO, opt PartitionOptions) (*PartitionPlan, error) {
 	if x == nil || x.NNZ() == 0 {
 		return nil, fmt.Errorf("model: partition selection needs a non-empty tensor")
@@ -77,18 +115,17 @@ func SelectPartition(x *tensor.COO, opt PartitionOptions) (*PartitionPlan, error
 	if opt.Procs < 1 {
 		return nil, fmt.Errorf("model: partition selection needs procs >= 1, got %d", opt.Procs)
 	}
+	if err := CheckPartitioner(opt.Partitioner, opt.Procs, x.Order()); err != nil {
+		return nil, err
+	}
+	family := partitioners
+	if opt.Partitioner != "" && opt.Partitioner != "auto" {
+		i := slices.IndexFunc(partitioners, func(pt partitioner) bool { return pt.name == opt.Partitioner })
+		family = partitioners[i : i+1]
+	}
 	rank := opt.Rank
 	if rank <= 0 {
 		rank = 16
-	}
-	parts := []*dist.Partition{
-		dist.RandomPartition(x, opt.Procs, opt.Seed),
-		dist.MediumGrainPartition(x, opt.Procs),
-	}
-	// The fine-grain greedy partitioner stores process sets as 64-bit masks
-	// and per-nonzero mode loops over a fixed array: feasibility-gate it.
-	if opt.Procs <= 64 && x.Order() <= 16 {
-		parts = append(parts, dist.FineGrainGreedyPartition(x, opt.Procs, opt.Seed))
 	}
 
 	plan := &PartitionPlan{
@@ -96,8 +133,12 @@ func SelectPartition(x *tensor.COO, opt PartitionOptions) (*PartitionPlan, error
 		AlphaNS: defaultAlphaNS, NsPerOp: defaultNsPerOp, NsPerByte: defaultNsPerByte,
 	}
 	cm := dist.CostModel{NsPerOp: defaultNsPerOp, AlphaNs: defaultAlphaNS, BetaNsByte: defaultNsPerByte}
-	for _, p := range parts {
-		_, stats := dist.AnalyzeComm(x, p)
+	for _, pt := range family {
+		if CheckPartitioner(pt.name, opt.Procs, x.Order()) != nil {
+			continue
+		}
+		p := pt.build(x, opt.Procs, opt.Seed)
+		_, stats := p.Analysis(x)
 		computeNS, commNS := cm.Iteration(p, stats, x.Order(), rank)
 		plan.Candidates = append(plan.Candidates, PartitionCandidate{
 			Name: p.Name, Part: p, Comm: stats, Imbalance: p.Imbalance(),

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -70,5 +71,53 @@ func TestSelectPartitionMirrorsCostModel(t *testing.T) {
 	}
 	if _, err := SelectPartition(tensor.NewCOO([]int{2, 2}, 0), PartitionOptions{Procs: 2}); err == nil {
 		t.Error("empty tensor accepted")
+	}
+}
+
+// A forced partitioner is built and scored alone, and its candidate is the
+// one the full plan scores under that name, field for field; "auto" and
+// the empty name score the whole family, and unknown or infeasible names
+// are refused.
+func TestSelectPartitionForced(t *testing.T) {
+	x := tensor.RandomClustered(3, 20, 800, 0.6, 632)
+	opt := PartitionOptions{Procs: 4, Rank: 8, Seed: 3}
+	full, err := SelectPartition(x, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"random", "medium-grain", "fine-greedy"} {
+		forced := opt
+		forced.Partitioner = name
+		plan, err := SelectPartition(x, forced)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.Candidates) != 1 || plan.Chosen.Name != name {
+			t.Fatalf("%s: %d candidates, chosen %q", name, len(plan.Candidates), plan.Chosen.Name)
+		}
+		got, want := plan.Chosen, full.Partitioner(name)
+		if got.Comm != want.Comm || got.Imbalance != want.Imbalance || got.PredNS != want.PredNS ||
+			got.ComputeNS != want.ComputeNS || got.CommNS != want.CommNS || !slices.Equal(got.Part.Owner, want.Part.Owner) {
+			t.Errorf("%s: forced candidate %+v, full plan's %+v", name, got, *want)
+		}
+	}
+	auto := opt
+	auto.Partitioner = "auto"
+	if plan, err := SelectPartition(x, auto); err != nil || len(plan.Candidates) != 3 || plan.Chosen.Name != full.Chosen.Name {
+		t.Errorf("auto: %v, %+v", err, plan)
+	}
+
+	bogus := opt
+	bogus.Partitioner = "bogus"
+	if _, err := SelectPartition(x, bogus); err == nil || !strings.Contains(err.Error(), "unknown partition") {
+		t.Errorf("unknown partitioner: %v", err)
+	}
+	wide := PartitionOptions{Procs: 65, Partitioner: "fine-greedy"}
+	if _, err := SelectPartition(x, wide); err == nil || !strings.Contains(err.Error(), "64 processes") {
+		t.Errorf("fine-greedy at 65 processes: %v", err)
+	}
+	wide.Partitioner = ""
+	if plan, err := SelectPartition(x, wide); err != nil || len(plan.Candidates) != 2 || plan.Partitioner("fine-greedy") != nil {
+		t.Errorf("auto at 65 processes must skip fine-greedy: %v, %+v", err, plan)
 	}
 }

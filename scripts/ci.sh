@@ -7,6 +7,10 @@ cd "$(dirname "$0")/.."
 
 make build
 make vet
+
+# Every Go file, perfbench's included, is gofmt-clean.
+test -z "$(gofmt -l .)"
+
 make test
 make test-race
 
@@ -89,7 +93,9 @@ go test -race -count=1 -run 'TestDistRun|TestDistFault|TestDistributedALS|TestTr
 # input), so its seconds go to new inputs. The streamed, gathered and
 # scattered kernels' fuzz runs hold each AVX2 body to its portable one, bit
 # for bit or panic for panic, on random shapes, special values and
-# out-of-range indices.
+# out-of-range indices. The KMV fuzz run holds the distinct-count sketch's
+# open-addressing set and k-th-smallest selection to a sort-based reference
+# and to brute force, on streams with hash 0 and duplicates.
 go test -run '^$' -fuzz '^FuzzReadTNS$' -fuzztime 10s ./internal/tensor/
 go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 10s ./internal/dist/
 go test -run '^$' -fuzz '^FuzzReadModel$' -fuzztime 10s ./internal/cpd/
@@ -99,6 +105,7 @@ go test -run '^$' -fuzz '^FuzzDecodeResult$' -fuzztime 10s ./internal/perf/
 go test -run '^$' -fuzz '^FuzzStreamAccum$' -fuzztime 10s ./internal/kernel/
 go test -run '^$' -fuzz '^FuzzGatherAccum$' -fuzztime 10s ./internal/kernel/
 go test -run '^$' -fuzz '^FuzzScatterAccum$' -fuzztime 10s ./internal/kernel/
+go test -run '^$' -fuzz '^FuzzKMV$' -fuzztime 10s ./internal/model/
 
 # The order-aware path end to end: quick E16 selects over several mode
 # orders and times the chosen ordered engine, and the modelpick example
