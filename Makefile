@@ -97,6 +97,7 @@ examples:
 	$(GO) run ./examples/recommender
 	$(GO) run ./examples/healthcare
 	$(GO) run ./examples/completion
+	$(GO) run ./examples/distributed
 
 clean:
 	$(GO) clean ./...

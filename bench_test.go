@@ -282,8 +282,9 @@ func maxDim(dims []int) int {
 // BenchmarkSetupLayers times the set-up layers on the perfbench workloads'
 // tensors at seed 1: the estimator pass on memo-zipf4 and dist-order5, and
 // on dist-order5 (P=2, rank 16) partition scoring, forced random and auto,
-// and building the cluster of a scored partition, which reuses the
-// scoring's communication analysis.
+// building the cluster of a scored partition, which reuses the scoring's
+// communication analysis, and the whole sharded set-up: forced random
+// scoring, the cluster and the exchange over it.
 func BenchmarkSetupLayers(b *testing.B) {
 	tensors := []struct {
 		name string
@@ -314,16 +315,16 @@ func BenchmarkSetupLayers(b *testing.B) {
 			}
 		})
 	}
-	b.Run("new-cluster", func(b *testing.B) {
-		o := popt
-		o.Partitioner = adatm.PartitionRandom
-		factory := func(s *tensor.COO) engine.Engine {
-			eng, err := adatm.NewEngine(s, adatm.EngineCOO, adatm.EngineConfig{Rank: 16, Workers: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return eng
+	o := popt
+	o.Partitioner = adatm.PartitionRandom
+	factory := func(s *tensor.COO) engine.Engine {
+		eng, err := adatm.NewEngine(s, adatm.EngineCOO, adatm.EngineConfig{Rank: 16, Workers: 1})
+		if err != nil {
+			b.Fatal(err)
 		}
+		return eng
+	}
+	b.Run("new-cluster", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			plan, err := model.SelectPartition(x, o)
@@ -332,6 +333,20 @@ func BenchmarkSetupLayers(b *testing.B) {
 			}
 			b.StartTimer()
 			dist.NewCluster(x, plan.Chosen.Part, factory)
+		}
+	})
+	b.Run("sharded-setup", func(b *testing.B) {
+		tr := dist.NewChanTransport(o.Procs)
+		defer tr.Close()
+		for i := 0; i < b.N; i++ {
+			plan, err := model.SelectPartition(x, o)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c := dist.NewCluster(x, plan.Chosen.Part, factory)
+			if _, err := dist.NewExchange(c, tr, o.Rank, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

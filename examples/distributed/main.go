@@ -1,6 +1,7 @@
 // Sharded decomposition: score the partitioners' communication footprints
 // with the cost model, then run the sharded CP-ALS over simulated processes
-// and check that it reaches the shared-memory solver's solution.
+// and check that it reaches the shared-memory solver's solution: the run
+// exits non-zero when the two fits differ by more than 1e-12.
 //
 //	go run ./examples/distributed
 package main
@@ -8,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 
 	"adatm"
 )
@@ -45,4 +47,7 @@ func main() {
 		distributed.Fit, shared.Fit-distributed.Fit)
 	fmt.Printf("distributed run:    %d messages over %s partitioning, %.1f MiB/iter predicted\n",
 		distributed.Messages, plan.Chosen.Name, float64(distributed.Comm.VolumeBytes(rank))/(1<<20))
+	if d := math.Abs(shared.Fit - distributed.Fit); !(d <= 1e-12) {
+		log.Fatalf("sharded fit differs from the shared-memory fit by %.2e > 1e-12", d)
+	}
 }

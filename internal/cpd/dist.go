@@ -39,9 +39,9 @@ type DistResult struct {
 // scalar all-reduce per iteration, a stop vote, so every process stops
 // where process 0's callback says. Checkpoint and Audit are rejected.
 // Every process checks Ctx; on the first error the transport is closed and
-// the root-cause error returned, with no Result. The Result's Factors are gathered from the row owners, its
-// MTTKRPTime is summed over processes, and its TotalTime excludes building
-// the exchange plan.
+// the root-cause error returned, with no Result. The Result's Factors are
+// gathered from the row owners, its MTTKRPTime is summed over processes,
+// and its TotalTime covers the processes' loops alone.
 func RunDist(x *tensor.COO, c *dist.Cluster, tr dist.Transport, opt Options) (*DistResult, error) {
 	if opt.Checkpoint != nil || opt.Audit != nil {
 		return nil, errors.New("cpd: a sharded run does not support Checkpoint or Audit")

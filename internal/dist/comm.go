@@ -19,9 +19,21 @@ import (
 // RowOwners assigns each mode row to a process: rows are visited in
 // increasing connectivity order and greedily given to the touching process
 // with the smallest accumulated communication (the standard mode-
-// partitioning heuristic).
+// partitioning heuristic). It also carries the exchange schedule, the row
+// lists every Exchange over the partition reads.
 type RowOwners struct {
 	Owner [][]int32 // Owner[m][i] = owning process of row i in mode m (-1 if the row is empty)
+
+	// own[m][q] lists the rows process q owns in mode m, ascending.
+	own [][][]int32
+	// fold[m][p][q] lists the rows process p touches that q owns (p ≠ q),
+	// ascending: p sends exactly these rows' partials to q in mode m's
+	// fold, and q returns the same rows updated in the expand.
+	fold [][][][]int32
+	// self[m][p] lists the rows p both touches and owns, ascending: the
+	// local contribution to p's fold sum. An owner is picked among a row's
+	// touching processes, so these are own[m][p], the same slices.
+	self [][][]int32
 }
 
 // CommStats aggregates the per-iteration communication of a partition.
@@ -44,11 +56,17 @@ type CommStats struct {
 // counting both fold and expand directions.
 func (c CommStats) VolumeBytes(r int) int64 { return c.TotalRows * int64(r) * 8 * 2 }
 
-// AnalyzeComm computes row ownership and exact communication statistics
-// for the partition.
+// AnalyzeComm computes row ownership, the exchange schedule and exact
+// communication statistics for the partition, from one pass over the
+// nonzeros per mode.
 func AnalyzeComm(x *tensor.COO, p *Partition) (*RowOwners, CommStats) {
 	n := x.Order()
-	owners := &RowOwners{Owner: make([][]int32, n)}
+	owners := &RowOwners{
+		Owner: make([][]int32, n),
+		own:   make([][][]int32, n),
+		fold:  make([][][][]int32, n),
+		self:  make([][][]int32, n),
+	}
 	stats := CommStats{P: p.P}
 	procLoad := make([]int64, p.P) // accumulated send volume per process
 
@@ -81,8 +99,9 @@ func AnalyzeComm(x *tensor.COO, p *Partition) (*RowOwners, CommStats) {
 			}
 			return rows[a].idx < rows[b].idx
 		})
-		msgs := make([]bool, p.P*p.P) // sender·P + owner pairs seen in this mode
-		nmsgs := 0
+		// cnt[p·P+q] counts the rows p folds to owner q (q's own if p = q).
+		cnt := make([]int, p.P*p.P)
+		var folded int
 		for _, ri := range rows {
 			i := int(ri.idx)
 			// Processes come in ascending order, so the first least-loaded
@@ -94,19 +113,46 @@ func AnalyzeComm(x *tensor.COO, p *Partition) (*RowOwners, CommStats) {
 				}
 			})
 			owners.Owner[m][i] = best
-			stats.TotalRows += int64(ri.conn - 1)
+			folded += ri.conn - 1
 			touch.each(i, func(proc int32) {
-				if proc == best {
-					return
+				if proc != best {
+					procLoad[proc]++
 				}
-				procLoad[proc]++
-				if k := int(proc)*p.P + int(best); !msgs[k] {
-					msgs[k] = true
-					nmsgs++
+				cnt[int(proc)*p.P+int(best)]++
+			})
+		}
+		stats.TotalRows += int64(folded)
+		// The schedule, its lists cut at the counted sizes from one buffer.
+		// One fold message goes per non-empty (sender, owner) list.
+		next := make([]int32, len(rows)+folded)
+		take := func(n int) (s []int32) {
+			s, next = next[:0:n], next[n:]
+			return s
+		}
+		own, fold := make([][]int32, p.P), make([][][]int32, p.P)
+		for a := range fold {
+			own[a] = take(cnt[a*p.P+a])
+			fold[a] = make([][]int32, p.P)
+			for b := range fold[a] {
+				if n := cnt[a*p.P+b]; b != a && n > 0 {
+					fold[a][b] = take(n)
+					stats.Messages++
+				}
+			}
+		}
+		// Rows are visited in ascending order, so every list ascends.
+		for i, q := range owners.Owner[m] {
+			if q < 0 {
+				continue
+			}
+			own[q] = append(own[q], int32(i))
+			touch.each(i, func(proc int32) {
+				if proc != q {
+					fold[proc][q] = append(fold[proc][q], int32(i))
 				}
 			})
 		}
-		stats.Messages += int64(nmsgs)
+		owners.own[m], owners.fold[m], owners.self[m] = own, fold, own
 	}
 	for _, l := range procLoad {
 		if l > stats.MaxProcRows {

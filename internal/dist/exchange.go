@@ -9,14 +9,13 @@ import (
 
 	"adatm/internal/dense"
 	"adatm/internal/obs"
-	"adatm/internal/tensor"
 )
 
 // ErrBadMessage reports a received message that does not carry what the
-// exchange plan says its sender sends: exactly the plan's row list, and
-// exactly one payload value per row and rank column (for a fold or an
-// expand) or per element of the all-reduced vector (for a reduce or a
-// broadcast). The error wrapping it names the sender, kind, mode and
+// exchange schedule says its sender sends: exactly the schedule's row
+// list, and exactly one payload value per row and rank column (for a fold
+// or an expand) or per element of the all-reduced vector (for a reduce or
+// a broadcast). The error wrapping it names the sender, kind, mode and
 // iteration.
 var ErrBadMessage = errors.New("dist: malformed message")
 
@@ -31,26 +30,26 @@ func checkMessage(msg *Message, rows []int32, n int) error {
 }
 
 // Exchange is the row-exchange protocol of one sharded CP-ALS run: the
-// symbolic schedule of which rows each process folds to which owner, the
-// transport, and the traffic counters. The ALS loop itself is package cpd's;
-// each of its processes talks to the others through one Endpoint. Per mode
-// the loop calls Reduce (local MTTKRP rows go to their owners and are summed
-// in ascending process order, so the reduction tree is fixed), AllReduce on
-// the column sums of squares, Expand (owners return the updated rows to
-// every process touching them) and AllReduce on the partial Gram; each
-// iteration ends with a scalar AllReduce for the fit.
+// transport and the traffic counters, over the schedule the cluster's
+// RowOwners carry of which rows each process folds to which owner. The ALS
+// loop itself is package cpd's; each of its processes talks to the others
+// through one Endpoint. Per mode the loop calls Reduce (local MTTKRP rows
+// go to their owners and are summed in ascending process order, so the
+// reduction tree is fixed), AllReduce on the column sums of squares, Expand
+// (owners return the updated rows to every process touching them) and
+// AllReduce on the partial Gram; each iteration ends with a scalar
+// AllReduce for the fit.
 type Exchange struct {
 	c      *Cluster
 	tr     Transport
 	rel    releaser // tr's Release facet, or nil
 	rank   int
-	plan   *exchangePlan
 	msgs   atomic.Int64
 	foldNS atomic.Int64
 }
 
-// NewExchange builds the schedule of a rank-`rank` run over the cluster's
-// partition and, when reg is non-nil, registers the adatm_dist_* series
+// NewExchange prepares a rank-`rank` run over the cluster's partition and
+// its schedule and, when reg is non-nil, registers the adatm_dist_* series
 // (volume, messages, fold time, transport retries) labeled by partition and
 // transport name.
 func NewExchange(c *Cluster, tr Transport, rank int, reg *obs.Registry) (*Exchange, error) {
@@ -60,7 +59,7 @@ func NewExchange(c *Cluster, tr Transport, rank int, reg *obs.Registry) (*Exchan
 	if tr.P() != c.Part.P {
 		return nil, fmt.Errorf("dist: transport connects %d processes, cluster has %d", tr.P(), c.Part.P)
 	}
-	e := &Exchange{c: c, tr: tr, rank: rank, plan: buildExchangePlan(c.X, c.Part, c.Owners)}
+	e := &Exchange{c: c, tr: tr, rank: rank}
 	e.rel, _ = tr.(releaser)
 	e.registerMetrics(reg)
 	return e, nil
@@ -85,7 +84,7 @@ func (e *Exchange) Retries() int64 {
 func (e *Exchange) Gather(mode int, replicas []*dense.Matrix) *dense.Matrix {
 	out := dense.New(e.c.X.Dims[mode], e.rank)
 	for q, f := range replicas {
-		for _, i := range e.plan.own[mode][q] {
+		for _, i := range e.c.Owners.own[mode][q] {
 			copy(out.Row(int(i)), f.Row(int(i)))
 		}
 	}
@@ -122,58 +121,6 @@ func (e *Exchange) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("adatm_dist_retries_total",
 		"Transport-level retransmissions (TCP transport; 0 for the in-process transport).",
 		labels, func() float64 { return float64(e.Retries()) })
-}
-
-// exchangePlan is the symbolic communication schedule, computed once from
-// the partition and row ownership and shared read-only by every endpoint.
-type exchangePlan struct {
-	// own[m][q] lists the rows process q owns in mode m, ascending.
-	own [][][]int32
-	// fold[m][p][q] lists the rows process p touches that q owns (p ≠ q),
-	// ascending: p sends exactly these rows' partials to q in mode m's
-	// fold, and q returns the same rows updated in the expand.
-	fold [][][][]int32
-	// self[m][p] lists the rows p both touches and owns, ascending: the
-	// local contribution to p's fold sum.
-	self [][][]int32
-}
-
-func buildExchangePlan(x *tensor.COO, part *Partition, owners *RowOwners) *exchangePlan {
-	n := x.Order()
-	P := part.P
-	plan := &exchangePlan{
-		own:  make([][][]int32, n),
-		fold: make([][][][]int32, n),
-		self: make([][][]int32, n),
-	}
-	for m := 0; m < n; m++ {
-		touched := newProcSets(x.Dims[m], P)
-		for k := 0; k < x.NNZ(); k++ {
-			touched.add(int(x.Inds[m][k]), part.Owner[k])
-		}
-		plan.own[m] = make([][]int32, P)
-		for i, q := range owners.Owner[m] {
-			if q >= 0 {
-				plan.own[m][q] = append(plan.own[m][q], int32(i))
-			}
-		}
-		plan.fold[m] = make([][][]int32, P)
-		plan.self[m] = make([][]int32, P)
-		for p := range plan.fold[m] {
-			plan.fold[m][p] = make([][]int32, P)
-		}
-		// Rows are visited in ascending order, so every list ascends.
-		for i, q := range owners.Owner[m] {
-			touched.each(i, func(p int32) {
-				if p == q {
-					plan.self[m][p] = append(plan.self[m][p], int32(i))
-				} else {
-					plan.fold[m][p][q] = append(plan.fold[m][p][q], int32(i))
-				}
-			})
-		}
-	}
-	return plan
 }
 
 // inbox wraps the transport's Recv with selective receive: messages for a
@@ -214,9 +161,9 @@ func (b *inbox) recvMatch(kind MsgKind, tag uint8, mode, iter, from int) (*Messa
 // payload as soon as Send returns, and every received message is released
 // back to a transport with the Release facet once it has been consumed (a
 // message stashed for a later phase stays unreleased until then). Every
-// received message is checked against the plan before it is read: one that
-// does not carry its sender's planned rows and payload length ends the run
-// with ErrBadMessage, rather than a panic or a sum into the wrong row.
+// received message is checked against the schedule before it is read: one
+// without its sender's rows and payload length ends the run with
+// ErrBadMessage, rather than a panic or a sum into the wrong row.
 type Endpoint struct {
 	ex       *Exchange
 	id       int
@@ -232,10 +179,10 @@ type Endpoint struct {
 
 // Endpoint returns process p's endpoint. Each process must use its own.
 func (e *Exchange) Endpoint(p int) *Endpoint {
-	plan, r, P := e.plan, e.rank, e.c.Part.P
+	sched, r, P := e.c.Owners, e.rank, e.c.Part.P
 	maxOwn := 0
-	for m := range plan.own {
-		maxOwn = max(maxOwn, len(plan.own[m][p]))
+	for m := range sched.own {
+		maxOwn = max(maxOwn, len(sched.own[m][p]))
 	}
 	ep := &Endpoint{
 		ex: e, id: p, inbox: inbox{tr: e.tr, me: p},
@@ -246,8 +193,8 @@ func (e *Exchange) Endpoint(p int) *Endpoint {
 	}
 	for q := range ep.sendBuf {
 		rows := 0
-		for m := range plan.fold {
-			rows = max(rows, len(plan.fold[m][p][q]), len(plan.fold[m][q][p]))
+		for m := range sched.fold {
+			rows = max(rows, len(sched.fold[m][p][q]), len(sched.fold[m][q][p]))
 		}
 		ep.sendBuf[q] = make([]float64, rows*r)
 	}
@@ -284,8 +231,8 @@ func (p *Endpoint) payload(q int, rows []int32, m *dense.Matrix) []float64 {
 // those sums together with a copy of u's owned rows, both compact: row j
 // belongs to the j-th owned row in ascending order.
 func (p *Endpoint) Reduce(mode, iter int, m, u *dense.Matrix) (*dense.Matrix, *dense.Matrix, error) {
-	plan, r := p.ex.plan, p.ex.rank
-	for q, rows := range plan.fold[mode][p.id] {
+	sched, r := p.ex.c.Owners, p.ex.rank
+	for q, rows := range sched.fold[mode][p.id] {
 		if len(rows) == 0 {
 			continue
 		}
@@ -294,12 +241,12 @@ func (p *Endpoint) Reduce(mode, iter int, m, u *dense.Matrix) (*dense.Matrix, *d
 		}
 	}
 	t0 := time.Now()
-	ownRows := plan.own[mode][p.id]
+	ownRows := sched.own[mode][p.id]
 	fb := p.fold[:len(ownRows)*r]
 	clear(fb)
 	for q := range p.incoming {
 		p.incoming[q] = nil
-		rows := plan.fold[mode][q][p.id]
+		rows := sched.fold[mode][q][p.id]
 		if q == p.id || len(rows) == 0 {
 			continue
 		}
@@ -314,7 +261,7 @@ func (p *Endpoint) Reduce(mode, iter int, m, u *dense.Matrix) (*dense.Matrix, *d
 	}
 	for q, msg := range p.incoming {
 		if q == p.id {
-			for _, i := range plan.self[mode][p.id] {
+			for _, i := range sched.self[mode][p.id] {
 				addRow(fb, ownRows, i, m.Row(int(i)))
 			}
 		} else if msg != nil {
@@ -339,12 +286,12 @@ func (p *Endpoint) Reduce(mode, iter int, m, u *dense.Matrix) (*dense.Matrix, *d
 // sends them to every process that touches them, and receives into u the
 // rows this process touches from their owners: the mirror of the fold.
 func (p *Endpoint) Expand(mode, iter int, own, u *dense.Matrix) error {
-	plan, r := p.ex.plan, p.ex.rank
-	for j, i := range plan.own[mode][p.id] {
+	sched, r := p.ex.c.Owners, p.ex.rank
+	for j, i := range sched.own[mode][p.id] {
 		copy(u.Row(int(i)), own.Row(j))
 	}
-	for q := range plan.fold[mode] {
-		rows := plan.fold[mode][q][p.id]
+	for q := range sched.fold[mode] {
+		rows := sched.fold[mode][q][p.id]
 		if len(rows) == 0 {
 			continue
 		}
@@ -352,7 +299,7 @@ func (p *Endpoint) Expand(mode, iter int, own, u *dense.Matrix) error {
 			return err
 		}
 	}
-	for q, rows := range plan.fold[mode][p.id] {
+	for q, rows := range sched.fold[mode][p.id] {
 		if len(rows) == 0 {
 			continue
 		}

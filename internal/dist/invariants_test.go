@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -220,6 +221,74 @@ func TestPartitionAnalysisOnce(t *testing.T) {
 	y := x.Clone()
 	if o, _ := p.Analysis(y); o == owners || !reflect.DeepEqual(o, owners) {
 		t.Error("another tensor must be analyzed afresh, to the same owners")
+	}
+	// The exchange reads the schedule the analysis cached, and building it
+	// makes no pass of its own.
+	tr := NewChanTransport(p.P)
+	defer tr.Close()
+	ex, err := NewExchange(c, tr, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.c.Owners != owners {
+		t.Error("the exchange does not use the cached schedule")
+	}
+	if n := testing.AllocsPerRun(10, func() { NewExchange(c, tr, 4, nil) }); n > 1 {
+		t.Errorf("NewExchange allocated %v times: it must build no schedule", n)
+	}
+}
+
+// The statistics are counts over the schedule's lists: TotalRows is the
+// fold rows, Messages the non-empty (sender, owner) lists, MaxProcRows the
+// busiest sender's fold rows, and own[m][q] the ascending rows q owns.
+func TestCommStatsMatchSchedule(t *testing.T) {
+	empty := tensor.NewCOO([]int{4, 4, 4}, 2)
+	empty.Append([]tensor.Index{0, 0, 0}, 1.0)
+	empty.Append([]tensor.Index{3, 3, 3}, 2.0)
+	type scored struct {
+		x *tensor.COO
+		p *Partition
+	}
+	cases := []scored{{empty, &Partition{P: 2, Owner: []int32{0, 1}, Name: "manual"}}}
+	x := tensor.RandomClustered(3, 12, 500, 0.6, 621)
+	for _, procs := range []int{2, 4, 7} {
+		for _, p := range partitioners(x, procs) {
+			cases = append(cases, scored{x, p})
+		}
+	}
+	for _, c := range cases {
+		owners, stats := AnalyzeComm(c.x, c.p)
+		var total, msgs, maxProc int64
+		for proc := 0; proc < c.p.P; proc++ {
+			var sent int64
+			for m := range owners.fold {
+				for _, rows := range owners.fold[m][proc] {
+					sent += int64(len(rows))
+					if len(rows) > 0 {
+						msgs++
+					}
+				}
+			}
+			total += sent
+			maxProc = max(maxProc, sent)
+		}
+		if stats.TotalRows != total || stats.Messages != msgs || stats.MaxProcRows != maxProc {
+			t.Errorf("%s P=%d: stats %+v, lists give TotalRows %d, Messages %d, MaxProcRows %d",
+				c.p.Name, c.p.P, stats, total, msgs, maxProc)
+		}
+		for m, own := range owners.own {
+			for q := range own {
+				var want []int32
+				for i, o := range owners.Owner[m] {
+					if int(o) == q {
+						want = append(want, int32(i))
+					}
+				}
+				if !slices.Equal(own[q], want) {
+					t.Errorf("%s P=%d mode %d: own[%d] = %v, want %v", c.p.Name, c.p.P, m, q, own[q], want)
+				}
+			}
+		}
 	}
 }
 

@@ -33,7 +33,7 @@ func scheduleHash(x *tensor.COO, part *Partition) uint64 {
 	put(stats.MaxProcRows)
 	put(stats.Messages)
 	put(int64(stats.MaxRowConnectivity))
-	plan := buildExchangePlan(x, part, owners)
+	plan := owners
 	for m := range plan.own {
 		for p := range plan.own[m] {
 			list(plan.own[m][p])

@@ -33,8 +33,9 @@ func TestEstimatorRangesPinned(t *testing.T) {
 }
 
 // Once a sketch has compacted, offering more hashes (and compacting again)
-// allocates nothing: the map is cleared and refilled, and the sort scratch
-// is kept on the sketch. The hashes descend, so every offer is retained and
+// allocates nothing: the open-addressing set is cleared and refilled in
+// place, and quickselect reorders the retained hashes in the scratch slice
+// kept on the sketch. The hashes descend, so every offer is retained and
 // every 2k+1st one compacts.
 func TestKMVOfferAllocFree(t *testing.T) {
 	s := newKMV(64)

@@ -113,6 +113,11 @@ go test -run '^$' -fuzz '^FuzzKMV$' -fuzztime 10s ./internal/model/
 go run ./cmd/adabench -quick -exp E16
 go run ./examples/modelpick
 
+# The only public-API run of the auto partition choice at P=8: all three
+# candidates go through the communication analysis and its exchange
+# schedule, and the sharded fit must match the shared-memory one to 1e-12.
+go run ./examples/distributed
+
 make bench-smoke
 make obs-smoke
 make ckpt-smoke
