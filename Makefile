@@ -96,7 +96,6 @@ examples:
 	$(GO) run ./examples/modelpick
 	$(GO) run ./examples/recommender
 	$(GO) run ./examples/healthcare
-	$(GO) run ./examples/completion
 	$(GO) run ./examples/distributed
 
 clean:

@@ -34,7 +34,6 @@ import (
 	"adatm/internal/memo"
 	"adatm/internal/model"
 	"adatm/internal/obs"
-	"adatm/internal/par"
 	"adatm/internal/tensor"
 )
 
@@ -60,14 +59,6 @@ type (
 	Plan = model.Plan
 	// GenSpec describes a synthetic tensor for the built-in generators.
 	GenSpec = tensor.GenSpec
-	// CompleteOptions configures masked tensor completion.
-	CompleteOptions = cpd.CompleteOptions
-	// CompleteResult is a fitted completion model.
-	CompleteResult = cpd.CompleteResult
-	// APROptions configures Poisson CP (CP-APR) for count data.
-	APROptions = cpd.APROptions
-	// APRResult is a fitted Poisson CP model.
-	APRResult = cpd.APRResult
 	// RunStats is the per-phase breakdown attached to a Result when
 	// Options.CollectStats is set.
 	RunStats = cpd.RunStats
@@ -149,16 +140,6 @@ const (
 	NumPhases      = cpd.NumPhases
 )
 
-// DecomposeAPR fits a Poisson CP model (CP-APR with multiplicative updates)
-// to a non-negative count tensor — the statistically appropriate objective
-// for the web/NLP/healthcare count data that motivates sparse CP.
-func DecomposeAPR(x *Tensor, opt APROptions) (*APRResult, error) {
-	return cpd.RunAPR(x, opt)
-}
-
-// PredictAPR evaluates a Poisson CP model's rate at one coordinate.
-func PredictAPR(res *APRResult, idx []Index) float64 { return cpd.PredictAPR(res, idx) }
-
 // SaveModel writes a decomposition (λ + factors) to a portable JSON file.
 func SaveModel(path string, res *Result) error { return cpd.SaveModel(path, res) }
 
@@ -172,14 +153,6 @@ func LoadModel(path string) (*Result, error) { return cpd.LoadModel(path) }
 // to random initialization.
 func NVecsInit(x *Tensor, rank, iters int, seed int64, workers int) []*Matrix {
 	return cpd.NVecsInit(x, rank, iters, seed, workers)
-}
-
-// Complete fits a CP model to the *observed* entries of x only (masked
-// alternating least squares) — the recommender-system semantics where
-// missing coordinates are unknown rather than zero. Use Decompose for count
-// data where absent coordinates genuinely mean zero.
-func Complete(x *Tensor, opt CompleteOptions) (*CompleteResult, error) {
-	return cpd.Complete(x, opt)
 }
 
 // EngineKind selects the MTTKRP kernel used by Decompose.
@@ -463,12 +436,6 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 func ServeDebug(addr string, reg *Metrics) (*DebugServer, error) {
 	return obs.Serve(addr, reg)
 }
-
-// TraceChunks routes per-chunk execution spans from the parallel scheduler
-// into tr (pass nil to disable). Chunk spans are the finest-grained and most
-// voluminous track; they are opt-in separately from Options.Tracer so phase-
-// level tracing stays cheap. The hook is process-global.
-func TraceChunks(tr *Tracer) { par.SetChunkTracer(tr) }
 
 // EngineConfig parameterizes NewEngine.
 type EngineConfig struct {

@@ -255,25 +255,6 @@ func TestModelSaveLoadFacade(t *testing.T) {
 	}
 }
 
-func TestDecomposeAPRFacade(t *testing.T) {
-	x := testTensor(t)
-	for k := range x.Vals {
-		if x.Vals[k] < 0 {
-			x.Vals[k] = -x.Vals[k]
-		}
-	}
-	res, err := adatm.DecomposeAPR(x, adatm.APROptions{Rank: 3, MaxIters: 4, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(res.LogLik) {
-		t.Fatal("NaN log-likelihood")
-	}
-	if v := adatm.PredictAPR(res, []adatm.Index{0, 0, 0, 0}); v < 0 || math.IsNaN(v) {
-		t.Errorf("implausible APR rate %g", v)
-	}
-}
-
 func TestNVecsInitFacade(t *testing.T) {
 	x := testTensor(t)
 	init := adatm.NVecsInit(x, 3, 2, 1, 0)

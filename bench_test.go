@@ -231,23 +231,6 @@ func BenchmarkE17_NVecsInit(b *testing.B) {
 	}
 }
 
-// BenchmarkE18_APRIteration regenerates experiment E18's kernel: one outer
-// CP-APR iteration on count data.
-func BenchmarkE18_APRIteration(b *testing.B) {
-	x := dataset("enron4d").Clone()
-	for k := range x.Vals {
-		if x.Vals[k] < 0 {
-			x.Vals[k] = -x.Vals[k]
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := adatm.DecomposeAPR(x, adatm.APROptions{Rank: 8, MaxIters: 1, Seed: 3}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkE21_Partitioners regenerates experiment E21's kernels: one
 // partitioning + communication analysis per scheme.
 func BenchmarkE21_Partitioners(b *testing.B) {

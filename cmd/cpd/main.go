@@ -58,8 +58,6 @@ func main() {
 		progress   = flag.Bool("progress", false, "print per-iteration progress to stderr")
 		ridge      = flag.Float64("ridge", 0, "Tikhonov regularization weight")
 		nonneg     = flag.Bool("nonneg", false, "constrain factors to be non-negative")
-		complete   = flag.Bool("complete", false, "masked completion: fit observed entries only (ratings semantics)")
-		apr        = flag.Bool("apr", false, "Poisson CP (CP-APR): maximize Poisson likelihood for count data")
 		modelPath  = flag.String("model", "", "write the fitted model (lambda + factors) to this JSON file")
 		procs      = flag.Int("procs", 1, "simulated process count; > 1 runs the distributed sharded solver")
 		partition  = flag.String("partition", "auto", "with -procs > 1: nonzero partitioner: auto (model decides), random, medium-grain, fine-greedy")
@@ -111,68 +109,6 @@ func main() {
 			return
 		}
 		fmt.Print(adatm.PlanFor(x, *rank, budgetBytes))
-		return
-	}
-
-	if *procs > 1 {
-		// CP-APR and completion fit other objectives, with no sharded loop.
-		for _, bad := range []struct {
-			set  bool
-			flag string
-		}{{*apr, "-apr"}, {*complete, "-complete"}} {
-			if bad.set {
-				fatal(fmt.Errorf("%s is not supported with -procs > 1", bad.flag))
-			}
-		}
-	}
-
-	if *apr {
-		res, err := adatm.DecomposeAPR(x, adatm.APROptions{
-			Rank: *rank, MaxIters: *iters, Tol: *tol, Seed: *seed, Workers: *workers, TrackLL: *fittrace,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		if *fittrace {
-			for i, ll := range res.LLTrace {
-				fmt.Printf("iter %3d  logLik %.4f\n", i+1, ll)
-			}
-		}
-		fmt.Printf("cp-apr rank=%d iters=%d converged=%v logLik=%.4f total=%v\n",
-			*rank, res.Iters, res.Converged, res.LogLik, res.TotalTime.Round(1e6))
-		fmt.Printf("lambda=%v\n", res.Lambda)
-		if *outPfx != "" {
-			for m, f := range res.Factors {
-				if err := writeMatrix(fmt.Sprintf("%s_mode%d.txt", *outPfx, m), f); err != nil {
-					fatal(err)
-				}
-			}
-		}
-		return
-	}
-
-	if *complete {
-		res, err := adatm.Complete(x, adatm.CompleteOptions{
-			Rank: *rank, MaxIters: *iters, Tol: *tol, Seed: *seed, Workers: *workers,
-			Ridge: *ridge, TrackRMSE: *fittrace,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		if *fittrace {
-			for i, r := range res.RMSETrace {
-				fmt.Printf("iter %3d  observed RMSE %.8f\n", i+1, r)
-			}
-		}
-		fmt.Printf("completion rank=%d iters=%d converged=%v observed RMSE=%.6f total=%v\n",
-			*rank, res.Iters, res.Converged, res.RMSE, res.TotalTime.Round(1e6))
-		if *outPfx != "" {
-			for m, f := range res.Factors {
-				if err := writeMatrix(fmt.Sprintf("%s_mode%d.txt", *outPfx, m), f); err != nil {
-					fatal(err)
-				}
-			}
-		}
 		return
 	}
 

@@ -32,18 +32,6 @@ func ExamplePlanFor() {
 	fmt.Println("predicted ops per iteration:", plan.Chosen.Pred.Ops)
 }
 
-// ExampleComplete shows the masked-completion path (ratings semantics:
-// missing entries are unknown, not zero).
-func ExampleComplete() {
-	train := adatm.Generate(adatm.GenSpec{Dims: []int{200, 150, 20}, NNZ: 8000, Rank: 4, Seed: 3})
-	model, err := adatm.Complete(train, adatm.CompleteOptions{Rank: 4, MaxIters: 20, Ridge: 0.05})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("observed RMSE %.4f; prediction at (0,0,0): %.3f\n",
-		model.RMSE, model.Predict([]adatm.Index{0, 0, 0}))
-}
-
 // ExampleNewEngine shows direct engine use for custom drivers: one MTTKRP
 // with the CSF baseline.
 func ExampleNewEngine() {

@@ -118,20 +118,6 @@ func PseudoInverseSym(a *Matrix, tol float64) *Matrix {
 	return inv
 }
 
-// Cholesky computes the lower-triangular factor L with a = L·Lᵀ for a
-// symmetric positive-definite matrix. Returns ok=false if a pivot is not
-// positive (matrix not SPD within floating-point tolerance).
-func Cholesky(a *Matrix) (l *Matrix, ok bool) {
-	if a.Cols != a.Rows {
-		panic("dense: Cholesky of non-square matrix")
-	}
-	l = New(a.Rows, a.Rows)
-	if !choleskyInto(a, l) {
-		return nil, false
-	}
-	return l, true
-}
-
 // choleskyInto writes the lower triangle of a's Cholesky factor into l
 // (n×n), reading only entries it has written in this call, so l may hold
 // an earlier factor. Reports false on a non-positive pivot.
@@ -158,21 +144,14 @@ func choleskyInto(a, l *Matrix) bool {
 	return true
 }
 
-// SolveSPDInPlace solves x·a = b for every row of b, overwriting b with the
+// SPDSolver solves x·a = b for every row of b, overwriting b with the
 // solutions, where a is symmetric positive definite (the CP-ALS update
 // U ← M·H⁺ with H SPD is exactly this with b = M). If the Cholesky
-// factorization fails, it falls back to the pseudoinverse. workers controls
-// row-level parallelism.
-func SolveSPDInPlace(a *Matrix, b *Matrix, workers int) {
-	var s SPDSolver
-	s.Solve(a, b, workers)
-}
-
-// SPDSolver keeps SolveSPDInPlace's Cholesky factor, its transpose and
-// the row kernel between calls, so a loop of same-size solves allocates
-// nothing (the pseudoinverse fallback for a rank-deficient a still
-// allocates). The zero value is ready to use; a solver serves one call at a
-// time.
+// factorization fails, it falls back to the pseudoinverse. It keeps the
+// Cholesky factor, its transpose and the row kernel between calls, so a
+// loop of same-size solves allocates nothing (the pseudoinverse fallback
+// for a rank-deficient a still allocates). The zero value is ready to use;
+// a solver serves one call at a time.
 type SPDSolver struct {
 	l    *Matrix
 	lt   *Matrix // upper triangle of Lᵀ, so the backward pass reads rows
@@ -180,11 +159,12 @@ type SPDSolver struct {
 	body func(lo, hi int)
 }
 
-// Solve is SolveSPDInPlace computed in the solver's buffers.
+// Solve overwrites b with the solutions of x·a = b, computed in the
+// solver's buffers; workers controls row-level parallelism.
 func (s *SPDSolver) Solve(a *Matrix, b *Matrix, workers int) {
 	n := a.Rows
 	if b.Cols != n || a.Cols != n {
-		panic("dense: SolveSPDInPlace shape mismatch")
+		panic("dense: SPDSolver.Solve shape mismatch")
 	}
 	if s.l == nil || s.l.Rows != n {
 		s.l, s.lt = New(n, n), New(n, n)

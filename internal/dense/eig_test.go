@@ -107,9 +107,9 @@ func TestPseudoInverseSymSingular(t *testing.T) {
 func TestCholeskySPD(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := randomSPD(6, rng)
-	l, ok := Cholesky(a)
-	if !ok {
-		t.Fatal("Cholesky failed on SPD matrix")
+	l := New(6, 6)
+	if !choleskyInto(a, l) {
+		t.Fatal("choleskyInto failed on SPD matrix")
 	}
 	llt := MatMul(l, l.Transpose(), nil, 1)
 	if d := llt.MaxAbsDiff(a); d > 1e-9 {
@@ -119,8 +119,8 @@ func TestCholeskySPD(t *testing.T) {
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, ok := Cholesky(a); ok {
-		t.Fatal("Cholesky accepted an indefinite matrix")
+	if choleskyInto(a, New(2, 2)) {
+		t.Fatal("choleskyInto accepted an indefinite matrix")
 	}
 }
 
@@ -130,7 +130,8 @@ func TestSolveSPDInPlace(t *testing.T) {
 	a := randomSPD(n, rng)
 	x := Random(7, n, rng) // true solution rows
 	b := MatMul(x, a, nil, 1)
-	SolveSPDInPlace(a, b, 2)
+	var s SPDSolver
+	s.Solve(a, b, 2)
 	if d := b.MaxAbsDiff(x); d > 1e-7 {
 		t.Errorf("solution deviates by %g", d)
 	}
@@ -140,7 +141,8 @@ func TestSolveSPDFallsBackOnSingular(t *testing.T) {
 	// Singular H: solve must not produce NaN/Inf (pseudoinverse fallback).
 	a := FromRows([][]float64{{1, 1}, {1, 1}})
 	b := FromRows([][]float64{{2, 2}, {4, 4}})
-	SolveSPDInPlace(a, b, 1)
+	var s SPDSolver
+	s.Solve(a, b, 1)
 	for _, v := range b.Data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("non-finite entry after singular solve: %v", b.Data)

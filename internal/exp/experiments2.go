@@ -228,11 +228,9 @@ func Registry() []Runner {
 		{"E11", "sketch-size ablation", E11SketchSensitivity},
 		{"E12", "overlap-sensitivity ablation", E12OverlapSensitivity},
 		{"E13", "nnz scaling", E13NNZScaling},
-		{"E14", "masked-completion extension", E14CompletionQuality},
 		{"E15", "symbolic throughput ablation", E15SymbolicThroughput},
 		{"E16", "mode-permutation ablation", E16PermutationAblation},
 		{"E17", "initialization quality", E17InitQuality},
-		{"E18", "Poisson vs Gaussian objective", E18PoissonVsGaussian},
 		{"E19", "statistical selector validation", E19SelectorRegret},
 		{"E20", "roofline time-model ablation", E20TimeModel},
 		{"E21", "partitioner quality (distributed sim)", E21PartitionerQuality},

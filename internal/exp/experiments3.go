@@ -113,82 +113,6 @@ func E13NNZScaling(cfg Config) *Table {
 	return t
 }
 
-// E14CompletionQuality reports the masked-completion extension: held-out
-// RMSE vs the mean baseline and the zero-imputing decomposition.
-func E14CompletionQuality(cfg Config) *Table {
-	t := &Table{
-		ID:      "E14",
-		Title:   "extension: masked completion vs zero-imputing CP on held-out entries",
-		Columns: []string{"model", "train RMSE", "test RMSE", "vs mean baseline"},
-	}
-	nnz := 120000
-	if cfg.Quick {
-		nnz = 30000
-	}
-	full := tensor.Generate(tensor.GenSpec{
-		Name: "ratings", Dims: []int{1200, 500, 40}, NNZ: nnz,
-		Skew: []float64{0.3, 0.5, 0.1}, Rank: 5, Noise: 0.05, Seed: 555 + cfg.Seed,
-	})
-	train, testIdx, testVals := holdOut(full, 0.1)
-	mu := 0.0
-	for _, v := range train.Vals {
-		mu += v
-	}
-	mu /= float64(train.NNZ())
-	baseRMSE := rmseOver(testIdx, testVals, func([]tensor.Index) float64 { return mu })
-	t.Add("predict-the-mean", "-", fmt.Sprintf("%.4f", baseRMSE), "1.00x")
-
-	dec, err := adatm.Decompose(train, adatm.Options{Rank: 8, MaxIters: 20, Tol: 1e-6, Seed: 3, Workers: cfg.Workers})
-	if err != nil {
-		panic(err)
-	}
-	zeroRMSE := rmseOver(testIdx, testVals, func(idx []tensor.Index) float64 { return adatm.Reconstruct(dec, idx) })
-	t.Add("zero-imputing CP r=8", "-", fmt.Sprintf("%.4f", zeroRMSE), fmt.Sprintf("%.2fx", baseRMSE/zeroRMSE))
-
-	for _, r := range []int{4, 8} {
-		res, err := adatm.Complete(train, adatm.CompleteOptions{Rank: r, MaxIters: 20, Seed: 3, Ridge: 0.05, Workers: cfg.Workers})
-		if err != nil {
-			panic(err)
-		}
-		rmse := rmseOver(testIdx, testVals, res.Predict)
-		t.Add(fmt.Sprintf("masked completion r=%d", r), fmt.Sprintf("%.4f", res.RMSE),
-			fmt.Sprintf("%.4f", rmse), fmt.Sprintf("%.2fx", baseRMSE/rmse))
-	}
-	t.Notes = append(t.Notes, "completion must beat the mean baseline; zero-imputing CP is expected to lose (bias toward zero)")
-	return t
-}
-
-func holdOut(x *tensor.COO, frac float64) (train *tensor.COO, testIdx [][]tensor.Index, testVals []float64) {
-	train = tensor.NewCOO(x.Dims, x.NNZ())
-	idx := make([]tensor.Index, x.Order())
-	for k := 0; k < x.NNZ(); k++ {
-		for m := range idx {
-			idx[m] = x.Inds[m][k]
-		}
-		// Deterministic pseudo-random split from the coordinate hash.
-		h := uint64(2166136261)
-		for _, i := range idx {
-			h = (h ^ uint64(i)) * 16777619
-		}
-		if float64(h%1000)/1000 < frac {
-			testIdx = append(testIdx, append([]tensor.Index(nil), idx...))
-			testVals = append(testVals, x.Vals[k])
-		} else {
-			train.Append(idx, x.Vals[k])
-		}
-	}
-	return train, testIdx, testVals
-}
-
-func rmseOver(idx [][]tensor.Index, vals []float64, predict func([]tensor.Index) float64) float64 {
-	s := 0.0
-	for i, coords := range idx {
-		d := vals[i] - predict(coords)
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(vals)))
-}
-
 // E15SymbolicThroughput compares the radix-based symbolic builder's
 // throughput across strategies and orders (design-choice ablation).
 func E15SymbolicThroughput(cfg Config) *Table {

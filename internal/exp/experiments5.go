@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"math"
 
 	"adatm"
 	"adatm/internal/tensor"
@@ -47,82 +46,5 @@ func E17InitQuality(cfg Config) *Table {
 		t.Add(c.name, fmt.Sprintf("fit>=%.2f", c.thresh), ri, fmt.Sprintf("%.4f", rf), ni, fmt.Sprintf("%.4f", nf))
 	}
 	t.Notes = append(t.Notes, "nvecs typically needs no more iterations than random to cross the threshold; the advantage is data-dependent")
-	return t
-}
-
-// E18PoissonVsGaussian compares CP-APR (Poisson objective) against CP-ALS
-// (Gaussian objective) on sparse count data, measuring how well the fitted
-// rates track the observed counts.
-func E18PoissonVsGaussian(cfg Config) *Table {
-	t := &Table{
-		ID:      "E18",
-		Title:   "extension: Poisson CP (CP-APR) vs Gaussian CP-ALS on count data",
-		Columns: []string{"model", "count-rate correlation", "negative predictions", "iters"},
-	}
-	nnz := 60000
-	if cfg.Quick {
-		nnz = 15000
-	}
-	// Count tensor: skewed co-occurrence counts with planted structure.
-	x := adatm.Generate(adatm.GenSpec{
-		Name: "counts", Dims: []int{800, 600, 100}, NNZ: nnz,
-		Skew: []float64{0.6, 0.6, 0.2}, Rank: 4, Noise: 0, Seed: 813 + cfg.Seed,
-	})
-	// Convert planted values to integer counts >= 1.
-	for k := range x.Vals {
-		x.Vals[k] = math.Ceil(x.Vals[k] * 10)
-	}
-
-	corr := func(predict func([]tensor.Index) float64) float64 {
-		idx := make([]tensor.Index, x.Order())
-		var sx, sy, sxx, syy, sxy float64
-		nn := float64(x.NNZ())
-		for k := 0; k < x.NNZ(); k++ {
-			for m := range idx {
-				idx[m] = x.Inds[m][k]
-			}
-			a, b := x.Vals[k], predict(idx)
-			sx += a
-			sy += b
-			sxx += a * a
-			syy += b * b
-			sxy += a * b
-		}
-		return (nn*sxy - sx*sy) / math.Sqrt((nn*sxx-sx*sx)*(nn*syy-sy*sy))
-	}
-
-	negatives := func(predict func([]tensor.Index) float64) int {
-		// Probe a grid of coordinates off the nonzero pattern.
-		neg := 0
-		idx := make([]tensor.Index, x.Order())
-		for k := 0; k < x.NNZ(); k += 7 {
-			for m := range idx {
-				// Perturb each coordinate to likely-unobserved positions.
-				idx[m] = (x.Inds[m][k] + tensor.Index(m+1)) % tensor.Index(x.Dims[m])
-			}
-			if predict(idx) < 0 {
-				neg++
-			}
-		}
-		return neg
-	}
-
-	apr, err := adatm.DecomposeAPR(x, adatm.APROptions{Rank: 8, MaxIters: 40, Seed: 3, Workers: cfg.Workers})
-	if err != nil {
-		panic(err)
-	}
-	aprPredict := func(i []tensor.Index) float64 { return adatm.PredictAPR(apr, i) }
-	t.Add("cp-apr (Poisson) r=8", fmt.Sprintf("%.3f", corr(aprPredict)), negatives(aprPredict), apr.Iters)
-
-	als, err := adatm.Decompose(x, adatm.Options{Rank: 8, MaxIters: 40, Seed: 3, Workers: cfg.Workers, Engine: adatm.EngineCSF})
-	if err != nil {
-		panic(err)
-	}
-	alsPredict := func(i []tensor.Index) float64 { return adatm.Reconstruct(als, i) }
-	t.Add("cp-als (Gaussian) r=8", fmt.Sprintf("%.3f", corr(alsPredict)), negatives(alsPredict), als.Iters)
-
-	t.Notes = append(t.Notes,
-		"correlation is computed on the observed counts; 'negative predictions' probes off-pattern coordinates",
-		"CP-APR rates are non-negative by construction — Gaussian CP has no such guarantee on count data")
 	return t
 }

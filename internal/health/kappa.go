@@ -162,9 +162,9 @@ func (ce *condEstimator) invPowerMin(n int) float64 {
 
 // cholInPlace factors the SPD matrix held row-major in a (n×n) into its
 // lower-triangular Cholesky factor, in place. Returns false on a
-// non-positive pivot (the matrix is numerically semi-definite). Unlike
-// dense.Cholesky this works on a raw slice and never allocates, which the
-// probe's zero-alloc steady state requires.
+// non-positive pivot (the matrix is numerically semi-definite). It works
+// on a raw slice and never allocates, which the probe's zero-alloc steady
+// state requires.
 func cholInPlace(a []float64, n int) bool {
 	for j := 0; j < n; j++ {
 		d := a[j*n+j]

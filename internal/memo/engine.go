@@ -1,7 +1,6 @@
 package memo
 
 import (
-	"fmt"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -530,9 +529,3 @@ func (e *Engine) PerIterationOps(r int) int64 {
 }
 
 var _ engine.Engine = (*Engine)(nil)
-
-// Describe returns a short human-readable summary of the tree: node count,
-// depth, and per-node element counts relative to nnz.
-func (e *Engine) Describe() string {
-	return fmt.Sprintf("%s depth=%d nodes=%d nnz=%d", e.strat, e.strat.Depth(), e.strat.CountNodes(), e.x.NNZ())
-}

@@ -110,46 +110,6 @@ func ForWorker(n, workers int, body func(worker, lo, hi int)) {
 	wg.Wait()
 }
 
-// ForBlocks runs body over [0,n) in blocks of the given size using a dynamic
-// schedule: workers pull the next block off a shared channel. Useful when
-// per-element cost is highly skewed (e.g. fibers with wildly different
-// lengths).
-func ForBlocks(n, blockSize, workers int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if blockSize <= 0 {
-		blockSize = 1
-	}
-	nblocks := (n + blockSize - 1) / blockSize
-	workers = clampWorkers(workers, nblocks)
-	if workers == 1 {
-		body(0, n)
-		return
-	}
-	blocks := make(chan int, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for b := range blocks {
-				lo := b * blockSize
-				hi := lo + blockSize
-				if hi > n {
-					hi = n
-				}
-				body(lo, hi)
-			}
-		}()
-	}
-	for b := 0; b < nblocks; b++ {
-		blocks <- b
-	}
-	close(blocks)
-	wg.Wait()
-}
-
 // chunkTracer, when set, receives one span per executed ForChunks chunk on
 // track worker+1, making scheduler imbalance directly visible in a trace
 // viewer: an idle worker shows as a gap in its track. A package-level hook

@@ -60,36 +60,6 @@ func TestForWorkerIDsDistinct(t *testing.T) {
 	}
 }
 
-func TestForBlocksCoversAll(t *testing.T) {
-	n := 250
-	covered := make([]atomic.Int32, n)
-	ForBlocks(n, 16, 4, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			covered[i].Add(1)
-		}
-	})
-	for i := range covered {
-		if covered[i].Load() != 1 {
-			t.Fatalf("index %d covered %d times", i, covered[i].Load())
-		}
-	}
-}
-
-func TestForBlocksZeroAndNegative(t *testing.T) {
-	called := false
-	ForBlocks(0, 8, 4, func(lo, hi int) { called = true })
-	ForBlocks(-3, 8, 4, func(lo, hi int) { called = true })
-	if called {
-		t.Fatal("body called for empty range")
-	}
-	// blockSize <= 0 must not hang or panic.
-	var count atomic.Int64
-	ForBlocks(5, 0, 2, func(lo, hi int) { count.Add(int64(hi - lo)) })
-	if count.Load() != 5 {
-		t.Fatalf("covered %d of 5", count.Load())
-	}
-}
-
 func TestStripesProtect(t *testing.T) {
 	s := NewStripes(64)
 	counters := make([]int, 1000) // unsynchronized ints; stripes must serialize
@@ -111,35 +81,6 @@ func TestStripesPowerOfTwo(t *testing.T) {
 		s := NewStripes(n)
 		if s.Len() < n || s.Len()&(s.Len()-1) != 0 {
 			t.Errorf("NewStripes(%d) has %d stripes", n, s.Len())
-		}
-	}
-}
-
-// Edge cases the engines rely on: n smaller than one block, n = 0, and more
-// workers than elements must all cover [0, n) exactly once with no empty
-// callbacks hanging around.
-func TestForBlocksEdgeCases(t *testing.T) {
-	// n < blockSize: a single block spanning everything.
-	var blocks [][2]int
-	var mu sync.Mutex
-	ForBlocks(10, 256, 4, func(lo, hi int) {
-		mu.Lock()
-		blocks = append(blocks, [2]int{lo, hi})
-		mu.Unlock()
-	})
-	if len(blocks) != 1 || blocks[0] != [2]int{0, 10} {
-		t.Fatalf("n<blockSize: blocks = %v, want [[0 10]]", blocks)
-	}
-	// workers > n: every index still visited exactly once.
-	covered := make([]atomic.Int32, 3)
-	ForBlocks(3, 1, 100, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			covered[i].Add(1)
-		}
-	})
-	for i := range covered {
-		if covered[i].Load() != 1 {
-			t.Fatalf("workers>n: index %d covered %d times", i, covered[i].Load())
 		}
 	}
 }

@@ -108,15 +108,15 @@ go test -run '^$' -fuzz '^FuzzScatterAccum$' -fuzztime 10s ./internal/kernel/
 go test -run '^$' -fuzz '^FuzzKMV$' -fuzztime 10s ./internal/model/
 
 # The order-aware path end to end: quick E16 selects over several mode
-# orders and times the chosen ordered engine, and the modelpick example
-# prints a permuted plan through the public API.
+# orders and times the chosen ordered engine.
 go run ./cmd/adabench -quick -exp E16
-go run ./examples/modelpick
 
-# The only public-API run of the auto partition choice at P=8: all three
+# Every example through the public API, so a facade change that breaks one
+# fails here. modelpick prints a permuted plan; distributed is the only
+# public-API run of the auto partition choice at P=8, where all three
 # candidates go through the communication analysis and its exchange
 # schedule, and the sharded fit must match the shared-memory one to 1e-12.
-go run ./examples/distributed
+make examples
 
 make bench-smoke
 make obs-smoke
