@@ -103,13 +103,6 @@ func (m *Matrix) Fill(v float64) {
 	}
 }
 
-// Scale multiplies every entry by a.
-func (m *Matrix) Scale(a float64) {
-	for i := range m.Data {
-		m.Data[i] *= a
-	}
-}
-
 // Equal reports whether m and n have the same shape and entries within tol.
 func (m *Matrix) Equal(n *Matrix, tol float64) bool {
 	if m.Rows != n.Rows || m.Cols != n.Cols {

@@ -190,12 +190,11 @@ func TestFrobeniusNorm(t *testing.T) {
 	}
 }
 
-func TestScaleFillZero(t *testing.T) {
+func TestFillZero(t *testing.T) {
 	m := New(2, 2)
 	m.Fill(3)
-	m.Scale(2)
-	if m.At(1, 1) != 6 {
-		t.Errorf("Scale/Fill: %v", m.Data)
+	if m.At(1, 1) != 3 {
+		t.Errorf("Fill: %v", m.Data)
 	}
 	m.Zero()
 	if m.FrobeniusNorm() != 0 {

@@ -131,7 +131,7 @@ func BenchmarkKernelHadamardAccum(b *testing.B) {
 // rank r, and random row indices.
 type streamBench struct {
 	dst, vals []float64
-	ptr       []int
+	ptr       []int64
 	idx       [][]int32
 	facs      [][]float64
 }
@@ -149,17 +149,20 @@ func newStreamBench(r, k, nnz int) *streamBench {
 	}
 	sizes := []int{1, 1, 1, 1, 1, 2, 1, 3}
 	for e, g := 0, 0; e < nnz; g++ {
-		sb.ptr = append(sb.ptr, e)
+		sb.ptr = append(sb.ptr, int64(e))
 		e = min(nnz, e+sizes[g%len(sizes)])
 	}
-	sb.ptr = append(sb.ptr, nnz)
+	sb.ptr = append(sb.ptr, int64(nnz))
 	sb.dst = make([]float64, (len(sb.ptr)-1)*r)
 	return sb
 }
 
 // BenchmarkKernelStreamAccum compares the streamed kernel as dispatched
-// (streamed: the AVX2 body on a CPU with AVX2), its portable body, and one
-// HadamardAccum call per nonzero over the same arrays (the factor rows
+// over the whole contraction in one call (streamed: the AVX2 body on a CPU
+// with AVX2), its portable body, the dispatched kernel called once per run
+// with a one-run pointer pair (per-run: the memo engine's call pattern
+// before it called the kernel once per chunk), and one HadamardAccum call
+// per nonzero into a cleared row over the same arrays (the factor rows
 // gathered through the indices), at R = 16 and one to three factors: the
 // memo engine's first-level contraction before and after streaming. Run
 // with -cpu 1.
@@ -169,19 +172,20 @@ func BenchmarkKernelStreamAccum(b *testing.B) {
 		sb := newStreamBench(r, k, nnz)
 		for _, body := range []struct {
 			name string
-			fn   func(dst, vals []float64, idx [][]int32, facs [][]float64)
-		}{{"streamed", StreamAccum}, {"portable", streamAccumGeneric}} {
+			fn   func()
+		}{
+			{"streamed", func() { StreamRuns(sb.dst, r, sb.ptr, nil, sb.vals, sb.idx, sb.facs) }},
+			{"portable", func() { streamRunsGeneric(sb.dst, r, sb.ptr, nil, sb.vals, sb.idx, sb.facs) }},
+			{"per-run", func() {
+				for g := 0; g+1 < len(sb.ptr); g++ {
+					StreamRuns(sb.dst[g*r:(g+1)*r], r, sb.ptr[g:g+2], nil, sb.vals, sb.idx, sb.facs)
+				}
+			}},
+		} {
 			b.Run(fmt.Sprintf("r%d/k%d/%s", r, k, body.name), func(b *testing.B) {
 				b.ReportAllocs()
-				idx := make([][]int32, k)
 				for i := 0; i < b.N; i++ {
-					for g := 0; g+1 < len(sb.ptr); g++ {
-						lo, hi := sb.ptr[g], sb.ptr[g+1]
-						for m := range idx {
-							idx[m] = sb.idx[m][lo:hi]
-						}
-						body.fn(sb.dst[g*r:(g+1)*r], sb.vals[lo:hi], idx, sb.facs)
-					}
+					body.fn()
 				}
 			})
 		}
@@ -191,6 +195,7 @@ func BenchmarkKernelStreamAccum(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for g := 0; g+1 < len(sb.ptr); g++ {
 					out := sb.dst[g*r : (g+1)*r]
+					clear(out)
 					for e := sb.ptr[g]; e < sb.ptr[g+1]; e++ {
 						for m := range rows {
 							o := int(sb.idx[m][e]) * r
@@ -211,7 +216,7 @@ func BenchmarkKernelStreamAccum(b *testing.B) {
 // its parent in sequence) or shuffled (one that gathers it).
 type gatherBench struct {
 	dst, base []float64
-	ptr       []int
+	ptr       []int64
 	elems     []int32
 	idx       [][]int32
 	facs      [][]float64
@@ -236,17 +241,17 @@ func newGatherBench(r, k int, shuffled bool) *gatherBench {
 		}
 	}
 	for e := 0; e < parents; e = min(parents, e+8+rng.Intn(17)) {
-		gb.ptr = append(gb.ptr, e)
+		gb.ptr = append(gb.ptr, int64(e))
 	}
 	gb.ptr = append(gb.ptr, parents)
 	gb.dst = make([]float64, (len(gb.ptr)-1)*r)
 	return gb
 }
 
-// perEntryAccum is the loop GatherAccum replaced, kept as the benchmark's
-// reference: per entry, point rows at the gathered factor rows, then run
-// one fused multiply-add chain over the parent's row (FMAInto at one
-// factor, accumVec2 and accumVec3 at two and three).
+// perEntryAccum is the loop the gathered kernel replaced, kept as the
+// benchmark's reference: per entry, point rows at the gathered factor
+// rows, then run one fused multiply-add chain over the parent's row
+// (FMAInto at one factor, accumVec2 and accumVec3 at two and three).
 func perEntryAccum(dst, base []float64, elems []int32, idx [][]int32, facs, rows [][]float64) {
 	r := len(dst)
 	for _, pe := range elems {
@@ -267,8 +272,11 @@ func perEntryAccum(dst, base []float64, elems []int32, idx [][]int32, facs, rows
 }
 
 // BenchmarkKernelGatherAccum compares the gathered kernel as dispatched
-// (gathered: the AVX2 body on a CPU with AVX2), its portable body, and the
-// per-entry loop it replaced (per-entry), over one leaf contraction of
+// over the whole contraction in one call (gathered: the AVX2 body on a CPU
+// with AVX2), its portable body, the dispatched kernel called once per run
+// with a one-run pointer pair (per-run: the memo engine's call pattern
+// before it called the kernel once per chunk), and the per-entry loop into
+// a cleared row it replaced (per-entry), over one leaf contraction of
 // gatherBench's shape at R = 8, 16 and 32 and one to three factors, with
 // the parent elements in order and shuffled. Run with -cpu 1.
 func BenchmarkKernelGatherAccum(b *testing.B) {
@@ -279,20 +287,27 @@ func BenchmarkKernelGatherAccum(b *testing.B) {
 				rows := make([][]float64, k)
 				for _, body := range []struct {
 					name string
-					fn   func(dst, base []float64, elems []int32, idx [][]int32, facs [][]float64)
+					fn   func()
 				}{
-					{"portable", gatherAccumGeneric},
-					{"gathered", GatherAccum},
-					{"per-entry", func(dst, base []float64, elems []int32, idx [][]int32, facs [][]float64) {
-						perEntryAccum(dst, base, elems, idx, facs, rows)
+					{"portable", func() { gatherRunsGeneric(gb.dst, r, gb.ptr, nil, gb.base, gb.elems, gb.idx, gb.facs) }},
+					{"gathered", func() { GatherRuns(gb.dst, r, gb.ptr, nil, gb.base, gb.elems, gb.idx, gb.facs) }},
+					{"per-run", func() {
+						for g := 0; g+1 < len(gb.ptr); g++ {
+							GatherRuns(gb.dst[g*r:(g+1)*r], r, gb.ptr[g:g+2], nil, gb.base, gb.elems, gb.idx, gb.facs)
+						}
+					}},
+					{"per-entry", func() {
+						for g := 0; g+1 < len(gb.ptr); g++ {
+							out := gb.dst[g*r : (g+1)*r]
+							clear(out)
+							perEntryAccum(out, gb.base, gb.elems[gb.ptr[g]:gb.ptr[g+1]], gb.idx, gb.facs, rows)
+						}
 					}},
 				} {
 					b.Run(fmt.Sprintf("%s/r%d/k%d/%s", order, r, k, body.name), func(b *testing.B) {
 						b.ReportAllocs()
 						for i := 0; i < b.N; i++ {
-							for g := 0; g+1 < len(gb.ptr); g++ {
-								body.fn(gb.dst[g*r:(g+1)*r], gb.base, gb.elems[gb.ptr[g]:gb.ptr[g+1]], gb.idx, gb.facs)
-							}
+							body.fn()
 						}
 					})
 				}

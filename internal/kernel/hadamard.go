@@ -1,13 +1,14 @@
 package kernel
 
 // The fused Hadamard-accumulate kernels are the inner loop of every sparse
-// MTTKRP engine: one nonzero's value (HadamardAccum, StreamAccum,
-// ScatterAccum) or one parent element's cached R-row (GatherAccum) is
+// MTTKRP engine: one nonzero's value (HadamardAccum, StreamRuns,
+// ScatterAccum) or one parent element's cached R-row (GatherRuns) is
 // multiplied by k factor rows and the product is accumulated into an
 // output row in a single pass over the rank dimension, with no temporary
-// R-vector. StreamAccum sums a group of nonzeros into one row, GatherAccum
-// a run of parent rows into one row, and ScatterAccum adds each nonzero of
-// a chunk into its own target row.
+// R-vector. StreamRuns and GatherRuns take one scheduled chunk of runs,
+// each run a contiguous group of entries (nonzeros or parent elements)
+// that reduce into one row, and set each run's row to its sum;
+// ScatterAccum adds each nonzero of a chunk into its own target row.
 //
 // Association. The product associates strictly left to right, ((v·a)·b)·c…,
 // and is added to dst once at the end. That is the order of the unfused
@@ -31,30 +32,35 @@ package kernel
 // running product (hadamardBlocked): a single loop with an inner loop over
 // the rows for each j is markedly slower than the chain it replaces.
 //
-// StreamAccum, GatherAccum and ScatterAccum each have two bodies. The
-// portable streamAccumGeneric takes the columns in blocks of 8, then 4,
-// then one at a time, with the accumulators in locals across the group;
-// gatherAccumGeneric and scatterAccumGeneric run one entry or nonzero at a
-// time through the fused chain of its row count. On amd64, when CPUID
-// reports AVX2 and XCR0 shows the OS saving the YMM state (hasAVX2, set
-// once at package initialization), an assembly body runs instead
-// (stream_amd64.s): blocks of 16 columns in four YMM registers, then
-// blocks of 4, then a scalar tail. StreamAccum and GatherAccum keep the
-// block's accumulators in registers across the group or run, loaded from
-// dst once per block and stored once; ScatterAccum loads and stores each
-// nonzero's target block, since consecutive nonzeros target different
-// rows. Per entry the body starts the running product from the broadcast
-// value (StreamAccum, ScatterAccum) or from the parent's row (GatherAccum),
-// multiplies it by each factor row in k order (VMULPD), and adds the
-// product once (VADDPD). Each lane thus does for its column exactly the
-// IEEE multiplies and add of the portable body, in the same order and with
-// no fused multiply-add, so the two bodies agree bit for bit. Bounds: the
-// Go wrappers check the factor and index counts and the index lengths; the
-// assembly checks every factor row, idx·R·8 + blockEnd ≤ len(facs[k])·8,
-// and every parent or target row whole, i·R·8 + R·8 ≤ len(base or out)·8,
-// with each index loaded zero-extended, so a negative index becomes a huge
-// row and fails the check instead of reading before the array. A failed
-// check returns false, and the wrapper panics as the portable body would.
+// StreamRuns, GatherRuns and ScatterAccum each have two bodies. The
+// portable streamRun takes the columns in blocks of 8, then 4, then one at
+// a time, with the accumulators in locals across the run; gatherRun and
+// scatterAccumGeneric run one entry or nonzero at a time through the fused
+// chain of its row count. On amd64, when CPUID reports AVX2 and XCR0 shows
+// the OS saving the YMM state (hasAVX2, set once at package
+// initialization), an assembly body runs instead (stream_amd64.s): blocks
+// of 16 columns in four YMM registers, then blocks of 4, then a scalar
+// tail. StreamRuns and GatherRuns keep a run's block accumulators in
+// registers across the run, started at +0 (VXORPD) and stored once per
+// block, so a run's row is written once and never read; a sum that starts
+// at +0 is exactly what clearing the row and adding into it gave, so the
+// bits are those of the per-entry chain into a cleared row. ScatterAccum
+// loads and stores each nonzero's target block, since consecutive
+// nonzeros target different rows. Per entry the body starts the running
+// product from the broadcast value (StreamRuns, ScatterAccum) or from the
+// parent's row (GatherRuns), multiplies it by each factor row in k order
+// (VMULPD), and adds the product once (VADDPD). Each lane thus does for
+// its column exactly the IEEE multiplies and add of the portable body, in
+// the same order and with no fused multiply-add, so the two bodies agree
+// bit for bit. Bounds: the Go wrappers check the run pointers (from zero,
+// never decreasing, within the entry array), the row map's length or the
+// room for one row per run, the factor and index counts and the index
+// lengths; the assembly checks every factor row,
+// idx·R·8 + blockEnd ≤ len(facs[k])·8, and every mapped destination,
+// parent or target row whole, i·R·8 + R·8 ≤ len(dst, base or out)·8, with
+// each index loaded zero-extended, so a negative index becomes a huge row
+// and fails the check instead of reading before the array. A failed check
+// returns false, and the wrapper panics as the portable body would.
 
 // HadamardAccum writes dst[j] += v · Π_k rows[k][j] in one pass: the
 // broadcast of the scalar, the k Hadamard multiplies, and the accumulation
@@ -222,29 +228,77 @@ func accumVec4(dst, base, a, b, c, e []float64) {
 	}
 }
 
-// streamAccumGeneric is StreamAccum's portable body, and the reference for
-// its AVX2 body. It writes dst[j] += Σ_e vals[e] · Π_k facs[k][idx[k][e]·R + j]
-// with R = len(dst): one reduction group of nonzeros, taken in order e, each
-// contributing its value times one row per factor. facs[k] is a row-major
-// factor matrix with row stride R, and idx[k] holds the nonzeros' row
-// indices into it; idx[k] must be at least as long as vals, and facs may
-// not be empty.
+// checkRuns panics unless a StreamRuns or GatherRuns chunk is well formed:
+// R ≥ 0; run pointers that start at or above zero, never decrease and end
+// at or below n, the length of the entry array they point into (vals for
+// StreamRuns, elems for GatherRuns); a row map with an entry for every
+// run, or, without one, room in dst for one row per run; and R no larger
+// than len(dst) when there is a run, which bounds R·8 for the AVX2 bodies'
+// row offsets as checkScatter does. It returns the number of runs. Both
+// bodies run behind it, so they reject the same inputs.
+func checkRuns(name string, dst []float64, r int, ptr []int64, rows []int32, n int) int {
+	if r < 0 {
+		panic("kernel: " + name + " negative R")
+	}
+	runs := max(len(ptr)-1, 0)
+	if runs == 0 {
+		return 0
+	}
+	if ptr[0] < 0 || ptr[runs] > int64(n) {
+		panic("kernel: " + name + " run pointer out of range")
+	}
+	for i := 0; i < runs; i++ {
+		if ptr[i] > ptr[i+1] {
+			panic("kernel: " + name + " run pointers decrease")
+		}
+	}
+	if r > len(dst) || rows == nil && runs*r > len(dst) || rows != nil && len(rows) < runs {
+		panic("kernel: " + name + " destination row out of range")
+	}
+	return runs
+}
+
+// runRow returns run i's destination row of dst: row rows[i] with a row
+// map, row i without one. It is sliced with len(dst) as its capacity
+// bound, so a row past the end panics even where the capacity would hold
+// it.
+func runRow(dst []float64, r int, rows []int32, i int) []float64 {
+	o := i * r
+	if rows != nil {
+		o = int(rows[i]) * r
+	}
+	return dst[o : o+r : len(dst)]
+}
+
+// streamRunsGeneric is StreamRuns' portable body, and the reference for
+// its AVX2 body: one streamRun per run, into the run's destination row.
+func streamRunsGeneric(dst []float64, r int, ptr []int64, rows []int32, vals []float64, idx [][]int32, facs [][]float64) {
+	for i := 0; i+1 < len(ptr); i++ {
+		streamRun(runRow(dst, r, rows, i), int(ptr[i]), int(ptr[i+1]), vals, idx, facs)
+	}
+}
+
+// streamRun sets d[j] = 0 + Σ_e vals[e] · Π_k facs[k][idx[k][e]·R + j] over
+// the entries e in [a, b), with R = len(d): one run of nonzeros, taken in
+// order, each contributing its value times one row per factor. facs[k] is
+// a row-major factor matrix with row stride R, and idx[k] holds the
+// entries' row indices into it.
 //
-// It is the streamed form of calling HadamardAccum once per nonzero, and it
-// is bit-identical to that loop: every term associates ((v·a)·b)… left to
-// right and is then added once, in nonzero order. What changes is the loop
-// nest. The columns are taken in blocks of 8, then 4, then one at a time;
-// each block keeps its accumulators and running products in local
-// variables across the whole group, so dst is loaded and stored once per
-// block instead of once per nonzero. One body serves every factor count.
-func streamAccumGeneric(dst, vals []float64, idx [][]int32, facs [][]float64) {
-	r := len(dst)
+// It is bit-identical to clearing d and calling HadamardAccum once per
+// entry: every term associates ((v·a)·b)… left to right and is then added
+// once, in entry order, to a sum that starts at +0. What changes is the
+// loop nest. The columns are taken in blocks of 8, then 4, then one at a
+// time; each block keeps its accumulators and running products in local
+// variables across the whole run, so d is stored once per block and never
+// loaded. One body serves every factor count.
+func streamRun(d []float64, a, b int, vals []float64, idx [][]int32, facs [][]float64) {
+	r := len(d)
 	k := len(facs)
 	j := 0
 	for ; j+8 <= r; j += 8 {
-		d := (*[8]float64)(dst[j:])
-		a0, a1, a2, a3, a4, a5, a6, a7 := d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]
-		for e, v := range vals {
+		var a0, a1, a2, a3, a4, a5, a6, a7 float64
+		for e := a; e < b; e++ {
+			v := vals[e]
 			f := (*[8]float64)(facs[0][int(idx[0][e])*r+j:])
 			p0, p1, p2, p3 := float64(v*f[0]), float64(v*f[1]), float64(v*f[2]), float64(v*f[3])
 			p4, p5, p6, p7 := float64(v*f[4]), float64(v*f[5]), float64(v*f[6]), float64(v*f[7])
@@ -256,12 +310,13 @@ func streamAccumGeneric(dst, vals []float64, idx [][]int32, facs [][]float64) {
 			a0, a1, a2, a3 = a0+p0, a1+p1, a2+p2, a3+p3
 			a4, a5, a6, a7 = a4+p4, a5+p5, a6+p6, a7+p7
 		}
-		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = a0, a1, a2, a3, a4, a5, a6, a7
+		o := (*[8]float64)(d[j:])
+		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = a0, a1, a2, a3, a4, a5, a6, a7
 	}
 	for ; j+4 <= r; j += 4 {
-		d := (*[4]float64)(dst[j:])
-		a0, a1, a2, a3 := d[0], d[1], d[2], d[3]
-		for e, v := range vals {
+		var a0, a1, a2, a3 float64
+		for e := a; e < b; e++ {
+			v := vals[e]
 			f := (*[4]float64)(facs[0][int(idx[0][e])*r+j:])
 			p0, p1, p2, p3 := float64(v*f[0]), float64(v*f[1]), float64(v*f[2]), float64(v*f[3])
 			for m := 1; m < k; m++ {
@@ -270,43 +325,53 @@ func streamAccumGeneric(dst, vals []float64, idx [][]int32, facs [][]float64) {
 			}
 			a0, a1, a2, a3 = a0+p0, a1+p1, a2+p2, a3+p3
 		}
-		d[0], d[1], d[2], d[3] = a0, a1, a2, a3
+		o := (*[4]float64)(d[j:])
+		o[0], o[1], o[2], o[3] = a0, a1, a2, a3
 	}
 	for ; j < r; j++ {
-		a := dst[j]
-		for e, v := range vals {
-			p := float64(v * facs[0][int(idx[0][e])*r+j])
+		var s float64
+		for e := a; e < b; e++ {
+			p := float64(vals[e] * facs[0][int(idx[0][e])*r+j])
 			for m := 1; m < k; m++ {
 				p = float64(p * facs[m][int(idx[m][e])*r+j])
 			}
-			a += p
+			s += p
 		}
-		dst[j] = a
+		d[j] = s
 	}
 }
 
-// gatherAccumGeneric is GatherAccum's portable body, and the reference for
-// its AVX2 body. It writes
-// dst[j] += Σ_e base[elems[e]·R + j] · Π_k facs[k][idx[k][elems[e]]·R + j]
-// with R = len(dst): one element's run of reduction entries, taken in order
+// gatherRunsGeneric is GatherRuns' portable body, and the reference for
+// its AVX2 body: one gatherRun per run, into the run's destination row.
+func gatherRunsGeneric(dst []float64, r int, ptr []int64, rows []int32, base []float64, elems []int32, idx [][]int32, facs [][]float64) {
+	for i := 0; i+1 < len(ptr); i++ {
+		gatherRun(runRow(dst, r, rows, i), base, elems[ptr[i]:ptr[i+1]], idx, facs)
+	}
+}
+
+// gatherRun sets
+// d[j] = 0 + Σ_e base[elems[e]·R + j] · Π_k facs[k][idx[k][elems[e]]·R + j]
+// with R = len(d): one element's run of reduction entries, taken in order
 // e, each contributing its parent element's row of base times one row per
 // factor. base and every facs[k] are row-major with row stride R, and
 // idx[k] holds the parent elements' row indices into facs[k]. facs may be
 // empty, which sums the parent rows.
 //
-// At zero to four factors it runs one entry at a time: the parent's row
-// times the factor rows is added into dst by the fused chain of that many
-// rows (AddInto, FMAInto, accumVec2–4), with each entry's parent and row
-// offsets computed once. Every row is sliced with its array's length as the
-// capacity bound. Above four factors gatherAccumBlocked runs. Both
-// associate every term ((b·a)·c)… left to right and add it once, in entry
-// order, so they are bit-identical to each other and to the unfused chain.
-func gatherAccumGeneric(dst, base []float64, elems []int32, idx [][]int32, facs [][]float64) {
+// It clears d, then at zero to four factors runs one entry at a time: the
+// parent's row times the factor rows is added into d by the fused chain of
+// that many rows (AddInto, FMAInto, accumVec2–4), with each entry's parent
+// and row offsets computed once. Every row is sliced with its array's
+// length as the capacity bound. Above four factors gatherRunBlocked runs.
+// Both associate every term ((b·a)·c)… left to right and add it once, in
+// entry order, to a sum that starts at +0, so they are bit-identical to
+// each other and to the unfused chain into a cleared row.
+func gatherRun(d, base []float64, elems []int32, idx [][]int32, facs [][]float64) {
+	clear(d)
 	if len(facs) > 4 {
-		gatherAccumBlocked(dst, base, elems, idx, facs)
+		gatherRunBlocked(d, base, elems, idx, facs)
 		return
 	}
-	r := len(dst)
+	r := len(d)
 	row := func(m int, pe int32) []float64 {
 		o := int(idx[m][pe]) * r
 		return facs[m][o : o+r : len(facs[m])]
@@ -316,26 +381,26 @@ func gatherAccumGeneric(dst, base []float64, elems []int32, idx [][]int32, facs 
 		b := base[o : o+r : len(base)]
 		switch len(facs) {
 		case 0:
-			AddInto(dst, b)
+			AddInto(d, b)
 		case 1:
-			FMAInto(dst, b, row(0, pe))
+			FMAInto(d, b, row(0, pe))
 		case 2:
-			accumVec2(dst, b, row(0, pe), row(1, pe))
+			accumVec2(d, b, row(0, pe), row(1, pe))
 		case 3:
-			accumVec3(dst, b, row(0, pe), row(1, pe), row(2, pe))
+			accumVec3(d, b, row(0, pe), row(1, pe), row(2, pe))
 		case 4:
-			accumVec4(dst, b, row(0, pe), row(1, pe), row(2, pe), row(3, pe))
+			accumVec4(d, b, row(0, pe), row(1, pe), row(2, pe), row(3, pe))
 		}
 	}
 }
 
-// gatherAccumBlocked is gatherAccumGeneric's body above four factors. Its
-// loop nest is streamAccumGeneric's: per block of 8, then 4, then one
+// gatherRunBlocked is gatherRun's body above four factors, adding the run
+// into d. Its loop nest is streamRun's: per block of 8, then 4, then one
 // column, the accumulators and running products stay in local variables
 // across the whole run. (At four factors and fewer the per-entry chain
 // measured faster at every R from 8 to 32: each block reloads every
 // entry's parent and row indices.)
-func gatherAccumBlocked(dst, base []float64, elems []int32, idx [][]int32, facs [][]float64) {
+func gatherRunBlocked(dst, base []float64, elems []int32, idx [][]int32, facs [][]float64) {
 	r := len(dst)
 	j := 0
 	for ; j+8 <= r; j += 8 {
@@ -381,17 +446,32 @@ func gatherAccumBlocked(dst, base []float64, elems []int32, idx [][]int32, facs 
 	}
 }
 
-// checkGather panics unless GatherAccum has one index array per factor,
+// checkStream panics unless StreamRuns has at least one factor, one index
+// array per factor, and in each an entry for every entry its runs cover
+// (below end, the last run pointer). Both bodies run behind it, so they
+// reject the same inputs.
+func checkStream(end int64, idx [][]int32, facs [][]float64) {
+	if len(facs) < 1 || len(idx) < len(facs) {
+		panic("kernel: StreamRuns needs one index array per factor")
+	}
+	for k := range facs {
+		if int64(len(idx[k])) < end {
+			panic("kernel: StreamRuns index array shorter than its runs")
+		}
+	}
+}
+
+// checkGather panics unless GatherRuns has one index array per factor,
 // each with an entry for every row of base (R = r ≥ 1). The AVX2 body
 // relies on it to load idx[k][pe] for any pe whose parent row lies in
 // base; both bodies run behind it, so they reject the same inputs.
 func checkGather(r int, base []float64, idx [][]int32, facs [][]float64) {
 	if len(idx) < len(facs) {
-		panic("kernel: GatherAccum needs one index array per factor")
+		panic("kernel: GatherRuns needs one index array per factor")
 	}
 	for k := range facs {
 		if len(idx[k]) < len(base)/r {
-			panic("kernel: GatherAccum index array shorter than base's rows")
+			panic("kernel: GatherRuns index array shorter than base's rows")
 		}
 	}
 }

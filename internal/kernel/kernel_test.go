@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -206,8 +207,8 @@ func TestHadamardAccum(t *testing.T) {
 	}
 }
 
-// streamBodies lists the bodies of StreamAccum and GatherAccum this host
-// runs: the portable one, and the AVX2 one when the CPU has it.
+// streamBodies lists the bodies of StreamRuns, GatherRuns and ScatterAccum
+// this host runs: the portable one, and the AVX2 one when the CPU has it.
 func streamBodies(t testing.TB) []bool {
 	if !hasAVX2 {
 		t.Logf("no AVX2 on this CPU or OS: only the portable body runs")
@@ -224,96 +225,224 @@ func bodyName(avx bool) string {
 	return "portable"
 }
 
-// streamAccumWith runs StreamAccum with its AVX2 body selected (avx, which
-// only a CPU with AVX2 may ask for) or the portable one, and reports whether
-// it panicked.
-func streamAccumWith(avx bool, dst, vals []float64, idx [][]int32, facs [][]float64) (panicked bool) {
+// withBody runs fn with the AVX2 bodies selected (avx, which only a CPU
+// with AVX2 may ask for) or the portable ones, and reports whether it
+// panicked.
+func withBody(avx bool, fn func()) (panicked bool) {
 	saved := hasAVX2
 	hasAVX2 = avx
 	defer func() {
 		hasAVX2 = saved
 		panicked = recover() != nil
 	}()
-	StreamAccum(dst, vals, idx, facs)
+	fn()
 	return false
 }
 
-// TestStreamAccum pins both bodies of the streamed kernel bit for bit to
-// one HadamardAccum call per nonzero, in nonzero order, at 1–6 factors and
-// reduction groups of 0–9 nonzeros: every length of chainLengths covers the
-// AVX2 body's 16- and 4-column blocks and scalar tail, and the portable
-// body's 8- and 4-column blocks and tail, with signed zeros and extremes in
-// the values and the factors.
-func TestStreamAccum(t *testing.T) {
+// testChunk is one scheduled chunk of a run kernel's test: runs
+// ptr[i]:ptr[i+1] into entry arrays of n entries, whose destination rows
+// are rows[i] of an out-row output, or row i when rows is nil.
+type testChunk struct {
+	ptr    []int64
+	rows   []int32
+	n, out int
+}
+
+// randChunk draws up to four runs of up to 9 entries, a quarter of them
+// empty, that start past up to two leading entries and leave up to two
+// trailing ones, so the pointers index whole entry arrays. With mapped
+// set, a row map sends the runs to distinct rows, in shuffled order, of an
+// output two rows taller than the run count.
+func randChunk(rng *rand.Rand, mapped bool) testChunk {
+	e := int64(rng.Intn(3))
+	c := testChunk{ptr: []int64{e}}
+	for i := rng.Intn(5); i > 0; i-- {
+		if rng.Intn(4) > 0 {
+			e += int64(1 + rng.Intn(9))
+		}
+		c.ptr = append(c.ptr, e)
+	}
+	c.n = int(e) + rng.Intn(3)
+	c.out = len(c.ptr) - 1
+	if mapped {
+		c.out += 2
+		perm := rng.Perm(c.out)
+		c.rows = make([]int32, len(c.ptr)-1)
+		for i := range c.rows {
+			c.rows[i] = int32(perm[i])
+		}
+	}
+	return c
+}
+
+// row returns run i's destination row.
+func (c testChunk) row(i int) int {
+	if c.rows == nil {
+		return i
+	}
+	return int(c.rows[i])
+}
+
+// dst draws the chunk's output at rank r: NaN in every destination row, so
+// a body that adds to the row instead of setting it shows, and signed
+// zeros and extremes in the rows no run maps to, which must not change.
+func (c testChunk) dst(rng *rand.Rand, r int) []float64 {
+	d := randSpecialVec(c.out*r, rng)
+	for i := 0; i+1 < len(c.ptr); i++ {
+		for j := range d[c.row(i)*r:][:r] {
+			d[c.row(i)*r+j] = math.NaN()
+		}
+	}
+	return d
+}
+
+// sameBits fails the test unless got and want hold the same bits.
+func sameBits(t *testing.T, got, want []float64, what string) {
+	t.Helper()
+	for j := range got {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("%s: [%d] = %v (%#x), reference gives %v (%#x)", what, j,
+				got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+		}
+	}
+}
+
+// randIndices draws k index arrays of n row indices below rows.
+func randIndices(rng *rand.Rand, k, n, rows int) [][]int32 {
+	idx := make([][]int32, k)
+	for m := range idx {
+		idx[m] = make([]int32, n)
+		for e := range idx[m] {
+			idx[m][e] = int32(rng.Intn(rows))
+		}
+	}
+	return idx
+}
+
+// TestStreamRuns pins both bodies of the streamed kernel bit for bit to
+// clearing each run's row and calling HadamardAccum once per nonzero, in
+// nonzero order, at 1–6 factors, over chunks of up to four runs of up to 9
+// nonzeros (empty runs included, whose rows must come out +0), with and
+// without a row map, into rows pre-filled with NaN: every length of
+// chainLengths covers the AVX2 body's 16- and 4-column blocks and scalar
+// tail, and the portable body's 8- and 4-column blocks and tail, with
+// signed zeros and extremes in the values and the factors.
+func TestStreamRuns(t *testing.T) {
 	for _, avx := range streamBodies(t) {
 		rng := rand.New(rand.NewSource(9))
 		for _, n := range chainLengths {
 			for k := 1; k <= 6; k++ {
 				for trial := 0; trial < 10; trial++ {
 					const rows = 5
+					c := randChunk(rng, trial%2 == 1)
 					facs := make([][]float64, k)
 					for m := range facs {
 						facs[m] = randSpecialVec(rows*n, rng)
 					}
-					nnz := rng.Intn(10)
-					vals := randSpecialVec(nnz, rng)
-					idx := make([][]int32, k)
-					for m := range idx {
-						idx[m] = make([]int32, nnz)
-						for e := range idx[m] {
-							idx[m][e] = int32(rng.Intn(rows))
-						}
-					}
-					got := randSpecialVec(n, rng)
+					idx := randIndices(rng, k, c.n, rows)
+					vals := randSpecialVec(c.n, rng)
+					got := c.dst(rng, n)
 					want := append([]float64(nil), got...)
-					if streamAccumWith(avx, got, vals, idx, facs) {
-						t.Fatalf("%s n=%d k=%d nnz=%d: panicked on valid input", bodyName(avx), n, k, nnz)
-					}
 					fr := make([][]float64, k)
-					for e, v := range vals {
-						for m := range fr {
-							o := int(idx[m][e]) * n
-							fr[m] = facs[m][o : o+n]
+					for i := 0; i+1 < len(c.ptr); i++ {
+						d := want[c.row(i)*n:][:n]
+						clear(d)
+						for e := c.ptr[i]; e < c.ptr[i+1]; e++ {
+							for m := range fr {
+								o := int(idx[m][e]) * n
+								fr[m] = facs[m][o : o+n]
+							}
+							HadamardAccum(d, vals[e], fr)
 						}
-						HadamardAccum(want, v, fr)
 					}
-					for j := range got {
-						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-							t.Fatalf("%s n=%d k=%d nnz=%d: [%d] = %v, per-nonzero loop gives %v", bodyName(avx), n, k, nnz, j, got[j], want[j])
-						}
+					what := fmt.Sprintf("%s n=%d k=%d ptr=%v rows=%v", bodyName(avx), n, k, c.ptr, c.rows)
+					if withBody(avx, func() { StreamRuns(got, n, c.ptr, c.rows, vals, idx, facs) }) {
+						t.Fatalf("%s: panicked on valid input", what)
 					}
+					sameBits(t, got, want, what)
 				}
 			}
 		}
 	}
 }
 
-// TestStreamAccumBounds requires both bodies to panic, not to read stray
-// memory, on a negative row index (−1 and the most negative int32), on an
-// index equal to the factor's row count, and on an index array shorter than
-// vals: in the first and the last factor, and in each kind of column block.
-func TestStreamAccumBounds(t *testing.T) {
+// chunkArgs are the destination and run arguments both run kernels take.
+type chunkArgs struct {
+	dst  []float64
+	ptr  []int64
+	rows []int32
+}
+
+// validChunk is a well-formed chunk over three entries at rank r: three
+// runs, the middle one empty, mapped to rows 2, 0 and 1 of a three-row
+// output.
+func validChunk(r int) chunkArgs {
+	return chunkArgs{dst: make([]float64, 3*r), ptr: []int64{0, 1, 1, 3}, rows: []int32{2, 0, 1}}
+}
+
+// chunkFaults lists the run and destination faults both run kernels must
+// reject on validChunk(r): a decreasing, negative or past-the-end run
+// pointer; a mapped row of −1, of the most negative int32, equal to the
+// output's row count, or naming a row the output holds only in part; a row
+// map shorter than the runs; and, without a row map, an output with no
+// room for the last run's row.
+func chunkFaults(r int) map[string]func(c *chunkArgs) {
+	return map[string]func(c *chunkArgs){
+		"ptr decreasing":      func(c *chunkArgs) { c.ptr[2] = 0 },
+		"ptr negative":        func(c *chunkArgs) { c.ptr[0] = -1 },
+		"ptr past entries":    func(c *chunkArgs) { c.ptr[3] = 4 },
+		"row -1":              func(c *chunkArgs) { c.rows[1] = -1 },
+		"row MinInt32":        func(c *chunkArgs) { c.rows[1] = math.MinInt32 },
+		"row = rows":          func(c *chunkArgs) { c.rows[1] = 3 },
+		"row partial":         func(c *chunkArgs) { c.dst = append(c.dst, make([]float64, r-1)...); c.rows[1] = 3 },
+		"short row map":       func(c *chunkArgs) { c.rows = c.rows[:2] },
+		"unmapped, short dst": func(c *chunkArgs) { c.rows = nil; c.dst = c.dst[:2*r] },
+	}
+}
+
+// TestStreamRunsBounds requires both bodies to panic, not to read or write
+// stray memory, in each kind of column block (R = 1, 4 and 16 run only
+// the scalar tail, only 4-column blocks and only 16-column blocks; R = 21
+// runs all three): on each of chunkFaults, and, in the first and the last
+// factor, on a row index of −1, of the most negative int32 or equal to
+// the factor's row count, and on an index array shorter than the runs.
+// The unaltered chunk must not panic.
+func TestStreamRunsBounds(t *testing.T) {
 	const rows = 3
 	for _, avx := range streamBodies(t) {
 		for _, r := range []int{1, 4, 16, 21} {
 			for _, k := range []int{1, 3} {
 				for _, m := range []int{0, k - 1} {
-					cases := map[string]func(idx [][]int32){
-						"index -1":       func(idx [][]int32) { idx[m][1] = -1 },
-						"index MinInt32": func(idx [][]int32) { idx[m][1] = math.MinInt32 },
-						"index = rows":   func(idx [][]int32) { idx[m][1] = rows },
-						"short index":    func(idx [][]int32) { idx[m] = idx[m][:1] },
+					type input struct {
+						chunkArgs
+						idx [][]int32
+					}
+					cases := map[string]func(in *input){
+						"valid":          nil,
+						"index -1":       func(in *input) { in.idx[m][1] = -1 },
+						"index MinInt32": func(in *input) { in.idx[m][1] = math.MinInt32 },
+						"index = rows":   func(in *input) { in.idx[m][1] = rows },
+						"short index":    func(in *input) { in.idx[m] = in.idx[m][:1] },
+					}
+					for name, fault := range chunkFaults(r) {
+						cases[name] = func(in *input) { fault(&in.chunkArgs) }
 					}
 					for name, corrupt := range cases {
+						in := input{chunkArgs: validChunk(r)}
 						facs := make([][]float64, k)
-						idx := make([][]int32, k)
+						in.idx = make([][]int32, k)
 						for f := range facs {
 							facs[f] = make([]float64, rows*r)
-							idx[f] = []int32{0, 1, 2}
+							in.idx[f] = []int32{0, 1, 2}
 						}
-						corrupt(idx)
-						if !streamAccumWith(avx, make([]float64, r), []float64{1, 2, 3}, idx, facs) {
-							t.Errorf("%s R=%d k=%d factor %d, %s: no panic", bodyName(avx), r, k, m, name)
+						if corrupt != nil {
+							corrupt(&in)
+						}
+						panicked := withBody(avx, func() {
+							StreamRuns(in.dst, r, in.ptr, in.rows, []float64{1, 2, 3}, in.idx, facs)
+						})
+						if panicked != (corrupt != nil) {
+							t.Errorf("%s R=%d k=%d factor %d, %s: panicked %v", bodyName(avx), r, k, m, name, panicked)
 						}
 					}
 				}
@@ -322,11 +451,94 @@ func TestStreamAccumBounds(t *testing.T) {
 	}
 }
 
-// FuzzStreamAccum draws R, the factor count, the group size, values
-// (infinities, signed zeros, subnormals and extremes included) and row
-// indices (some negative or past the last row, some index arrays short)
-// from the input, and requires both bodies to give the same bits or both to
-// panic. It skips on a CPU without AVX2.
+// fuzzDraw reads a fuzz input's bytes in a cycle, and draws values and
+// indices from them for the run kernels' fuzz targets.
+type fuzzDraw struct {
+	data []byte
+	pos  int
+}
+
+func (d *fuzzDraw) next() byte {
+	if len(d.data) == 0 {
+		return 0
+	}
+	b := d.data[d.pos%len(d.data)]
+	d.pos++
+	return b
+}
+
+// value draws a float64: infinities, signed zeros, subnormals and extremes
+// now and then, otherwise a small multiple of 1/7.
+func (d *fuzzDraw) value() float64 {
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		5e-324, -math.MaxFloat64, 1e300, 1e-300}
+	b := d.next()
+	if int(b) < len(special) {
+		return special[b]
+	}
+	return float64(int8(b)) / 7
+}
+
+// index draws a row index below n, or now and then −1, n or the most
+// negative int32.
+func (d *fuzzDraw) index(n int) int32 {
+	switch b := d.next(); b {
+	case 255:
+		return -1
+	case 254:
+		return int32(n)
+	case 252:
+		return math.MinInt32
+	default:
+		return int32(int(b) % n)
+	}
+}
+
+// chunk draws a chunk over n entries at rank r and the output it writes:
+// each entry may close a run before it (now and then twice, an empty run),
+// a pointer now and then decreases or passes n, and either a row map
+// (rows drawn by index, so now and then out of range) or none (an output
+// now and then one row short) sends the runs to their rows. The output
+// may end in a partial row, and holds drawn values.
+func (d *fuzzDraw) chunk(n, r int) chunkArgs {
+	c := chunkArgs{ptr: []int64{0}}
+	for e := 0; e < n; e++ {
+		switch b := d.next(); {
+		case b == 251:
+			c.ptr = append(c.ptr, c.ptr[len(c.ptr)-1]-1)
+		case b == 250:
+			c.ptr = append(c.ptr, int64(n)+1)
+		case b%4 == 0:
+			c.ptr = append(c.ptr, int64(e), int64(e))
+		case b%2 == 0:
+			c.ptr = append(c.ptr, int64(e))
+		}
+	}
+	c.ptr = append(c.ptr, int64(n))
+	runs := len(c.ptr) - 1
+	out := runs
+	if b := d.next(); b%2 == 0 {
+		out = runs + int(b>>1%3)
+		c.rows = make([]int32, runs)
+		for i := range c.rows {
+			c.rows[i] = d.index(max(out, 1))
+		}
+	} else if b == 253 {
+		out = max(out-1, 0)
+	}
+	c.dst = make([]float64, out*r+int(d.next()%2)*(r-1))
+	for j := range c.dst {
+		c.dst[j] = d.value()
+	}
+	return c
+}
+
+// FuzzStreamAccum draws R, the factor count, the entry count, the factor
+// row count, values (infinities, signed zeros, subnormals and extremes
+// included) and row indices (some negative or past the last row, some
+// index arrays short) from the input, and fuzzDraw.chunk's runs and
+// output, and requires both bodies of StreamRuns to give the same bits or
+// both to panic. It skips on a CPU without AVX2.
 //
 // NaN arises only from the arithmetic (∞·0, ∞−∞), so every NaN is the one
 // the hardware generates. When both operands of an instruction are NaN, the
@@ -341,26 +553,7 @@ func FuzzStreamAccum(f *testing.F) {
 		if !hasAVX2 {
 			t.Skip("no AVX2 on this CPU or OS: there is one body")
 		}
-		special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
-			5e-324, -math.MaxFloat64, 1e300, 1e-300}
-		pos := 0
-		next := func() byte {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[pos%len(data)]
-			pos++
-			return b
-		}
-		value := func() float64 {
-			b := next()
-			if int(b) < len(special) {
-				return special[b]
-			}
-			return float64(int8(b)) / 7
-		}
-		// R ≥ 1: at R = 0 the portable body reads no index, so it lets a
-		// short index array pass, which the AVX2 body's wrapper rejects.
+		d := &fuzzDraw{data: data}
 		r := 1 + int(shape%70)
 		k := 1 + int(shape>>8%5)
 		nnz := int(shape >> 16 % 12)
@@ -370,11 +563,11 @@ func FuzzStreamAccum(f *testing.F) {
 		for m := range facs {
 			facs[m] = make([]float64, rows*r)
 			for j := range facs[m] {
-				facs[m][j] = value()
+				facs[m][j] = d.value()
 			}
 			idx[m] = make([]int32, nnz)
 			for e := range idx[m] {
-				switch b := next(); {
+				switch b := d.next(); {
 				case b == 255:
 					idx[m][e] = -1
 				case b == 254:
@@ -391,116 +584,95 @@ func FuzzStreamAccum(f *testing.F) {
 		}
 		vals := make([]float64, nnz)
 		for e := range vals {
-			vals[e] = value()
+			vals[e] = d.value()
 		}
-		dst := make([]float64, r)
-		for j := range dst {
-			dst[j] = value()
-		}
-		port := append([]float64(nil), dst...)
-		pAVX := streamAccumWith(true, dst, vals, idx, facs)
-		pPort := streamAccumWith(false, port, vals, idx, facs)
+		c := d.chunk(nnz, r)
+		port := append([]float64(nil), c.dst...)
+		pAVX := withBody(true, func() { StreamRuns(c.dst, r, c.ptr, c.rows, vals, idx, facs) })
+		pPort := withBody(false, func() { StreamRuns(port, r, c.ptr, c.rows, vals, idx, facs) })
+		what := fmt.Sprintf("R=%d k=%d nnz=%d ptr=%v rows=%v", r, k, nnz, c.ptr, c.rows)
 		if pAVX != pPort {
-			t.Fatalf("R=%d k=%d nnz=%d: avx2 panicked %v, portable panicked %v", r, k, nnz, pAVX, pPort)
+			t.Fatalf("%s: avx2 panicked %v, portable panicked %v", what, pAVX, pPort)
 		}
-		if pAVX {
-			return
-		}
-		for j := range dst {
-			if math.Float64bits(dst[j]) != math.Float64bits(port[j]) {
-				t.Fatalf("R=%d k=%d nnz=%d: [%d] avx2 %v (%#x), portable %v (%#x)", r, k, nnz, j,
-					dst[j], math.Float64bits(dst[j]), port[j], math.Float64bits(port[j]))
-			}
+		if !pAVX {
+			sameBits(t, c.dst, port, what+" avx2 against portable")
 		}
 	})
 }
 
-// gatherAccumWith runs GatherAccum with its AVX2 body selected (avx, which
-// only a CPU with AVX2 may ask for) or the portable one, and reports whether
-// it panicked.
-func gatherAccumWith(avx bool, dst, base []float64, elems []int32, idx [][]int32, facs [][]float64) (panicked bool) {
-	saved := hasAVX2
-	hasAVX2 = avx
-	defer func() {
-		hasAVX2 = saved
-		panicked = recover() != nil
-	}()
-	GatherAccum(dst, base, elems, idx, facs)
-	return false
-}
-
-// TestGatherAccum pins both bodies of the gathered kernel bit for bit to
-// the chain run once per entry on the gathered rows (the parent's row
-// copied, then each factor row multiplied in, then added), in entry order,
-// at 0–6 factors and runs of 0–9 entries over 5 parent rows: every length
-// of chainLengths covers the AVX2 body's 16- and 4-column blocks and scalar
-// tail, and the portable body's 8- and 4-column blocks and tail, with
-// signed zeros and extremes in the parent rows and the factors.
-func TestGatherAccum(t *testing.T) {
+// TestGatherRuns pins both bodies of the gathered kernel bit for bit to
+// clearing each run's row and running the chain once per entry on the
+// gathered rows (the parent's row copied, then each factor row multiplied
+// in, then added), in entry order, at 0–6 factors, over chunks of up to
+// four runs of up to 9 entries over 5 parent rows (empty runs included,
+// whose rows must come out +0), with and without a row map, into rows
+// pre-filled with NaN: every length of chainLengths covers the AVX2 body's
+// 16- and 4-column blocks and scalar tail, and the portable body's 8- and
+// 4-column blocks and tail, with signed zeros and extremes in the parent
+// rows and the factors.
+func TestGatherRuns(t *testing.T) {
 	for _, avx := range streamBodies(t) {
 		rng := rand.New(rand.NewSource(8))
 		for _, n := range chainLengths {
 			for k := 0; k <= 6; k++ {
 				for trial := 0; trial < 10; trial++ {
 					const parents, rows = 5, 4
+					c := randChunk(rng, trial%2 == 1)
 					base := randSpecialVec(parents*n, rng)
 					facs := make([][]float64, k)
-					idx := make([][]int32, k)
 					for m := range facs {
 						facs[m] = randSpecialVec(rows*n, rng)
-						idx[m] = make([]int32, parents)
-						for pe := range idx[m] {
-							idx[m][pe] = int32(rng.Intn(rows))
-						}
 					}
-					elems := make([]int32, rng.Intn(10))
-					for e := range elems {
-						elems[e] = int32(rng.Intn(parents))
-					}
-					got := randSpecialVec(n, rng)
+					idx := randIndices(rng, k, parents, rows)
+					elems := randIndices(rng, 1, c.n, parents)[0]
+					got := c.dst(rng, n)
 					want := append([]float64(nil), got...)
-					if gatherAccumWith(avx, got, base, elems, idx, facs) {
-						t.Fatalf("%s n=%d k=%d run=%d: panicked on valid input", bodyName(avx), n, k, len(elems))
-					}
 					fr := make([][]float64, k)
-					for _, pe := range elems {
-						for m := range fr {
-							o := int(idx[m][pe]) * n
-							fr[m] = facs[m][o : o+n]
+					for i := 0; i+1 < len(c.ptr); i++ {
+						d := want[c.row(i)*n:][:n]
+						clear(d)
+						for _, pe := range elems[c.ptr[i]:c.ptr[i+1]] {
+							for m := range fr {
+								o := int(idx[m][pe]) * n
+								fr[m] = facs[m][o : o+n]
+							}
+							hadamardChain(d, 0, base[int(pe)*n:int(pe+1)*n], fr)
 						}
-						hadamardChain(want, 0, base[int(pe)*n:int(pe+1)*n], fr)
 					}
-					for j := range got {
-						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-							t.Fatalf("%s n=%d k=%d run=%d: [%d] = %v, per-entry chain gives %v", bodyName(avx), n, k, len(elems), j, got[j], want[j])
-						}
+					what := fmt.Sprintf("%s n=%d k=%d ptr=%v rows=%v", bodyName(avx), n, k, c.ptr, c.rows)
+					if withBody(avx, func() { GatherRuns(got, n, c.ptr, c.rows, base, elems, idx, facs) }) {
+						t.Fatalf("%s: panicked on valid input", what)
 					}
+					sameBits(t, got, want, what)
 				}
 			}
 		}
 	}
 }
 
-// TestGatherAccumBounds requires both bodies to panic, not to read stray
-// memory, in each kind of column block (R = 1, 4 and 16 run only the
+// TestGatherRunsBounds requires both bodies to panic, not to read or write
+// stray memory, in each kind of column block (R = 1, 4 and 16 run only the
 // scalar tail, only 4-column blocks and only 16-column blocks; R = 21 runs
-// all three): on a parent index of −1, of the most negative int32, equal
-// to base's row count, or naming a row that base holds only in part; and,
-// in the first and the last factor, on a row index of −1, of the most
-// negative int32 or equal to the factor's row count, and on an index array
-// shorter than base's row count.
-func TestGatherAccumBounds(t *testing.T) {
+// all three): on each of chunkFaults; on a parent index of −1, of the most
+// negative int32, equal to base's row count, or naming a row that base
+// holds only in part; and, in the first and the last factor, on a row
+// index of −1, of the most negative int32 or equal to the factor's row
+// count, and on an index array shorter than base's row count. The
+// unaltered chunk must not panic.
+func TestGatherRunsBounds(t *testing.T) {
 	const parents, rows = 3, 2
 	for _, avx := range streamBodies(t) {
 		for _, r := range []int{1, 4, 16, 21} {
 			for _, k := range []int{1, 3} {
 				for _, m := range []int{0, k - 1} {
 					type input struct {
+						chunkArgs
 						base  []float64
 						elems []int32
 						idx   [][]int32
 					}
 					cases := map[string]func(in *input){
+						"valid":           nil,
 						"parent -1":       func(in *input) { in.elems[1] = -1 },
 						"parent MinInt32": func(in *input) { in.elems[1] = math.MinInt32 },
 						"parent = rows":   func(in *input) { in.elems[1] = parents },
@@ -513,17 +685,25 @@ func TestGatherAccumBounds(t *testing.T) {
 						"index = rows":   func(in *input) { in.idx[m][1] = rows },
 						"short index":    func(in *input) { in.idx[m] = in.idx[m][:parents-1] },
 					}
+					for name, fault := range chunkFaults(r) {
+						cases[name] = func(in *input) { fault(&in.chunkArgs) }
+					}
 					for name, corrupt := range cases {
-						in := input{base: make([]float64, parents*r), elems: []int32{0, 1, 2}}
+						in := input{chunkArgs: validChunk(r), base: make([]float64, parents*r), elems: []int32{0, 1, 2}}
 						facs := make([][]float64, k)
 						in.idx = make([][]int32, k)
 						for f := range facs {
 							facs[f] = make([]float64, rows*r)
 							in.idx[f] = []int32{0, 1, 1}
 						}
-						corrupt(&in)
-						if !gatherAccumWith(avx, make([]float64, r), in.base, in.elems, in.idx, facs) {
-							t.Errorf("%s R=%d k=%d factor %d, %s: no panic", bodyName(avx), r, k, m, name)
+						if corrupt != nil {
+							corrupt(&in)
+						}
+						panicked := withBody(avx, func() {
+							GatherRuns(in.dst, r, in.ptr, in.rows, in.base, in.elems, in.idx, facs)
+						})
+						if panicked != (corrupt != nil) {
+							t.Errorf("%s R=%d k=%d factor %d, %s: panicked %v", bodyName(avx), r, k, m, name, panicked)
 						}
 					}
 				}
@@ -532,14 +712,15 @@ func TestGatherAccumBounds(t *testing.T) {
 	}
 }
 
-// FuzzGatherAccum draws R, the factor count (zero included), the run
-// length, the parent and factor row counts, the parent rows, factor values
-// and dst (infinities, signed zeros, subnormals and extremes included), and
+// FuzzGatherAccum draws R, the factor count (zero included), the entry
+// count, the parent and factor row counts, the parent rows and factor
+// values (infinities, signed zeros, subnormals and extremes included), and
 // the parent and row indices (some negative or past the last row, some
 // index arrays short, some parent arrays with a partial last row) from the
-// input, and requires both bodies to give the same bits or both to panic.
-// It skips on a CPU without AVX2. NaN arises only from the arithmetic, as
-// in FuzzStreamAccum.
+// input, and fuzzDraw.chunk's runs and output, and requires both bodies of
+// GatherRuns to give the same bits or both to panic. It skips on a CPU
+// without AVX2. NaN arises only from the arithmetic, as in
+// FuzzStreamAccum.
 func FuzzGatherAccum(f *testing.F) {
 	f.Add(uint32(16|1<<8|5<<16|3<<24), []byte{1, 2, 3, 250, 40, 7})
 	f.Add(uint32(21|2<<8|9<<16|2<<24), []byte{0, 3, 9, 200, 33, 17, 64, 128})
@@ -549,38 +730,7 @@ func FuzzGatherAccum(f *testing.F) {
 		if !hasAVX2 {
 			t.Skip("no AVX2 on this CPU or OS: there is one body")
 		}
-		special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
-			5e-324, -math.MaxFloat64, 1e300, 1e-300}
-		pos := 0
-		next := func() byte {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[pos%len(data)]
-			pos++
-			return b
-		}
-		value := func() float64 {
-			b := next()
-			if int(b) < len(special) {
-				return special[b]
-			}
-			return float64(int8(b)) / 7
-		}
-		// index draws a row index below n, or now and then −1, n or the
-		// most negative int32.
-		index := func(n int) int32 {
-			switch b := next(); b {
-			case 255:
-				return -1
-			case 254:
-				return int32(n)
-			case 252:
-				return math.MinInt32
-			default:
-				return int32(int(b) % n)
-			}
-		}
+		d := &fuzzDraw{data: data}
 		r := 1 + int(shape%70)
 		k := int(shape >> 8 % 6)
 		run := int(shape >> 16 % 12)
@@ -588,62 +738,40 @@ func FuzzGatherAccum(f *testing.F) {
 		rows := 1 + int(shape>>26%4)
 		base := make([]float64, parents*r+int(shape>>28%2)*(r-1))
 		for j := range base {
-			base[j] = value()
+			base[j] = d.value()
 		}
 		facs := make([][]float64, k)
 		idx := make([][]int32, k)
 		for m := range facs {
 			facs[m] = make([]float64, rows*r)
 			for j := range facs[m] {
-				facs[m][j] = value()
+				facs[m][j] = d.value()
 			}
 			n := parents
-			if next() == 253 {
-				n = int(next()) % parents
+			if d.next() == 253 {
+				n = int(d.next()) % parents
 			}
 			idx[m] = make([]int32, n)
 			for pe := range idx[m] {
-				idx[m][pe] = index(rows)
+				idx[m][pe] = d.index(rows)
 			}
 		}
 		elems := make([]int32, run)
 		for e := range elems {
-			elems[e] = index(parents)
+			elems[e] = d.index(parents)
 		}
-		dst := make([]float64, r)
-		for j := range dst {
-			dst[j] = value()
-		}
-		port := append([]float64(nil), dst...)
-		pAVX := gatherAccumWith(true, dst, base, elems, idx, facs)
-		pPort := gatherAccumWith(false, port, base, elems, idx, facs)
+		c := d.chunk(run, r)
+		port := append([]float64(nil), c.dst...)
+		pAVX := withBody(true, func() { GatherRuns(c.dst, r, c.ptr, c.rows, base, elems, idx, facs) })
+		pPort := withBody(false, func() { GatherRuns(port, r, c.ptr, c.rows, base, elems, idx, facs) })
+		what := fmt.Sprintf("R=%d k=%d run=%d ptr=%v rows=%v", r, k, run, c.ptr, c.rows)
 		if pAVX != pPort {
-			t.Fatalf("R=%d k=%d run=%d: avx2 panicked %v, portable panicked %v", r, k, run, pAVX, pPort)
+			t.Fatalf("%s: avx2 panicked %v, portable panicked %v", what, pAVX, pPort)
 		}
-		if pAVX {
-			return
-		}
-		for j := range dst {
-			if math.Float64bits(dst[j]) != math.Float64bits(port[j]) {
-				t.Fatalf("R=%d k=%d run=%d: [%d] avx2 %v (%#x), portable %v (%#x)", r, k, run, j,
-					dst[j], math.Float64bits(dst[j]), port[j], math.Float64bits(port[j]))
-			}
+		if !pAVX {
+			sameBits(t, c.dst, port, what+" avx2 against portable")
 		}
 	})
-}
-
-// scatterAccumWith runs ScatterAccum with its AVX2 body selected (avx,
-// which only a CPU with AVX2 may ask for) or the portable one, and reports
-// whether it panicked.
-func scatterAccumWith(avx bool, out []float64, r int, target []int32, vals []float64, idx [][]int32, facs [][]float64) (panicked bool) {
-	saved := hasAVX2
-	hasAVX2 = avx
-	defer func() {
-		hasAVX2 = saved
-		panicked = recover() != nil
-	}()
-	ScatterAccum(out, r, target, vals, idx, facs)
-	return false
 }
 
 // perNonzeroScatter is the loop ScatterAccum replaced in the COO engine,
@@ -699,7 +827,7 @@ func TestScatterAccum(t *testing.T) {
 					vals := randSpecialVec(nnz, rng)
 					got := randSpecialVec(outRows*n, rng)
 					want := append([]float64(nil), got...)
-					if scatterAccumWith(avx, got, n, target, vals, idx, facs) {
+					if withBody(avx, func() { ScatterAccum(got, n, target, vals, idx, facs) }) {
 						t.Fatalf("%s n=%d k=%d nnz=%d: panicked on valid input", bodyName(avx), n, k, nnz)
 					}
 					perNonzeroScatter(want, n, target, vals, idx, facs, make([][]float64, k))
@@ -757,7 +885,7 @@ func TestScatterAccumBounds(t *testing.T) {
 							in.idx[f] = []int32{0, 1, 1}
 						}
 						corrupt(&in)
-						if !scatterAccumWith(avx, in.out, r, in.target, []float64{1, 2, 3}, in.idx, facs) {
+						if !withBody(avx, func() { ScatterAccum(in.out, r, in.target, []float64{1, 2, 3}, in.idx, facs) }) {
 							t.Errorf("%s R=%d k=%d factor %d, %s: no panic", bodyName(avx), r, k, m, name)
 						}
 					}
@@ -784,46 +912,15 @@ func FuzzScatterAccum(f *testing.F) {
 		if !hasAVX2 {
 			t.Skip("no AVX2 on this CPU or OS: there is one body")
 		}
-		special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
-			5e-324, -math.MaxFloat64, 1e300, 1e-300}
-		pos := 0
-		next := func() byte {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[pos%len(data)]
-			pos++
-			return b
-		}
-		value := func() float64 {
-			b := next()
-			if int(b) < len(special) {
-				return special[b]
-			}
-			return float64(int8(b)) / 7
-		}
-		// index draws a row index below n, or now and then −1, n or the
-		// most negative int32.
-		index := func(n int) int32 {
-			switch b := next(); b {
-			case 255:
-				return -1
-			case 254:
-				return int32(n)
-			case 252:
-				return math.MinInt32
-			default:
-				return int32(int(b) % n)
-			}
-		}
+		d := &fuzzDraw{data: data}
 		// indices draws nnz indices below n, or now and then fewer.
 		indices := func(nnz, n int) []int32 {
-			if next() == 253 && nnz > 0 {
-				nnz = int(next()) % nnz
+			if d.next() == 253 && nnz > 0 {
+				nnz = int(d.next()) % nnz
 			}
 			s := make([]int32, nnz)
 			for e := range s {
-				s[e] = index(n)
+				s[e] = d.index(n)
 			}
 			return s
 		}
@@ -834,25 +931,25 @@ func FuzzScatterAccum(f *testing.F) {
 		rows := 1 + int(shape>>26%4)
 		out := make([]float64, outRows*r+int(shape>>28%2)*max(r-1, 0))
 		for j := range out {
-			out[j] = value()
+			out[j] = d.value()
 		}
 		facs := make([][]float64, k)
 		idx := make([][]int32, k)
 		for m := range facs {
 			facs[m] = make([]float64, rows*r)
 			for j := range facs[m] {
-				facs[m][j] = value()
+				facs[m][j] = d.value()
 			}
 			idx[m] = indices(nnz, rows)
 		}
 		target := indices(nnz, outRows)
 		vals := make([]float64, nnz)
 		for e := range vals {
-			vals[e] = value()
+			vals[e] = d.value()
 		}
 		port := append([]float64(nil), out...)
-		pAVX := scatterAccumWith(true, out, r, target, vals, idx, facs)
-		pPort := scatterAccumWith(false, port, r, target, vals, idx, facs)
+		pAVX := withBody(true, func() { ScatterAccum(out, r, target, vals, idx, facs) })
+		pPort := withBody(false, func() { ScatterAccum(port, r, target, vals, idx, facs) })
 		if pAVX != pPort {
 			t.Fatalf("R=%d k=%d nnz=%d: avx2 panicked %v, portable panicked %v", r, k, nnz, pAVX, pPort)
 		}
@@ -938,8 +1035,8 @@ func TestPrimitivesAllocFree(t *testing.T) {
 		Axpy(dst, 2, a)
 		HadamardAccum(dst, 2, rows)
 		HadamardAccum(dst, 2, rows6)
-		StreamAccum(dst, a[:3], [][]int32{{0, 0, 0}, {0, 0, 0}}, rows)
-		GatherAccum(dst, a, []int32{0, 0}, [][]int32{{0}, {0}}, rows)
+		StreamRuns(dst, 8, []int64{0, 1, 3}, nil, a[:3], [][]int32{{0, 0, 0}, {0, 0, 0}}, rows)
+		GatherRuns(dst, 17, []int64{0, 2}, []int32{0}, a, []int32{0, 0}, [][]int32{{0}, {0}}, rows)
 	}); n != 0 {
 		t.Errorf("primitives allocate %v/op", n)
 	}

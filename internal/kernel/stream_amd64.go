@@ -1,6 +1,6 @@
 package kernel
 
-// hasAVX2 selects the AVX2 bodies of StreamAccum, GatherAccum and
+// hasAVX2 selects the AVX2 bodies of StreamRuns, GatherRuns and
 // ScatterAccum. It is set once at package initialization from the CPU and
 // OS feature bits; tests clear it to run the portable bodies.
 var hasAVX2 bool
@@ -11,7 +11,7 @@ var hasAVX2 bool
 // 32 bytes. The choice was made when dist-order5 ran the four-row Go body
 // (accum4), which measured about 5 % slower at that offset. Both benchmark
 // workloads now run assembly bodies (dist-order5 scatterAccumAVX2,
-// memo-zipf4 streamAccumAVX2 and gatherAccumAVX2), and what the init
+// memo-zipf4 streamRunsAVX2 and gatherRunsAVX2), and what the init
 // keeps is the layout those were measured at: moving code by 32 bytes has
 // shifted either workload's decompose time by 5–10 % before.
 func init() { hasAVX2 = detectAVX2() }
@@ -38,66 +38,75 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// streamAccumAVX2 is StreamAccum's AVX2 body (stream_amd64.s). It returns
-// false, possibly after updating some column blocks of dst, when a row
-// index puts a factor row past the end of its factor. The caller has
-// checked len(facs) ≥ 1, len(idx) ≥ len(facs) and len(idx[k]) ≥ len(vals).
+// streamRunsAVX2 is StreamRuns' AVX2 body (stream_amd64.s). It returns
+// false, possibly after setting the rows of earlier runs and some column
+// blocks of the current one, when a mapped destination row lies past the
+// end of dst or a row index puts a factor row past the end of its factor.
+// The caller has checked the chunk through checkRuns and checkStream, and
+// R ≥ 1.
 //
 //go:noescape
-func streamAccumAVX2(dst, vals []float64, idx [][]int32, facs [][]float64) bool
+func streamRunsAVX2(dst []float64, r int, ptr []int64, rows []int32, vals []float64, idx [][]int32, facs [][]float64) bool
 
-// StreamAccum writes dst[j] += Σ_e vals[e] · Π_k facs[k][idx[k][e]·R + j]
-// with R = len(dst); see streamAccumGeneric for the contract. On a CPU with
-// AVX2 it runs an assembly body that is bit-identical to the portable one:
-// every lane multiplies and adds as the portable body's scalars do, in the
-// same order, with no fused multiply-add. Like the portable body, it panics
-// on an index array shorter than vals or a row index outside its factor,
-// and never reads past one; it also panics on an empty facs.
-func StreamAccum(dst, vals []float64, idx [][]int32, facs [][]float64) {
-	if !hasAVX2 {
-		streamAccumGeneric(dst, vals, idx, facs)
+// StreamRuns sets, for each run i of one scheduled chunk, the destination
+// row of dst (row stride R = r; row rows[i] with a row map, row i without
+// one) to
+// 0 + Σ_e vals[e] · Π_k facs[k][idx[k][e]·R + j]
+// over the run's entries e in [ptr[i], ptr[i+1]), taken in order; see
+// streamRun for the contract. vals and every idx[k] are the whole entry
+// arrays that ptr points into. On a CPU with AVX2 it runs an assembly body
+// that is bit-identical to the portable one: every lane multiplies and
+// adds as the portable body's scalars do, in the same order, with no fused
+// multiply-add. It panics on what checkRuns and checkStream reject, on a
+// mapped row outside dst and on a row index outside its factor, and never
+// reads or writes past one.
+func StreamRuns(dst []float64, r int, ptr []int64, rows []int32, vals []float64, idx [][]int32, facs [][]float64) {
+	runs := checkRuns("StreamRuns", dst, r, ptr, rows, len(vals))
+	if runs == 0 || r == 0 {
 		return
 	}
-	if len(facs) < 1 || len(idx) < len(facs) {
-		panic("kernel: StreamAccum needs one index array per factor")
+	checkStream(ptr[runs], idx, facs)
+	if !hasAVX2 {
+		streamRunsGeneric(dst, r, ptr, rows, vals, idx, facs)
+		return
 	}
-	for k := range facs {
-		if len(idx[k]) < len(vals) {
-			panic("kernel: StreamAccum index array shorter than vals")
-		}
-	}
-	if !streamAccumAVX2(dst, vals, idx, facs) {
-		panic("kernel: StreamAccum row index out of range")
+	if !streamRunsAVX2(dst, r, ptr, rows, vals, idx, facs) {
+		panic("kernel: StreamRuns row index out of range")
 	}
 }
 
-// gatherAccumAVX2 is GatherAccum's AVX2 body (stream_amd64.s). It returns
-// false, possibly after updating some column blocks of dst, when a parent
-// row lies past the end of base or a row index puts a factor row past the
-// end of its factor. The caller has checked len(dst) ≥ 1 and, through
-// checkGather, the index arrays.
+// gatherRunsAVX2 is GatherRuns' AVX2 body (stream_amd64.s). It returns
+// false, possibly after setting the rows of earlier runs and some column
+// blocks of the current one, when a mapped destination row lies past the
+// end of dst, a parent row past the end of base, or a row index puts a
+// factor row past the end of its factor. The caller has checked the chunk
+// through checkRuns and checkGather, and R ≥ 1.
 //
 //go:noescape
-func gatherAccumAVX2(dst, base []float64, elems []int32, idx [][]int32, facs [][]float64) bool
+func gatherRunsAVX2(dst []float64, r int, ptr []int64, rows []int32, base []float64, elems []int32, idx [][]int32, facs [][]float64) bool
 
-// GatherAccum writes
-// dst[j] += Σ_e base[elems[e]·R + j] · Π_k facs[k][idx[k][elems[e]]·R + j]
-// with R = len(dst); see gatherAccumGeneric for the contract. On a CPU with
-// AVX2 it runs an assembly body that is bit-identical to the portable one.
-// It panics on fewer index arrays than factors, on an index array shorter
-// than base's row count, and on a parent or row index outside its array,
-// and never reads past one.
-func GatherAccum(dst, base []float64, elems []int32, idx [][]int32, facs [][]float64) {
-	if len(dst) == 0 {
+// GatherRuns sets, for each run i of one scheduled chunk, the destination
+// row of dst (row stride R = r; row rows[i] with a row map, row i without
+// one) to
+// 0 + Σ_e base[elems[e]·R + j] · Π_k facs[k][idx[k][elems[e]]·R + j]
+// over the run's entries e in [ptr[i], ptr[i+1]), taken in order; see
+// gatherRun for the contract. elems is the whole entry array that ptr
+// points into. On a CPU with AVX2 it runs an assembly body that is
+// bit-identical to the portable one. It panics on what checkRuns and
+// checkGather reject, on a mapped row outside dst and on a parent or row
+// index outside its array, and never reads or writes past one.
+func GatherRuns(dst []float64, r int, ptr []int64, rows []int32, base []float64, elems []int32, idx [][]int32, facs [][]float64) {
+	runs := checkRuns("GatherRuns", dst, r, ptr, rows, len(elems))
+	if runs == 0 || r == 0 {
 		return
 	}
-	checkGather(len(dst), base, idx, facs)
+	checkGather(r, base, idx, facs)
 	if !hasAVX2 {
-		gatherAccumGeneric(dst, base, elems, idx, facs)
+		gatherRunsGeneric(dst, r, ptr, rows, base, elems, idx, facs)
 		return
 	}
-	if !gatherAccumAVX2(dst, base, elems, idx, facs) {
-		panic("kernel: GatherAccum row index out of range")
+	if !gatherRunsAVX2(dst, r, ptr, rows, base, elems, idx, facs) {
+		panic("kernel: GatherRuns row index out of range")
 	}
 }
 

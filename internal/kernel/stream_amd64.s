@@ -1,20 +1,20 @@
 #include "textflag.h"
 
-// Registers of streamAccumAVX2:
+// Registers of streamRunsAVX2:
 //
-//	DI   dst		SI   vals		CX   len(vals)
+//	DI   destination row	SI   vals		CX   end entry ptr[i+1]
 //	BX   idx headers	DX   facs headers	R9   len(facs)·24
 //	R10  R·8 (row stride)	R11  column byte offset of the block
-//	R12  nonzero e		R13  factor header offset m·24
-//	AX, R8, R14 scratch
+//	R12  entry e		R13  factor header offset m·24
+//	R15  first entry ptr[i]	AX, R8, R14 scratch
 //
 // Y0–Y3 (X0 in the tail) hold the block's accumulators, Y4 (X4) the
 // broadcast value, Y5–Y8 (X5) the running product.
 
 // ROW leaves in R14 the address of factor m's data and in AX the byte
 // offset of row idx[m][i] at the current block, where i is held in
-// register ent (the nonzero e of streamAccumAVX2, the parent element pe of
-// gatherAccumAVX2), and jumps to fail unless the block's end, end bytes
+// register ent (the entry e of streamRunsAVX2, the parent element pe of
+// gatherRunsAVX2), and jumps to fail unless the block's end, end bytes
 // past that offset, lies inside facs[m]. The index is zero-extended: a
 // negative int32 becomes a row past every factor and fails the check.
 #define ROW(ent, end) \
@@ -29,32 +29,74 @@
 	JHI     fail; \
 	MOVQ    (DX)(R13*1), R14
 
-// func streamAccumAVX2(dst, vals []float64, idx [][]int32, facs [][]float64) bool
-TEXT ·streamAccumAVX2(SB), NOSPLIT, $0-97
-	MOVQ    dst_base+0(FP), DI
-	MOVQ    dst_len+8(FP), R10
-	MOVQ    vals_base+24(FP), SI
-	MOVQ    vals_len+32(FP), CX
-	MOVQ    idx_base+48(FP), BX
-	MOVQ    facs_base+72(FP), DX
-	MOVQ    facs_len+80(FP), R9
+// RUN starts the next run i of the chunk, or jumps to done when none is
+// left. It advances the ptr (and row map) arguments past the run and
+// leaves in AX and CX the run's entry bounds ptr[i] and ptr[i+1], and in
+// DI the address of its destination row. With a row map that is row
+// rows[i] of dst, zero-extended, and RUN jumps to fail unless the whole
+// row, R·8 bytes from rows[i]·R·8, lies inside dst. Without one it is the
+// next row of dst, whose base argument advances by a row per run (the Go
+// wrapper has checked that every run's row fits). The two functions share
+// the argument layout up to rows, which RUN reads.
+#define RUN \
+	MOVQ    ptr_len+40(FP), R8; \
+	CMPQ    R8, $1; \
+	JLE     done; \
+	DECQ    R8; \
+	MOVQ    R8, ptr_len+40(FP); \
+	MOVQ    ptr_base+32(FP), R8; \
+	MOVQ    (R8), AX; \
+	MOVQ    8(R8), CX; \
+	ADDQ    $8, R8; \
+	MOVQ    R8, ptr_base+32(FP); \
+	MOVQ    rows_len+64(FP), R8; \
+	TESTQ   R8, R8; \
+	JNE     mapped; \
+	MOVQ    dst_base+0(FP), DI; \
+	LEAQ    (DI)(R10*1), R8; \
+	MOVQ    R8, dst_base+0(FP); \
+	JMP     rowset; \
+mapped: \
+	MOVQ    rows_base+56(FP), R8; \
+	MOVLQZX (R8), DI; \
+	ADDQ    $4, R8; \
+	MOVQ    R8, rows_base+56(FP); \
+	IMULQ   R10, DI; \
+	LEAQ    (DI)(R10*1), R8; \
+	SHRQ    $3, R8; \
+	CMPQ    R8, dst_len+8(FP); \
+	JHI     fail; \
+	ADDQ    dst_base+0(FP), DI; \
+rowset:
+
+// func streamRunsAVX2(dst []float64, r int, ptr []int64, rows []int32, vals []float64, idx [][]int32, facs [][]float64) bool
+TEXT ·streamRunsAVX2(SB), NOSPLIT, $0-153
+	MOVQ    r+24(FP), R10
+	MOVQ    vals_base+80(FP), SI
+	MOVQ    idx_base+104(FP), BX
+	MOVQ    facs_base+128(FP), DX
+	MOVQ    facs_len+136(FP), R9
 	IMUL3Q  $24, R9, R9
 	SHLQ    $3, R10
+
+run:
+	RUN
+	MOVQ    AX, R15
 	XORQ    R11, R11
 
 block16:
 	LEAQ    128(R11), R8
 	CMPQ    R8, R10
 	JHI     block4
-	VMOVUPD 0(DI)(R11*1), Y0
-	VMOVUPD 32(DI)(R11*1), Y1
-	VMOVUPD 64(DI)(R11*1), Y2
-	VMOVUPD 96(DI)(R11*1), Y3
-	XORQ    R12, R12
+	VXORPD  Y0, Y0, Y0
+	VXORPD  Y1, Y1, Y1
+	VXORPD  Y2, Y2, Y2
+	VXORPD  Y3, Y3, Y3
+	MOVQ    R15, R12
 
 nz16:
 	CMPQ    R12, CX
-	JEQ     store16
+	JGE     store16
 	VBROADCASTSD (SI)(R12*8), Y4
 	XORQ    R13, R13
 	ROW(R12, 128)
@@ -95,12 +137,12 @@ block4:
 	LEAQ    32(R11), R8
 	CMPQ    R8, R10
 	JHI     tail
-	VMOVUPD (DI)(R11*1), Y0
-	XORQ    R12, R12
+	VXORPD  Y0, Y0, Y0
+	MOVQ    R15, R12
 
 nz4:
 	CMPQ    R12, CX
-	JEQ     store4
+	JGE     store4
 	VBROADCASTSD (SI)(R12*8), Y4
 	XORQ    R13, R13
 	ROW(R12, 32)
@@ -127,13 +169,13 @@ store4:
 
 tail:
 	CMPQ    R11, R10
-	JEQ     done
-	VMOVSD  (DI)(R11*1), X0
-	XORQ    R12, R12
+	JEQ     run
+	VXORPD  X0, X0, X0
+	MOVQ    R15, R12
 
 nz1:
 	CMPQ    R12, CX
-	JEQ     store1
+	JGE     store1
 	VMOVSD  (SI)(R12*8), X4
 	XORQ    R13, R13
 	ROW(R12, 8)
@@ -160,23 +202,23 @@ store1:
 
 done:
 	VZEROUPPER
-	MOVB    $1, ret+96(FP)
+	MOVB    $1, ret+152(FP)
 	RET
 
 fail:
 	VZEROUPPER
-	MOVB    $0, ret+96(FP)
+	MOVB    $0, ret+152(FP)
 	RET
 
-// Registers of gatherAccumAVX2, where they differ from streamAccumAVX2's:
+// Registers of gatherRunsAVX2, where they differ from streamRunsAVX2's:
 //
-//	SI   base		R12  address of elems[e]	CX   end of elems
+//	SI   base		R12  address of elems[e]	CX   address of elems[ptr[i+1]]
 //	R15  parent element pe = elems[e]
 //
 // Y5–Y8 (X5 in the tail) start from the parent's row; Y4 is unused.
 
-// func gatherAccumAVX2(dst, base []float64, elems []int32, idx [][]int32, facs [][]float64) bool
-TEXT ·gatherAccumAVX2(SB), NOSPLIT, $0-121
+// func gatherRunsAVX2(dst []float64, r int, ptr []int64, rows []int32, base []float64, elems []int32, idx [][]int32, facs [][]float64) bool
+TEXT ·gatherRunsAVX2(SB), NOSPLIT, $0-177
 
 // PARENT loads the parent element elems[e] into R15, zero-extended, and
 // leaves in AX the byte offset of its row at the current block. It jumps
@@ -190,36 +232,45 @@ TEXT ·gatherAccumAVX2(SB), NOSPLIT, $0-121
 	IMULQ   R10, AX; \
 	LEAQ    (AX)(R10*1), R8; \
 	SHRQ    $3, R8; \
-	CMPQ    R8, base_len+32(FP); \
+	CMPQ    R8, base_len+88(FP); \
 	JHI     fail; \
 	ADDQ    R11, AX
 
-	MOVQ    dst_base+0(FP), DI
-	MOVQ    dst_len+8(FP), R10
-	MOVQ    base_base+24(FP), SI
-	MOVQ    elems_base+48(FP), CX
-	MOVQ    elems_len+56(FP), R8
-	LEAQ    (CX)(R8*4), CX
-	MOVQ    idx_base+72(FP), BX
-	MOVQ    facs_base+96(FP), DX
-	MOVQ    facs_len+104(FP), R9
+// FIRST points R12 at the current run's first entry, elems[ptr[i]]; RUN
+// has advanced the ptr argument past ptr[i], which FIRST reads back.
+#define FIRST \
+	MOVQ    ptr_base+32(FP), R12; \
+	MOVQ    -8(R12), R12; \
+	SHLQ    $2, R12; \
+	ADDQ    elems_base+104(FP), R12
+
+	MOVQ    r+24(FP), R10
+	MOVQ    base_base+80(FP), SI
+	MOVQ    idx_base+128(FP), BX
+	MOVQ    facs_base+152(FP), DX
+	MOVQ    facs_len+160(FP), R9
 	IMUL3Q  $24, R9, R9
 	SHLQ    $3, R10
+
+run:
+	RUN
+	SHLQ    $2, CX
+	ADDQ    elems_base+104(FP), CX
 	XORQ    R11, R11
 
 block16:
 	LEAQ    128(R11), R8
 	CMPQ    R8, R10
 	JHI     block4
-	VMOVUPD 0(DI)(R11*1), Y0
-	VMOVUPD 32(DI)(R11*1), Y1
-	VMOVUPD 64(DI)(R11*1), Y2
-	VMOVUPD 96(DI)(R11*1), Y3
-	MOVQ    elems_base+48(FP), R12
+	VXORPD  Y0, Y0, Y0
+	VXORPD  Y1, Y1, Y1
+	VXORPD  Y2, Y2, Y2
+	VXORPD  Y3, Y3, Y3
+	FIRST
 
 el16:
 	CMPQ    R12, CX
-	JEQ     store16
+	JAE     store16
 	PARENT
 	VMOVUPD 0(SI)(AX*1), Y5
 	VMOVUPD 32(SI)(AX*1), Y6
@@ -258,12 +309,12 @@ block4:
 	LEAQ    32(R11), R8
 	CMPQ    R8, R10
 	JHI     tail
-	VMOVUPD (DI)(R11*1), Y0
-	MOVQ    elems_base+48(FP), R12
+	VXORPD  Y0, Y0, Y0
+	FIRST
 
 el4:
 	CMPQ    R12, CX
-	JEQ     store4
+	JAE     store4
 	PARENT
 	VMOVUPD (SI)(AX*1), Y5
 	XORQ    R13, R13
@@ -288,13 +339,13 @@ store4:
 
 tail:
 	CMPQ    R11, R10
-	JEQ     done
-	VMOVSD  (DI)(R11*1), X0
-	MOVQ    elems_base+48(FP), R12
+	JEQ     run
+	VXORPD  X0, X0, X0
+	FIRST
 
 el1:
 	CMPQ    R12, CX
-	JEQ     store1
+	JAE     store1
 	PARENT
 	VMOVSD  (SI)(AX*1), X5
 	XORQ    R13, R13
@@ -319,15 +370,15 @@ store1:
 
 done:
 	VZEROUPPER
-	MOVB    $1, ret+120(FP)
+	MOVB    $1, ret+176(FP)
 	RET
 
 fail:
 	VZEROUPPER
-	MOVB    $0, ret+120(FP)
+	MOVB    $0, ret+176(FP)
 	RET
 
-// Registers of scatterAccumAVX2, where they differ from streamAccumAVX2's:
+// Registers of scatterAccumAVX2, where they differ from streamRunsAVX2's:
 //
 //	DI   out		R10  R·8 (row stride)	R11  column byte offset
 //	R15  address of the nonzero's target row

@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -39,13 +40,11 @@ type Engine struct {
 
 	rank int // R of the cached value matrices; 0 until the first MTTKRP
 
-	// Per-worker scratch for the kernels, sized workers × maxDelta at
-	// construction so the numeric phase allocates nothing: factor rows for
-	// the fused Hadamard-accumulate kernel, which serves only the root's
-	// children the engine does not stream, and index slices for the
-	// streamed one.
+	// Per-worker factor-row scratch for the fused Hadamard-accumulate
+	// kernel, which serves only the root's children the engine does not
+	// stream, sized workers × maxDelta at construction so the numeric
+	// phase allocates nothing.
 	rowsBuf [][][]float64
-	idxBuf  [][][]tensor.Index
 	// Call-scoped compute inputs plus a method value bound once at
 	// construction: every compute passes the same func value to the
 	// scheduler instead of a fresh closure, keeping steady state at zero
@@ -108,13 +107,14 @@ type Config struct {
 	// StreamRoot stores the reduction of every non-leaf child of the root
 	// as streamed tuples in reduction order (each nonzero's value and
 	// delta indices copied next to each other), so the contractions that
-	// read every nonzero run sequentially. It costs
-	// parentElems·(8 + 4·|δ| − 4) extra index bytes per such child and
-	// carries the cost model's decision (model.Plan.Stream); without it,
-	// and always for leaves, root children gather their factor rows through
-	// redElems, one nonzero at a time. Deeper nodes are not streamed: they
-	// run the gathered kernel (kernel.GatherAccum) over their parent's
-	// cached rows.
+	// read every nonzero run sequentially, one kernel.StreamRuns call per
+	// scheduled chunk. It costs parentElems·(8 + 4·|δ| − 4) extra index
+	// bytes per such child and carries the cost model's decision
+	// (model.Plan.Stream); without it, and always for leaves, root children
+	// gather their factor rows through redElems, one nonzero at a time.
+	// Deeper nodes are not streamed: they run the gathered kernel
+	// (kernel.GatherRuns, one call per chunk) over their parent's cached
+	// rows.
 	StreamRoot bool
 	// Accum is the output-accumulation policy for the leaf contraction
 	// (LockFree is forced on — the scatter baseline here takes no locks).
@@ -160,10 +160,8 @@ func NewWithConfig(x *tensor.COO, strat *Strategy, cfg Config) (*Engine, error) 
 		w = par.MaxWorkers()
 	}
 	e.rowsBuf = make([][][]float64, w)
-	e.idxBuf = make([][][]tensor.Index, w)
 	for i := range e.rowsBuf {
 		e.rowsBuf[i] = make([][]float64, maxDelta)
-		e.idxBuf[i] = make([][]tensor.Index, maxDelta)
 	}
 	e.body = e.runChunk
 	acfg := cfg.Accum
@@ -381,7 +379,7 @@ func (e *Engine) ensure(t *node, factors []*dense.Matrix, r int) {
 // compute evaluates the contraction of the parent's semi-sparse tensor with
 // the delta-mode factor rows, reduced into t's elements. The inner loop is
 // the paper's TTM-through-Hadamard kernel, run through the shared fused
-// primitives (see reduceInto). When scatter is nil, element i's row is
+// primitives (see reduceRuns). When scatter is nil, element i's row is
 // dst.Row(i) (materializing t.vals); otherwise it is dst.Row(scatter[i])
 // (the fused leaf-to-output scatter). Elements are scheduled in
 // reduction-weighted chunks; distinct elements own distinct destination
@@ -403,54 +401,58 @@ func (e *Engine) bindFactors(t *node, factors []*dense.Matrix) {
 }
 
 // runChunk processes one scheduled chunk of the current compute's child
-// elements on the given worker.
+// elements on the given worker: elements [lo, hi) are runs lo..hi−1 of
+// the reduction pointer, each setting its own destination row.
 func (e *Engine) runChunk(worker, lo, hi int) {
-	t := e.curNode
-	dst, scatter := e.curDst, e.curScatter
-	for i := lo; i < hi; i++ {
-		var out []float64
-		if scatter == nil {
-			out = dst.Row(i)
-		} else {
-			out = dst.Row(int(scatter[i]))
-		}
-		clear(out)
-		e.reduceInto(worker, t, out, t.redPtr[i], t.redPtr[i+1])
+	t, dst, rows := e.curNode, e.curDst, e.curScatter
+	r := dst.Cols
+	data := dst.Data
+	if rows == nil {
+		data = data[lo*r : hi*r]
+	} else {
+		rows = rows[lo:hi]
 	}
+	e.reduceRuns(worker, t, data, r, t.redPtr[lo:hi+1], rows)
 }
 
-// reduceInto accumulates t's reduction entries [a, b), which all belong to
-// one element of t, into out. A streamed child of the root hands the whole
-// run to the streamed kernel: values and delta indices are contiguous in
-// reduction order. A deeper node hands it to the gathered kernel, which
-// reads each entry's parent element through redElems and multiplies the
-// parent's cached R-row by its factor rows. A child of the root whose
-// stream bytes the cost model declined gathers each entry's factor rows
-// and multiplies the nonzero value. Every path adds the entries in
-// reduction order with the same association, so all give the same bits.
-func (e *Engine) reduceInto(worker int, t *node, out []float64, a, b int64) {
+// reduceRuns sets, for each run i of t's reduction entries given by ptr,
+// its destination row of dst (row stride r: row rows[i], or row i when
+// rows is nil) to the run's sum. A streamed child of the root hands the
+// whole chunk to the streamed kernel: values and delta indices are
+// contiguous in reduction order. A deeper node hands it to the gathered
+// kernel, which reads each entry's parent element through redElems and
+// multiplies the parent's cached R-row by its factor rows. A child of the
+// root whose stream bytes the cost model declined clears each row, then
+// gathers each entry's factor rows and multiplies the nonzero value. Every
+// path adds the entries in reduction order, to a sum that starts at zero,
+// with the same association, so all give the same bits.
+func (e *Engine) reduceRuns(worker int, t *node, dst []float64, r int, ptr []int64, rows []tensor.Index) {
 	p := t.parent
 	if t.sVals != nil {
-		idx := e.idxBuf[worker][:len(t.delta)]
-		for k := range idx {
-			idx[k] = t.sIdx[k][a:b]
-		}
-		kernel.StreamAccum(out, t.sVals[a:b], idx, t.facData)
+		kernel.StreamRuns(dst, r, ptr, rows, t.sVals, t.sIdx, t.facData)
 		return
 	}
 	if p.parent != nil {
-		kernel.GatherAccum(out, p.vals.Data, t.redElems[a:b], t.deltaIdx, t.facData)
+		kernel.GatherRuns(dst, r, ptr, rows, p.vals.Data, t.redElems, t.deltaIdx, t.facData)
 		return
 	}
-	rows := e.rowsBuf[worker][:len(t.delta)]
+	fr := e.rowsBuf[worker][:len(t.delta)]
 	vals := e.x.Vals
-	for ei := a; ei < b; ei++ {
-		pe := int(t.redElems[ei])
-		for k := range rows {
-			o := int(t.deltaIdx[k][pe]) * len(out)
-			rows[k] = t.facData[k][o : o+len(out)]
+	for i := 0; i+1 < len(ptr); i++ {
+		o := i * r
+		if rows != nil {
+			o = int(rows[i]) * r
 		}
-		kernel.HadamardAccum(out, vals[pe], rows)
+		out := dst[o : o+r]
+		clear(out)
+		for ei := ptr[i]; ei < ptr[i+1]; ei++ {
+			pe := int(t.redElems[ei])
+			for k := range fr {
+				fo := int(t.deltaIdx[k][pe]) * r
+				fr[k] = t.facData[k][fo : fo+r]
+			}
+			kernel.HadamardAccum(out, vals[pe], fr)
+		}
 	}
 }
 
@@ -471,28 +473,38 @@ func (e *Engine) computePrivatized(t *node, factors []*dense.Matrix, r int, out 
 }
 
 // runPrivChunk processes reduction entries [lo, hi) of the current
-// privatized leaf contraction on the given worker. The owning leaf element
-// of entry lo is found by binary search on the reduction pointer (hand
-// rolled: sort.Search's closure would allocate in this zero-alloc path);
-// the range is then reduced one element's run of entries at a time.
+// privatized leaf contraction on the given worker, into the worker's
+// private output copy. The runs lying wholly inside the range go to the
+// kernel as one chunk; a run cut by either end of the range goes as a
+// one-run pointer pair over its part. The leaf elements owning entries lo
+// and hi are found by binary search on the reduction pointer. Each private
+// row is written at most once per call, and the pool hands out zeroed
+// copies, so setting a row equals adding into it.
 func (e *Engine) runPrivChunk(worker, lo, hi int) {
 	t := e.curNode
-	scatter := e.curScatter
+	rows := e.curScatter
 	priv := e.pool.Acquire(worker)
-	// Greatest i with redPtr[i] <= lo: invariant redPtr[a] <= lo < redPtr[b].
-	a, b := 0, len(t.redPtr)-1
-	for a+1 < b {
-		mid := int(uint(a+b) >> 1)
-		if t.redPtr[mid] <= int64(lo) {
-			a = mid
-		} else {
-			b = mid
+	r := priv.Cols
+	ptr := t.redPtr
+	a, b := int64(lo), int64(hi)
+	// Greatest i with ptr[i] <= a, then greatest j with ptr[j] <= b.
+	i, _ := slices.BinarySearch(ptr, a+1)
+	i--
+	var pair [2]int64
+	if ptr[i] < a {
+		pair = [2]int64{a, min(ptr[i+1], b)}
+		e.reduceRuns(worker, t, priv.Data, r, pair[:], rows[i:i+1])
+		if pair[1] == b {
+			return
 		}
+		i++
 	}
-	for i, ei := a, int64(lo); ei < int64(hi); i++ {
-		end := min(t.redPtr[i+1], int64(hi))
-		e.reduceInto(worker, t, priv.Row(int(scatter[i])), ei, end)
-		ei = end
+	j, _ := slices.BinarySearch(ptr, b+1)
+	j--
+	e.reduceRuns(worker, t, priv.Data, r, ptr[i:j+1], rows[i:j])
+	if ptr[j] < b {
+		pair = [2]int64{ptr[j], b}
+		e.reduceRuns(worker, t, priv.Data, r, pair[:], rows[j:j+1])
 	}
 }
 

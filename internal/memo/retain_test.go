@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"math"
 	"testing"
 
 	"adatm/internal/dense"
@@ -110,5 +111,68 @@ func BenchmarkRetainBuffersAblation(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestRetainBuffersNaNRebuild fills every retained node buffer and every
+// output with NaN before a rebuild, and requires the retained engine to
+// give the same bits as a fresh one: the kernels set each element's row
+// rather than add into it, so no row needs clearing first. It covers
+// streamed root children and gathered leaves (2group@2, streamed), and
+// unstreamed root children with gathered deeper nodes (balanced, order 5).
+func TestRetainBuffersNaNRebuild(t *testing.T) {
+	for _, c := range []struct {
+		order  int
+		strat  *Strategy
+		stream bool
+	}{{4, TwoGroup(4, 2), true}, {5, Balanced(5), false}} {
+		x := tensor.RandomClustered(c.order, 12, 600, 0.8, 431)
+		fs := randomFactors(x, 17, 432)
+		cfg := Config{Workers: 2, RetainBuffers: true, StreamRoot: c.stream}
+		sweep := func(e *Engine, poison bool) [][]float64 {
+			var outs [][]float64
+			for mode := 0; mode < c.order; mode++ {
+				out := dense.New(x.Dims[mode], 17)
+				if poison {
+					out.Fill(math.NaN())
+				}
+				if err := e.MTTKRP(mode, fs, out); err != nil {
+					t.Fatal(err)
+				}
+				outs = append(outs, out.Data)
+				e.FactorUpdated(mode)
+			}
+			return outs
+		}
+		retained, err := NewWithConfig(x, c.strat, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep(retained, false)
+		poisoned := 0
+		for _, nd := range retained.all {
+			for i := range nd.buf {
+				nd.buf[i] = math.NaN()
+			}
+			poisoned += len(nd.buf)
+		}
+		if poisoned == 0 {
+			t.Fatalf("%v: no retained buffer to poison", c.strat)
+		}
+		retained.invalidateAll()
+		got := sweep(retained, true)
+		fresh, err := NewWithConfig(x, c.strat, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sweep(fresh, false)
+		for mode := range want {
+			for j := range want[mode] {
+				if math.Float64bits(got[mode][j]) != math.Float64bits(want[mode][j]) {
+					t.Fatalf("%v mode %d: [%d] = %v after a NaN-filled rebuild, fresh engine gives %v",
+						c.strat, mode, j, got[mode][j], want[mode][j])
+				}
+			}
+		}
 	}
 }

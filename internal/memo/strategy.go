@@ -187,27 +187,6 @@ func BinaryFromSplits(n int, split func(lo, hi int) int) *Strategy {
 	return build(0, n)
 }
 
-// CountNodes returns the total number of tree nodes including the root and
-// leaves.
-func (s *Strategy) CountNodes() int {
-	n := 1
-	for _, c := range s.Children {
-		n += c.CountNodes()
-	}
-	return n
-}
-
-// Depth returns the number of levels (a lone leaf has depth 1).
-func (s *Strategy) Depth() int {
-	d := 0
-	for _, c := range s.Children {
-		if cd := c.Depth(); cd > d {
-			d = cd
-		}
-	}
-	return d + 1
-}
-
 // String renders the tree in a compact nested notation over the original
 // modes, e.g. "([0-1] [2-3])" for a balanced order-4 tree. A group of
 // leaves is a bracketed range when its modes run up by one, and a

@@ -11,8 +11,8 @@ func TestFlatShape(t *testing.T) {
 	if err := s.Validate(5); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Children) != 5 || s.Depth() != 2 || s.CountNodes() != 6 {
-		t.Errorf("flat(5): children=%d depth=%d nodes=%d", len(s.Children), s.Depth(), s.CountNodes())
+	if len(s.Children) != 5 || depth(s) != 2 || countLeaves(s) != 5 {
+		t.Errorf("flat(5): children=%d depth=%d leaves=%d", len(s.Children), depth(s), countLeaves(s))
 	}
 }
 
@@ -27,8 +27,8 @@ func TestTwoGroupShape(t *testing.T) {
 	if s.Children[0].Span() != 2 || s.Children[1].Span() != 4 {
 		t.Errorf("group spans: %d, %d", s.Children[0].Span(), s.Children[1].Span())
 	}
-	if s.Depth() != 3 {
-		t.Errorf("depth = %d, want 3", s.Depth())
+	if depth(s) != 3 {
+		t.Errorf("depth = %d, want 3", depth(s))
 	}
 }
 
@@ -62,17 +62,26 @@ func TestBalancedShapes(t *testing.T) {
 			t.Fatalf("balanced(%d): %v", n, err)
 		}
 		// Balanced binary: depth == ceil(log2 n) + 1.
-		depth := 1
+		want := 1
 		for span := 1; span < n; span *= 2 {
-			depth++
+			want++
 		}
-		if s.Depth() != depth {
-			t.Errorf("balanced(%d): depth %d, want %d", n, s.Depth(), depth)
+		if got := depth(s); got != want {
+			t.Errorf("balanced(%d): depth %d, want %d", n, got, want)
 		}
 		if got := countLeaves(s); got != n {
 			t.Errorf("balanced(%d): %d leaves", n, got)
 		}
 	}
+}
+
+// depth returns the number of levels of s (a lone leaf has depth 1).
+func depth(s *Strategy) int {
+	d := 0
+	for _, c := range s.Children {
+		d = max(d, depth(c))
+	}
+	return d + 1
 }
 
 func countLeaves(s *Strategy) int {

@@ -215,12 +215,12 @@ func chunkTarget(total int64, c, nchunks int) int64 {
 }
 
 // ForChunks runs body over precomputed chunk boundaries (the WeightedBounds
-// format) with a dynamic schedule: workers pull the next chunk off a shared
-// channel, and body receives the worker id so kernels can index into
-// preallocated per-worker scratch (e.g. a kernel.Arena). Empty chunks are
-// skipped. With one worker the chunks run inline on the calling goroutine,
-// so the call performs no allocation — the property the steady-state
-// MTTKRP regression tests pin down.
+// format) with a dynamic schedule: workers take the next chunk number from
+// a shared atomic counter, and body receives the worker id so kernels can
+// index into preallocated per-worker scratch (e.g. a kernel.Arena). Empty
+// chunks are skipped. With one worker the chunks run inline on the calling
+// goroutine, so the call performs no allocation — the property the
+// steady-state MTTKRP regression tests pin down.
 func ForChunks(bounds []int, workers int, body func(worker, lo, hi int)) {
 	nchunks := len(bounds) - 1
 	if nchunks <= 0 {
@@ -238,17 +238,13 @@ func ForChunks(bounds []int, workers int, body func(worker, lo, hi int)) {
 		}
 		return
 	}
-	chunks := make(chan int, nchunks)
-	for c := 0; c < nchunks; c++ {
-		chunks <- c
-	}
-	close(chunks)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			for c := range chunks {
+			for c := int(next.Add(1) - 1); c < nchunks; c = int(next.Add(1) - 1) {
 				if bounds[c] < bounds[c+1] {
 					sp := tr.StartSpan(chunkSpanName, int32(w)+1)
 					body(w, bounds[c], bounds[c+1])

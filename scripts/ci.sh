@@ -34,13 +34,13 @@ go test -race ./cmd/...
 # no assembly body, so this build also proves that the portable-only
 # kernel package compiles.
 #
-# On amd64, the AVX2 bodies of StreamAccum, GatherAccum and ScatterAccum
+# On amd64, the AVX2 bodies of StreamRuns, GatherRuns and ScatterAccum
 # are hand-written (all in stream_amd64.s) and must contain no fused
 # multiply-add either. `go tool objdump` cannot decode VEX instructions (it
 # prints a VFMADD231SD as a MOVL), so the check reads the assembly source,
 # which the assembler encodes as written, and, where binutils is installed,
 # the kernel package's code in a linked amd64 binary: every symbol of the
-# package, so each assembly body (streamAccumAVX2, gatherAccumAVX2 and
+# package, so each assembly body (streamRunsAVX2, gatherRunsAVX2 and
 # scatterAccumAVX2) is scanned.
 fmadir=$(mktemp -d)
 for pkg in kernel dense; do
